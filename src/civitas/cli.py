@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -74,8 +75,13 @@ class RunConfig:
     deadline: float | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError("--horizon must be a finite number > 0")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("--dt must be a finite number > 0")
+        if round(self.horizon / self.dt) < 1:
+            raise ConfigError(f"--horizon {self.horizon:g} / --dt {self.dt:g}"
+                              " rounds to no tick")
         if self.mode not in ("fixed", "hierarchical"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "hierarchical" and not self.ctg:
@@ -359,6 +365,8 @@ def cmd_fuzzy_surface(args) -> int:
         m, M, MI = (float(x) for x in args.params.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --params {args.params!r}: expected m,M,MI") from exc
+    if args.n < 2:
+        raise ConfigError(f"fuzzy-surface n must be >= 2, got {args.n}")
     params = fuzzymod.FuzzyParams.uniform(m, M, MI)
     grid = fuzzymod.surface(params, n=args.n)
     i_axis = np.linspace(0.0, params.i.MI, args.n)

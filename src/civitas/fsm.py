@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 GREEN_MIN = 1.0
 RED_MIN = 1.0
@@ -79,7 +80,7 @@ class SignalFsm:
         if not 0 <= self.offset < self.cycle:
             raise ValueError(f"offset {self.offset} outside [0, {self.cycle})")
 
-    @property
+    @cached_property
     def cycle(self) -> float:
         return self.green + self.yellow + self.red
 
@@ -88,8 +89,8 @@ class SignalFsm:
                 SignalState.YELLOW: self.yellow,
                 SignalState.RED: self.red}[state]
 
-    def layout(self) -> tuple[tuple[SignalState, float, float], ...]:
-        """(state, start, end) regions covering one cycle from the anchor."""
+    @cached_property
+    def _layout(self) -> tuple[tuple[SignalState, float, float], ...]:
         start_idx = CYCLIC_ORDER.index(self.anchor)
         regions = []
         t = 0.0
@@ -99,16 +100,29 @@ class SignalFsm:
             t += self.split(state)
         return tuple(regions)
 
+    def layout(self) -> tuple[tuple[SignalState, float, float], ...]:
+        """(state, start, end) regions covering one cycle from the anchor.
+
+        Built once per instance: the dataclass is frozen, so the splits
+        and the anchor never change under the cached regions.
+        """
+        return self._layout
+
     def phase_position(self, t: float) -> float:
         """Position within the cycle frame (seconds past cycle start)."""
         return (t - self.offset) % self.cycle
 
     def state_at(self, t: float) -> SignalState:
-        p = self.phase_position(t)
-        for state, a, b in self.layout():
-            if a <= p < b:
-                return state
-        return self.layout()[-1][0]  # p == cycle cannot happen; guard rounding
+        # The regions tile [0, cycle) in order and p is never negative, so
+        # testing each region's end alone is the scan `a <= p < b`; a p past
+        # the last end (rounding) or NaN falls to the last region's state.
+        p = (t - self.offset) % self.cycle
+        (s0, _, b0), (s1, _, b1), (s2, _, _) = self._layout
+        if p < b0:
+            return s0
+        if p < b1:
+            return s1
+        return s2
 
     @property
     def state(self) -> SignalState:

@@ -39,6 +39,10 @@ class Section:
         except ValueError as exc:
             raise ParseError(f"[{self.kind} {self.name}]: bad number for {key!r}: {raw!r}") from exc
 
+    def require_float(self, key: str) -> float:
+        self.require(key)
+        return self.get_float(key)
+
     def get_int(self, key: str, default: int | None = None) -> int | None:
         raw = self.values.get(key)
         if raw is None:

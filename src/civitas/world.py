@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -127,8 +130,12 @@ class StreetNetwork:
         if not nx.is_connected(g):
             raise TopologyError("network graph is not connected")
 
+    @cached_property
+    def _segment_index(self) -> dict[str, RoadSegment]:
+        return {s.id: s for s in self.segments}
+
     def segment(self, seg_id: str) -> RoadSegment:
-        seg = next((s for s in self.segments if s.id == seg_id), None)
+        seg = self._segment_index.get(seg_id)
         if seg is None:
             raise KeyError(f"unknown segment {seg_id!r}")
         return seg
@@ -151,8 +158,17 @@ class StreetNetwork:
             out[s.from_node].append(s.id)
         return out
 
-    def signalized_nodes(self) -> tuple[str, ...]:
+    @cached_property
+    def _signalized(self) -> tuple[str, ...]:
         return tuple(i.id for i in self.intersections if i.signalized)
+
+    def signalized_nodes(self) -> tuple[str, ...]:
+        return self._signalized
+
+    @cached_property
+    def _zone_members(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        """(zone id, member segment ids) in declaration order."""
+        return tuple((z.id, z.members) for z in self.zones)
 
     def entries(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.segments if s.entry)
@@ -199,7 +215,7 @@ def load_network(text: str) -> StreetNetwork:
             turns = tuple(sec.get_list("turns")) if "turns" in sec.values else None
             segments.append(RoadSegment(
                 sec.name, sec.require("from"), sec.require("to"),
-                sec.get_float("length"), sec.get_float("speed"),
+                sec.require_float("length"), sec.require_float("speed"),
                 sec.get_int("capacity", 20), sec.get_bool("shared"),
                 approach, sec.get_bool("entry"), sec.get_bool("exit"), turns))
         elif sec.kind == "zone":
@@ -315,6 +331,10 @@ class WorldState:
     next_vid: int = 0
     min_headway: float = DEFAULT_HEADWAY
     route_rng: np.random.Generator | None = None
+    # Completed traversals per segment in completion order: when each
+    # vehicle left the segment and how long it had been on it.
+    completed_at: dict[str, array] = field(default_factory=dict)
+    traversal_time: dict[str, array] = field(default_factory=dict)
 
     def copy(self) -> "WorldState":
         return copy.deepcopy(self)
@@ -326,8 +346,11 @@ class WorldState:
         self.events.append(tuple(record))
 
 
-def _zone_members(network: StreetNetwork) -> dict[str, frozenset[str]]:
-    return {z.id: z.members for z in network.zones}
+def _reachable_exits(seg_graph: nx.DiGraph, entry: str,
+                     exits: tuple[str, ...]) -> list[str]:
+    """The exits a vehicle entering on `entry` can reach, in `exits` order."""
+    downstream = nx.descendants(seg_graph, entry)
+    return [e for e in exits if e == entry or e in downstream]
 
 
 def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
@@ -343,7 +366,9 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     world = WorldState(network, min_headway=min_headway,
                        queues={s.id: [] for s in network.segments},
                        zone_entered={z.id: 0 for z in network.zones},
-                       zone_exited={z.id: 0 for z in network.zones})
+                       zone_exited={z.id: 0 for z in network.zones},
+                       completed_at={s.id: array("d") for s in network.segments},
+                       traversal_time={s.id: array("d") for s in network.segments})
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(len(network.entries()) + 1)
     world.route_rng = np.random.default_rng(children[-1])
@@ -352,11 +377,13 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
 
     seg_graph = network.segment_graph()
     exits = network.exits()
+    reachable_cache: dict[str, list[str]] = {}
     route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def route_from(entry: str, rng: np.random.Generator) -> tuple[str, ...]:
-        reachable = [e for e in exits
-                     if e == entry or nx.has_path(seg_graph, entry, e)]
+        if entry not in reachable_cache:
+            reachable_cache[entry] = _reachable_exits(seg_graph, entry, exits)
+        reachable = reachable_cache[entry]
         if not reachable:
             raise TopologyError(f"no exit reachable from entry {entry}")
         target = reachable[int(rng.integers(len(reachable)))]
@@ -406,7 +433,7 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
 
 
 def _count_zone_entry(world: WorldState, src: str | None, dst: str | None) -> None:
-    for zid, members in _zone_members(world.network).items():
+    for zid, members in world.network._zone_members:
         src_in = src in members if src else False
         dst_in = dst in members if dst else False
         if dst_in and not src_in:
@@ -465,68 +492,56 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         world.log("arrive", at, v.vid, seg_id)
         _count_zone_entry(world, None, seg_id)
 
+    queues, last_cross = world.queues, world.last_cross
     for seg in world.network.segments:
-        queue = world.queues[seg.id]
+        queue = queues[seg.id]
         if not queue:
             continue
         v = queue[0]
         if v.ready_at > now:
             continue
-        if world.last_cross.get(seg.id, -math.inf) + world.min_headway > now:
+        if last_cross.get(seg.id, -math.inf) + world.min_headway > now:
             continue
-        node = seg.to_node
-        state = controls.get(node)
+        state = controls.get(seg.to_node)
         if state is not None and not state.admits(seg.approach or 0):
             continue
         nxt_id = _next_segment(world, v, seg)
         if nxt_id is None:
             if not seg.exit and v.route:
                 raise TopologyError(f"route of vehicle {v.vid} ends on non-exit {seg.id}")
-            queue.pop(0)
-            world.exited += 1
-            world.last_cross[seg.id] = now
-            world.log("depart", now, v.vid, seg.id)
-            _count_zone_entry(world, seg.id, None)
-            continue
-        nxt = world.network.segment(nxt_id)
-        if len(world.queues[nxt_id]) >= nxt.occupancy_limit:
-            continue
+        else:
+            nxt = world.network.segment(nxt_id)
+            if len(queues[nxt_id]) >= nxt.occupancy_limit:
+                continue
         queue.pop(0)
-        v.leg += 1
-        v.pending_next = None
-        v.entered_at = now
-        v.ready_at = now + nxt.travel_time
-        world.queues[nxt_id].append(v)
-        world.last_cross[seg.id] = now
-        world.log("move", now, v.vid, seg.id, nxt_id)
+        last_cross[seg.id] = now
+        world.completed_at[seg.id].append(now)
+        world.traversal_time[seg.id].append(now - v.entered_at)
+        if nxt_id is None:
+            world.exited += 1
+            world.log("depart", now, v.vid, seg.id)
+        else:
+            v.leg += 1
+            v.pending_next = None
+            v.entered_at = now
+            v.ready_at = now + nxt.travel_time
+            queues[nxt_id].append(v)
+            world.log("move", now, v.vid, seg.id, nxt_id)
         _count_zone_entry(world, seg.id, nxt_id)
     return world
 
 
 def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> Observation:
-    """Completed traversals of `site` within (t0, t1] from the event log."""
+    """Completed traversals of `site` within (t0, t1] and their mean time.
+
+    Reads the per-segment completion records `step` keeps; their times
+    never decrease, so the window is two bisections.
+    """
     t0, t1 = window
     world.network.segment(site)  # validate id
-    entered_at: dict[int, float] = {}
-    durations: list[float] = []
-    for ev in world.events:
-        kind, at = ev[0], ev[1]
-        if kind == "arrive" and ev[3] == site:
-            entered_at[ev[2]] = at
-        elif kind == "move":
-            _, _, vid, src, dst = ev
-            if src == site and t0 < at <= t1 and vid in entered_at:
-                durations.append(at - entered_at.pop(vid))
-            elif src == site:
-                entered_at.pop(vid, None)
-            if dst == site:
-                entered_at[vid] = at
-        elif kind == "depart" and ev[3] == site:
-            vid = ev[2]
-            if t0 < at <= t1 and vid in entered_at:
-                durations.append(at - entered_at.pop(vid))
-            else:
-                entered_at.pop(vid, None)
+    times = world.completed_at[site]
+    lo, hi = bisect_right(times, t0), bisect_right(times, t1)
+    durations = world.traversal_time[site][lo:hi]
     n = len(durations)
     t_ex = (sum(durations) / n) if n else None
     return Observation(site, n, t_ex, window)

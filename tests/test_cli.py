@@ -36,6 +36,43 @@ class TestExitCodes:
     def test_success_is_exit_zero(self, tmp_path, data_dir):
         assert cli.main(sim_args(data_dir, tmp_path / "run")) == 0
 
+    def test_zero_dt_is_config_error(self, tmp_path, data_dir, capsys):
+        rc = cli.main(sim_args(data_dir, tmp_path / "run") + ["--dt", "0"])
+        assert rc == 1
+        assert "--dt" in capsys.readouterr().err
+
+    def test_negative_dt_is_config_error(self, tmp_path, data_dir, capsys):
+        rc = cli.main(sim_args(data_dir, tmp_path / "run") + ["--dt", "-1"])
+        assert rc == 1
+        assert "--dt" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "summary.csv").exists()
+
+    def test_dt_longer_than_horizon_is_config_error(self, tmp_path, data_dir,
+                                                    capsys):
+        rc = cli.main(sim_args(data_dir, tmp_path / "run", horizon="0.04"))
+        assert rc == 1
+        assert "--dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["length", "speed"])
+    def test_segment_missing_number_is_parse_error(self, tmp_path, key, capsys):
+        values = {"from": "a", "to": "b", "length": "10", "speed": "5",
+                  "entry": "true", "exit": "true"}
+        del values[key]
+        net = tmp_path / "bad.network"
+        net.write_text("[intersection a]\n[intersection b]\n[segment s]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        rc = cli.main(["simulate", "--network", str(net), "--demand", str(net),
+                       "--horizon", "10", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[segment s]" in err and repr(key) in err
+
+    def test_fuzzy_surface_one_point_grid_is_config_error(self, tmp_path,
+                                                          capsys):
+        rc = cli.main(["fuzzy-surface", "0.5,1,1.2", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "n must be >= 2" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_artifacts_written(self, tmp_path, data_dir):
@@ -82,6 +119,31 @@ class TestSimulate:
         digest = hashlib.sha256((out / "events.log").read_bytes()).hexdigest()
         assert digest == ("60bf0506f0016b0712d4165c59a7192b"
                           "6b41dc8ae944ad96446092a345146d7b")
+
+    def test_golden_hierarchical_artifacts(self, tmp_path, data_dir):
+        # 1800 s = 30 epochs, so the area CTMDP is rebuilt and solved 6 times
+        import hashlib
+        out = tmp_path / "golden_hier"
+        rc = cli.main(sim_args(data_dir, out, mode="hierarchical",
+                               horizon="1800", seed="1234"))
+        assert rc == 0
+        want = {
+            "events.log": "923ad38c22a0f318b27c8b7fe58b1271"
+                          "29e0d06c34fc3d1cb0f26df38ed7766f",
+            "summary.csv": "f4fc7e992a1d7b677eceba269bcdd6b9"
+                           "5851dc2812bd4e8c061986b55b202989",
+            "reports.csv": "cd739e41aca8a0e97dded696f7b8472c"
+                           "8808010d20da66be424705e1b1b26684",
+            "schedule_table.csv": "6d2aeb026f67699a8d61729197f3b282"
+                                  "137af87391d1695f5c2c01732c0647d8",
+            "goal_allocation.csv": "d644848725dcc23ad44f4847579d1e10"
+                                   "33120dacec90c03e589d818a2bc997d3",
+            "function_graph.csv": "573ed3bc51987b04c3ae27a47dc8e4f4"
+                                  "2c04f587ded1820c8a02ff231bf0c1fc",
+        }
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in want}
+        assert got == want
 
     def test_registry_flag_emits_interaction_report(self, tmp_path, data_dir):
         out = tmp_path / "withreg"
