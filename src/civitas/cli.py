@@ -364,10 +364,13 @@ def cmd_fuzzy_surface(args) -> int:
     try:
         m, M, MI = (float(x) for x in args.params.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad --params {args.params!r}: expected m,M,MI") from exc
+        raise ConfigError(f"bad params {args.params!r}: expected m,M,MI") from exc
     if args.n < 2:
         raise ConfigError(f"fuzzy-surface n must be >= 2, got {args.n}")
-    params = fuzzymod.FuzzyParams.uniform(m, M, MI)
+    try:
+        params = fuzzymod.FuzzyParams.uniform(m, M, MI)
+    except ValueError as exc:
+        raise ConfigError(f"bad params {args.params!r}: {exc}") from exc
     grid = fuzzymod.surface(params, n=args.n)
     i_axis = np.linspace(0.0, params.i.MI, args.n)
     d_axis = np.linspace(0.0, params.d.MI, args.n)

@@ -9,9 +9,13 @@ overall goal is split into per-node targets proportional to capability.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .ctmdp import Ctmdp, CtmdpSolution
 
@@ -19,6 +23,9 @@ PROB_TOL = 1e-12
 
 # Guard against runaway joint enumeration; graphs here are small by design.
 MAX_JOINT_SUPPORT = 2_000_000
+
+# Joint points `evaluate` handles per numpy block; bounds its working memory.
+BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,8 @@ class PerfDistribution:
         total = 0.0
         seen = set()
         for value, prob in self.points:
+            if not (math.isfinite(value) and math.isfinite(prob)):
+                raise ValueError(f"non-finite support point ({value}, {prob})")
             if prob < 0:
                 raise ValueError(f"negative probability {prob}")
             if value in seen:
@@ -146,37 +155,78 @@ def evaluate(fg: FunctionGraph) -> dict[str, tuple[PerfDistribution, float]]:
     therefore convolve, parallel joins take the maximum).  Evaluated by
     exhaustive enumeration of the joint duration support, which stays
     exact even when branches share ancestors.
+
+    The support is enumerated in lexicographic order (the last node in
+    topological order varies fastest), in blocks of at most about
+    `BLOCK_POINTS` points: the leading nodes are walked one combination
+    at a time and the trailing ones are broadcast.  A point's probability
+    is the product of its node probabilities taken left to right, and
+    each sink value's mass adds the point probabilities in enumeration
+    order, so every sum keeps the association of a point-by-point loop.
     """
     order = fg._topo_order()
+    if not order:
+        return {}
     preds: dict[str, list[str]] = {n.id: [] for n in fg.nodes}
     for a, b in fg.arcs:
         preds[b].append(a)
     supports = [fg.node(n).dist.points for n in order]
+    sizes = [len(s) for s in supports]
     joint = 1
-    for s in supports:
-        joint *= len(s)
+    for size in sizes:
+        joint *= size
     if joint > MAX_JOINT_SUPPORT:
         raise ValueError(f"joint support of {joint} points is too large to enumerate")
 
-    sink_mass: dict[str, dict[float, float]] = {s: {} for s in fg.sinks()}
-    for combo in itertools.product(*supports):
+    split = len(order) - 1  # nodes order[split:] are broadcast in a block
+    block = sizes[split]
+    while split > 0 and block * sizes[split - 1] <= BLOCK_POINTS:
+        split -= 1
+        block *= sizes[split]
+    inner_values, inner_probs = [], []
+    for axis, points in enumerate(supports[split:]):
+        shape = [1] * (len(order) - split)
+        shape[axis] = len(points)
+        inner_values.append(np.array([v for v, _ in points], dtype=float).reshape(shape))
+        inner_probs.append(np.array([p for _, p in points], dtype=float).reshape(shape))
+
+    sinks = fg.sinks()
+    slots: dict[str, dict[float, int]] = {s: {} for s in sinks}
+    masses = {s: np.zeros(0) for s in sinks}
+    for combo in itertools.product(*supports[:split]):
         prob = 1.0
         duration = {}
         for node_id, (value, p) in zip(order, combo):
             prob *= p
             duration[node_id] = value
-        if prob == 0.0:
-            continue
-        completion: dict[str, float] = {}
+        for p in inner_probs:
+            prob = prob * p
+        duration.update(zip(order[split:], inner_values))
+        completion = {}
         for node_id in order:
-            base = max((completion[p] for p in preds[node_id]), default=0.0)
+            base = 0.0
+            if preds[node_id]:
+                base = functools.reduce(np.maximum, (completion[q] for q in preds[node_id]))
             completion[node_id] = base + duration[node_id]
-        for sink in sink_mass:
-            v = completion[sink]
-            sink_mass[sink][v] = sink_mass[sink].get(v, 0.0) + prob
-    return {sink: (PerfDistribution.from_dict(mass),
-                   PerfDistribution.from_dict(mass).expectation())
-            for sink, mass in sink_mass.items()}
+        prob = prob.ravel()
+        live = prob != 0.0
+        prob = prob[live]
+        for sink in sinks:
+            values = np.broadcast_to(completion[sink], sizes[split:]).ravel()[live].tolist()
+            index = slots[sink]
+            for v in dict.fromkeys(values):
+                index.setdefault(v, len(index))
+            if len(index) > len(masses[sink]):
+                masses[sink] = np.concatenate(
+                    [masses[sink], np.zeros(len(index) - len(masses[sink]))])
+            slot = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+            np.add.at(masses[sink], slot, prob)
+    out = {}
+    for sink in sinks:
+        mass = dict(zip(slots[sink], masses[sink].tolist()))
+        dist = PerfDistribution.from_dict(mass)
+        out[sink] = (dist, dist.expectation())
+    return out
 
 
 @dataclass(frozen=True)

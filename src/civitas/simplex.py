@@ -83,27 +83,24 @@ class LpSolution:
 
 def _bland_step(tab: np.ndarray, basis: list[int], costs: np.ndarray) -> int | None:
     """One pivot; returns entering column, None at optimum, -1 if unbounded."""
-    m, width = tab.shape
-    n = width - 1
+    n = tab.shape[1] - 1
     cb = costs[basis]
     reduced = costs[:n] - cb @ tab[:, :n]
-    entering = None
-    for j in range(n):
-        if reduced[j] > PIVOT_TOL:
-            entering = j
-            break
-    if entering is None:
+    improving = np.flatnonzero(reduced > PIVOT_TOL)
+    if not improving.size:
         return None
+    entering = int(improving[0])
+    column = tab[:, entering]
+    rows = np.flatnonzero(column > PIVOT_TOL)
+    ratios = tab[rows, -1] / column[rows]
     best_row, best_ratio = -1, np.inf
-    for i in range(m):
-        a = tab[i, entering]
-        if a > PIVOT_TOL:
-            ratio = tab[i, -1] / a
-            # Bland tie-break: smallest basis index leaves.
-            if ratio < best_ratio - PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= PIVOT_TOL
-                    and (best_row < 0 or basis[i] < basis[best_row])):
-                best_row, best_ratio = i, ratio
+    # Bland tie-break, in row order: smallest basis index leaves.  The
+    # tolerance makes the winner depend on the scan order, so no argmin.
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
+        if ratio < best_ratio - PIVOT_TOL or (
+                abs(ratio - best_ratio) <= PIVOT_TOL
+                and (best_row < 0 or basis[i] < basis[best_row])):
+            best_row, best_ratio = i, ratio
     if best_row < 0:
         return -1
     _pivot(tab, best_row, entering)
@@ -112,10 +109,17 @@ def _bland_step(tab: np.ndarray, basis: list[int], costs: np.ndarray) -> int | N
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Eliminate `col` from every row but `row`, as one rank-1 update.
+
+    Rows whose entry in `col` is zero are masked out, as a per-row
+    elimination skips them: subtracting 0 * pivot row would turn their
+    -0.0 entries into 0.0 and an infinite pivot-row entry into nan.
+    """
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    np.subtract(tab, factors[:, None] * tab[row], out=tab,
+                where=(factors != 0.0)[:, None])
 
 
 def solve(lp: LinearProgram, max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:

@@ -255,6 +255,10 @@ class DemandWindow:
     rate: float  # vehicles per second
 
     def __post_init__(self):
+        # make_world draws arrivals until the end or the horizon: a nan end
+        # or rate, or an infinite rate, would never stop it.
+        if not (math.isfinite(self.start) and math.isfinite(self.rate)) or math.isnan(self.end):
+            raise ValueError("window start and rate must be finite and its end a number")
         if self.end <= self.start:
             raise ValueError("window end must exceed start")
         if self.rate < 0:
@@ -269,7 +273,8 @@ class DemandProfile:
         for seg, windows in self.arrivals:
             for a, b in zip(windows, windows[1:]):
                 if b.start != a.end:
-                    raise ValueError(f"{seg}: windows must tile without gaps or overlap")
+                    raise ValueError(f"[arrivals {seg}] windows: must tile without"
+                                     " gaps or overlap")
 
 
 def load_demand(text: str) -> DemandProfile:
@@ -280,12 +285,19 @@ def load_demand(text: str) -> DemandProfile:
             raise ParseError(f"unknown section kind {sec.kind!r} in demand file")
         windows = []
         for item in sec.get_list("windows"):
+            bad = f"[arrivals {sec.name}] windows: bad window {item!r}"
             parts = item.split(":")
             if len(parts) != 3:
-                raise ParseError(f"[arrivals {sec.name}]: bad window {item!r}")
-            windows.append(DemandWindow(float(parts[0]), float(parts[1]), float(parts[2])))
+                raise ParseError(f"{bad}, expected start:end:rate")
+            try:
+                windows.append(DemandWindow(*(float(x) for x in parts)))
+            except ValueError as exc:
+                raise ParseError(f"{bad}: {exc}") from exc
         arrivals.append((sec.name, tuple(windows)))
-    return DemandProfile(tuple(arrivals))
+    try:
+        return DemandProfile(tuple(arrivals))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 @dataclass

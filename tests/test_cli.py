@@ -73,6 +73,25 @@ class TestExitCodes:
         assert rc == 1
         assert "n must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", ["1,0.5,1.2", "0.5,1,inf"])
+    def test_fuzzy_surface_bad_params_is_config_error(self, tmp_path, params,
+                                                      capsys):
+        rc = cli.main(["fuzzy-surface", params, "5", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("windows", ["0:x:0.1", "10:0:0.1", "0:10:0.1, 20:30:0.1",
+                                         "0:nan:0.1", "0:600:nan", "0:600:inf"])
+    def test_malformed_demand_window_is_parse_error(self, tmp_path, data_dir,
+                                                    windows, capsys):
+        demand = tmp_path / "bad.demand"
+        demand.write_text(f"[arrivals s1]\nwindows = {windows}\n")
+        args = sim_args(data_dir, tmp_path / "run")
+        args[args.index("--demand") + 1] = str(demand)
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "[arrivals s1]" in err and "windows" in err
+
 
 class TestSimulate:
     def test_artifacts_written(self, tmp_path, data_dir):

@@ -1,21 +1,27 @@
-"""Fast paths of the simulation loop checked against the code they replaced.
+"""Fast paths checked against the code they replaced.
 
 Each oracle below is the earlier, direct implementation: the layout scan
-of `SignalFsm.state_at`, the event-log recount of `observe_cycle` and the
-per-exit `has_path` reachability of `make_world`.  The fast paths must
-agree with them exactly, not approximately: `simulate` artifacts are
-byte-identical across the change.
+of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
+per-exit `has_path` reachability of `make_world`, the per-row simplex
+pivot and ratio test, the `itertools.product` enumeration of
+`fgraph.evaluate` and the sampled per-point loop of `fuzzy.surface`.  The
+fast paths must agree with them exactly, not approximately: every
+artifact is byte-identical across the change, so floats are compared by
+their bytes or with `==`.
 """
 
+import itertools
 import math
 from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from civitas import cli
+from civitas import cli, fgraph, fuzzy, simplex
 from civitas import world as w
+from civitas.ctmdp import build_lp, make_ctmdp
 from civitas.fsm import CYCLIC_ORDER, SignalFsm, SignalState
 
 
@@ -268,3 +274,340 @@ class TestReachableExits:
         for entry in net.entries():
             got = w._reachable_exits(graph, entry, net.exits())
             assert got and got == has_path_exits(graph, entry, net.exits())
+
+
+# ---------------------------------------------------------------- simplex
+
+def loop_pivot(tab, row, col):
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and tab[i, col] != 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+
+
+def loop_bland_step(tab, basis, costs):
+    m, width = tab.shape
+    n = width - 1
+    cb = costs[basis]
+    reduced = costs[:n] - cb @ tab[:, :n]
+    entering = None
+    for j in range(n):
+        if reduced[j] > simplex.PIVOT_TOL:
+            entering = j
+            break
+    if entering is None:
+        return None
+    best_row, best_ratio = -1, np.inf
+    for i in range(m):
+        a = tab[i, entering]
+        if a > simplex.PIVOT_TOL:
+            ratio = tab[i, -1] / a
+            if ratio < best_ratio - simplex.PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= simplex.PIVOT_TOL
+                    and (best_row < 0 or basis[i] < basis[best_row])):
+                best_row, best_ratio = i, ratio
+    if best_row < 0:
+        return -1
+    loop_pivot(tab, best_row, entering)
+    basis[best_row] = entering
+    return entering
+
+
+def solve_by_loops(lp, **kwargs):
+    with mock.patch.object(simplex, "_bland_step", loop_bland_step), \
+            mock.patch.object(simplex, "_pivot", loop_pivot):
+        return simplex.solve(lp, **kwargs)
+
+
+def same_bytes(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_solution(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert same_bytes(got.x, want.x)
+    assert same_bytes(got.duals, want.duals)
+    assert got.objective == want.objective
+    assert got.dual_objective == want.dual_objective
+
+
+# Small integers make zero entries, ratio ties and degenerate pivots common;
+# the signed zeros and arbitrary floats cover the rest.
+cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-11]),
+                  st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def tableaux(draw):
+    m = draw(st.integers(1, 6))
+    width = draw(st.integers(m + 2, m + 8))
+    return np.array(draw(st.lists(cells, min_size=m * width,
+                                  max_size=m * width))).reshape(m, width)
+
+
+class TestSimplexKernels:
+    @settings(max_examples=200)
+    @given(tableaux(), st.data())
+    def test_pivot_matches_row_loop(self, tab, data):
+        row = data.draw(st.integers(0, tab.shape[0] - 1))
+        col = data.draw(st.integers(0, tab.shape[1] - 1))
+        assume(tab[row, col] != 0.0)
+        if data.draw(st.booleans()):  # infinite pivot-row entries
+            tab[row, data.draw(st.integers(0, tab.shape[1] - 1))] = data.draw(
+                st.sampled_from([math.inf, -math.inf]))
+            assume(math.isfinite(tab[row, col]))
+        got, want = tab.copy(), tab.copy()
+        with np.errstate(all="ignore"):
+            simplex._pivot(got, row, col)
+            loop_pivot(want, row, col)
+        assert same_bytes(got, want)
+
+    @settings(max_examples=200)
+    @given(tableaux(), st.data())
+    def test_bland_step_matches_row_loop(self, tab, data):
+        m, width = tab.shape
+        basis = data.draw(st.permutations(range(width - 1)))[:m]
+        costs = np.array(data.draw(st.lists(cells, min_size=width - 1,
+                                            max_size=width - 1)))
+        got_tab, want_tab = tab.copy(), tab.copy()
+        got_basis, want_basis = list(basis), list(basis)
+        with np.errstate(all="ignore"):
+            got = simplex._bland_step(got_tab, got_basis, costs)
+            want = loop_bland_step(want_tab, want_basis, costs)
+        assert got == want
+        assert got_basis == want_basis
+        assert same_bytes(got_tab, want_tab)
+
+
+coefs = st.one_of(st.integers(-3, 3).map(float),
+                  st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def dense_lps(draw):
+    """Equality and >= rows, negative right-hand sides, redundant rows."""
+    n = draw(st.integers(1, 6))
+
+    def rows(k):
+        return [(draw(st.lists(coefs, min_size=n, max_size=n)), draw(coefs))
+                for _ in range(k)]
+
+    eq, ge = rows(draw(st.integers(0, 3))), rows(draw(st.integers(0, 3)))
+    if draw(st.booleans()):  # bounded: the variables sum to a constant
+        eq.append(([1.0] * n, draw(st.sampled_from([1.0, 2.5, 7.0]))))
+    if eq and draw(st.booleans()):  # a redundant combination of equality rows
+        scale = draw(st.sampled_from([1.0, -2.0, 0.3]))
+        first, last = eq[0], eq[-1]
+        eq.append(([a + scale * b for a, b in zip(first[0], last[0])],
+                   first[1] + scale * last[1]))
+    objective = draw(st.lists(coefs, min_size=n, max_size=n))
+    return simplex.LinearProgram.build(objective, eq=eq, ge=ge)
+
+
+def ctmdp_lp(seed, states, actions):
+    """The occupation-measure LP of a random CTMDP, non-dyadic throughout."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.1, 2.0, size=(states, states, actions))
+    for a in range(actions):
+        np.fill_diagonal(q[:, :, a], 0.0)
+    rewards = rng.uniform(0.0, 10.0, size=(states, actions))
+    return build_lp(make_ctmdp(tuple(f"s{i}" for i in range(states)),
+                               tuple(f"a{a}" for a in range(actions)), q, rewards))
+
+
+class TestSimplexSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(dense_lps(), st.sampled_from([simplex.DEFAULT_MAX_ITERS, 1, 3]))
+    def test_random_lps_match_row_loops(self, lp, max_iters):
+        with np.errstate(all="ignore"):
+            got = simplex.solve(lp, max_iters=max_iters)
+            want = solve_by_loops(lp, max_iters=max_iters)
+        assert_same_solution(got, want)
+
+    @pytest.mark.parametrize("seed,states,actions", [(0, 6, 2), (1, 9, 3), (2, 14, 2)])
+    def test_ctmdp_lps_match_row_loops(self, seed, states, actions):
+        lp = ctmdp_lp(seed, states, actions)
+        got, want = simplex.solve(lp), solve_by_loops(lp)
+        assert got.status == "optimal" and got.iterations > states
+        assert_same_solution(got, want)
+
+
+# ----------------------------------------------------------------- fgraph
+
+def product_evaluate(fg):
+    order = fg._topo_order()
+    preds = {n.id: [] for n in fg.nodes}
+    for a, b in fg.arcs:
+        preds[b].append(a)
+    supports = [fg.node(n).dist.points for n in order]
+    sink_mass = {s: {} for s in fg.sinks()}
+    for combo in itertools.product(*supports):
+        prob = 1.0
+        duration = {}
+        for node_id, (value, p) in zip(order, combo):
+            prob *= p
+            duration[node_id] = value
+        if prob == 0.0:
+            continue
+        completion = {}
+        for node_id in order:
+            base = max((completion[p] for p in preds[node_id]), default=0.0)
+            completion[node_id] = base + duration[node_id]
+        for sink in sink_mass:
+            v = completion[sink]
+            sink_mass[sink][v] = sink_mass[sink].get(v, 0.0) + prob
+    return {sink: (fgraph.PerfDistribution.from_dict(mass),
+                   fgraph.PerfDistribution.from_dict(mass).expectation())
+            for sink, mass in sink_mass.items()}
+
+
+def outcome(evaluate, fg):
+    """The result, or the message of the ValueError raised instead."""
+    try:
+        return evaluate(fg)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def perf_dists(draw):
+    """Non-dyadic values and probabilities, sometimes with a zero weight."""
+    k = draw(st.integers(1, 4))
+    values = draw(st.lists(st.one_of(st.integers(0, 12).map(float),
+                                     st.floats(0.1, 50.0)),
+                           min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        weights[0] = 0.0
+    total = sum(weights)
+    points = tuple(zip(values, (x / total for x in weights)))
+    assume(abs(sum(p for _, p in points) - 1.0) <= fgraph.PROB_TOL)
+    return fgraph.PerfDistribution(points)
+
+
+@st.composite
+def dags(draw):
+    """Random DAGs; dense arc draws give shared ancestors and joins."""
+    n = draw(st.integers(1, 6))
+    nodes = tuple(fgraph.FgNode(f"n{i}", draw(perf_dists())) for i in range(n))
+    pairs = [(f"n{i}", f"n{j}") for i in range(n) for j in range(i + 1, n)]
+    arcs = tuple(p for p in pairs if draw(st.booleans()))
+    # Shuffled node order: topological order differs from declaration order.
+    return fgraph.FunctionGraph(tuple(draw(st.permutations(nodes))), arcs)
+
+
+class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(dags(), st.sampled_from([1, 2, 3, 7, fgraph.BLOCK_POINTS]))
+    def test_matches_product_enumeration(self, fg, block_points):
+        with mock.patch.object(fgraph, "BLOCK_POINTS", block_points):
+            got = outcome(fgraph.evaluate, fg)
+        assert got == outcome(product_evaluate, fg)
+
+    def test_many_blocks_of_a_shared_ancestor_graph(self):
+        rng = np.random.default_rng(11)
+        nodes = []
+        for i in range(6):
+            weights = rng.uniform(0.05, 1.0, 5)
+            nodes.append(fgraph.FgNode(f"f{i}", fgraph.PerfDistribution(tuple(zip(
+                np.round(rng.uniform(1.0, 20.0, 5), 1).tolist(),
+                (weights / weights.sum()).tolist())))))
+        fg = fgraph.FunctionGraph(tuple(nodes), (
+            ("f0", "f1"), ("f0", "f2"), ("f1", "f3"), ("f2", "f3"),
+            ("f0", "f4"), ("f3", "f5"), ("f4", "f5")))
+        assert 5 ** 6 > fgraph.BLOCK_POINTS  # more than one block
+        assert outcome(fgraph.evaluate, fg) == outcome(product_evaluate, fg)
+
+
+# ------------------------------------------------------------------ fuzzy
+
+def loop_surface(params, rules=fuzzy.DEFAULT_RULES, n=121,
+                 resolution=fuzzy.OUTPUT_RESOLUTION):
+    i_axis = np.linspace(0.0, params.i.MI, n)
+    d_axis = np.linspace(0.0, params.d.MI, n)
+    out = np.empty((n, n))
+    u_grid = np.linspace(0.0, params.u.MI, resolution)
+    u_mus = fuzzy.output_terms(params.u, u_grid)
+    for a, i_val in enumerate(i_axis):
+        deg_i = fuzzy.fuzzify(i_val, params.i)
+        for b, d_val in enumerate(d_axis):
+            deg_d = fuzzy.fuzzify(d_val, params.d)
+            agg = np.zeros_like(u_grid)
+            for _, _, u_label, w_ in fuzzy.rule_activations(deg_i, deg_d, rules):
+                if w_ > 0:
+                    np.maximum(agg, np.minimum(w_, u_mus[u_label]), out=agg)
+            total = float(np.sum(agg))
+            out[a, b] = u_grid[-1] / 2.0 if total == 0.0 else float(
+                np.sum(u_grid * agg) / total)
+    return out
+
+
+def sampled_control(i, d, params, rules, resolution):
+    """`control` as fuzzify, sampled inference and sampled centroid."""
+    return fuzzy.defuzzify_centroid(fuzzy.infer(
+        fuzzy.fuzzify(i, params.i), fuzzy.fuzzify(d, params.d), rules,
+        params.u, resolution))
+
+
+@st.composite
+def param_rows(draw):
+    MI = draw(st.floats(0.05, 5.0))
+    M = MI * draw(st.floats(0.02, 1.0))
+    m = M * draw(st.floats(0.01, 0.99))
+    assume(0 < m < M <= MI)
+    return fuzzy.ParamRow(m, M, MI)
+
+
+fuzzy_params = st.builds(fuzzy.FuzzyParams, param_rows(), param_rows(), param_rows())
+rule_bases = st.lists(st.lists(st.sampled_from(fuzzy.LABELS), min_size=3, max_size=3)
+                      .map(tuple), min_size=3, max_size=3).map(
+                          lambda cells_: fuzzy.RuleBase(tuple(cells_)))
+
+
+class TestSurface:
+    @settings(max_examples=150, deadline=None)
+    @given(fuzzy_params, st.sampled_from([2, 7]), st.one_of(
+        st.just(fuzzy.DEFAULT_RULES), rule_bases), st.sampled_from([11, 101, 1201]),
+        st.booleans())
+    def test_matches_sampled_loop(self, params, n, rules, resolution, small_blocks):
+        # Small blocks split the grid into several blocks and a remainder.
+        block = 3 * resolution + 1 if small_blocks else fuzzy.BLOCK_SAMPLES
+        with mock.patch.object(fuzzy, "BLOCK_SAMPLES", block):
+            got = fuzzy.surface(params, rules, n=n, resolution=resolution)
+        assert same_bytes(got, loop_surface(params, rules, n, resolution))
+
+    @settings(max_examples=4, deadline=None)
+    @given(fuzzy_params)
+    def test_matches_sampled_loop_at_n_121(self, params):
+        assert same_bytes(fuzzy.surface(params), loop_surface(params))
+
+    # The benchmark's row, and rows on which the closed-form weighted mean
+    # of the spikes, (w_M*m + w_B*M) / (w_S + w_M + w_B), differs from the
+    # sampled centroid in hundreds of points: np.sum's pairwise association
+    # depends on where the spikes sit.
+    @pytest.mark.parametrize("row", [(0.5, 1.0, 1.2), (0.39, 0.47, 0.54),
+                                     (1.34, 1.58, 1.71), (0.75, 1.25, 2.73)])
+    def test_case_rows_at_n_121(self, row):
+        params = fuzzy.FuzzyParams.uniform(*row)
+        assert same_bytes(fuzzy.surface(params), loop_surface(params))
+
+    def test_control_on_a_case_grid(self):
+        params = fuzzy.FuzzyParams.uniform(1.34, 1.58, 1.71)
+        axis = np.linspace(0.0, 1.71, 7).tolist()
+        for i in axis:
+            for d in axis:
+                assert (fuzzy.control(i, d, params) == sampled_control(
+                    i, d, params, fuzzy.DEFAULT_RULES, fuzzy.OUTPUT_RESOLUTION))
+
+    @settings(max_examples=200, deadline=None)
+    @given(fuzzy_params, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.one_of(st.just(fuzzy.DEFAULT_RULES), rule_bases),
+           st.sampled_from([11, 101, 1201]))
+    def test_control_matches_sampled_inference(self, params, fi, fd, rules,
+                                               resolution):
+        i, d = fi * params.i.MI, fd * params.d.MI
+        assert (fuzzy.control(i, d, params, rules, resolution)
+                == sampled_control(i, d, params, rules, resolution))

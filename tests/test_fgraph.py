@@ -58,6 +58,16 @@ class TestPerfDistribution:
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
             dist({1.0: 0.5, 2.0: 0.6})
+
+    @pytest.mark.parametrize("points", [
+        ((1.0, float("nan")), (2.0, 1.0)),
+        ((float("nan"), 1.0),),
+        ((float("inf"), 1.0),),
+        ((1.0, 0.5), (2.0, float("inf"))),
+    ])
+    def test_non_finite_points_rejected(self, points):
+        with pytest.raises(ValueError, match="non-finite"):
+            PerfDistribution(points)
         with pytest.raises(ValueError):
             dist({1.0: -0.1, 2.0: 1.1})
 
