@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,7 +69,6 @@ class RunConfig:
     out: str
     mode: str
     dt: float = 0.1
-    jobs: int = 1
     target: int | None = None
     deadline: float | None = None
 
@@ -161,21 +159,6 @@ def _runtime_registry(top_id: str, area_id: str, zone_id: str,
     return reg
 
 
-def _build_table(ctg: ctgmod.Ctg, jobs: int,
-                 objective: str = "makespan") -> ctgmod.ScheduleTable:
-    scenarios = ctgmod.enumerate_scenarios(ctg)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda s: ctgmod.schedule(ctgmod.resolve(ctg, s), objective),
-                scenarios))
-        schedules = dict(zip(scenarios, results))
-    else:
-        schedules = {s: ctgmod.schedule(ctgmod.resolve(ctg, s), objective)
-                     for s in scenarios}
-    return ctgmod.ScheduleTable(ctg.zone, tuple(scenarios), schedules)
-
-
 def _payload_desc(payload: object) -> str:
     if isinstance(payload, tuple):
         return f"constraints={len(payload)}"
@@ -223,7 +206,7 @@ def run_simulation(cfg: RunConfig) -> dict:
                 net.segment(site.segment)
             except KeyError as exc:
                 raise ConfigError(str(exc)) from exc
-        table = _build_table(ctg, cfg.jobs)
+        table = ctgmod.build_table(ctg)
         itus = tuple(sorted(controllers))
         initial = tuple(s.labels[0] for s in ctg.sites)
         zone = hiermod.ZoneUnit(ctg.zone or "Z", ctg, table, itus, initial, cycle)
@@ -323,30 +306,46 @@ def run_simulation(cfg: RunConfig) -> dict:
 def cmd_simulate(args) -> int:
     cfg = RunConfig(args.network, args.demand, args.ctg, args.registry,
                     args.horizon, args.seed, args.out, args.mode, args.dt,
-                    args.jobs, args.target, args.deadline)
+                    args.target, args.deadline)
     run_simulation(cfg)
     return 0
 
 
 def cmd_schedule(args) -> int:
     ctg = ctgmod.load_ctg(_read_file(args.ctg, "ctg"))
-    table = _build_table(ctg, args.jobs, args.objective)
+    table = ctgmod.build_table(ctg, args.objective)
     _write(os.path.join(args.out, "schedule_table.csv"), ctgmod.table_to_csv(table))
     logger.info("schedule: %d columns", len(table.scenarios))
     return 0
 
 
-def cmd_ctmdp(args) -> int:
-    if args.model:
-        model = ctmdpmod.model_from_csv(_read_file(args.model, "model"))
-    else:
-        ctg = ctgmod.load_ctg(_read_file(args.ctg, "ctg"))
-        table = _build_table(ctg, args.jobs)
-        log = ctmdpmod.ShiftLog()
-        for row in csv.DictReader(io.StringIO(_read_file(args.shifts, "shift log"))):
+def _read_shift_log(path: str) -> ctmdpmod.ShiftLog:
+    reader = csv.DictReader(io.StringIO(_read_file(path, "shift log")))
+    missing = [c for c in ("state", "action", "dwell")
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"shift log {path}: missing column {', '.join(missing)}")
+    log = ctmdpmod.ShiftLog()
+    for row in reader:
+        try:
             log.record(row["state"], row["action"], float(row["dwell"]),
                        row.get("next") or None)
-        model = ctmdpmod.from_schedule_tables([table], log)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"shift log {path}, line {reader.line_num}: bad dwell"
+                              f" {row['dwell']!r}: {exc}") from exc
+    return log
+
+
+def cmd_ctmdp(args) -> int:
+    if args.model:
+        try:
+            model = ctmdpmod.model_from_csv(_read_file(args.model, "model"))
+        except ValueError as exc:
+            raise ConfigError(f"model {args.model}: {exc}") from exc
+    else:
+        ctg = ctgmod.load_ctg(_read_file(args.ctg, "ctg"))
+        table = ctgmod.build_table(ctg)
+        model = ctmdpmod.from_schedule_tables([table], _read_shift_log(args.shifts))
     if model.prior_pairs:
         logger.warning("unvisited pairs given the uniform prior: %s",
                        ", ".join(f"{s}/{a}" for s, a in model.prior_pairs))
@@ -386,11 +385,23 @@ def cmd_fuzzy_surface(args) -> int:
 _RULE_OPS = ("<=", ">=", "<", ">")
 
 
-def _parse_rule(rule: str):
+def _job_number(sec, key: str, text: str, kind=float):
+    """`text`, one item of the job's `key`, as a number of `kind`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"[{sec.kind} {sec.name}] {key}: bad number {text!r}") from None
+
+
+def _parse_rule(sec, attrs: dict):
+    rule = sec.require("rule")
     for op in _RULE_OPS:
         if op in rule:
             attr, _, value = rule.partition(op)
-            attr, bound = attr.strip(), float(value)
+            attr, bound = attr.strip(), _job_number(sec, "rule", value.strip())
+            if attr not in attrs:
+                raise ParseError(f"[{sec.kind} {sec.name}] rule: {attr!r} is not"
+                                 " one of attrs")
             if op == "<=":
                 return lambda pt: pt[attr] <= bound
             if op == ">=":
@@ -398,62 +409,82 @@ def _parse_rule(rule: str):
             if op == "<":
                 return lambda pt: pt[attr] < bound
             return lambda pt: pt[attr] > bound
-    raise ConfigError(f"bad predicate rule {rule!r}")
+    raise ParseError(f"[{sec.kind} {sec.name}] rule: bad predicate {rule!r}")
+
+
+def _metric_row(sec, base: str) -> tuple[str, str, str]:
+    """The metrics.csv row of one job section; `base` resolves its files."""
+    if sec.kind == "scalability":
+        value = metricsmod.scalability(
+            sec.require_float("p1"), sec.require_float("cost1"),
+            sec.require_float("p2"), sec.require_float("cost2"))
+        return ("scalability", "%.9g" % value,
+                f"name={sec.name};p1={sec.get('p1')};p2={sec.get('p2')}")
+    if sec.kind == "efficiency":
+        path = os.path.join(base, sec.require("file"))
+        data = np.genfromtxt(path, delimiter=",", names=True)
+        curves = metricsmod.CurvePair(np.atleast_1d(data["p"]),
+                                      np.atleast_1d(data["adaptive"]),
+                                      np.atleast_1d(data["single"]))
+        return ("efficiency", "%.9g" % metricsmod.efficiency(curves),
+                f"name={sec.name};file={sec.require('file')}")
+    if sec.kind == "predictability":
+        path = os.path.join(base, sec.require("file"))
+        with open(path) as fh:
+            reader = csv.DictReader(fh)
+            if not {"estimated", "actual"} <= set(reader.fieldnames or ()):
+                raise ParseError(f"[{sec.kind} {sec.name}] file: {path} needs"
+                                 " columns estimated and actual")
+            pairs = [(float(row["estimated"]), float(row["actual"])) for row in reader]
+        limit = sec.get_float("limit", 0.0)
+        rep = metricsmod.predictability(pairs, limit)
+        return ("predictability", "%.9g" % rep.max_abs_error,
+                f"name={sec.name};rmse={rep.rmse:.9g};"
+                f"within_limit={rep.within_limit}")
+    if sec.kind == "autonomy":
+        ranges = {}
+        for axis in ("perf", "area", "time"):
+            items = sec.get_list(axis)
+            if len(items) != 2:
+                raise ParseError(f"[{sec.kind} {sec.name}] {axis}: expected"
+                                 f" low, high, got {sec.get(axis)!r}")
+            ranges[axis] = tuple(_job_number(sec, axis, x) for x in items)
+        effort = sec.require_float("constant")
+        shape = tuple(_job_number(sec, "shape", x, int)
+                      for x in sec.get_list("shape")) or (1, 1, 1)
+        fieldv = metricsmod.EffortField.from_function(
+            lambda p, a, t: effort, ranges["perf"], ranges["area"],
+            ranges["time"], shape)
+        return ("autonomy", "%.9g" % metricsmod.autonomy(fieldv),
+                f"name={sec.name};constant={effort}")
+    if sec.kind == "flexibility":
+        box = {}
+        for item in sec.get_list("attrs"):
+            parts = item.split(":")
+            if len(parts) != 3:
+                raise ParseError(f"[{sec.kind} {sec.name}] attrs: bad item"
+                                 f" {item!r}, expected name:low:high")
+            box[parts[0]] = tuple(_job_number(sec, "attrs", x) for x in parts[1:])
+        pred = _parse_rule(sec, box)
+        value = metricsmod.flexibility(
+            pred, metricsmod.SpecBox.from_dict(box),
+            sec.get_int("n", 10000), sec.get_int("seed", 0))
+        return ("flexibility", "%.9g" % value,
+                f"name={sec.name};n={sec.get('n')};seed={sec.get('seed')}")
+    raise ConfigError(f"unknown metrics section {sec.kind!r}")
 
 
 def cmd_metrics(args) -> int:
     rows = [("metric", "value", "parameters")]
     base = os.path.dirname(os.path.abspath(args.job))
     for sec in parse_sections(_read_file(args.job, "metrics job")):
-        if sec.kind == "scalability":
-            value = metricsmod.scalability(
-                sec.get_float("p1"), sec.get_float("cost1"),
-                sec.get_float("p2"), sec.get_float("cost2"))
-            rows.append(("scalability", "%.9g" % value,
-                         f"name={sec.name};p1={sec.get('p1')};p2={sec.get('p2')}"))
-        elif sec.kind == "efficiency":
-            path = os.path.join(base, sec.require("file"))
-            data = np.genfromtxt(path, delimiter=",", names=True)
-            curves = metricsmod.CurvePair(np.atleast_1d(data["p"]),
-                                          np.atleast_1d(data["adaptive"]),
-                                          np.atleast_1d(data["single"]))
-            rows.append(("efficiency", "%.9g" % metricsmod.efficiency(curves),
-                         f"name={sec.name};file={sec.require('file')}"))
-        elif sec.kind == "predictability":
-            path = os.path.join(base, sec.require("file"))
-            pairs = []
-            for row in csv.DictReader(open(path)):
-                pairs.append((float(row["estimated"]), float(row["actual"])))
-            limit = sec.get_float("limit", 0.0)
-            rep = metricsmod.predictability(pairs, limit)
-            rows.append(("predictability", "%.9g" % rep.max_abs_error,
-                         f"name={sec.name};rmse={rep.rmse:.9g};"
-                         f"within_limit={rep.within_limit}"))
-        elif sec.kind == "autonomy":
-            ranges = {}
-            for axis in ("perf", "area", "time"):
-                lo, hi = (float(x) for x in sec.get_list(axis))
-                ranges[axis] = (lo, hi)
-            effort = sec.get_float("constant")
-            shape = tuple(int(x) for x in sec.get_list("shape")) or (1, 1, 1)
-            fieldv = metricsmod.EffortField.from_function(
-                lambda p, a, t: effort, ranges["perf"], ranges["area"],
-                ranges["time"], shape)
-            rows.append(("autonomy", "%.9g" % metricsmod.autonomy(fieldv),
-                         f"name={sec.name};constant={effort}"))
-        elif sec.kind == "flexibility":
-            box = {}
-            for item in sec.get_list("attrs"):
-                name, lo, hi = item.split(":")
-                box[name] = (float(lo), float(hi))
-            pred = _parse_rule(sec.require("rule"))
-            value = metricsmod.flexibility(
-                pred, metricsmod.SpecBox.from_dict(box),
-                sec.get_int("n", 10000), sec.get_int("seed", 0))
-            rows.append(("flexibility", "%.9g" % value,
-                         f"name={sec.name};n={sec.get('n')};seed={sec.get('seed')}"))
-        else:
-            raise ConfigError(f"unknown metrics section {sec.kind!r}")
+        try:
+            rows.append(_metric_row(sec, base))
+        except ParseError:
+            raise
+        except (OSError, ValueError) as exc:
+            # the metric rejected a value of the section or its data file
+            raise ParseError(f"[{sec.kind} {sec.name}]: {exc}") from exc
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerows(rows)
@@ -484,7 +515,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--out", required=True)
     sim.add_argument("--mode", choices=("fixed", "hierarchical"), default="fixed")
     sim.add_argument("--dt", type=float, default=0.1)
-    sim.add_argument("--jobs", type=int, default=1)
     sim.add_argument("--target", type=int)
     sim.add_argument("--deadline", type=float)
     sim.set_defaults(func=cmd_simulate)
@@ -494,7 +524,6 @@ def build_parser() -> _Parser:
     sch.add_argument("--out", required=True)
     sch.add_argument("--objective", choices=("makespan", "throughput"),
                      default="makespan")
-    sch.add_argument("--jobs", type=int, default=1)
     sch.set_defaults(func=cmd_schedule)
 
     mdp = sub.add_parser("ctmdp", help="solve the area scenario process")
@@ -502,7 +531,6 @@ def build_parser() -> _Parser:
     mdp.add_argument("--ctg", help="build states from this task graph")
     mdp.add_argument("--shifts", help="CSV shift log (state,action,dwell,next)")
     mdp.add_argument("--out", required=True)
-    mdp.add_argument("--jobs", type=int, default=1)
     mdp.set_defaults(func=cmd_ctmdp)
 
     fz = sub.add_parser("fuzzy-surface", help="sample the lighting control surface")

@@ -106,8 +106,8 @@ class ShiftLog:
 
     def record(self, state: str, action: str, dwell: float,
                next_state: str | None = None) -> None:
-        if dwell < 0:
-            raise ValueError("dwell must be >= 0")
+        if not 0 <= dwell < np.inf:
+            raise ValueError("dwell must be finite and >= 0")
         key = (state, action)
         self.dwell[key] = self.dwell.get(key, 0.0) + dwell
         if next_state is not None and next_state != state:
@@ -296,27 +296,33 @@ def model_from_csv(text: str) -> Ctmdp:
     states: list[str] = []
     actions: list[str] = []
     rates, rewards, bounds = [], [], {}
-    for row in rows[1:]:
+    for n, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != 6:
+            raise ValueError(f"row {n}: expected 6 fields kind,i,j,a,k,value,"
+                             f" got {len(row)}")
         kind, i, j, a, k, value = row
-        if kind == "rate":
-            rates.append((i, j, a, float(value)))
-            for s in (i, j):
-                if s not in states:
-                    states.append(s)
-            if a not in actions:
-                actions.append(a)
-        elif kind == "reward":
-            rewards.append((int(k), i, a, float(value)))
-            if i not in states:
-                states.append(i)
-            if a not in actions:
-                actions.append(a)
-        elif kind == "bound":
-            bounds[int(k)] = float(value)
-        else:
-            raise ValueError(f"unknown row kind {kind!r}")
+        try:
+            if kind == "rate":
+                rates.append((i, j, a, float(value)))
+                for s in (i, j):
+                    if s not in states:
+                        states.append(s)
+                if a not in actions:
+                    actions.append(a)
+            elif kind == "reward":
+                rewards.append((int(k), i, a, float(value)))
+                if i not in states:
+                    states.append(i)
+                if a not in actions:
+                    actions.append(a)
+            elif kind == "bound":
+                bounds[int(k)] = float(value)
+            else:
+                raise ValueError(f"unknown row kind {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"row {n}: {exc}") from exc
     S, A = len(states), len(actions)
     K = max((k for k, *_ in rewards), default=0) + 1
     sidx = {s: i for i, s in enumerate(states)}

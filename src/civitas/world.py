@@ -16,14 +16,17 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
+from itertools import count
 
-import networkx as nx
 import numpy as np
 
 from .fsm import SignalState
 from .textfmt import ParseError, parse_sections
 
 DEFAULT_HEADWAY = 2.0
+
+Graph = dict[str, dict[str, float]]  # segment -> {neighbouring segment: weight}
 
 
 class TopologyError(ValueError):
@@ -98,8 +101,8 @@ class StreetNetwork:
         if not self.segments:
             raise TopologyError("network has no segments")
         nodes = {i.id for i in self.intersections}
-        seg_ids = [s.id for s in self.segments]
-        if len(set(seg_ids)) != len(seg_ids):
+        seg_ids = {s.id for s in self.segments}
+        if len(seg_ids) != len(self.segments):
             raise TopologyError("duplicate segment id")
         for s in self.segments:
             if s.from_node not in nodes or s.to_node not in nodes:
@@ -120,15 +123,31 @@ class StreetNetwork:
             if s.exit and outgoing[s.to_node]:
                 raise TopologyError(f"exit segment {s.id} has downstream continuations")
         for z in self.zones:
-            unknown = z.members - set(seg_ids)
+            unknown = z.members - seg_ids
             if unknown:
                 raise TopologyError(f"zone {z.id}: unknown members {sorted(unknown)}")
-        g = nx.Graph()
-        g.add_nodes_from(nodes)
         for s in self.segments:
-            g.add_edge(s.from_node, s.to_node)
-        if not nx.is_connected(g):
+            unknown = set(s.turns or ()) - seg_ids
+            if unknown:
+                raise TopologyError(f"segment {s.id}: turns to unknown segments"
+                                    f" {sorted(unknown)}")
+        if not self._connected(nodes):
             raise TopologyError("network graph is not connected")
+
+    def _connected(self, nodes: set[str]) -> bool:
+        """Whether the intersections form one component, ignoring direction."""
+        adjacent: dict[str, list[str]] = {n: [] for n in nodes}
+        for s in self.segments:
+            adjacent[s.from_node].append(s.to_node)
+            adjacent[s.to_node].append(s.from_node)
+        start = self.segments[0].from_node
+        seen, frontier = {start}, [start]
+        while frontier:
+            for node in adjacent[frontier.pop()]:
+                if node not in seen:
+                    seen.add(node)
+                    frontier.append(node)
+        return len(seen) == len(nodes)
 
     @cached_property
     def _segment_index(self) -> dict[str, RoadSegment]:
@@ -146,17 +165,22 @@ class StreetNetwork:
             raise KeyError(f"unknown zone {zone_id!r}")
         return z
 
-    def incoming(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {i.id: [] for i in self.intersections}
+    @cached_property
+    def _incident(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """(segments into, segments out of) each intersection, in declaration order."""
+        into: dict[str, list[str]] = {i.id: [] for i in self.intersections}
+        out_of: dict[str, list[str]] = {i.id: [] for i in self.intersections}
         for s in self.segments:
-            out[s.to_node].append(s.id)
-        return out
+            into[s.to_node].append(s.id)
+            out_of[s.from_node].append(s.id)
+        return ({n: tuple(ids) for n, ids in into.items()},
+                {n: tuple(ids) for n, ids in out_of.items()})
 
-    def outgoing(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {i.id: [] for i in self.intersections}
-        for s in self.segments:
-            out[s.from_node].append(s.id)
-        return out
+    def incoming(self) -> dict[str, tuple[str, ...]]:
+        return self._incident[0]
+
+    def outgoing(self) -> dict[str, tuple[str, ...]]:
+        return self._incident[1]
 
     @cached_property
     def _signalized(self) -> tuple[str, ...]:
@@ -189,15 +213,15 @@ class StreetNetwork:
             nexts.append(cand_id)
         return tuple(nexts) if nexts else tuple(outgoing)
 
-    def segment_graph(self) -> nx.DiGraph:
-        """Directed graph over segments following allowed turns."""
-        g = nx.DiGraph()
-        for s in self.segments:
-            g.add_node(s.id)
-        for s in self.segments:
-            for nxt in self.allowed_turns(s.id):
-                g.add_edge(s.id, nxt, weight=self.segment(nxt).travel_time)
-        return g
+    def segment_graph(self) -> Graph:
+        """Successors of each segment under the allowed turns.
+
+        Maps each segment to {next segment: its travel time}, the weight a
+        route pays for taking that turn, in `allowed_turns` order.
+        """
+        return {s.id: {nxt: self.segment(nxt).travel_time
+                       for nxt in self.allowed_turns(s.id)}
+                for s in self.segments}
 
 
 def load_network(text: str) -> StreetNetwork:
@@ -358,11 +382,81 @@ class WorldState:
         self.events.append(tuple(record))
 
 
-def _reachable_exits(seg_graph: nx.DiGraph, entry: str,
-                     exits: tuple[str, ...]) -> list[str]:
+def _predecessors(succ: Graph) -> Graph:
+    """The reverse of a `segment_graph`, each segment's feeders in declaration order."""
+    pred: Graph = {seg: {} for seg in succ}
+    for seg, nexts in succ.items():
+        for nxt, weight in nexts.items():
+            pred[nxt][seg] = weight
+    return pred
+
+
+def _reachable_exits(succ: Graph, entry: str, exits: tuple[str, ...]) -> list[str]:
     """The exits a vehicle entering on `entry` can reach, in `exits` order."""
-    downstream = nx.descendants(seg_graph, entry)
-    return [e for e in exits if e == entry or e in downstream]
+    seen, stack = {entry}, [entry]
+    while stack:
+        for nxt in succ[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return [e for e in exits if e in seen]
+
+
+def _shortest_route(succ: Graph, pred: Graph, source: str, target: str) -> list[str]:
+    """Least-travel-time segment path from `source` to `target`.
+
+    A transcription of networkx's `bidirectional_dijkstra` (3.6.1), which
+    routes came from before.  Equal-time paths are common (a uniform grid
+    has many), and which one is returned depends on the alternating
+    directions, the shared insertion counter in the heap entries, the
+    strict `<` relaxations, the strict meeting update and the neighbour
+    order of `succ` and `pred`: change any of them and vehicles take other
+    routes.  A single-source Dijkstra breaks those ties differently.
+    """
+    if source == target:
+        return [source]
+    dists: list[dict[str, float]] = [{}, {}]  # settled distances, [forward, backward]
+    preds: list[dict[str, str | None]] = [{source: None}, {target: None}]
+    seen: list[dict[str, float]] = [{source: 0}, {target: 0}]
+    fringe: list[list] = [[], []]
+    c = count()
+    heappush(fringe[0], (0, next(c), source))
+    heappush(fringe[1], (0, next(c), target))
+    neighbors = (succ, pred)
+    finaldist = meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        if v in dists[direction]:
+            continue
+        dists[direction][v] = dist
+        if v in dists[1 - direction]:
+            forward, node = [], meetnode
+            while node is not None:
+                forward.append(node)
+                node = preds[0][node]
+            forward.reverse()
+            node = preds[1][meetnode]
+            while node is not None:
+                forward.append(node)
+                node = preds[1][node]
+            return forward
+        for w, cost in neighbors[direction][v].items():
+            vw_length = dist + cost
+            # networkx raises here if vw_length < dists[direction][w], which
+            # positive travel times rule out.
+            if w in dists[direction]:
+                continue
+            if w not in seen[direction] or vw_length < seen[direction][w]:
+                seen[direction][w] = vw_length
+                heappush(fringe[direction], (vw_length, next(c), w))
+                preds[direction][w] = v
+                if w in seen[1 - direction]:
+                    total = vw_length + seen[1 - direction][w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+    raise TopologyError(f"no path from {source} to {target}")
 
 
 def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
@@ -387,22 +481,22 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     if demand is None or horizon <= 0:
         return world
 
-    seg_graph = network.segment_graph()
+    succ = network.segment_graph()
+    pred = _predecessors(succ)
     exits = network.exits()
     reachable_cache: dict[str, list[str]] = {}
     route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def route_from(entry: str, rng: np.random.Generator) -> tuple[str, ...]:
         if entry not in reachable_cache:
-            reachable_cache[entry] = _reachable_exits(seg_graph, entry, exits)
+            reachable_cache[entry] = _reachable_exits(succ, entry, exits)
         reachable = reachable_cache[entry]
         if not reachable:
             raise TopologyError(f"no exit reachable from entry {entry}")
         target = reachable[int(rng.integers(len(reachable)))]
         key = (entry, target)
         if key not in route_cache:
-            route_cache[key] = tuple(nx.shortest_path(seg_graph, entry, target,
-                                                      weight="weight"))
+            route_cache[key] = tuple(_shortest_route(succ, pred, entry, target))
         return route_cache[key]
 
     demand_map = dict(demand.arrivals)

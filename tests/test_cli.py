@@ -123,12 +123,6 @@ class TestSimulate:
                        "--mode", "hierarchical"])
         assert rc == 1
 
-    def test_jobs_flag_keeps_results_identical(self, tmp_path, data_dir):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        cli.main(sim_args(data_dir, out1, mode="hierarchical"))
-        cli.main(sim_args(data_dir, out2, mode="hierarchical") + ["--jobs", "4"])
-        assert (out1 / "events.log").read_bytes() == (out2 / "events.log").read_bytes()
-
     def test_golden_event_log_regression(self, tmp_path, data_dir):
         # frozen after the first verified run of the shipped case study
         import hashlib
@@ -225,6 +219,50 @@ class TestCtmdpCommand:
     def test_requires_model_or_ctg_and_shifts(self, tmp_path):
         assert cli.main(["ctmdp", "--out", str(tmp_path)]) == 1
 
+    def run_shifts(self, tmp_path, data_dir, capsys, text):
+        shifts = tmp_path / "shifts.csv"
+        shifts.write_text(text)
+        rc = cli.main(["ctmdp", "--ctg", str(data_dir / "twin.ctg"),
+                       "--shifts", str(shifts), "--out", str(tmp_path / "o")])
+        return rc, capsys.readouterr().err
+
+    def test_bad_dwell_is_exit_one(self, tmp_path, data_dir, capsys):
+        rc, err = self.run_shifts(tmp_path, data_dir, capsys,
+                                  "state,action,dwell,next\n"
+                                  '"Z:(L,L,L)",default,60,"Z:(H,L,L)"\n'
+                                  '"Z:(H,L,L)",default,abc,"Z:(L,L,L)"\n')
+        assert rc == 1
+        assert "shifts.csv, line 3: bad dwell 'abc'" in err
+
+    @pytest.mark.parametrize("dwell", ["-5", "nan", "inf"])
+    def test_dwell_out_of_range_is_exit_one(self, tmp_path, data_dir, capsys, dwell):
+        rc, err = self.run_shifts(tmp_path, data_dir, capsys,
+                                  "state,action,dwell,next\n"
+                                  f'"Z:(L,L,L)",default,{dwell},"Z:(H,L,L)"\n')
+        assert rc == 1
+        assert f"line 2: bad dwell '{dwell}': dwell must be finite and >= 0" in err
+
+    def test_missing_dwell_column_is_exit_one(self, tmp_path, data_dir, capsys):
+        rc, err = self.run_shifts(tmp_path, data_dir, capsys,
+                                  'state,action,next\n"Z:(L,L,L)",default,"Z:(H,L,L)"\n')
+        assert rc == 1
+        assert "shifts.csv: missing column dwell" in err
+
+    def test_bad_model_value_is_exit_one(self, tmp_path, capsys):
+        from civitas import ctmdp as ctmdpmod
+        import numpy as np
+        q = np.zeros((2, 2, 1))
+        q[0, 1, 0] = q[1, 0, 0] = 1.0
+        m = ctmdpmod.make_ctmdp(("a", "b"), ("x",), q, np.ones((2, 1)))
+        lines = ctmdpmod.model_to_csv(m).splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-1] + ["x"])
+        model_csv = tmp_path / "model.csv"
+        model_csv.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["ctmdp", "--model", str(model_csv),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "model.csv: row 3: could not convert string to float: 'x'" in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_job_file_evaluated(self, tmp_path):
@@ -271,6 +309,55 @@ seed = 3
         assert float(rows["autonomy"]["value"]) == pytest.approx(2.5, abs=1e-9)
         assert float(rows["predictability"]["value"]) == 2.0
         assert abs(float(rows["flexibility"]["value"]) - 0.5) < 0.02
+
+
+class TestMetricsJobErrors:
+    @pytest.mark.parametrize("section, where", [
+        ("[flexibility f]\nattrs = a:0:1\nrule = a <= zz\n",
+         "[flexibility f] rule: bad number 'zz'"),
+        ("[flexibility f]\nattrs = a:0\nrule = a <= 1\n",
+         "[flexibility f] attrs: bad item 'a:0'"),
+        ("[flexibility f]\nattrs = a:0:one\nrule = a <= 1\n",
+         "[flexibility f] attrs: bad number 'one'"),
+        ("[flexibility f]\nattrs = a:0:1\nrule = b <= 1\n",
+         "[flexibility f] rule: 'b' is not one of attrs"),
+        ("[autonomy u]\nperf = 0\narea = 0, 1\ntime = 0, 1\nconstant = 1\n",
+         "[autonomy u] perf: expected low, high, got '0'"),
+        ("[autonomy u]\nperf = 0, 1\narea = 0, x\ntime = 0, 1\nconstant = 1\n",
+         "[autonomy u] area: bad number 'x'"),
+        ("[autonomy u]\nperf = 0, 1\narea = 0, 1\ntime = 0, 1\n",
+         "[autonomy u]: missing key 'constant'"),
+        ("[autonomy u]\nperf = 0, 1\narea = 0, 1\ntime = 0, 1\nconstant = 1\n"
+         "shape = 2, 2.5, 2\n",
+         "[autonomy u] shape: bad number '2.5'"),
+        ("[autonomy u]\nperf = 1, 0\narea = 0, 1\ntime = 0, 1\nconstant = 1\n",
+         "[autonomy u]: perf axis must be strictly increasing"),
+        ("[flexibility f]\nattrs = a:0:1\nrule = a <= 1\nn = 0\n",
+         "[flexibility f]: n must be >= 1"),
+        ("[scalability s]\np1 = 10\ncost1 = 1\np2 = 20\n",
+         "[scalability s]: missing key 'cost2'"),
+        ("[efficiency e]\nfile = nope.csv\n", "[efficiency e]: "),
+    ])
+    def test_bad_value_is_exit_one(self, tmp_path, capsys, section, where):
+        job = tmp_path / "job.metrics"
+        job.write_text(section)
+        rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, where", [
+        ("estimated,actual\n10,x\n",
+         "[predictability p]: could not convert string to float: 'x'"),
+        ("estimated,truth\n10,12\n",
+         "[predictability p] file: "),
+    ])
+    def test_bad_data_file_is_exit_one(self, tmp_path, capsys, data, where):
+        (tmp_path / "pairs.csv").write_text(data)
+        job = tmp_path / "job.metrics"
+        job.write_text("[predictability p]\nfile = pairs.csv\n")
+        rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert where in capsys.readouterr().err
 
 
 class TestEarlySwitch:

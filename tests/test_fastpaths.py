@@ -2,7 +2,8 @@
 
 Each oracle below is the earlier, direct implementation: the layout scan
 of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
-per-exit `has_path` reachability of `make_world`, the per-row simplex
+networkx connectivity check, per-exit `has_path` reachability and
+`shortest_path` routes of the network and `make_world`, the per-row simplex
 pivot and ratio test, the `itertools.product` enumeration of
 `fgraph.evaluate` and the sampled per-point loop of `fuzzy.surface`.  The
 fast paths must agree with them exactly, not approximately: every
@@ -12,6 +13,10 @@ their bytes or with `==`.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import civitas
 from civitas import cli, fgraph, fuzzy, simplex
 from civitas import world as w
 from civitas.ctmdp import build_lp, make_ctmdp
@@ -73,8 +79,19 @@ def recount_observe(world, site, window):
     return n, (sum(durations) / n) if n else None
 
 
-def has_path_exits(seg_graph, entry, exits):
-    return [e for e in exits if e == entry or nx.has_path(seg_graph, entry, e)]
+def nx_segment_graph(net):
+    """The networkx graph routes were searched on before: segments in
+    declaration order, each one's turns in `allowed_turns` order."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(s.id for s in net.segments)
+    for s in net.segments:
+        for nxt in net.allowed_turns(s.id):
+            graph.add_edge(s.id, nxt, weight=net.segment(nxt).travel_time)
+    return graph
+
+
+def has_path_exits(graph, entry, exits):
+    return [e for e in exits if e == entry or nx.has_path(graph, entry, e)]
 
 
 # ------------------------------------------------------------- state_at
@@ -218,28 +235,38 @@ class TestObserveCycle:
             assert (obs.n, obs.t_ex) == recount_observe(world, seg.id, window)
 
 
-# ---------------------------------------------------------- reachability
+# ------------------------------------------- connectivity, reachability, routes
+
+LENGTHS = (10.0, 20.0, 30.0)  # few values, so equal-time routes are common
+
 
 @st.composite
 def networks(draw):
-    """Random connected networks with entries, exits and turn restrictions."""
+    """Random connected networks with entries, exits, tied lengths, turn
+    restrictions and, sometimes, a dead end left only by its U-turn."""
+    length = st.sampled_from(LENGTHS)
     k = draw(st.integers(2, 6))
     core = [f"c{i}" for i in range(k)]
     pairs = [(core[i], core[i + 1]) for i in range(k - 1)]  # keeps it connected
     pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
     pairs += draw(st.lists(st.tuples(st.sampled_from(core), st.sampled_from(core)),
                            max_size=2 * k))
-    segments = [w.RoadSegment(f"s{i}", a, b, 10.0, 5.0, 5)
+    segments = [w.RoadSegment(f"s{i}", a, b, draw(length), 5.0, 5)
                 for i, (a, b) in enumerate(pairs)]
     nodes = list(core)
+    if draw(st.booleans()):
+        nodes.append("dead")
+        node = draw(st.sampled_from(core))
+        segments += [w.RoadSegment("d_in", node, "dead", draw(length), 5.0, 5),
+                     w.RoadSegment("d_out", "dead", node, draw(length), 5.0, 5)]
     for j in range(draw(st.integers(1, 3))):
         nodes.append(f"in{j}")
         segments.append(w.RoadSegment(f"e{j}", f"in{j}", draw(st.sampled_from(core)),
-                                      10.0, 5.0, 5, entry=True))
+                                      draw(length), 5.0, 5, entry=True))
     for j in range(draw(st.integers(1, 3))):
         nodes.append(f"out{j}")
         segments.append(w.RoadSegment(f"x{j}", draw(st.sampled_from(core)),
-                                      f"out{j}", 10.0, 5.0, 5, exit=True))
+                                      f"out{j}", draw(length), 5.0, 5, exit=True))
     if draw(st.booleans()):  # a segment that is both entry and exit
         nodes += ["solo_in", "solo_out"]
         segments.append(w.RoadSegment("solo", "solo_in", "solo_out", 10.0, 5.0, 5,
@@ -258,22 +285,131 @@ def networks(draw):
                            tuple(w.Intersection(n) for n in nodes))
 
 
+def grid(k):
+    """k x k grid of two-way 100 m links, every segment the same length,
+    with an entry and an exit at each border intersection of each side."""
+    def g(r, c):
+        return f"g{r}_{c}"
+
+    def seg(sid, a, b, **flags):
+        return w.RoadSegment(sid, a, b, 100.0, 10.0, 20, **flags)
+
+    nodes = [g(r, c) for r, c in itertools.product(range(k), range(k))]
+    segments = []
+    for r, c in itertools.product(range(k), range(k - 1)):
+        segments += [seg(f"e{r}_{c}", g(r, c), g(r, c + 1)),
+                     seg(f"w{r}_{c + 1}", g(r, c + 1), g(r, c))]
+    for r, c in itertools.product(range(k - 1), range(k)):
+        segments += [seg(f"s{r}_{c}", g(r, c), g(r + 1, c)),
+                     seg(f"n{r + 1}_{c}", g(r + 1, c), g(r, c))]
+    border = {"w": lambda i: g(i, 0), "e": lambda i: g(i, k - 1),
+              "n": lambda i: g(0, i), "s": lambda i: g(k - 1, i)}
+    for side, i in itertools.product("wens", range(k)):
+        nodes += [f"src_{side}{i}", f"snk_{side}{i}"]
+        segments += [seg(f"in_{side}{i}", f"src_{side}{i}", border[side](i), entry=True),
+                     seg(f"out_{side}{i}", border[side](i), f"snk_{side}{i}", exit=True)]
+    return w.StreetNetwork(tuple(segments), tuple(w.Intersection(n) for n in nodes))
+
+
+def assert_routes_match(net, sources, targets):
+    graph = nx_segment_graph(net)
+    succ = net.segment_graph()
+    pred = w._predecessors(succ)
+    for source, target in itertools.product(sources, targets):
+        if nx.has_path(graph, source, target):
+            assert (w._shortest_route(succ, pred, source, target)
+                    == nx.shortest_path(graph, source, target, weight="weight"))
+        else:
+            with pytest.raises(w.TopologyError, match="no path"):
+                w._shortest_route(succ, pred, source, target)
+
+
 class TestReachableExits:
     @settings(max_examples=200)
     @given(networks())
     def test_matches_has_path(self, net):
-        graph = net.segment_graph()
+        graph = nx_segment_graph(net)
         exits = net.exits()
         for entry in net.entries():
-            assert (w._reachable_exits(graph, entry, exits)
+            assert (w._reachable_exits(net.segment_graph(), entry, exits)
                     == has_path_exits(graph, entry, exits))
 
     def test_twin_entries(self, twin_network_text):
         net = w.load_network(twin_network_text)
-        graph = net.segment_graph()
+        graph = nx_segment_graph(net)
         for entry in net.entries():
-            got = w._reachable_exits(graph, entry, net.exits())
+            got = w._reachable_exits(net.segment_graph(), entry, net.exits())
             assert got and got == has_path_exits(graph, entry, net.exits())
+
+
+class TestShortestRoute:
+    @settings(max_examples=200)
+    @given(networks())
+    def test_matches_networkx_on_every_pair(self, net):
+        ids = [s.id for s in net.segments]
+        assert_routes_match(net, ids, ids)
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_matches_networkx_on_uniform_grid(self, k):
+        net = grid(k)
+        assert_routes_match(net, net.entries(), net.exits())
+
+    def test_twin_pairs(self, twin_network_text):
+        net = w.load_network(twin_network_text)
+        assert_routes_match(net, net.entries(), net.exits())
+
+    @settings(max_examples=100)
+    @given(networks())
+    def test_segment_graph_is_the_networkx_graph(self, net):
+        graph = nx_segment_graph(net)
+        succ = net.segment_graph()
+        pred = w._predecessors(succ)
+        assert list(succ) == list(graph)
+        for seg in succ:
+            assert list(succ[seg].items()) == [
+                (nxt, d["weight"]) for nxt, d in graph.succ[seg].items()]
+            assert list(pred[seg].items()) == [
+                (prev, d["weight"]) for prev, d in graph.pred[seg].items()]
+
+
+@st.composite
+def plain_networks(draw):
+    """Intersections and undirected-ish links, connected or not."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+    node = st.sampled_from(nodes)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        pairs += [(a, b) if draw(st.booleans()) else (b, a)
+                  for a, b in zip(nodes, nodes[1:])]
+    return nodes, pairs
+
+
+class TestConnectivity:
+    @settings(max_examples=200)
+    @given(plain_networks())
+    def test_matches_is_connected(self, drawn):
+        nodes, pairs = drawn
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(pairs)
+        segments = tuple(w.RoadSegment(f"s{i}", a, b, 10.0, 5.0, 5)
+                         for i, (a, b) in enumerate(pairs))
+        intersections = tuple(w.Intersection(n) for n in nodes)
+        if nx.is_connected(graph):
+            w.StreetNetwork(segments, intersections)
+        else:
+            with pytest.raises(w.TopologyError, match="not connected"):
+                w.StreetNetwork(segments, intersections)
+
+
+def test_import_leaves_networkx_out():
+    src = str(Path(civitas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, civitas, civitas.cli; sys.exit('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr or "networkx was imported"
 
 
 # ---------------------------------------------------------------- simplex

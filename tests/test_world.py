@@ -112,6 +112,11 @@ speed = 5
         with pytest.raises(w.TopologyError):
             w.load_network(text)
 
+    def test_turn_to_unknown_segment_rejected(self):
+        with pytest.raises(w.TopologyError, match=r"segment x: turns to unknown"
+                                                  r" segments \['zz'\]"):
+            w.load_network(LINE.replace("entry = true", "entry = true\nturns = y, zz"))
+
     def test_missing_approach_at_signal_rejected(self):
         text = """
 [intersection a]
