@@ -90,12 +90,8 @@ def _build_controllers(net: worldmod.StreetNetwork
                        ) -> dict[str, fsmmod.IntersectionController]:
     controllers = {}
     for spec in net.signals:
-        modes = tuple(fsmmod.ImplementationMode(mid, lat, cost, safe)
-                      for mid, lat, cost, safe in spec.modes)
-        fsm = fsmmod.SignalFsm(spec.green, spec.yellow, spec.red, spec.offset,
-                               fsmmod.SignalState(spec.anchor))
         controllers[spec.intersection] = fsmmod.IntersectionController(
-            spec.intersection, fsm, modes, early_switch=spec.early_switch)
+            spec.intersection, spec.fsm, spec.modes, early_switch=spec.early_switch)
     for node in net.signalized_nodes():
         if node not in controllers:
             fsm = fsmmod.SignalFsm(30.0, 5.0, 25.0)
@@ -116,9 +112,8 @@ def _maybe_early_switch(net: worldmod.StreetNetwork, world: worldmod.WorldState,
         return ctrl
     admitted = 2 if state is fsmmod.SignalState.GREEN else 1
     queues = {1: 0, 2: 0}
-    for seg in net.segments:
-        if seg.to_node == ctrl.id and seg.approach in queues:
-            queues[seg.approach] += len(world.queues[seg.id])
+    for seg_id in net.incoming()[ctrl.id]:
+        queues[net.segment(seg_id).approach] += len(world.queues[seg_id])
     if queues[admitted] == 0 and queues[3 - admitted] > 0:
         world.log("early_switch", t, ctrl.id)
         return replace(ctrl, fsm=fsmmod.skip_to_next_state(ctrl.fsm, t))
@@ -209,7 +204,7 @@ def run_simulation(cfg: RunConfig) -> dict:
         table = ctgmod.build_table(ctg)
         itus = tuple(sorted(controllers))
         initial = tuple(s.labels[0] for s in ctg.sites)
-        zone = hiermod.ZoneUnit(ctg.zone or "Z", ctg, table, itus, initial, cycle)
+        zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
         area = hiermod.AreaUnit("area", (zone.id,))
         capability = table.schedules[initial].graph.total_n()
         fg = fgmod.FunctionGraph(
@@ -230,14 +225,12 @@ def run_simulation(cfg: RunConfig) -> dict:
     epoch_every = max(1, int(round(cycle / cfg.dt)))
     epoch_count = 0
     prev_state_name = None
+    early = [] if engine else [n for n, c in controllers.items() if c.early_switch]
     for k in range(ticks):
         t = round((k + 1) * cfg.dt, 10)
-        active = engine.controllers if engine else controllers
-        if engine is None:
-            for node, ctrl in list(active.items()):
-                if ctrl.early_switch:
-                    active[node] = _maybe_early_switch(net, world, ctrl, t)
-        controls = {node: ctrl.fsm.state_at(t) for node, ctrl in active.items()}
+        for node in early:
+            controllers[node] = _maybe_early_switch(net, world, controllers[node], t)
+        controls = {node: ctrl.fsm.state_at(t) for node, ctrl in controllers.items()}
         worldmod.step(world, controls, cfg.dt)
 
         if engine is not None and (k + 1) % epoch_every == 0:
@@ -248,7 +241,7 @@ def run_simulation(cfg: RunConfig) -> dict:
                                              (t - cycle, t))
                 labels.append(est.observe(obs.n))
             scenario = tuple(labels)
-            state_name = f"{zone.id}:{ctgmod.scenario_name(scenario)}"
+            state_name = ctmdpmod.state_name(table.zone, scenario)
             if prev_state_name is not None:
                 shift_log.record(prev_state_name, "default", cycle, state_name)
             prev_state_name = state_name
@@ -258,8 +251,8 @@ def run_simulation(cfg: RunConfig) -> dict:
                 sol = ctmdpmod.solve_model(model)
                 if sol.status == "optimal":
                     engine.areas["area"].set_model(model, sol.objective)
-                    t_area = {f"{table.zone}:{ctgmod.scenario_name(s)}":
-                              table.t_area(s) for s in table.scenarios}
+                    t_area = {ctmdpmod.state_name(table.zone, s): table.t_area(s)
+                              for s in table.scenarios}
                     engine.top.fg = fgmod.attach(engine.top.fg, "area", sol,
                                                  model, t_area)
             report = engine.reconcile(at=t)

@@ -21,6 +21,9 @@ import statistics
 from .fsm import SignalFsm, TimingConstraint, admitting_state
 from .textfmt import ParseError, parse_sections
 
+# Zone name of a task graph whose file gives its [ctg] section no name.
+DEFAULT_ZONE = "Z"
+
 # Constraints anchoring the end of a same-direction run are backed off
 # by this much so the half-open state region still covers the run.
 RUN_END_BACKOFF = 1e-6
@@ -37,11 +40,14 @@ class ConditionSite:
 
     def __post_init__(self):
         if len(self.labels) < 2:
-            raise ValueError(f"site {self.id}: need >= 2 labels")
+            raise ValueError(f"[site {self.id}] labels: need >= 2 labels,"
+                             f" got {len(self.labels)}")
         if len(self.thresholds) != len(self.labels) - 1:
-            raise ValueError(f"site {self.id}: need one threshold per label boundary")
+            raise ValueError(f"[site {self.id}] thresholds: need one threshold per"
+                             f" label boundary, got {len(self.thresholds)} for"
+                             f" {len(self.labels)} labels")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError(f"site {self.id}: thresholds must be strictly increasing")
+            raise ValueError(f"[site {self.id}] thresholds: must be strictly increasing")
 
     def label_for(self, n: float) -> str:
         for label, threshold in zip(self.labels, self.thresholds):
@@ -143,6 +149,11 @@ class Ctg:
                 raise ValueError(f"task {t.id}: unknown attribute site {t.site!r}")
             if t.dummy and t.resources & self.shared_resources:
                 raise ValueError(f"dummy task {t.id} cannot hold shared resources")
+            if t.direction is not None:
+                try:
+                    admitting_state(t.direction)
+                except ValueError as exc:
+                    raise ValueError(f"[task {t.id}] direction: {exc}") from None
         known = set(ids)
         for a, b in self.arcs:
             if a not in known or b not in known:
@@ -211,9 +222,6 @@ class ResolvedGraph:
 
     def total_n(self) -> float:
         return sum(t.n for t in self.tasks if not t.dummy)
-
-    def gap_map(self) -> dict[frozenset[str], float]:
-        return {frozenset((a, b)): gap for a, b, gap in self.gaps}
 
 
 def resolve(ctg: Ctg, scenario: Scenario, drop: frozenset[str] = frozenset()
@@ -454,18 +462,24 @@ def load_ctg(text: str) -> Ctg:
     tasks: list[CtgTask] = []
     arcs: list[tuple[str, str]] = []
     shared: frozenset[str] = frozenset()
-    zone = ""
+    zone = DEFAULT_ZONE
     clearance = 0.0
     for sec in sections:
         if sec.kind == "ctg":
-            zone = sec.name
+            zone = sec.name or DEFAULT_ZONE
             shared = frozenset(sec.get_list("shared"))
             clearance = sec.get_float("clearance", 0.0)
         elif sec.kind == "site":
             labels = tuple(sec.get_list("labels")) or ("L", "H")
-            thresholds = tuple(float(x) for x in sec.get_list("thresholds")) or (4.0,)
-            sites.append(ConditionSite(sec.name, labels, thresholds,
-                                       sec.get("segment")))
+            try:
+                thresholds = tuple(float(x) for x in sec.get_list("thresholds")) or (4.0,)
+            except ValueError as exc:
+                raise ParseError(f"[site {sec.name}] thresholds: {exc}") from exc
+            try:
+                sites.append(ConditionSite(sec.name, labels, thresholds,
+                                           sec.get("segment")))
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
         elif sec.kind == "task":
             guard_raw = sec.get("guard")
             guard = None

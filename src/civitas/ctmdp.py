@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simplex
-from .ctg import ScheduleTable, scenario_name
+from .ctg import Scenario, ScheduleTable, scenario_name
 
 GENERATOR_TOL = 1e-12
 OCCUPATION_TOL = 1e-9
@@ -97,6 +97,11 @@ def make_ctmdp(states, actions, q, rewards, admissible=None, bounds=(),
                  tuple(prior_pairs))
 
 
+def state_name(zone: str, scenario: Scenario) -> str:
+    """The CTMDP state of a zone's schedule-table column."""
+    return f"{zone}:{scenario_name(scenario)}"
+
+
 @dataclass
 class ShiftLog:
     """Observed scenario shifts: dwell time and transition counts per action."""
@@ -133,7 +138,7 @@ def from_schedule_tables(tables: list[ScheduleTable], shift_log: ShiftLog,
     reward_of: list[float] = []
     for table in tables:
         for scenario, sched in table.columns():
-            states.append(f"{table.zone}:{scenario_name(scenario)}")
+            states.append(state_name(table.zone, scenario))
             reward_of.append(sched.graph.total_n())
     if not states:
         raise ValueError("no schedule-table columns")
@@ -305,7 +310,10 @@ def model_from_csv(text: str) -> Ctmdp:
         kind, i, j, a, k, value = row
         try:
             if kind == "rate":
-                rates.append((i, j, a, float(value)))
+                rate = float(value)
+                if not 0 <= rate < np.inf:
+                    raise ValueError(f"rate {value!r} must be a finite number >= 0")
+                rates.append((i, j, a, rate))
                 for s in (i, j):
                     if s not in states:
                         states.append(s)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ctg import _toposort
 from .ctmdp import Ctmdp, CtmdpSolution
 
 PROB_TOL = 1e-12
@@ -88,28 +89,10 @@ class FunctionGraph:
         for a, b in self.arcs:
             if a not in known or b not in known:
                 raise ValueError(f"arc ({a}, {b}) references unknown node")
-        self._topo_order()  # raises on cycles
-
-    def _topo_order(self) -> list[str]:
-        indeg = {n.id: 0 for n in self.nodes}
-        succs: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for a, b in self.arcs:
-            succs[a].append(b)
-            indeg[b] += 1
-        order_idx = {n.id: i for i, n in enumerate(self.nodes)}
-        ready = sorted((n for n, d in indeg.items() if d == 0), key=order_idx.get)
-        out = []
-        while ready:
-            n = ready.pop(0)
-            out.append(n)
-            for s in succs[n]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-            ready.sort(key=order_idx.get)
-        if len(out) != len(self.nodes):
-            raise ValueError("function graph has a cycle")
-        return out
+        try:
+            _toposort(ids, self.arcs)
+        except ValueError:
+            raise ValueError("function graph has a cycle") from None
 
     def node(self, node_id: str) -> FgNode:
         return next(n for n in self.nodes if n.id == node_id)
@@ -164,7 +147,7 @@ def evaluate(fg: FunctionGraph) -> dict[str, tuple[PerfDistribution, float]]:
     each sink value's mass adds the point probabilities in enumeration
     order, so every sum keeps the association of a point-by-point loop.
     """
-    order = fg._topo_order()
+    order = _toposort([n.id for n in fg.nodes], fg.arcs)
     if not order:
         return {}
     preds: dict[str, list[str]] = {n.id: [] for n in fg.nodes}

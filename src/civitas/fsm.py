@@ -11,6 +11,7 @@ to a one-dimensional search over the Green/Red trade-off.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -75,8 +76,8 @@ class SignalFsm:
 
     def __post_init__(self):
         for name in ("green", "yellow", "red"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} split must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} split must be a finite number > 0")
         if not 0 <= self.offset < self.cycle:
             raise ValueError(f"offset {self.offset} outside [0, {self.cycle})")
 
@@ -294,7 +295,7 @@ class ImplementationMode:
     safe: bool = False
 
     def __post_init__(self):
-        if self.cost < 0:
+        if not self.cost >= 0:
             raise ValueError("cost must be >= 0")
 
 
@@ -359,13 +360,6 @@ def skip_to_next_state(fsm: SignalFsm, at: float) -> SignalFsm:
             remaining = b - p
             return replace(fsm, offset=(fsm.offset - remaining) % fsm.cycle)
     return fsm
-
-
-def replay_states(fsm: SignalFsm, t0: float, t1: float,
-                  resolution: float = 0.1) -> list[SignalState]:
-    """Sample controller states over [t0, t1) at a fixed resolution."""
-    n = int(round((t1 - t0) / resolution))
-    return [fsm.state_at(t0 + k * resolution) for k in range(n)]
 
 
 def check_constraints_by_replay(fsm: SignalFsm,

@@ -100,15 +100,8 @@ def fuzzify(x: float, row: ParamRow) -> MembershipDegrees:
     """
     if not 0 <= x <= row.MI:
         raise ValueError(f"input {x} outside universe [0, {row.MI}]")
-    mu_s = max(0.0, (row.m - x) / row.m)
-    if x <= row.m:
-        mu_b = 0.0
-    elif x >= row.M:
-        mu_b = 1.0
-    else:
-        mu_b = (x - row.m) / (row.M - row.m)
-    mu_m = (1.0 - mu_s) - mu_b if x <= row.M else 0.0
-    return MembershipDegrees(mu_s, mu_m, mu_b)
+    deg = membership_grid(row, np.array([x], dtype=float))
+    return MembershipDegrees(*(float(deg[label][0]) for label in LABELS))
 
 
 def membership_grid(row: ParamRow, grid: np.ndarray) -> dict[str, np.ndarray]:
@@ -190,53 +183,32 @@ def defuzzify_centroid(out: FuzzyOutputSet) -> float:
     return float(np.sum(out.grid * out.values) / total)
 
 
-# Sampled output rows reduced per block in `_commands`; bounds its memory.
-BLOCK_SAMPLES = 1 << 14
-
-
 def _commands(deg_i, deg_d, rules: RuleBase, u_row: ParamRow,
               resolution: int) -> np.ndarray:
     """Centroid command for each pair of input degrees, like `control`.
 
     `deg_i[label]` and `deg_d[label]` are degrees (`MembershipDegrees`, or
     dicts of arrays that broadcast against each other).  Every output term
-    is a singleton, so a pair's aggregated output set is zero except at the
-    (at most three) spike samples, where it holds the max activation of the
-    rules firing that label.  The sets are still laid out on the whole
-    sampled universe, a block of rows at a time, and reduced along the
-    contiguous axis: each row is summed exactly as `np.sum` sums it alone,
-    so the result keeps the pairwise association of the sampled loop (a
-    closed-form weighted mean would not).
+    is a singleton, so a pair's aggregated output set is zero except at
+    the spike samples, and its centroid is the weighted mean of those
+    (at most three) sample points.  A spike's weight is the max activation
+    of the rules whose output label snaps onto it: labels whose singletons
+    round to the same sample merge by max, as in the sampled set.
     """
     grid = np.linspace(0.0, u_row.MI, resolution)
-    spikes = {label: int(np.flatnonzero(mu)[0])
-              for label, mu in output_terms(u_row, grid).items()}
-    weights = {label: 0.0 for label in LABELS}
+    spike = {label: int(np.flatnonzero(mu)[0])
+             for label, mu in output_terms(u_row, grid).items()}
+    weights = {}
     for i_label in ("B", "M", "S"):
         for d_label in ("S", "M", "B"):
-            u_label = rules.output_label(i_label, d_label)
-            weights[u_label] = np.maximum(weights[u_label],
-                                          np.minimum(deg_i[i_label], deg_d[d_label]))
-    shape = np.broadcast_shapes(*(np.shape(w) for w in weights.values()))
-    flat = {label: np.broadcast_to(w, shape).ravel() for label, w in weights.items()}
-    out = np.empty(math.prod(shape))
-    rows = min(len(out), max(1, BLOCK_SAMPLES // resolution))
-    # One pair of block buffers for the whole call: a fresh allocation per
-    # block left the process's peak RSS about 0.4 MB higher.
-    buf = np.zeros((rows, resolution))
-    weighted = np.empty_like(buf)
-    for start in range(0, len(out), rows):
-        stop = min(start + rows, len(out))
-        agg = buf[:stop - start]
-        agg[:, list(spikes.values())] = 0.0
-        for label, k in spikes.items():
-            np.maximum(agg[:, k], flat[label][start:stop], out=agg[:, k])
-        total = agg.sum(axis=1)
-        moment = np.multiply(grid, agg, out=weighted[:stop - start]).sum(axis=1)
-        empty = total == 0.0
-        out[start:stop] = np.where(empty, grid[-1] / 2.0,
-                                   moment / np.where(empty, 1.0, total))
-    return out.reshape(shape)
+            k = spike[rules.output_label(i_label, d_label)]
+            weights[k] = np.maximum(weights.get(k, 0.0),
+                                    np.minimum(deg_i[i_label], deg_d[d_label]))
+    spikes = sorted(weights.items())
+    total = sum(w for _, w in spikes)
+    moment = sum(grid[k] * w for k, w in spikes)
+    empty = total == 0.0
+    return np.where(empty, grid[-1] / 2.0, moment / np.where(empty, 1.0, total))
 
 
 def control(i: float, d: float, params: FuzzyParams,

@@ -280,9 +280,6 @@ class HierarchyEngine:
                     "throughput", area.target.throughput - expected, at)))
         return violations
 
-    def push_up(self, violations: list[ViolationMsg]) -> list[PerformanceNeeds]:
-        return aggregate_needs(violations)
-
     def _itu_feasible(self, zone: ZoneUnit, column: ctgmod.Scenario) -> bool:
         for itu in zone.itus:
             constraints = zone.constraints_for(column, itu)
@@ -354,7 +351,7 @@ class HierarchyEngine:
             violations = self.run_children(msgs, at)
             if not violations:
                 return ReconcileReport(True, pass_n)
-            needs = self.push_up(violations)
+            needs = aggregate_needs(violations)
             flagged = {n.parent for n in needs}
             # Deepest flagged parents first: zones, then areas, then the top.
             for zid in sorted(self.zones):

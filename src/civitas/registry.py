@@ -164,16 +164,24 @@ def load_registry(text: str) -> DmRegistry:
             goals = []
             for item in sec.get_list("goals"):
                 parts = item.split(":")
-                if len(parts) not in (2, 3):
-                    raise ParseError(f"[module {sec.name}]: bad goal {item!r}")
-                bound = float(parts[2]) if len(parts) == 3 else None
-                goals.append(Goal(parts[0], Direction(parts[1]), bound))
+                try:
+                    if len(parts) not in (2, 3):
+                        raise ValueError("expected quantity:direction[:bound]")
+                    bound = float(parts[2]) if len(parts) == 3 else None
+                    goals.append(Goal(parts[0], Direction(parts[1]), bound))
+                except ValueError as exc:
+                    raise ParseError(f"[module {sec.name}] goals: bad goal {item!r}:"
+                                     f" {exc}") from exc
             caps = []
             for item in sec.get_list("capabilities"):
                 parts = item.split(":")
-                if len(parts) != 2:
-                    raise ParseError(f"[module {sec.name}]: bad capability {item!r}")
-                caps.append(Capability(parts[0], float(parts[1])))
+                try:
+                    if len(parts) != 2:
+                        raise ValueError("expected quantity:limit")
+                    caps.append(Capability(parts[0], float(parts[1])))
+                except ValueError as exc:
+                    raise ParseError(f"[module {sec.name}] capabilities: bad capability"
+                                     f" {item!r}: {exc}") from exc
             reg.register(DmModule(
                 sec.name, sec.get_int("level"), tuple(goals), tuple(caps),
                 tuple(sec.get_list("inputs")), tuple(sec.get_list("outputs"))))
@@ -182,8 +190,12 @@ def load_registry(text: str) -> DmRegistry:
             dst = sec.require("dst").split(".")
             if len(src) != 2 or len(dst) != 2:
                 raise ParseError(f"[link {sec.name}]: endpoints must be module.port")
-            links.append(((src[0], src[1]), (dst[0], dst[1]),
-                          LinkRole(sec.require("role"))))
+            raw_role = sec.require("role")
+            try:
+                role = LinkRole(raw_role)
+            except ValueError as exc:
+                raise ParseError(f"[link {sec.name}] role: {exc}") from exc
+            links.append(((src[0], src[1]), (dst[0], dst[1]), role))
         else:
             raise ParseError(f"unknown section kind {sec.kind!r} in registry file")
     for src, dst, role in links:

@@ -14,15 +14,15 @@ import copy
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 
 import numpy as np
 
-from .fsm import SignalState
-from .textfmt import ParseError, parse_sections
+from .fsm import ImplementationMode, SignalFsm, SignalState
+from .textfmt import ParseError, Section, parse_sections
 
 DEFAULT_HEADWAY = 2.0
 
@@ -75,12 +75,8 @@ class SignalSpec:
     """Controller configuration embedded in the network file."""
 
     intersection: str
-    green: float
-    yellow: float
-    red: float
-    offset: float = 0.0
-    anchor: str = "Green"
-    modes: tuple[tuple[str, float, float, bool], ...] = ()  # (id, latency, cost, safe)
+    fsm: SignalFsm
+    modes: tuple[ImplementationMode, ...] = ()
     early_switch: bool = False
 
 
@@ -189,11 +185,6 @@ class StreetNetwork:
     def signalized_nodes(self) -> tuple[str, ...]:
         return self._signalized
 
-    @cached_property
-    def _zone_members(self) -> tuple[tuple[str, frozenset[str]], ...]:
-        """(zone id, member segment ids) in declaration order."""
-        return tuple((z.id, z.members) for z in self.zones)
-
     def entries(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.segments if s.entry)
 
@@ -245,22 +236,7 @@ def load_network(text: str) -> StreetNetwork:
         elif sec.kind == "zone":
             zones.append(Zone(sec.name, frozenset(sec.get_list("members"))))
         elif sec.kind == "signal":
-            modes = []
-            for item in sec.get_list("modes"):
-                parts = item.split(":")
-                if len(parts) != 3:
-                    raise ParseError(f"[signal {sec.name}]: bad mode {item!r}")
-                modes.append((parts[0], float(parts[1]), float(parts[2]), False))
-            safe = sec.get("safe_mode")
-            if modes:
-                if safe is None or safe not in {m[0] for m in modes}:
-                    raise ParseError(f"[signal {sec.name}]: safe_mode must name one mode")
-                modes = [(mid, lat, cost, mid == safe) for mid, lat, cost, _ in modes]
-            signals.append(SignalSpec(
-                sec.name, sec.get_float("green", 30.0), sec.get_float("yellow", 5.0),
-                sec.get_float("red", 25.0), sec.get_float("offset", 0.0),
-                sec.get("anchor", "Green"), tuple(modes),
-                sec.get_bool("early_switch")))
+            signals.append(_load_signal(sec))
         else:
             raise ParseError(f"unknown section kind {sec.kind!r}")
     try:
@@ -270,6 +246,38 @@ def load_network(text: str) -> StreetNetwork:
         if isinstance(exc, TopologyError):
             raise
         raise TopologyError(str(exc)) from exc
+
+
+def _load_signal(sec: Section) -> SignalSpec:
+    """A `[signal]` section as the controller it configures."""
+    where = f"[signal {sec.name}]"
+    modes = []
+    for item in sec.get_list("modes"):
+        parts = item.split(":")
+        try:
+            if len(parts) != 3:
+                raise ValueError("expected id:latency:cost")
+            modes.append(ImplementationMode(parts[0], float(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ParseError(f"{where} modes: bad mode {item!r}: {exc}") from exc
+    safe = sec.get("safe_mode")
+    if modes:
+        if safe is None or safe not in {m.id for m in modes}:
+            raise ParseError(f"{where} safe_mode: must name one mode")
+        modes = [replace(m, safe=m.id == safe) for m in modes]
+    anchor = sec.get("anchor", "Green")
+    try:
+        anchor_state = SignalState(anchor)
+    except ValueError:
+        raise ParseError(f"{where} anchor: {anchor!r} is not one of"
+                         f" {', '.join(s.value for s in SignalState)}") from None
+    timing = (sec.get_float("green", 30.0), sec.get_float("yellow", 5.0),
+              sec.get_float("red", 25.0), sec.get_float("offset", 0.0))
+    try:
+        fsm = SignalFsm(*timing, anchor_state)
+    except ValueError as exc:
+        raise ParseError(f"{where} {exc}") from exc
+    return SignalSpec(sec.name, fsm, tuple(modes), sec.get_bool("early_switch"))
 
 
 @dataclass(frozen=True)
@@ -359,16 +367,14 @@ class WorldState:
     entered: int = 0
     exited: int = 0
     dropped: int = 0
-    zone_entered: dict[str, int] = field(default_factory=dict)
-    zone_exited: dict[str, int] = field(default_factory=dict)
-    last_cross: dict[str, float] = field(default_factory=dict)
     arrivals: list[tuple[float, str, tuple[str, ...]]] = field(default_factory=list)
     arrival_idx: int = 0
     next_vid: int = 0
     min_headway: float = DEFAULT_HEADWAY
     route_rng: np.random.Generator | None = None
     # Completed traversals per segment in completion order: when each
-    # vehicle left the segment and how long it had been on it.
+    # vehicle left the segment and how long it had been on it.  The last
+    # completion is the segment's last crossing, the headway's origin.
     completed_at: dict[str, array] = field(default_factory=dict)
     traversal_time: dict[str, array] = field(default_factory=dict)
 
@@ -471,8 +477,6 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     """
     world = WorldState(network, min_headway=min_headway,
                        queues={s.id: [] for s in network.segments},
-                       zone_entered={z.id: 0 for z in network.zones},
-                       zone_exited={z.id: 0 for z in network.zones},
                        completed_at={s.id: array("d") for s in network.segments},
                        traversal_time={s.id: array("d") for s in network.segments})
     seq = np.random.SeedSequence(seed)
@@ -535,17 +539,6 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
             world.queues[seg_id].append(v)
             world.entered += 1
             world.log("arrive", 0.0, v.vid, seg_id)
-            _count_zone_entry(world, None, seg_id)
-
-
-def _count_zone_entry(world: WorldState, src: str | None, dst: str | None) -> None:
-    for zid, members in world.network._zone_members:
-        src_in = src in members if src else False
-        dst_in = dst in members if dst else False
-        if dst_in and not src_in:
-            world.zone_entered[zid] += 1
-        if src_in and not dst_in:
-            world.zone_exited[zid] += 1
 
 
 def _next_segment(world: WorldState, v: Vehicle, seg: RoadSegment) -> str | None:
@@ -596,9 +589,8 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         world.queues[seg_id].append(v)
         world.entered += 1
         world.log("arrive", at, v.vid, seg_id)
-        _count_zone_entry(world, None, seg_id)
 
-    queues, last_cross = world.queues, world.last_cross
+    queues, completed_at = world.queues, world.completed_at
     for seg in world.network.segments:
         queue = queues[seg.id]
         if not queue:
@@ -606,7 +598,8 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         v = queue[0]
         if v.ready_at > now:
             continue
-        if last_cross.get(seg.id, -math.inf) + world.min_headway > now:
+        crossed = completed_at[seg.id]
+        if crossed and crossed[-1] + world.min_headway > now:
             continue
         state = controls.get(seg.to_node)
         if state is not None and not state.admits(seg.approach or 0):
@@ -620,8 +613,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
             if len(queues[nxt_id]) >= nxt.occupancy_limit:
                 continue
         queue.pop(0)
-        last_cross[seg.id] = now
-        world.completed_at[seg.id].append(now)
+        crossed.append(now)
         world.traversal_time[seg.id].append(now - v.entered_at)
         if nxt_id is None:
             world.exited += 1
@@ -633,7 +625,6 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
             v.ready_at = now + nxt.travel_time
             queues[nxt_id].append(v)
             world.log("move", now, v.vid, seg.id, nxt_id)
-        _count_zone_entry(world, seg.id, nxt_id)
     return world
 
 

@@ -93,6 +93,51 @@ class TestExitCodes:
         assert "[arrivals s1]" in err and "windows" in err
 
 
+# One value made malformed in a shipped input file: (command, file, the
+# first occurrence of `old` -> `new`, the section and key the message names).
+MALFORMED_VALUES = [
+    ("classify", "city.registry", "goals = network_throughput:maximize",
+     "goals = q:maxim", "[module tcu] goals"),
+    ("classify", "city.registry", "role = goal-setting", "role = goalsetting",
+     "[link l1] role"),
+    ("classify", "city.registry", "capabilities = throughput:30",
+     "capabilities = throughput:x", "[module itu_a] capabilities"),
+    ("simulate", "twin.network", "modes = fast:0.01:5", "modes = fast:x:5",
+     "[signal A] modes"),
+    ("simulate", "twin.network", "modes = fast:0.01:5", "modes = fast:0.01:-5",
+     "[signal A] modes"),
+    ("simulate", "twin.network", "anchor = Green", "anchor = Purple",
+     "[signal A] anchor"),
+    ("simulate", "twin.network", "green = 30", "green = -5", "[signal A] green"),
+    ("simulate", "twin.network", "offset = 0\n", "offset = 500\n",
+     "[signal A] offset"),
+    ("schedule", "twin.ctg", "thresholds = 6", "thresholds = x",
+     "[site c1] thresholds"),
+    ("schedule", "twin.ctg", "labels = L, H", "labels = L", "[site c1] labels"),
+    ("schedule", "twin.ctg", "thresholds = 6", "thresholds = 6, 7",
+     "[site c1] thresholds"),
+    ("schedule", "twin.ctg", "direction = 1", "direction = 3",
+     "[task T2] direction"),
+]
+
+
+@pytest.mark.parametrize("command, name, old, new, where", MALFORMED_VALUES)
+def test_malformed_value_is_exit_one(tmp_path, data_dir, capsys, command, name,
+                                     old, new, where):
+    text = (data_dir / name).read_text()
+    assert old in text
+    bad = tmp_path / name
+    bad.write_text(text.replace(old, new, 1))
+    out = str(tmp_path / "o")
+    args = {"classify": ["classify", "--registry", str(bad), "--out", out],
+            "schedule": ["schedule", "--ctg", str(bad), "--out", out],
+            "simulate": sim_args(data_dir, out)}[command]
+    if command == "simulate":
+        args[args.index("--network") + 1] = str(bad)
+    assert cli.main(args) == 1
+    assert where in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_artifacts_written(self, tmp_path, data_dir):
         out = tmp_path / "run"
@@ -132,6 +177,33 @@ class TestSimulate:
         digest = hashlib.sha256((out / "events.log").read_bytes()).hexdigest()
         assert digest == ("60bf0506f0016b0712d4165c59a7192b"
                           "6b41dc8ae944ad96446092a345146d7b")
+
+    def test_unnamed_ctg_is_zone_z(self, tmp_path, data_dir, monkeypatch):
+        # The shift log and the CTMDP must name an unnamed [ctg]'s states
+        # alike, or every observed shift is ignored for the uniform prior.
+        from civitas import ctmdp as ctmdpmod
+        priors = []
+        build = ctmdpmod.from_schedule_tables
+
+        def spy(*args, **kwargs):
+            model = build(*args, **kwargs)
+            priors.append(model.prior_pairs)
+            return model
+
+        monkeypatch.setattr(ctmdpmod, "from_schedule_tables", spy)
+        unnamed = tmp_path / "unnamed.ctg"
+        unnamed.write_text((data_dir / "twin.ctg").read_text().replace("[ctg Z]", "[ctg]"))
+        runs = {}
+        for name, ctg in (("named", data_dir / "twin.ctg"), ("unnamed", unnamed)):
+            args = sim_args(data_dir, tmp_path / name, mode="hierarchical",
+                            horizon="600", seed="3")
+            args[args.index("--ctg") + 1] = str(ctg)
+            priors.clear()
+            assert cli.main(args) == 0
+            runs[name] = (list(priors), {f.name: f.read_bytes()
+                                         for f in (tmp_path / name).iterdir()})
+        assert runs["unnamed"] == runs["named"]
+        assert [len(p) for p in runs["named"][0]] == [6, 3]
 
     def test_golden_hierarchical_artifacts(self, tmp_path, data_dir):
         # 1800 s = 30 epochs, so the area CTMDP is rebuilt and solved 6 times
@@ -188,6 +260,28 @@ class TestFuzzySurface:
     def test_bad_params_rejected(self, tmp_path):
         assert cli.main(["fuzzy-surface", "1,2", "11",
                          "--out", str(tmp_path)]) == 1
+
+    # Recorded from the sampled centroid before the closed form replaced it:
+    # the benchmark's row and three rows whose spikes sit where the two
+    # differ in the last bits.
+    @pytest.mark.parametrize("params, n, digest", [
+        ("0.5,1,1.2", 2, "1456d4437c89365d2084b1d61612b9b2bf712b010258fa835b834a4ffcbdda5b"),
+        ("0.5,1,1.2", 7, "57bd12433880e502daaa8b82f990a1ad71967faa47181073fefd6b44203e44d6"),
+        ("0.5,1,1.2", 121, "e046d43431786c275eccebe5a4a2646d9570a836f2663d708516685feb49eaba"),
+        ("0.39,0.47,0.54", 2, "1bdf65972f7de4a741c8222e390d414d0cd36a541eb70d4f2b10735f63b94237"),
+        ("0.39,0.47,0.54", 7, "6ea69a3a153bbe70da52d96897b747d7d8614224e98cef25fe5693ecf2758de5"),
+        ("0.39,0.47,0.54", 121, "beeb1783cc583ee8f3cbc76c4d2f82aa914c179baf68c1fc31b06a81bef139ce"),
+        ("1.34,1.58,1.71", 2, "90f63ba17d2e359a37100da4cbe2addc8f74f289f533817ec8093fd1d6498066"),
+        ("1.34,1.58,1.71", 7, "c576f9a6f4dd69afb3fd784d38c490b5b16d2c5c59f8f9bdeac578a4a743264d"),
+        ("1.34,1.58,1.71", 121, "c4b318c747e46fd1ad1cb03dd662948b366bd9ecb5558e1289e479262e437aa2"),
+        ("0.75,1.25,2.73", 2, "1de2fa88f9f66b8e85453a99b06ba7d67356565684d8a1b80f3c7d6e6d8d1914"),
+        ("0.75,1.25,2.73", 7, "ed912b9e00e3a2efb4b61fd4f29a8a5886433ed4595acda61ddb4aa06e67ba19"),
+        ("0.75,1.25,2.73", 121, "c61e0d91ad8ff130b0d34e4651d63554109caebe5041be778c00754b1a5ec38e"),
+    ])
+    def test_golden_surface(self, tmp_path, params, n, digest):
+        import hashlib
+        assert cli.main(["fuzzy-surface", params, str(n), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "surface.csv").read_bytes()).hexdigest() == digest
 
 
 class TestClassify:
@@ -262,6 +356,21 @@ class TestCtmdpCommand:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "model.csv: row 3: could not convert string to float: 'x'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("rate", ["nan", "-1", "inf"])
+    def test_bad_rate_is_exit_one(self, tmp_path, capsys, rate):
+        model_csv = tmp_path / "model.csv"
+        model_csv.write_text("kind,i,j,a,k,value\n"
+                             "rate,a,b,x,,1\n"
+                             f"rate,b,a,x,,{rate}\n"
+                             "reward,a,,x,0,1\n"
+                             "reward,b,,x,0,1\n")
+        rc = cli.main(["ctmdp", "--model", str(model_csv),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert (f"model.csv: row 3: rate '{rate}' must be a finite number >= 0"
+                in capsys.readouterr().err)
 
 
 class TestMetricsCommand:

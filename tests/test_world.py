@@ -323,8 +323,6 @@ class TestZoneBalance:
         departs = sum(1 for e in world.events if e[0] == "depart")
         assert world.entered == arrives
         assert world.exited == departs
-        assert world.zone_entered["Z"] == arrives
-        assert world.zone_exited["Z"] == departs
 
 
 class TestDemand:
