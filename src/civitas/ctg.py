@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -46,6 +47,9 @@ class ConditionSite:
             raise ValueError(f"[site {self.id}] thresholds: need one threshold per"
                              f" label boundary, got {len(self.thresholds)} for"
                              f" {len(self.labels)} labels")
+        if not all(math.isfinite(t) for t in self.thresholds):
+            raise ValueError(f"[site {self.id}] thresholds: must be finite numbers,"
+                             f" got {', '.join(f'{t:g}' for t in self.thresholds)}")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError(f"[site {self.id}] thresholds: must be strictly increasing")
 

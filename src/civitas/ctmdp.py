@@ -22,6 +22,7 @@ GENERATOR_TOL = 1e-12
 OCCUPATION_TOL = 1e-9
 BALANCE_TOL = 1e-9
 DUALITY_TOL = 1e-8
+OPTIMALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,8 @@ def build_lp(m: Ctmdp) -> simplex.LinearProgram:
 
 
 class SolutionInvariantError(RuntimeError):
-    """An optimal LP solution violated an occupation-measure invariant."""
+    """An optimal LP solution violated an occupation-measure invariant or
+    failed its optimality certificate."""
 
 
 @dataclass
@@ -220,35 +222,62 @@ class CtmdpSolution:
         return sum(v for (s, _), v in self.occupation.items() if s == state)
 
 
+def check_optimality(lp: simplex.LinearProgram, sol: simplex.LpSolution,
+                     row_names: tuple[str, ...] = ()) -> None:
+    """Raise `SolutionInvariantError` unless `sol` is a certified optimum.
+
+    Three conditions, over the columns of x and the surplus columns of the
+    >= rows: the primal residual (equality rows within `BALANCE_TOL`, >=
+    rows and x >= 0 within `OCCUPATION_TOL`); dual feasibility (every
+    reduced cost <= `OPTIMALITY_TOL`, and the reported reduced costs equal
+    c - A'y for the reported multipliers y); complementary slackness
+    (x_j times reduced cost j within `OPTIMALITY_TOL`).  Tolerances on
+    costs scale with the largest objective coefficient.
+    """
+    x = sol.x
+    if np.any(x < -OCCUPATION_TOL):
+        raise SolutionInvariantError(f"negative occupation {x.min()}")
+    resid = lp.eq_lhs @ x - lp.eq_rhs
+    if np.any(np.abs(resid) > BALANCE_TOL):
+        worst = int(np.argmax(np.abs(resid)))
+        name = row_names[worst] if row_names else f"row {worst}"
+        raise SolutionInvariantError(f"primal residual {resid[worst]} at {name}")
+    surplus = lp.ge_lhs @ x - lp.ge_rhs
+    if np.any(surplus < -OCCUPATION_TOL):
+        raise SolutionInvariantError(f"criterion bound violated by {surplus.min()}")
+
+    tol = OPTIMALITY_TOL * max(1.0, float(np.abs(lp.objective).max(initial=0.0)))
+    n_eq = len(lp.eq_rhs)
+    y_eq, y_ge = sol.duals[:n_eq], sol.duals[n_eq:]
+    reduced = sol.reduced_costs
+    # The surplus column of >= row k is -e_k, so its reduced cost is y_k.
+    priced = np.concatenate([lp.objective - y_eq @ lp.eq_lhs - y_ge @ lp.ge_lhs,
+                             y_ge])
+    if np.any(np.abs(reduced - priced) > tol):
+        raise SolutionInvariantError("reduced costs do not match the multipliers")
+    if np.any(reduced > tol):
+        j = int(np.argmax(reduced))
+        raise SolutionInvariantError(f"reduced cost {reduced[j]} > 0 at column {j}:"
+                                     " the basis is not optimal")
+    slack = np.abs(np.concatenate([x, surplus]) * reduced)
+    if np.any(slack > tol):
+        j = int(np.argmax(slack))
+        raise SolutionInvariantError(f"complementary slackness violated by"
+                                     f" {slack[j]} at column {j}")
+
+
 def solve_model(m: Ctmdp) -> CtmdpSolution:
     """Solve the occupation LP and verify the solution invariants."""
     lp = build_lp(m)
     sol = simplex.solve(lp)
     if sol.status != simplex.OPTIMAL:
         return CtmdpSolution(sol.status, iterations=sol.iterations)
-    pairs = m.pairs()
-    x = sol.x
-    if np.any(x < -OCCUPATION_TOL):
-        raise SolutionInvariantError(f"negative occupation {x.min()}")
-    if abs(x.sum() - 1.0) > OCCUPATION_TOL:
-        raise SolutionInvariantError(f"occupation sums to {x.sum()}")
-    for j in range(len(m.states)):
-        resid = 0.0
-        for idx, (i, a) in enumerate(pairs):
-            if i == j:
-                resid += -m.q[j, j, a] * x[idx]
-            else:
-                resid -= m.q[i, j, a] * x[idx]
-        if abs(resid) > BALANCE_TOL:
-            raise SolutionInvariantError(f"balance residual {resid} at {m.states[j]}")
-    for k in range(1, m.k):
-        value = sum(m.rewards[k, i, a] * x[idx] for idx, (i, a) in enumerate(pairs))
-        if value < m.bounds[k - 1] - OCCUPATION_TOL:
-            raise SolutionInvariantError(f"criterion {k} bound violated: {value}")
+    check_optimality(lp, sol, m.states + ("normalization",))
     if sol.duality_gap is None or sol.duality_gap > DUALITY_TOL:
         raise SolutionInvariantError(f"duality gap {sol.duality_gap}")
+    x = sol.x
     occupation = {(m.states[i], m.actions[a]): float(x[idx])
-                  for idx, (i, a) in enumerate(pairs)}
+                  for idx, (i, a) in enumerate(m.pairs())}
     return CtmdpSolution(sol.status, occupation, float(sol.objective),
                          float(sol.duality_gap), sol.iterations)
 

@@ -183,7 +183,7 @@ def load_registry(text: str) -> DmRegistry:
                     raise ParseError(f"[module {sec.name}] capabilities: bad capability"
                                      f" {item!r}: {exc}") from exc
             reg.register(DmModule(
-                sec.name, sec.get_int("level"), tuple(goals), tuple(caps),
+                sec.name, sec.require_int("level"), tuple(goals), tuple(caps),
                 tuple(sec.get_list("inputs")), tuple(sec.get_list("outputs"))))
         elif sec.kind == "link":
             src = sec.require("src").split(".")
@@ -195,11 +195,14 @@ def load_registry(text: str) -> DmRegistry:
                 role = LinkRole(raw_role)
             except ValueError as exc:
                 raise ParseError(f"[link {sec.name}] role: {exc}") from exc
-            links.append(((src[0], src[1]), (dst[0], dst[1]), role))
+            links.append((sec.name, (src[0], src[1]), (dst[0], dst[1]), role))
         else:
             raise ParseError(f"unknown section kind {sec.kind!r} in registry file")
-    for src, dst, role in links:
-        reg.wire(src, dst, role)
+    for name, src, dst, role in links:
+        try:
+            reg.wire(src, dst, role)
+        except (ClassificationError, KeyError) as exc:
+            raise ParseError(f"[link {name}]: {exc.args[0]}") from exc
     return reg
 
 

@@ -1,10 +1,20 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Two-phase revised primal simplex.
 
 Solves  maximize c.x  subject to  A_eq x = b_eq,  A_ge x >= b_ge,  x >= 0.
-The problems this library produces are small (hundreds of variables at
-most), so a dense tableau with a fixed pivot tolerance is plenty and keeps
-results bit-reproducible.  Final simplex multipliers are reported so
-callers can verify the duality gap.
+The method is the revised simplex of Chvátal, *Linear Programming* (1983),
+ch. 7: the basis inverse is kept explicitly, updated by one rank-1 (eta)
+step per pivot and recomputed from the basis columns every
+`REFACTOR_EVERY` pivots and once at the end.  Pricing is Dantzig's (the
+largest reduced cost enters); ties in the ratio test go to the largest
+pivot element.  After `BLAND_AFTER` consecutive degenerate pivots the
+solver switches to Bland's rule (smallest improving column, smallest
+basic variable among tied rows) until a pivot makes progress again, so it
+cannot cycle.  Basic values within `FEAS_TOL` of 0 are snapped to 0.
+
+The problems this library produces are small (about a hundred rows at
+most), so dense numpy arithmetic is plenty.  A result carries the final
+simplex multipliers and the reduced costs of every column, surplus
+columns included, so callers can verify optimality themselves.
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ import numpy as np
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 DEFAULT_MAX_ITERS = 10_000
+REFACTOR_EVERY = 50
+BLAND_AFTER = 50
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -67,12 +79,17 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """`duals` has one entry per row (equality rows first, then >= rows);
+    `reduced_costs` one per column of x followed by one per surplus column
+    of a >= row.  At an optimum every reduced cost is <= 0."""
+
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None
     dual_objective: float | None = None
     iterations: int = 0
+    reduced_costs: np.ndarray | None = None
 
     @property
     def duality_gap(self) -> float | None:
@@ -81,45 +98,63 @@ class LpSolution:
         return abs(self.objective - self.dual_objective)
 
 
-def _bland_step(tab: np.ndarray, basis: list[int], costs: np.ndarray) -> int | None:
-    """One pivot; returns entering column, None at optimum, -1 if unbounded."""
-    n = tab.shape[1] - 1
-    cb = costs[basis]
-    reduced = costs[:n] - cb @ tab[:, :n]
-    improving = np.flatnonzero(reduced > PIVOT_TOL)
-    if not improving.size:
-        return None
-    entering = int(improving[0])
-    column = tab[:, entering]
-    rows = np.flatnonzero(column > PIVOT_TOL)
-    ratios = tab[rows, -1] / column[rows]
-    best_row, best_ratio = -1, np.inf
-    # Bland tie-break, in row order: smallest basis index leaves.  The
-    # tolerance makes the winner depend on the scan order, so no argmin.
-    for i, ratio in zip(rows.tolist(), ratios.tolist()):
-        if ratio < best_ratio - PIVOT_TOL or (
-                abs(ratio - best_ratio) <= PIVOT_TOL
-                and (best_row < 0 or basis[i] < basis[best_row])):
-            best_row, best_ratio = i, ratio
-    if best_row < 0:
-        return -1
-    _pivot(tab, best_row, entering)
-    basis[best_row] = entering
-    return entering
+class _Basis:
+    """The basic columns of `a` and their inverse, kept by eta updates."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, columns: list[int]):
+        self.a, self.b, self.columns = a, b, columns
+        self.refactor()
+
+    def refactor(self) -> None:
+        self.inverse = np.linalg.inv(self.a[:, self.columns])
+        self.pivots = 0
+
+    def values(self) -> np.ndarray:
+        x = self.inverse @ self.b
+        x[np.abs(x) <= FEAS_TOL] = 0.0
+        return x
+
+    def pivot(self, row: int, col: int, d: np.ndarray) -> None:
+        """Column `col`, whose basic representation is `d`, replaces the
+        basic variable of `row`."""
+        self.columns[row] = col
+        self.pivots += 1
+        if self.pivots >= REFACTOR_EVERY:
+            self.refactor()
+            return
+        pivot_row = self.inverse[row] / d[row]
+        self.inverse -= np.outer(d, pivot_row)
+        self.inverse[row] = pivot_row
 
 
-def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    """Eliminate `col` from every row but `row`, as one rank-1 update.
-
-    Rows whose entry in `col` is zero are masked out, as a per-row
-    elimination skips them: subtracting 0 * pivot row would turn their
-    -0.0 entries into 0.0 and an infinite pivot-row entry into nan.
-    """
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    np.subtract(tab, factors[:, None] * tab[row], out=tab,
-                where=(factors != 0.0)[:, None])
+def _optimize(basis: _Basis, costs: np.ndarray, iterations: int,
+              max_iters: int) -> tuple[str | None, int]:
+    """Pivot to an optimum of `costs`; returns (None, iterations) there,
+    else (UNBOUNDED or ITERATION_LIMIT, iterations)."""
+    degenerate = 0
+    while iterations < max_iters:
+        iterations += 1
+        reduced = costs - (costs[basis.columns] @ basis.inverse) @ basis.a
+        reduced[basis.columns] = 0.0
+        improving = np.flatnonzero(reduced > PIVOT_TOL)
+        if not improving.size:
+            return None, iterations
+        bland = degenerate >= BLAND_AFTER
+        entering = int(improving[0] if bland else np.argmax(reduced))
+        d = basis.inverse @ basis.a[:, entering]
+        rows = np.flatnonzero(d > PIVOT_TOL)
+        if not rows.size:
+            return UNBOUNDED, iterations
+        ratios = basis.values()[rows] / d[rows]
+        theta = ratios.min()
+        ties = rows[ratios <= theta + PIVOT_TOL]
+        if bland:
+            leaving = int(ties[np.argmin(np.take(basis.columns, ties))])
+        else:
+            leaving = int(ties[np.argmax(d[ties])])
+        degenerate = degenerate + 1 if theta == 0.0 else 0
+        basis.pivot(leaving, entering, d)
+    return ITERATION_LIMIT, iterations
 
 
 def solve(lp: LinearProgram, max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:
@@ -138,76 +173,59 @@ def solve(lp: LinearProgram, max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:
         A[m_eq:, :n_x] = lp.ge_lhs
         A[m_eq:, n_x:] = -np.eye(m_ge)
         b[m_eq:] = lp.ge_rhs
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    sign = np.where(b < 0, -1.0, 1.0)
+    A *= sign[:, None]
+    b *= sign
 
     # Phase 1: artificial basis, minimize the artificial mass.
-    tab = np.hstack([A, np.eye(m), b.reshape(-1, 1)])
-    basis = list(range(n_total, n_total + m))
+    basis = _Basis(np.hstack([A, np.eye(m)]), b,
+                   list(range(n_total, n_total + m)))
     phase1_costs = np.zeros(n_total + m)
     phase1_costs[n_total:] = -1.0
-
-    iterations = 0
-    while iterations < max_iters:
-        step = _bland_step(tab, basis, phase1_costs)
-        iterations += 1
-        if step is None:
-            break
-        if step == -1:  # cannot happen in phase 1 (bounded below by 0)
-            return LpSolution(INFEASIBLE, iterations=iterations)
-    else:
+    status, iterations = _optimize(basis, phase1_costs, 0, max_iters)
+    if status == ITERATION_LIMIT:
         return LpSolution(ITERATION_LIMIT, iterations=iterations)
-
-    artificial_mass = -float(phase1_costs[basis] @ tab[:, -1])
+    if status is not None:  # cannot happen in phase 1 (bounded below by 0)
+        return LpSolution(INFEASIBLE, iterations=iterations)
+    artificial_mass = -float(phase1_costs[basis.columns] @ basis.values())
     if artificial_mass > FEAS_TOL:
         return LpSolution(INFEASIBLE, iterations=iterations)
 
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    keep_rows = []
+    # Drive remaining artificials out of the basis.  A row of the basis
+    # inverse times A that is zero everywhere shows the artificial's own
+    # constraint row to be a combination of the others: drop that row.
+    # "Zero" is relative to the column's largest entry in that product, as
+    # rounding noise grows with it.
+    dropped = []
     for i in range(m):
-        if basis[i] >= n_total:
-            pivot_col = next((j for j in range(n_total)
-                              if abs(tab[i, j]) > PIVOT_TOL), None)
-            if pivot_col is None:
-                continue  # redundant constraint row
-            _pivot(tab, i, pivot_col)
-            basis[i] = pivot_col
-        keep_rows.append(i)
-    tab = np.hstack([tab[np.ix_(keep_rows, list(range(n_total)))],
-                     tab[keep_rows, -1:].reshape(len(keep_rows), 1)])
-    basis = [basis[i] for i in keep_rows]
-    A = A[keep_rows]
-    b = b[keep_rows]
+        if basis.columns[i] < n_total:
+            continue
+        for col in np.flatnonzero(np.abs(basis.inverse[i] @ A) > PIVOT_TOL):
+            d = basis.inverse @ A[:, col]
+            if abs(d[i]) > PIVOT_TOL * max(1.0, np.abs(d).max()):
+                basis.pivot(i, int(col), d)
+                break
+        else:
+            dropped.append(i)
+    redundant = {basis.columns[i] - n_total for i in dropped}
+    rows = [r for r in range(m) if r not in redundant]
+    columns = [c for i, c in enumerate(basis.columns) if i not in dropped]
 
     costs = np.zeros(n_total)
     costs[:n_x] = lp.objective
-    while iterations < max_iters:
-        step = _bland_step(tab, basis, costs)
-        iterations += 1
-        if step is None:
-            break
-        if step == -1:
-            return LpSolution(UNBOUNDED, iterations=iterations)
-    else:
-        return LpSolution(ITERATION_LIMIT, iterations=iterations)
+    basis = _Basis(A[rows], b[rows], columns)
+    status, iterations = _optimize(basis, costs, iterations, max_iters)
+    if status is not None:
+        return LpSolution(status, iterations=iterations)
 
+    basis.refactor()
     x_full = np.zeros(n_total)
-    for i, var in enumerate(basis):
-        x_full[var] = tab[i, -1]
+    x_full[basis.columns] = basis.values()
     x = x_full[:n_x]
-    objective = float(lp.objective @ x)
-
-    # Multipliers from the final basis: y solves B'y = c_B.
-    duals = None
-    dual_objective = None
-    if basis:
-        B = A[:, basis]
-        try:
-            y = np.linalg.solve(B.T, costs[basis])
-            duals = y
-            dual_objective = float(y @ b)
-        except np.linalg.LinAlgError:
-            pass
-    return LpSolution(OPTIMAL, x=x, objective=objective, duals=duals,
-                      dual_objective=dual_objective, iterations=iterations)
+    y = costs[basis.columns] @ basis.inverse
+    reduced = costs - y @ basis.a
+    duals = np.zeros(m)
+    duals[rows] = y * sign[rows]
+    return LpSolution(OPTIMAL, x=x, objective=float(lp.objective @ x),
+                      duals=duals, dual_objective=float(y @ basis.b),
+                      iterations=iterations, reduced_costs=reduced)

@@ -52,6 +52,10 @@ class Section:
         except ValueError as exc:
             raise ParseError(f"[{self.kind} {self.name}]: bad integer for {key!r}: {raw!r}") from exc
 
+    def require_int(self, key: str) -> int:
+        self.require(key)
+        return self.get_int(key)
+
     def get_bool(self, key: str, default: bool = False) -> bool:
         raw = self.values.get(key)
         if raw is None:

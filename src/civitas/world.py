@@ -48,12 +48,15 @@ class RoadSegment:
     turns: tuple[str, ...] | None = None  # allowed next segments; None = all non-U-turns
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"segment {self.id}: length must be > 0")
-        if self.free_flow_speed <= 0:
-            raise ValueError(f"segment {self.id}: speed must be > 0")
+        where = f"[segment {self.id}]"
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"{where} length: must be a finite number > 0,"
+                             f" got {self.length:g}")
+        if not 0 < self.free_flow_speed < math.inf:
+            raise ValueError(f"{where} speed: must be a finite number > 0,"
+                             f" got {self.free_flow_speed:g}")
         if self.capacity < 1:
-            raise ValueError(f"segment {self.id}: capacity must be >= 1")
+            raise ValueError(f"{where} capacity: must be >= 1, got {self.capacity}")
 
     @property
     def travel_time(self) -> float:
@@ -228,11 +231,14 @@ def load_network(text: str) -> StreetNetwork:
         elif sec.kind == "segment":
             approach = sec.get_int("approach")
             turns = tuple(sec.get_list("turns")) if "turns" in sec.values else None
-            segments.append(RoadSegment(
-                sec.name, sec.require("from"), sec.require("to"),
-                sec.require_float("length"), sec.require_float("speed"),
-                sec.get_int("capacity", 20), sec.get_bool("shared"),
-                approach, sec.get_bool("entry"), sec.get_bool("exit"), turns))
+            fields = (sec.require("from"), sec.require("to"),
+                      sec.require_float("length"), sec.require_float("speed"),
+                      sec.get_int("capacity", 20), sec.get_bool("shared"),
+                      approach, sec.get_bool("entry"), sec.get_bool("exit"), turns)
+            try:
+                segments.append(RoadSegment(sec.name, *fields))
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
         elif sec.kind == "zone":
             zones.append(Zone(sec.name, frozenset(sec.get_list("members"))))
         elif sec.kind == "signal":

@@ -118,6 +118,21 @@ MALFORMED_VALUES = [
      "[site c1] thresholds"),
     ("schedule", "twin.ctg", "direction = 1", "direction = 3",
      "[task T2] direction"),
+    ("simulate", "twin.network", "length = 120", "length = -5",
+     "[segment s1] length"),
+    ("simulate", "twin.network", "length = 120", "length = nan",
+     "[segment s1] length"),
+    ("simulate", "twin.network", "speed = 10", "speed = 0", "[segment s1] speed"),
+    ("simulate", "twin.network", "capacity = 30", "capacity = 0",
+     "[segment s1] capacity"),
+    ("schedule", "twin.ctg", "thresholds = 6", "thresholds = nan",
+     "[site c1] thresholds"),
+    ("classify", "city.registry", "level = 4\n", "",
+     "[module tcu]: missing key 'level'"),
+    ("classify", "city.registry", "role = goal-setting", "role = capability-report",
+     "[link l1]: capability report must step one level up"),
+    ("classify", "city.registry", "src = tcu.area_goals", "src = nobody.area_goals",
+     "[link l1]: unknown module 'nobody'"),
 ]
 
 

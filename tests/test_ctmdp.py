@@ -1,12 +1,18 @@
+import copy
 import itertools
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from civitas import ctg as ctgmod
-from civitas.ctmdp import (CtmdpSolution, ShiftLog, build_lp, extract_policy,
-                           from_schedule_tables, make_ctmdp, model_from_csv,
-                           model_to_csv, solution_to_csv, solve_model)
+from civitas import simplex
+from civitas.ctmdp import (DUALITY_TOL, CtmdpSolution, ShiftLog,
+                           SolutionInvariantError, build_lp, check_optimality,
+                           extract_policy, from_schedule_tables, make_ctmdp,
+                           model_from_csv, model_to_csv, solution_to_csv,
+                           solve_model)
 
 
 def random_model(rng, S, A, restrict=True):
@@ -211,6 +217,83 @@ class TestSolve:
         value = sum(m.rewards[1, m.states.index(s), m.actions.index(a)] * x
                     for (s, a), x in sol.occupation.items())
         assert value >= bound - 1e-9
+
+    def test_transient_states_get_exactly_zero(self):
+        """Loop-shaped models (one action) whose first states nothing flows
+        into: their occupation is exactly 0, not a rounding residue, as
+        `fgraph.attach` keeps every state with positive mass."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            S = int(rng.integers(3, 9))
+            transient = int(rng.integers(1, S))
+            q = rng.uniform(0.1, 2.0, size=(S, S, 1))
+            q[:, :transient, 0] = 0.0
+            rewards = rng.uniform(0.0, 10.0, size=(S, 1))
+            m = make_ctmdp(tuple(f"s{i}" for i in range(S)), ("default",), q, rewards)
+            sol = solve_model(m)
+            assert all(sol.occupation[(f"s{i}", "default")] == 0.0
+                       for i in range(transient))
+
+
+def one_pivot_short():
+    """A stand-in for `simplex._optimize` whose phase 2 stops one pivot
+    before its optimum and reports that basis as optimal."""
+    optimize = simplex._optimize
+
+    def short(basis, costs, iterations, max_iters):
+        if iterations == 0:  # phase 1 runs to its end
+            return optimize(basis, costs, iterations, max_iters)
+        _, end = optimize(copy.deepcopy(basis), costs, iterations, max_iters)
+        pivots = end - iterations - 1  # the last iteration only prices
+        assert pivots > 1, "the LP must need more than one phase-2 pivot"
+        status, end = optimize(basis, costs, iterations, iterations + pivots - 1)
+        assert status == simplex.ITERATION_LIMIT
+        return None, end
+
+    return short
+
+
+class TestOptimalityCheck:
+    def test_fires_one_pivot_short(self):
+        m = random_model(np.random.default_rng(13), 6, 3)  # 5 phase-2 pivots
+        solve_model(m)  # the full solve passes the check
+        with mock.patch.object(simplex, "_optimize", one_pivot_short()):
+            sol = simplex.solve(build_lp(m))
+            assert sol.status == simplex.OPTIMAL
+            assert sol.duality_gap <= DUALITY_TOL  # the gap cannot tell
+            with pytest.raises(SolutionInvariantError, match="reduced cost"):
+                solve_model(m)
+
+    # max x1 subject to x1 + x2 = 1: optimum x = (1, 0), y = 1, r = (0, -1).
+    LP = simplex.LinearProgram.build([1.0, 0.0], eq=[([1.0, 1.0], 1.0)])
+
+    def test_accepts_the_optimum(self):
+        sol = simplex.solve(self.LP)
+        assert sol.reduced_costs == pytest.approx([0.0, -1.0])
+        check_optimality(self.LP, sol)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"x": np.array([1.0, 0.5])}, "primal residual"),
+        ({"x": np.array([1.5, -0.5])}, "negative occupation"),
+        ({"reduced_costs": np.array([0.0, 1.0])}, "do not match"),
+        ({"duals": np.array([0.0]), "reduced_costs": np.array([1.0, 0.0])},
+         "reduced cost 1.0 > 0"),
+        ({"x": np.array([0.0, 1.0])}, "complementary slackness"),
+    ])
+    def test_fires_on_each_condition(self, change, message):
+        sol = replace(simplex.solve(self.LP), **change)
+        with pytest.raises(SolutionInvariantError, match=message):
+            check_optimality(self.LP, sol)
+
+    def test_surplus_columns_are_priced(self):
+        # max -x subject to x >= 1: the surplus column's reduced cost is y.
+        lp = simplex.LinearProgram.build([-1.0], ge=[([1.0], 1.0)])
+        sol = simplex.solve(lp)
+        assert sol.reduced_costs == pytest.approx([0.0, -1.0])
+        wrong_sign = replace(sol, duals=-sol.duals,
+                             reduced_costs=np.array([-2.0, 1.0]))
+        with pytest.raises(SolutionInvariantError, match="reduced cost 1.0 > 0"):
+            check_optimality(lp, wrong_sign)
 
 
 class TestPolicy:

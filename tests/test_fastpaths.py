@@ -3,16 +3,22 @@
 Each oracle below is the earlier, direct implementation: the layout scan
 of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
 networkx connectivity check, per-exit `has_path` reachability and
-`shortest_path` routes of the network and `make_world`, the per-row simplex
-pivot and ratio test, the `itertools.product` enumeration of
+`shortest_path` routes of the network and `make_world`, the dense Bland
+tableau of the simplex, the `itertools.product` enumeration of
 `fgraph.evaluate` and the sampled per-point loop of `fuzzy.surface`.  The
 fast paths must agree with them exactly, not approximately: every
 artifact is byte-identical across the change, so floats are compared by
-their bytes or with `==`.  The one exception is the fuzzy centroid: its
-closed form adds at most three terms where the sampled one adds a whole
-output universe, so the two may differ in the last bits (`CENTROID_ULPS`).
+their bytes or with `==`.  There are two exceptions.  The fuzzy
+centroid's closed form adds at most three terms where the sampled one
+adds a whole output universe, so the two may differ in the last bits
+(`CENTROID_ULPS`).  The revised simplex takes other pivots than the
+tableau, so the two are compared by status and objective; HiGHS is a
+second oracle.
 """
 
+import csv
+import importlib.util
+import io
 import itertools
 import math
 import os
@@ -28,6 +34,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import civitas
 from civitas import cli, fgraph, fuzzy, simplex
+from civitas import ctg as ctgmod
+from civitas import ctmdp as ctmdpmod
 from civitas import world as w
 from civitas.ctmdp import build_lp, make_ctmdp
 from civitas.fsm import CYCLIC_ORDER, SignalFsm, SignalState
@@ -415,6 +423,12 @@ def test_import_leaves_networkx_out():
 
 
 # ---------------------------------------------------------------- simplex
+#
+# The dense Bland tableau the revised simplex replaced, with its per-row
+# pivot and ratio test, is the objective oracle on the LPs where it returns
+# a feasible "optimal" point.  HiGHS (scipy) is the second oracle, and the
+# only one on the ladder LPs, where the tableau drifts (32x2) or runs out
+# of iterations (64x2).
 
 def loop_pivot(tab, row, col):
     tab[row] /= tab[row, col]
@@ -424,6 +438,8 @@ def loop_pivot(tab, row, col):
 
 
 def loop_bland_step(tab, basis, costs):
+    """One Bland pivot; returns the entering column, None at the optimum,
+    -1 if unbounded."""
     m, width = tab.shape
     n = width - 1
     cb = costs[basis]
@@ -451,81 +467,105 @@ def loop_bland_step(tab, basis, costs):
     return entering
 
 
-def solve_by_loops(lp, **kwargs):
-    with mock.patch.object(simplex, "_bland_step", loop_bland_step), \
-            mock.patch.object(simplex, "_pivot", loop_pivot):
-        return simplex.solve(lp, **kwargs)
+def tableau_solve(lp):
+    """The dense two-phase Bland tableau; returns (status, x)."""
+    n_x = len(lp.objective)
+    m_eq, m_ge = lp.eq_lhs.shape[0], lp.ge_lhs.shape[0]
+    m, n_total = m_eq + m_ge, n_x + m_ge
+    A = np.zeros((m, n_total))
+    A[:m_eq, :n_x] = lp.eq_lhs
+    A[m_eq:, :n_x] = lp.ge_lhs
+    A[m_eq:, n_x:] = -np.eye(m_ge)
+    b = np.concatenate([lp.eq_rhs, lp.ge_rhs])
+    A[b < 0] *= -1.0
+    b = np.abs(b)
+    tab = np.hstack([A, np.eye(m), b.reshape(-1, 1)])
+    basis = list(range(n_total, n_total + m))
+    phase1_costs = np.zeros(n_total + m)
+    phase1_costs[n_total:] = -1.0
+    iterations = 0
+    while (step := loop_bland_step(tab, basis, phase1_costs)) is not None:
+        iterations += 1
+        if step == -1:  # cannot happen in phase 1 (bounded below by 0)
+            return simplex.INFEASIBLE, None
+        if iterations >= simplex.DEFAULT_MAX_ITERS:
+            return simplex.ITERATION_LIMIT, None
+    if -phase1_costs[basis] @ tab[:, -1] > simplex.FEAS_TOL:
+        return simplex.INFEASIBLE, None
+    keep = []
+    for i in range(m):
+        if basis[i] >= n_total:
+            col = next((j for j in range(n_total)
+                        if abs(tab[i, j]) > simplex.PIVOT_TOL), None)
+            if col is None:
+                continue  # redundant row
+            loop_pivot(tab, i, col)
+            basis[i] = col
+        keep.append(i)
+    tab = np.hstack([tab[np.ix_(keep, range(n_total))], tab[keep, -1:]])
+    basis = [basis[i] for i in keep]
+    costs = np.zeros(n_total)
+    costs[:n_x] = lp.objective
+    while (step := loop_bland_step(tab, basis, costs)) is not None:
+        iterations += 1
+        if step == -1:
+            return simplex.UNBOUNDED, None
+        if iterations >= simplex.DEFAULT_MAX_ITERS:
+            return simplex.ITERATION_LIMIT, None
+    x = np.zeros(n_total)
+    x[basis] = tab[:, -1]
+    return simplex.OPTIMAL, x[:n_x]
 
 
-def same_bytes(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def tableau_optimum(lp):
+    """The tableau's objective where it returns "optimal" at a point that
+    satisfies the constraints, else None.  On larger LPs its pivots drift
+    off the feasible set and it reports a wrong optimum: that point is no
+    oracle."""
+    with np.errstate(all="ignore"):
+        status, x = tableau_solve(lp)
+    if status != simplex.OPTIMAL:
+        return None
+    if np.any(np.abs(lp.eq_lhs @ x - lp.eq_rhs) > simplex.FEAS_TOL) or np.any(
+            lp.ge_lhs @ x - lp.ge_rhs < -simplex.FEAS_TOL):
+        return None
+    return float(lp.objective @ x)
 
 
-def assert_same_solution(got, want):
-    assert got.status == want.status
-    assert got.iterations == want.iterations
-    assert same_bytes(got.x, want.x)
-    assert same_bytes(got.duals, want.duals)
-    assert got.objective == want.objective
-    assert got.dual_objective == want.dual_objective
+HIGHS_STATUS = {0: simplex.OPTIMAL, 2: simplex.INFEASIBLE, 3: simplex.UNBOUNDED}
 
 
-# Small integers make zero entries, ratio ties and degenerate pivots common;
-# the signed zeros and arbitrary floats cover the rest.
-cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-11]),
-                  st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+def highs_solve(lp):
+    """Status and objective from scipy's HiGHS; skips without scipy."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n = len(lp.objective)
+    res = optimize.linprog(
+        -lp.objective, A_eq=lp.eq_lhs if lp.eq_lhs.size else None,
+        b_eq=lp.eq_rhs if lp.eq_lhs.size else None,
+        A_ub=-lp.ge_lhs if lp.ge_lhs.size else None,
+        b_ub=-lp.ge_rhs if lp.ge_lhs.size else None,
+        bounds=[(0, None)] * n, method="highs",
+        # HiGHS's presolve reports some unbounded LPs as infeasible.
+        options={"presolve": False})
+    status = HIGHS_STATUS[res.status]
+    return status, (float(-res.fun) if status == simplex.OPTIMAL else None)
 
 
-@st.composite
-def tableaux(draw):
-    m = draw(st.integers(1, 6))
-    width = draw(st.integers(m + 2, m + 8))
-    return np.array(draw(st.lists(cells, min_size=m * width,
-                                  max_size=m * width))).reshape(m, width)
-
-
-class TestSimplexKernels:
-    @settings(max_examples=200)
-    @given(tableaux(), st.data())
-    def test_pivot_matches_row_loop(self, tab, data):
-        row = data.draw(st.integers(0, tab.shape[0] - 1))
-        col = data.draw(st.integers(0, tab.shape[1] - 1))
-        assume(tab[row, col] != 0.0)
-        if data.draw(st.booleans()):  # infinite pivot-row entries
-            tab[row, data.draw(st.integers(0, tab.shape[1] - 1))] = data.draw(
-                st.sampled_from([math.inf, -math.inf]))
-            assume(math.isfinite(tab[row, col]))
-        got, want = tab.copy(), tab.copy()
-        with np.errstate(all="ignore"):
-            simplex._pivot(got, row, col)
-            loop_pivot(want, row, col)
-        assert same_bytes(got, want)
-
-    @settings(max_examples=200)
-    @given(tableaux(), st.data())
-    def test_bland_step_matches_row_loop(self, tab, data):
-        m, width = tab.shape
-        basis = data.draw(st.permutations(range(width - 1)))[:m]
-        costs = np.array(data.draw(st.lists(cells, min_size=width - 1,
-                                            max_size=width - 1)))
-        got_tab, want_tab = tab.copy(), tab.copy()
-        got_basis, want_basis = list(basis), list(basis)
-        with np.errstate(all="ignore"):
-            got = simplex._bland_step(got_tab, got_basis, costs)
-            want = loop_bland_step(want_tab, want_basis, costs)
-        assert got == want
-        assert got_basis == want_basis
-        assert same_bytes(got_tab, want_tab)
+def assert_same_optimum(got, status, objective):
+    assert got.status == status
+    if status == simplex.OPTIMAL:
+        assert got.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
 coefs = st.one_of(st.integers(-3, 3).map(float),
                   st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+# Quarters keep HiGHS's tolerances (1e-7) and the solver's (1e-10, 1e-9)
+# from judging a coefficient such as 1e-9 differently.
+quarters = st.integers(-20, 20).map(lambda k: k / 4)
 
 
 @st.composite
-def dense_lps(draw):
+def dense_lps(draw, coefs=coefs):
     """Equality and >= rows, negative right-hand sides, redundant rows."""
     n = draw(st.integers(1, 6))
 
@@ -556,21 +596,89 @@ def ctmdp_lp(seed, states, actions):
                                tuple(f"a{a}" for a in range(actions)), q, rewards))
 
 
+def ladder_models():
+    """The benchmark's CTMDP ladder (16x3, 32x2, 32x3, 64x2), generated by
+    `perfbench/gen.py` from `LADDER_SEED` as the `offline_plan` workload
+    generates it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = np.random.default_rng(gen.LADDER_SEED)
+    ctgs, models = {}, {}
+    for sites, actions in gen.CTMDP_LADDER:
+        if sites not in ctgs:
+            ctgs[sites] = ctgmod.build_table(ctgmod.load_ctg(gen.ctg_text(sites, rng)))
+        log = ctmdpmod.ShiftLog()
+        for row in csv.DictReader(io.StringIO(gen.shift_log(sites, actions, rng))):
+            log.record(row["state"], row["action"], float(row["dwell"]),
+                       row["next"] or None)
+        models[f"{2 ** sites}x{actions}"] = ctmdpmod.from_schedule_tables(
+            [ctgs[sites]], log)
+    return models
+
+
+LADDER_MAX_PIVOTS = 500
+
+
 class TestSimplexSolve:
     @settings(max_examples=200, deadline=None)
+    @given(dense_lps(quarters))
+    def test_random_lps_match_tableau(self, lp):
+        objective = tableau_optimum(lp)
+        if objective is not None:
+            assert_same_optimum(simplex.solve(lp), simplex.OPTIMAL, objective)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_lps(quarters))
+    def test_random_lps_match_highs(self, lp):
+        assert_same_optimum(simplex.solve(lp), *highs_solve(lp))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_lps(quarters))
+    def test_bland_rule_matches_highs(self, lp):
+        """Bland's rule from the first pivot, as after a run of degenerate
+        pivots."""
+        with mock.patch.object(simplex, "BLAND_AFTER", 0):
+            got = simplex.solve(lp)
+        assert_same_optimum(got, *highs_solve(lp))
+
+    @settings(max_examples=200, deadline=None)
     @given(dense_lps(), st.sampled_from([simplex.DEFAULT_MAX_ITERS, 1, 3]))
-    def test_random_lps_match_row_loops(self, lp, max_iters):
+    def test_any_lp_gets_a_status(self, lp, max_iters):
+        """Tiny and badly scaled coefficients too: no exception, and the
+        budget is kept."""
         with np.errstate(all="ignore"):
             got = simplex.solve(lp, max_iters=max_iters)
-            want = solve_by_loops(lp, max_iters=max_iters)
-        assert_same_solution(got, want)
+        assert got.iterations <= max_iters
+        assert got.status in (simplex.OPTIMAL, simplex.INFEASIBLE,
+                              simplex.UNBOUNDED, simplex.ITERATION_LIMIT)
+        assert (got.status == simplex.OPTIMAL) == (got.x is not None)
 
     @pytest.mark.parametrize("seed,states,actions", [(0, 6, 2), (1, 9, 3), (2, 14, 2)])
-    def test_ctmdp_lps_match_row_loops(self, seed, states, actions):
+    def test_ctmdp_lps_match_tableau(self, seed, states, actions):
         lp = ctmdp_lp(seed, states, actions)
-        got, want = simplex.solve(lp), solve_by_loops(lp)
-        assert got.status == "optimal" and got.iterations > states
-        assert_same_solution(got, want)
+        assert_same_optimum(simplex.solve(lp), simplex.OPTIMAL, tableau_optimum(lp))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14), st.integers(1, 3))
+    def test_ctmdp_lps_match_highs(self, seed, states, actions):
+        lp = ctmdp_lp(seed, states, actions)
+        got = simplex.solve(lp)
+        assert_same_optimum(got, *highs_solve(lp))
+        ctmdpmod.check_optimality(lp, got)
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        return ladder_models()
+
+    @pytest.mark.parametrize("rung", ["16x3", "32x2", "32x3", "64x2"])
+    def test_ladder_matches_highs(self, ladder, rung):
+        lp = build_lp(ladder[rung])
+        got = simplex.solve(lp)
+        assert_same_optimum(got, *highs_solve(lp))
+        assert got.iterations <= LADDER_MAX_PIVOTS
+        assert ctmdpmod.solve_model(ladder[rung]).objective == got.objective
 
 
 # ----------------------------------------------------------------- fgraph

@@ -69,6 +69,21 @@ class TestBasics:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
+    def test_redundant_row_behind_a_tiny_pivot(self):
+        # Row 3 = row 1 - 2 * row 2.  Phase 1 pivots on the 1e-6 entry, so
+        # the redundant row's entries carry rounding noise of about 1e-10;
+        # pivoting on that noise would leave a singular basis.
+        lp = LinearProgram.build(
+            [0.0] * 6,
+            eq=[([-1.0, 0.0, 1.0, 3.0, 0.0, 0.0], 0.0),
+                ([2.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+                ([-5.0, 0.0, 1.0, 3.0, 0.0, 0.0], -2.0)],
+            ge=[([0.0] * 6, 0.0), ([0.0] * 6, 0.0),
+                ([0.0, 0.0, 1e-6, 0.0, 0.0, 0.0], 0.0)])
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(0.5)
+
     def test_negative_rhs_rows(self):
         # x1 - x2 = -1, x1 + x2 = 3 -> x = (1, 2)
         lp = LinearProgram.build([1.0, 0.0],
