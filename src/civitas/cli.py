@@ -2,8 +2,10 @@
 
 Every command reads structured-text inputs, writes CSV and event-log
 artifacts into the output directory, and is byte-reproducible given the
-same inputs and seed.  Exit codes: 0 success, 1 usage/config error, 2
-runtime failure.
+same inputs and seed.  A command runs in two phases: reading and building
+its inputs (flags, files, the world with its arrivals, the schedule table),
+then the run.  Any error in the first phase exits 1, any error in the
+second exits 2, and success exits 0.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import csv
 import io
 import logging
 import math
+import operator
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +33,7 @@ from . import hierarchy as hiermod
 from . import metrics as metricsmod
 from . import registry as regmod
 from . import world as worldmod
-from .textfmt import ParseError, parse_sections
+from .textfmt import ParseError, finite, integer, parse_sections
 
 logger = logging.getLogger("civitas")
 
@@ -43,13 +47,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _read_file(path: str, what: str) -> str:
-    if not path:
-        raise ConfigError(f"missing required {what} file")
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} file not found: {path}")
-    with open(path) as fh:
-        return fh.read()
+@contextmanager
+def _naming(what: str):
+    """Name `what` in any ValueError, KeyError or OSError the body raises."""
+    try:
+        yield
+    except (ValueError, KeyError, OSError) as exc:
+        reason = (exc.strerror or exc) if isinstance(exc, OSError) else (
+            exc.args[0] if isinstance(exc, KeyError) else exc)
+        raise ConfigError(f"{what}: {reason}") from exc
+
+
+def _load(path: str, what: str, parse):
+    """`parse` applied to the text of the `what` file at `path`."""
+    with _naming(f"{what} {path}"), open(path, encoding="utf-8") as fh:
+        return parse(fh.read())
 
 
 def _write(path: str, content: str) -> None:
@@ -73,6 +85,12 @@ class RunConfig:
     deadline: float | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("--seed must be >= 0")
+        if self.target is not None and self.target < 0:
+            raise ConfigError("--target must be >= 0")
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            raise ConfigError("--deadline must be a finite number > 0")
         if not 0 < self.horizon < math.inf:
             raise ConfigError("--horizon must be a finite number > 0")
         if not 0 < self.dt < math.inf:
@@ -177,31 +195,39 @@ def _drain_engine_events(engine: hiermod.HierarchyEngine,
         ctrl.events.clear()
 
 
-def run_simulation(cfg: RunConfig) -> dict:
+def load_simulation(cfg: RunConfig) -> tuple:
+    """The inputs of a run: the phase of `simulate` whose errors exit 1."""
+    net = _load(cfg.network, "network", worldmod.load_network)
+    demand = _load(cfg.demand, "demand", worldmod.load_demand)
+    with _naming(f"network {cfg.network} with demand {cfg.demand}"):
+        world = worldmod.make_world(net, demand, cfg.horizon, cfg.seed)
+    ctg = table = registry = None
+    if cfg.mode == "hierarchical":
+        ctg = _load(cfg.ctg, "ctg", ctgmod.load_ctg)
+        with _naming(f"ctg {cfg.ctg}"):
+            for site in ctg.sites:
+                if site.segment not in {s.id for s in net.segments}:
+                    raise ValueError(f"[site {site.id}] segment: {site.segment!r} is"
+                                     f" not a segment of network {cfg.network}")
+            table = ctgmod.build_table(ctg)
+    if cfg.registry:
+        registry = _load(cfg.registry, "registry", regmod.load_registry)
+    return net, world, ctg, table, registry
+
+
+def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     os.makedirs(cfg.out, exist_ok=True)
-    net = worldmod.load_network(_read_file(cfg.network, "network"))
-    demand = worldmod.load_demand(_read_file(cfg.demand, "demand"))
-    world = worldmod.make_world(net, demand, cfg.horizon, cfg.seed)
+    net, world, ctg, table, registry = inputs or load_simulation(cfg)
     controllers = _build_controllers(net)
 
     engine = None
     estimators: list[ctgmod.RunningMedianThreshold] = []
     shift_log = ctmdpmod.ShiftLog()
-    table = None
     zone = None
     reports: list[tuple[float, hiermod.ReconcileReport]] = []
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
 
     if cfg.mode == "hierarchical":
-        ctg = ctgmod.load_ctg(_read_file(cfg.ctg, "ctg"))
-        for site in ctg.sites:
-            if not site.segment:
-                raise ConfigError(f"site {site.id} names no observed segment")
-            try:
-                net.segment(site.segment)
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
-        table = ctgmod.build_table(ctg)
         itus = tuple(sorted(controllers))
         initial = tuple(s.labels[0] for s in ctg.sites)
         zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
@@ -213,16 +239,17 @@ def run_simulation(cfg: RunConfig) -> dict:
         target = cfg.target if cfg.target is not None else int(capability)
         deadline = cfg.deadline if cfg.deadline is not None else cycle
         top = hiermod.GlobalUnit("tcu", fg, target, deadline, ("area",))
-        registry = _runtime_registry("tcu", "area", zone.id, itus)
         engine = hiermod.HierarchyEngine(top, {"area": area}, {zone.id: zone},
-                                         controllers, registry)
+                                         controllers,
+                                         _runtime_registry("tcu", "area", zone.id, itus))
         estimators = [ctgmod.RunningMedianThreshold(s) for s in ctg.sites]
         reports.append((0.0, engine.reconcile(at=0.0)))
         _drain_engine_events(engine, world)
         controllers = engine.controllers
 
     ticks = int(round(cfg.horizon / cfg.dt))
-    epoch_every = max(1, int(round(cycle / cfg.dt)))
+    # a cycle longer than the horizon has no epoch (and may not fit an int)
+    epoch_every = max(1, int(round(min(cycle / cfg.dt, ticks + 1))))
     epoch_count = 0
     prev_state_name = None
     early = [] if engine else [n for n, c in controllers.items() if c.early_switch]
@@ -259,10 +286,9 @@ def run_simulation(cfg: RunConfig) -> dict:
             reports.append((t, report))
             _drain_engine_events(engine, world)
 
-    if cfg.registry:
-        reg = regmod.load_registry(_read_file(cfg.registry, "registry"))
+    if registry is not None:
         _write(os.path.join(cfg.out, "interactions.csv"),
-               regmod.classification_report(reg))
+               regmod.classification_report(registry))
     if engine is not None:
         alloc = fgmod.distribute_goals(engine.top.fg, engine.top.target,
                                        engine.top.deadline)
@@ -296,121 +322,110 @@ def run_simulation(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg = RunConfig(args.network, args.demand, args.ctg, args.registry,
                     args.horizon, args.seed, args.out, args.mode, args.dt,
                     args.target, args.deadline)
-    run_simulation(cfg)
-    return 0
+    inputs = load_simulation(cfg)
+    return lambda: run_simulation(cfg, inputs)
 
 
-def cmd_schedule(args) -> int:
-    ctg = ctgmod.load_ctg(_read_file(args.ctg, "ctg"))
-    table = ctgmod.build_table(ctg, args.objective)
-    _write(os.path.join(args.out, "schedule_table.csv"), ctgmod.table_to_csv(table))
-    logger.info("schedule: %d columns", len(table.scenarios))
-    return 0
+def _load_table(path: str, objective: str = "makespan") -> ctgmod.ScheduleTable:
+    return _load(path, "ctg", lambda text: ctgmod.build_table(ctgmod.load_ctg(text),
+                                                               objective))
 
 
-def _read_shift_log(path: str) -> ctmdpmod.ShiftLog:
-    reader = csv.DictReader(io.StringIO(_read_file(path, "shift log")))
+def cmd_schedule(args):
+    table = _load_table(args.ctg, args.objective)
+
+    def run():
+        _write(os.path.join(args.out, "schedule_table.csv"), ctgmod.table_to_csv(table))
+        logger.info("schedule: %d columns", len(table.scenarios))
+    return run
+
+
+def _parse_shift_log(path: str, text: str) -> ctmdpmod.ShiftLog:
+    reader = csv.DictReader(io.StringIO(text), restval="")
     missing = [c for c in ("state", "action", "dwell")
                if c not in (reader.fieldnames or ())]
     if missing:
-        raise ConfigError(f"shift log {path}: missing column {', '.join(missing)}")
+        raise ParseError(f"missing column {', '.join(missing)}")
     log = ctmdpmod.ShiftLog()
     for row in reader:
-        try:
+        with _naming(f"shift log {path}, line {reader.line_num}: bad dwell"
+                     f" {row['dwell']!r}"):
             log.record(row["state"], row["action"], float(row["dwell"]),
                        row.get("next") or None)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"shift log {path}, line {reader.line_num}: bad dwell"
-                              f" {row['dwell']!r}: {exc}") from exc
     return log
 
 
-def cmd_ctmdp(args) -> int:
+def cmd_ctmdp(args):
     if args.model:
-        try:
-            model = ctmdpmod.model_from_csv(_read_file(args.model, "model"))
-        except ValueError as exc:
-            raise ConfigError(f"model {args.model}: {exc}") from exc
+        model = _load(args.model, "model", ctmdpmod.model_from_csv)
+    elif args.ctg and args.shifts:
+        table = _load_table(args.ctg)
+        shifts = _load(args.shifts, "shift log",
+                       lambda text: _parse_shift_log(args.shifts, text))
+        model = ctmdpmod.from_schedule_tables([table], shifts)
     else:
-        ctg = ctgmod.load_ctg(_read_file(args.ctg, "ctg"))
-        table = ctgmod.build_table(ctg)
-        model = ctmdpmod.from_schedule_tables([table], _read_shift_log(args.shifts))
+        raise ConfigError("ctmdp needs --model or both --ctg and --shifts")
     if model.prior_pairs:
         logger.warning("unvisited pairs given the uniform prior: %s",
                        ", ".join(f"{s}/{a}" for s, a in model.prior_pairs))
-    sol = ctmdpmod.solve_model(model)
-    if sol.status != "optimal":
-        raise RuntimeError(f"CTMDP solve failed: {sol.status}")
-    _write(os.path.join(args.out, "ctmdp_solution.csv"),
-           ctmdpmod.solution_to_csv(sol, model))
-    _write(os.path.join(args.out, "ctmdp_model.csv"), ctmdpmod.model_to_csv(model))
-    logger.info("ctmdp objective %.9g", sol.objective)
-    return 0
+
+    def run():
+        sol = ctmdpmod.solve_model(model)
+        if sol.status != "optimal":
+            raise RuntimeError(f"CTMDP solve failed: {sol.status}")
+        _write(os.path.join(args.out, "ctmdp_solution.csv"),
+               ctmdpmod.solution_to_csv(sol, model))
+        _write(os.path.join(args.out, "ctmdp_model.csv"), ctmdpmod.model_to_csv(model))
+        logger.info("ctmdp objective %.9g", sol.objective)
+    return run
 
 
-def cmd_fuzzy_surface(args) -> int:
-    try:
+def cmd_fuzzy_surface(args):
+    with _naming(f"params {args.params!r}"):
         m, M, MI = (float(x) for x in args.params.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad params {args.params!r}: expected m,M,MI") from exc
+        params = fuzzymod.FuzzyParams.uniform(m, M, MI)
     if args.n < 2:
         raise ConfigError(f"fuzzy-surface n must be >= 2, got {args.n}")
-    try:
-        params = fuzzymod.FuzzyParams.uniform(m, M, MI)
-    except ValueError as exc:
-        raise ConfigError(f"bad params {args.params!r}: {exc}") from exc
-    grid = fuzzymod.surface(params, n=args.n)
-    i_axis = np.linspace(0.0, params.i.MI, args.n)
-    d_axis = np.linspace(0.0, params.d.MI, args.n)
-    lines = ["i,d,u"]
-    for a in range(args.n):
-        for b in range(args.n):
-            lines.append("%.9g,%.9g,%.9g" % (i_axis[a], d_axis[b], grid[a, b]))
-    _write(os.path.join(args.out, "surface.csv"), "\n".join(lines) + "\n")
-    logger.info("surface: %d rows", args.n * args.n)
-    return 0
+
+    def run():
+        grid = fuzzymod.surface(params, n=args.n)
+        i_axis = np.linspace(0.0, params.i.MI, args.n)
+        d_axis = np.linspace(0.0, params.d.MI, args.n)
+        lines = ["i,d,u"]
+        for a in range(args.n):
+            for b in range(args.n):
+                lines.append("%.9g,%.9g,%.9g" % (i_axis[a], d_axis[b], grid[a, b]))
+        _write(os.path.join(args.out, "surface.csv"), "\n".join(lines) + "\n")
+        logger.info("surface: %d rows", args.n * args.n)
+    return run
 
 
-_RULE_OPS = ("<=", ">=", "<", ">")
-
-
-def _job_number(sec, key: str, text: str, kind=float):
-    """`text`, one item of the job's `key`, as a number of `kind`."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ParseError(f"[{sec.kind} {sec.name}] {key}: bad number {text!r}") from None
+# "<=" before "<": the first operator found in a rule is its comparison.
+_RULE_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 
 def _parse_rule(sec, attrs: dict):
     rule = sec.require("rule")
-    for op in _RULE_OPS:
+    for op, compare in _RULE_OPS.items():
         if op in rule:
-            attr, _, value = rule.partition(op)
-            attr, bound = attr.strip(), _job_number(sec, "rule", value.strip())
+            attr, _, value = (part.strip() for part in rule.partition(op))
+            with sec.context("rule"):
+                bound = finite(value)
             if attr not in attrs:
-                raise ParseError(f"[{sec.kind} {sec.name}] rule: {attr!r} is not"
-                                 " one of attrs")
-            if op == "<=":
-                return lambda pt: pt[attr] <= bound
-            if op == ">=":
-                return lambda pt: pt[attr] >= bound
-            if op == "<":
-                return lambda pt: pt[attr] < bound
-            return lambda pt: pt[attr] > bound
-    raise ParseError(f"[{sec.kind} {sec.name}] rule: bad predicate {rule!r}")
+                raise sec.error("rule", f"{attr!r} is not one of attrs")
+            return lambda pt: compare(pt[attr], bound)
+    raise sec.error("rule", f"bad predicate {rule!r}")
 
 
 def _metric_row(sec, base: str) -> tuple[str, str, str]:
     """The metrics.csv row of one job section; `base` resolves its files."""
     if sec.kind == "scalability":
-        value = metricsmod.scalability(
-            sec.require_float("p1"), sec.require_float("cost1"),
-            sec.require_float("p2"), sec.require_float("cost2"))
+        value = metricsmod.scalability(*(sec.number(key) for key in
+                                         ("p1", "cost1", "p2", "cost2")))
         return ("scalability", "%.9g" % value,
                 f"name={sec.name};p1={sec.get('p1')};p2={sec.get('p2')}")
     if sec.kind == "efficiency":
@@ -422,14 +437,13 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
         return ("efficiency", "%.9g" % metricsmod.efficiency(curves),
                 f"name={sec.name};file={sec.require('file')}")
     if sec.kind == "predictability":
+        limit = sec.number("limit", 0.0, low=0)
         path = os.path.join(base, sec.require("file"))
         with open(path) as fh:
             reader = csv.DictReader(fh)
             if not {"estimated", "actual"} <= set(reader.fieldnames or ()):
-                raise ParseError(f"[{sec.kind} {sec.name}] file: {path} needs"
-                                 " columns estimated and actual")
+                raise sec.error("file", f"{path} needs columns estimated and actual")
             pairs = [(float(row["estimated"]), float(row["actual"])) for row in reader]
-        limit = sec.get_float("limit", 0.0)
         rep = metricsmod.predictability(pairs, limit)
         return ("predictability", "%.9g" % rep.max_abs_error,
                 f"name={sec.name};rmse={rep.rmse:.9g};"
@@ -437,60 +451,57 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
     if sec.kind == "autonomy":
         ranges = {}
         for axis in ("perf", "area", "time"):
-            items = sec.get_list(axis)
-            if len(items) != 2:
-                raise ParseError(f"[{sec.kind} {sec.name}] {axis}: expected"
-                                 f" low, high, got {sec.get(axis)!r}")
-            ranges[axis] = tuple(_job_number(sec, axis, x) for x in items)
-        effort = sec.require_float("constant")
-        shape = tuple(_job_number(sec, "shape", x, int)
-                      for x in sec.get_list("shape")) or (1, 1, 1)
+            ranges[axis] = tuple(sec.numbers(axis))
+            if len(ranges[axis]) != 2:
+                raise sec.error(axis, f"expected low, high, got {sec.get(axis)!r}")
+        effort = sec.number("constant")
+        shape = tuple(sec.numbers("shape", integer)) or (1, 1, 1)
+        if len(shape) != 3 or min(shape) < 1:
+            raise sec.error("shape", f"expected 3 counts >= 1, got {sec.get('shape')!r}")
         fieldv = metricsmod.EffortField.from_function(
             lambda p, a, t: effort, ranges["perf"], ranges["area"],
             ranges["time"], shape)
         return ("autonomy", "%.9g" % metricsmod.autonomy(fieldv),
                 f"name={sec.name};constant={effort}")
     if sec.kind == "flexibility":
-        box = {}
-        for item in sec.get_list("attrs"):
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise ParseError(f"[{sec.kind} {sec.name}] attrs: bad item"
-                                 f" {item!r}, expected name:low:high")
-            box[parts[0]] = tuple(_job_number(sec, "attrs", x) for x in parts[1:])
+        box = {name: (low, high) for name, low, high in
+               sec.items("attrs", "name:low:high", str, finite, finite)}
         pred = _parse_rule(sec, box)
         value = metricsmod.flexibility(
             pred, metricsmod.SpecBox.from_dict(box),
             sec.get_int("n", 10000), sec.get_int("seed", 0))
         return ("flexibility", "%.9g" % value,
                 f"name={sec.name};n={sec.get('n')};seed={sec.get('seed')}")
-    raise ConfigError(f"unknown metrics section {sec.kind!r}")
+    raise ParseError(f"unknown metrics section {sec.kind!r}")
 
 
-def cmd_metrics(args) -> int:
+def _metric_rows(text: str, base: str) -> list[tuple[str, str, str]]:
     rows = [("metric", "value", "parameters")]
-    base = os.path.dirname(os.path.abspath(args.job))
-    for sec in parse_sections(_read_file(args.job, "metrics job")):
-        try:
+    for sec in parse_sections(text):
+        with sec.context():  # a value the metric or its data file rejects
             rows.append(_metric_row(sec, base))
-        except ParseError:
-            raise
-        except (OSError, ValueError) as exc:
-            # the metric rejected a value of the section or its data file
-            raise ParseError(f"[{sec.kind} {sec.name}]: {exc}") from exc
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerows(rows)
-    _write(os.path.join(args.out, "metrics.csv"), buf.getvalue())
-    return 0
+    return rows
 
 
-def cmd_classify(args) -> int:
-    reg = regmod.load_registry(_read_file(args.registry, "registry"))
-    _write(os.path.join(args.out, "interactions.csv"),
-           regmod.classification_report(reg))
-    logger.info("classify: %d links", len(reg.links()))
-    return 0
+def cmd_metrics(args):
+    base = os.path.dirname(os.path.abspath(args.job))
+    rows = _load(args.job, "metrics job", lambda text: _metric_rows(text, base))
+
+    def run():
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        _write(os.path.join(args.out, "metrics.csv"), buf.getvalue())
+    return run
+
+
+def cmd_classify(args):
+    reg = _load(args.registry, "registry", regmod.load_registry)
+
+    def run():
+        _write(os.path.join(args.out, "interactions.csv"),
+               regmod.classification_report(reg))
+        logger.info("classify: %d links", len(reg.links()))
+    return run
 
 
 def build_parser() -> _Parser:
@@ -554,18 +565,20 @@ def _setup_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command == "ctmdp" and not args.model and not (args.ctg and args.shifts):
-            raise ConfigError("ctmdp needs --model or both --ctg and --shifts")
-        return args.func(args)
-    except (ConfigError, ParseError, worldmod.TopologyError) as exc:
+    try:  # phase one: flags and input files
+        args = build_parser().parse_args(argv)
+        run = args.func(args)
+    except Exception as exc:
+        logger.debug("input failure", exc_info=True)
         print(f"civitas: error: {exc}", file=sys.stderr)
         return 1
+    try:
+        run()
     except Exception as exc:  # runtime failure, never a stack-trace crash
+        logger.debug("runtime failure", exc_info=True)
         logger.error("runtime failure: %s", exc)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -40,9 +40,9 @@ class ConditionSite:
     segment: str | None = None
 
     def __post_init__(self):
-        if len(self.labels) < 2:
-            raise ValueError(f"[site {self.id}] labels: need >= 2 labels,"
-                             f" got {len(self.labels)}")
+        if len(set(self.labels)) < len(self.labels) or len(self.labels) < 2:
+            raise ValueError(f"[site {self.id}] labels: need >= 2 distinct labels,"
+                             f" got {', '.join(self.labels)}")
         if len(self.thresholds) != len(self.labels) - 1:
             raise ValueError(f"[site {self.id}] thresholds: need one threshold per"
                              f" label boundary, got {len(self.thresholds)} for"
@@ -80,18 +80,12 @@ class CtgTask:
     direction: int | None = None
     skippable: bool = False
 
-    def _lookup(self, value, label):
-        if isinstance(value, Mapping):
-            if label is None or label not in value:
-                raise KeyError(f"task {self.id}: no attribute for label {label!r}")
-            return value[label]
-        return value
-
+    # `Ctg` checks that a per-label value covers each label the task runs under.
     def n_for(self, label: str | None) -> float:
-        return float(self._lookup(self.n, label))
+        return float(self.n[label] if isinstance(self.n, Mapping) else self.n)
 
     def t_ex_for(self, label: str | None) -> float:
-        return float(self._lookup(self.t_ex, label))
+        return float(self.t_ex[label] if isinstance(self.t_ex, Mapping) else self.t_ex)
 
 
 Scenario = tuple[str, ...]
@@ -101,7 +95,8 @@ def scenario_name(scenario: Scenario) -> str:
     return "(" + ",".join(scenario) + ")"
 
 
-def _toposort(ids: list[str], arcs: Iterable[tuple[str, str]]) -> list[str]:
+def _toposort(ids: list[str], arcs: Iterable[tuple[str, str]],
+              node: str = "[task {}]") -> list[str]:
     order_idx = {t: i for i, t in enumerate(ids)}
     succs: dict[str, list[str]] = {t: [] for t in ids}
     indeg = {t: 0 for t in ids}
@@ -119,7 +114,8 @@ def _toposort(ids: list[str], arcs: Iterable[tuple[str, str]]) -> list[str]:
                 ready.append(s)
         ready.sort(key=order_idx.get)
     if len(out) != len(ids):
-        raise ValueError("task graph has a cycle")
+        stuck = ", ".join(node.format(t) for t in ids if t not in out)
+        raise ValueError(f"graph has a cycle; these cannot be ordered: {stuck}")
     return out
 
 
@@ -143,25 +139,39 @@ class Ctg:
         ids = [t.id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate task ids")
-        site_ids = {s.id for s in self.sites}
-        if len(site_ids) != len(self.sites):
+        labels = {s.id: s.labels for s in self.sites}
+        if len(labels) != len(self.sites):
             raise ValueError("duplicate site ids")
         for t in self.tasks:
-            if t.guard and t.guard[0] not in site_ids:
-                raise ValueError(f"task {t.id}: guard references unknown site {t.guard[0]!r}")
-            if t.site and t.site not in site_ids:
-                raise ValueError(f"task {t.id}: unknown attribute site {t.site!r}")
+            where = f"[task {t.id}]"
+            if t.guard and t.guard[1] not in labels.get(t.guard[0], ()):
+                raise ValueError(f"{where} guard: no [site {t.guard[0]}] with label"
+                                 f" {t.guard[1]!r}")
+            if t.site and t.site not in labels:
+                raise ValueError(f"{where} site: unknown site {t.site!r}")
             if t.dummy and t.resources & self.shared_resources:
-                raise ValueError(f"dummy task {t.id} cannot hold shared resources")
-            if t.direction is not None:
-                try:
-                    admitting_state(t.direction)
-                except ValueError as exc:
-                    raise ValueError(f"[task {t.id}] direction: {exc}") from None
+                raise ValueError(f"{where} resources: a dummy task cannot hold shared"
+                                 " resources")
+            if t.direction not in (None, 1, 2):
+                raise ValueError(f"{where} direction: must be 1 or 2, got {t.direction}")
+            # A per-label value must cover every label the task can run under.
+            attr_site = t.site or (t.guard[0] if t.guard else None)
+            runs_under = labels.get(attr_site, ())
+            if t.guard and t.guard[0] == attr_site:
+                runs_under = (t.guard[1],)
+            for key, value in (("n", t.n), ("t_ex", t.t_ex)):
+                if not isinstance(value, Mapping):
+                    continue
+                if attr_site is None:
+                    raise ValueError(f"{where} {key}: per-label values need a site")
+                missing = [label for label in runs_under if label not in value]
+                if missing:
+                    raise ValueError(f"{where} {key}: no value for label {missing[0]!r}"
+                                     f" of [site {attr_site}]")
         known = set(ids)
         for a, b in self.arcs:
-            if a not in known or b not in known:
-                raise ValueError(f"arc ({a}, {b}) references unknown task")
+            if not {a, b} <= known:
+                raise ValueError(f"[task {b}] after: unknown tasks {sorted({a, b} - known)}")
         _toposort(ids, self.arcs)  # raises on cycles
 
     def site(self, site_id: str) -> ConditionSite:
@@ -439,72 +449,42 @@ def derive_timing_constraints(sched: ZoneSchedule, itu_id: str,
     return tuple(constraints)
 
 
-def _parse_attr(raw: str, what: str) -> dict[str, float] | float:
-    """Parse '4' or 'L:3,H:12' style attribute values."""
-    if ":" not in raw:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ParseError(f"bad {what} value {raw!r}") from exc
-    out = {}
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        label, _, value = item.partition(":")
-        try:
-            out[label.strip()] = float(value)
-        except ValueError as exc:
-            raise ParseError(f"bad {what} entry {item!r}") from exc
-    return out
-
-
 def load_ctg(text: str) -> Ctg:
     """Build a conditional task graph from its structured-text description."""
-    sections = parse_sections(text)
     sites: list[ConditionSite] = []
     tasks: list[CtgTask] = []
     arcs: list[tuple[str, str]] = []
     shared: frozenset[str] = frozenset()
     zone = DEFAULT_ZONE
     clearance = 0.0
-    for sec in sections:
+    for sec in parse_sections(text):
         if sec.kind == "ctg":
             zone = sec.name or DEFAULT_ZONE
             shared = frozenset(sec.get_list("shared"))
-            clearance = sec.get_float("clearance", 0.0)
+            clearance = sec.number("clearance", 0.0, low=0)
         elif sec.kind == "site":
             labels = tuple(sec.get_list("labels")) or ("L", "H")
-            try:
-                thresholds = tuple(float(x) for x in sec.get_list("thresholds")) or (4.0,)
-            except ValueError as exc:
-                raise ParseError(f"[site {sec.name}] thresholds: {exc}") from exc
-            try:
+            thresholds = tuple(sec.numbers("thresholds")) or (4.0,)
+            with sec.context():
                 sites.append(ConditionSite(sec.name, labels, thresholds,
                                            sec.get("segment")))
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
         elif sec.kind == "task":
-            guard_raw = sec.get("guard")
-            guard = None
-            if guard_raw:
-                site_id, _, label = guard_raw.partition(":")
-                guard = (site_id.strip(), label.strip())
-            direction = sec.get_int("direction")
+            guard = sec.items("guard", "site:label", str, str)
+            if len(guard) > 1:
+                raise sec.error("guard", "expected one site:label")
+            dummy = sec.get_bool("dummy")
             tasks.append(CtgTask(
-                sec.name, guard, frozenset(sec.get_list("resources")),
-                sec.get("site"), _parse_attr(sec.get("n", "0"), "n"),
-                _parse_attr(sec.get("t_ex", "0"), "t_ex"),
-                sec.get_bool("dummy"), sec.get("itu"), direction,
+                sec.name, guard[0] if guard else None,
+                frozenset(sec.get_list("resources")), sec.get("site"),
+                sec.by_label("n", 0.0, low=0),
+                sec.by_label("t_ex", 0.0, low=0, open_low=not dummy),
+                dummy, sec.get("itu"), sec.get_int("direction"),
                 sec.get_bool("skippable")))
             for pred in sec.get_list("after"):
                 arcs.append((pred, sec.name))
         else:
             raise ParseError(f"unknown section kind {sec.kind!r} in ctg file")
-    try:
-        return Ctg(tuple(sites), tuple(tasks), tuple(arcs), shared, zone, clearance)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return Ctg(tuple(sites), tuple(tasks), tuple(arcs), shared, zone, clearance)
 
 
 class RunningMedianThreshold:

@@ -89,10 +89,7 @@ class FunctionGraph:
         for a, b in self.arcs:
             if a not in known or b not in known:
                 raise ValueError(f"arc ({a}, {b}) references unknown node")
-        try:
-            _toposort(ids, self.arcs)
-        except ValueError:
-            raise ValueError("function graph has a cycle") from None
+        _toposort(ids, self.arcs, "node {}")
 
     def node(self, node_id: str) -> FgNode:
         return next(n for n in self.nodes if n.id == node_id)

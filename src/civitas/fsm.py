@@ -295,8 +295,8 @@ class ImplementationMode:
     safe: bool = False
 
     def __post_init__(self):
-        if not self.cost >= 0:
-            raise ValueError("cost must be >= 0")
+        if not (0 <= self.latency < math.inf and 0 <= self.cost < math.inf):
+            raise ValueError(f"mode {self.id}: latency and cost must be finite and >= 0")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .textfmt import ParseError, parse_sections
+from .textfmt import ParseError, Section, finite, parse_sections
 
 
 class Direction(enum.Enum):
@@ -60,7 +60,7 @@ class DmModule:
     def __post_init__(self):
         ports = list(self.inputs) + list(self.outputs)
         if len(set(ports)) != len(ports):
-            raise ValueError(f"module {self.id}: port names must be unique")
+            raise ValueError(f"[module {self.id}] inputs, outputs: duplicate port name")
 
 
 class ClassificationError(ValueError):
@@ -110,26 +110,25 @@ class DmRegistry:
     def classify(self, src_id: str, dst_id: str, role: LinkRole) -> InteractionKind:
         """Interaction kind of a src-output -> dst-input link."""
         src, dst = self.module(src_id), self.module(dst_id)
+        levels = (f"[module {src_id}] level {src.level} -> [module {dst_id}]"
+                  f" level {dst.level}")
         if src.level == dst.level:
             if role is not LinkRole.DATA:
                 raise ClassificationError(
-                    f"{role.value} link between same-level modules {src_id}/{dst_id}")
+                    f"{role.value} link between same-level modules ({levels})")
             return (InteractionKind.COMPETING if goals_conflict(src, dst)
                     else InteractionKind.COLLABORATIVE)
         if role is LinkRole.GOAL_SETTING:
             if src.level != dst.level + 1:
                 raise ClassificationError(
-                    f"goal-setting link must step one level down "
-                    f"({src_id} level {src.level} -> {dst_id} level {dst.level})")
+                    f"goal-setting link must step one level down ({levels})")
             return InteractionKind.GUIDING
         if role is LinkRole.CAPABILITY_REPORT:
             if src.level != dst.level - 1:
                 raise ClassificationError(
-                    f"capability report must step one level up "
-                    f"({src_id} level {src.level} -> {dst_id} level {dst.level})")
+                    f"capability report must step one level up ({levels})")
             return InteractionKind.ENABLING
-        raise ClassificationError(
-            f"data link across levels {src.level}->{dst.level} is not classifiable")
+        raise ClassificationError(f"data link across levels is not classifiable ({levels})")
 
     def wire(self, src: tuple[str, str], dst: tuple[str, str],
              role: LinkRole) -> Interaction:
@@ -137,9 +136,9 @@ class DmRegistry:
         src_mod, src_port = src
         dst_mod, dst_port = dst
         if src_port not in self.module(src_mod).outputs:
-            raise ClassificationError(f"{src_mod} has no output port {src_port!r}")
+            raise ClassificationError(f"[module {src_mod}] outputs: no port {src_port!r}")
         if dst_port not in self.module(dst_mod).inputs:
-            raise ClassificationError(f"{dst_mod} has no input port {dst_port!r}")
+            raise ClassificationError(f"[module {dst_mod}] inputs: no port {dst_port!r}")
         kind = self.classify(src_mod, dst_mod, role)
         link = Interaction(kind, src, dst, role)
         self._links.append(link)
@@ -155,54 +154,34 @@ class DmRegistry:
         return None
 
 
+def _port(sec: Section, key: str) -> tuple[str, str]:
+    parts = sec.require(key).split(".")
+    if len(parts) != 2:
+        raise sec.error(key, "expected module.port")
+    return parts[0], parts[1]
+
+
 def load_registry(text: str) -> DmRegistry:
     """Build a registry from its structured-text description."""
     reg = DmRegistry()
     links = []
     for sec in parse_sections(text):
         if sec.kind == "module":
-            goals = []
-            for item in sec.get_list("goals"):
-                parts = item.split(":")
-                try:
-                    if len(parts) not in (2, 3):
-                        raise ValueError("expected quantity:direction[:bound]")
-                    bound = float(parts[2]) if len(parts) == 3 else None
-                    goals.append(Goal(parts[0], Direction(parts[1]), bound))
-                except ValueError as exc:
-                    raise ParseError(f"[module {sec.name}] goals: bad goal {item!r}:"
-                                     f" {exc}") from exc
-            caps = []
-            for item in sec.get_list("capabilities"):
-                parts = item.split(":")
-                try:
-                    if len(parts) != 2:
-                        raise ValueError("expected quantity:limit")
-                    caps.append(Capability(parts[0], float(parts[1])))
-                except ValueError as exc:
-                    raise ParseError(f"[module {sec.name}] capabilities: bad capability"
-                                     f" {item!r}: {exc}") from exc
+            goals = sec.items("goals", "quantity:direction[:bound]", str, Direction,
+                              finite, least=2)
+            caps = sec.items("capabilities", "quantity:limit", str, finite)
             reg.register(DmModule(
-                sec.name, sec.require_int("level"), tuple(goals), tuple(caps),
+                sec.name, sec.require_int("level"),
+                tuple(Goal(*g) for g in goals), tuple(Capability(*c) for c in caps),
                 tuple(sec.get_list("inputs")), tuple(sec.get_list("outputs"))))
         elif sec.kind == "link":
-            src = sec.require("src").split(".")
-            dst = sec.require("dst").split(".")
-            if len(src) != 2 or len(dst) != 2:
-                raise ParseError(f"[link {sec.name}]: endpoints must be module.port")
-            raw_role = sec.require("role")
-            try:
-                role = LinkRole(raw_role)
-            except ValueError as exc:
-                raise ParseError(f"[link {sec.name}] role: {exc}") from exc
-            links.append((sec.name, (src[0], src[1]), (dst[0], dst[1]), role))
+            links.append((sec, _port(sec, "src"), _port(sec, "dst"),
+                          sec.choice("role", LinkRole)))
         else:
             raise ParseError(f"unknown section kind {sec.kind!r} in registry file")
-    for name, src, dst, role in links:
-        try:
+    for sec, src, dst, role in links:
+        with sec.context():
             reg.wire(src, dst, role)
-        except (ClassificationError, KeyError) as exc:
-            raise ParseError(f"[link {name}]: {exc.args[0]}") from exc
     return reg
 
 

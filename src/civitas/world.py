@@ -14,7 +14,7 @@ import copy
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
@@ -22,7 +22,7 @@ from itertools import count
 import numpy as np
 
 from .fsm import ImplementationMode, SignalFsm, SignalState
-from .textfmt import ParseError, Section, parse_sections
+from .textfmt import ParseError, Section, finite, parse_sections
 
 DEFAULT_HEADWAY = 2.0
 
@@ -104,37 +104,42 @@ class StreetNetwork:
         if len(seg_ids) != len(self.segments):
             raise TopologyError("duplicate segment id")
         for s in self.segments:
-            if s.from_node not in nodes or s.to_node not in nodes:
-                raise TopologyError(f"segment {s.id}: endpoint not declared")
+            for key, node in (("from", s.from_node), ("to", s.to_node)):
+                if node not in nodes:
+                    raise TopologyError(f"[segment {s.id}] {key}: unknown node {node!r}")
         signalized = {i.id for i in self.intersections if i.signalized}
         for s in self.segments:
             if s.to_node in signalized and s.approach not in (1, 2):
-                raise TopologyError(
-                    f"segment {s.id} feeds signalized {s.to_node} but has no approach")
+                raise TopologyError(f"[segment {s.id}] approach: must be 1 or 2, it"
+                                    f" feeds signalized [intersection {s.to_node}]")
         for spec in self.signals:
             if spec.intersection not in signalized:
-                raise TopologyError(f"signal spec for non-signalized {spec.intersection}")
+                raise TopologyError(f"[signal {spec.intersection}]: [intersection"
+                                    f" {spec.intersection}] is not signalized")
         incoming = self.incoming()
         outgoing = self.outgoing()
         for s in self.segments:
-            if s.entry and incoming[s.from_node]:
-                raise TopologyError(f"entry segment {s.id} has upstream feeders")
-            if s.exit and outgoing[s.to_node]:
-                raise TopologyError(f"exit segment {s.id} has downstream continuations")
+            feeders, onward = incoming[s.from_node], outgoing[s.to_node]
+            if s.entry and feeders:
+                raise TopologyError(f"[segment {s.id}] entry: fed by [segment {feeders[0]}]")
+            if s.exit and onward:
+                raise TopologyError(f"[segment {s.id}] exit: leads on to [segment {onward[0]}]")
         for z in self.zones:
             unknown = z.members - seg_ids
             if unknown:
-                raise TopologyError(f"zone {z.id}: unknown members {sorted(unknown)}")
+                raise TopologyError(f"[zone {z.id}] members: unknown {sorted(unknown)}")
         for s in self.segments:
             unknown = set(s.turns or ()) - seg_ids
             if unknown:
-                raise TopologyError(f"segment {s.id}: turns to unknown segments"
-                                    f" {sorted(unknown)}")
-        if not self._connected(nodes):
-            raise TopologyError("network graph is not connected")
+                raise TopologyError(f"[segment {s.id}] turns: segment {s.id}: turns to"
+                                    f" unknown segments {sorted(unknown)}")
+        cut_off = sorted(nodes - self._reached(nodes))
+        if cut_off:
+            raise TopologyError(f"network graph is not connected: [intersection {cut_off[0]}]"
+                                f" is cut off from [segment {self.segments[0].id}]")
 
-    def _connected(self, nodes: set[str]) -> bool:
-        """Whether the intersections form one component, ignoring direction."""
+    def _reached(self, nodes: set[str]) -> set[str]:
+        """The intersections joined to the first segment, ignoring direction."""
         adjacent: dict[str, list[str]] = {n: [] for n in nodes}
         for s in self.segments:
             adjacent[s.from_node].append(s.to_node)
@@ -146,7 +151,7 @@ class StreetNetwork:
                 if node not in seen:
                     seen.add(node)
                     frontier.append(node)
-        return len(seen) == len(nodes)
+        return seen
 
     @cached_property
     def _segment_index(self) -> dict[str, RoadSegment]:
@@ -220,70 +225,54 @@ class StreetNetwork:
 
 def load_network(text: str) -> StreetNetwork:
     """Parse and validate a network description."""
-    sections = parse_sections(text)
     intersections: list[Intersection] = []
     segments: list[RoadSegment] = []
     zones: list[Zone] = []
     signals: list[SignalSpec] = []
-    for sec in sections:
+    for sec in parse_sections(text):
         if sec.kind == "intersection":
             intersections.append(Intersection(sec.name, sec.get_bool("signalized")))
         elif sec.kind == "segment":
-            approach = sec.get_int("approach")
             turns = tuple(sec.get_list("turns")) if "turns" in sec.values else None
-            fields = (sec.require("from"), sec.require("to"),
-                      sec.require_float("length"), sec.require_float("speed"),
-                      sec.get_int("capacity", 20), sec.get_bool("shared"),
-                      approach, sec.get_bool("entry"), sec.get_bool("exit"), turns)
-            try:
+            fields = (sec.require("from"), sec.require("to"), sec.number("length"),
+                      sec.number("speed"), sec.get_int("capacity", 20),
+                      sec.get_bool("shared"), sec.get_int("approach"),
+                      sec.get_bool("entry"), sec.get_bool("exit"), turns)
+            with sec.context():
                 segments.append(RoadSegment(sec.name, *fields))
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
         elif sec.kind == "zone":
             zones.append(Zone(sec.name, frozenset(sec.get_list("members"))))
         elif sec.kind == "signal":
             signals.append(_load_signal(sec))
         else:
             raise ParseError(f"unknown section kind {sec.kind!r}")
-    try:
-        return StreetNetwork(tuple(segments), tuple(intersections),
-                             tuple(zones), tuple(signals))
-    except ValueError as exc:
-        if isinstance(exc, TopologyError):
-            raise
-        raise TopologyError(str(exc)) from exc
+    net = StreetNetwork(tuple(segments), tuple(intersections),
+                        tuple(zones), tuple(signals))
+    for s in net.segments:
+        for nxt in s.turns or ():
+            if net.segment(nxt).from_node != s.to_node:
+                raise TopologyError(f"[segment {s.id}] turns: [segment {nxt}] does not"
+                                    f" start at {s.to_node}")
+        if not s.exit and not net.allowed_turns(s.id):  # a vehicle there would be stuck
+            raise TopologyError(f"[segment {s.id}]: not an exit, yet no turn leaves it")
+    return net
 
 
 def _load_signal(sec: Section) -> SignalSpec:
     """A `[signal]` section as the controller it configures."""
-    where = f"[signal {sec.name}]"
-    modes = []
-    for item in sec.get_list("modes"):
-        parts = item.split(":")
-        try:
-            if len(parts) != 3:
-                raise ValueError("expected id:latency:cost")
-            modes.append(ImplementationMode(parts[0], float(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise ParseError(f"{where} modes: bad mode {item!r}: {exc}") from exc
+    modes = sec.items("modes", "id:latency:cost", str, finite, finite)
     safe = sec.get("safe_mode")
-    if modes:
-        if safe is None or safe not in {m.id for m in modes}:
-            raise ParseError(f"{where} safe_mode: must name one mode")
-        modes = [replace(m, safe=m.id == safe) for m in modes]
-    anchor = sec.get("anchor", "Green")
-    try:
-        anchor_state = SignalState(anchor)
-    except ValueError:
-        raise ParseError(f"{where} anchor: {anchor!r} is not one of"
-                         f" {', '.join(s.value for s in SignalState)}") from None
-    timing = (sec.get_float("green", 30.0), sec.get_float("yellow", 5.0),
-              sec.get_float("red", 25.0), sec.get_float("offset", 0.0))
-    try:
-        fsm = SignalFsm(*timing, anchor_state)
-    except ValueError as exc:
-        raise ParseError(f"{where} {exc}") from exc
-    return SignalSpec(sec.name, fsm, tuple(modes), sec.get_bool("early_switch"))
+    if modes and safe not in {m[0] for m in modes}:
+        raise sec.error("safe_mode", "must name one mode")
+    with sec.context("modes"):
+        modes = tuple(ImplementationMode(*m, safe=m[0] == safe) for m in modes)
+    splits = (sec.number(key, default, low=0, open_low=True)
+              for key, default in (("green", 30.0), ("yellow", 5.0), ("red", 25.0)))
+    timing = (*splits, sec.number("offset", 0.0, low=0),
+              sec.choice("anchor", SignalState, SignalState.GREEN))
+    with sec.context("offset"):  # the one bound the accessors cannot check
+        fsm = SignalFsm(*timing)
+    return SignalSpec(sec.name, fsm, modes, sec.get_bool("early_switch"))
 
 
 @dataclass(frozen=True)
@@ -295,12 +284,11 @@ class DemandWindow:
     def __post_init__(self):
         # make_world draws arrivals until the end or the horizon: a nan end
         # or rate, or an infinite rate, would never stop it.
-        if not (math.isfinite(self.start) and math.isfinite(self.rate)) or math.isnan(self.end):
-            raise ValueError("window start and rate must be finite and its end a number")
+        if not (math.isfinite(self.start) and 0 <= self.rate < math.inf) or math.isnan(self.end):
+            raise ValueError("window start must be finite, its end a number and its rate"
+                             " a finite number >= 0")
         if self.end <= self.start:
             raise ValueError("window end must exceed start")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -316,26 +304,14 @@ class DemandProfile:
 
 
 def load_demand(text: str) -> DemandProfile:
-    sections = parse_sections(text)
     arrivals = []
-    for sec in sections:
+    for sec in parse_sections(text):
         if sec.kind != "arrivals":
             raise ParseError(f"unknown section kind {sec.kind!r} in demand file")
-        windows = []
-        for item in sec.get_list("windows"):
-            bad = f"[arrivals {sec.name}] windows: bad window {item!r}"
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise ParseError(f"{bad}, expected start:end:rate")
-            try:
-                windows.append(DemandWindow(*(float(x) for x in parts)))
-            except ValueError as exc:
-                raise ParseError(f"{bad}: {exc}") from exc
-        arrivals.append((sec.name, tuple(windows)))
-    try:
-        return DemandProfile(tuple(arrivals))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        windows = sec.items("windows", "start:end:rate", finite, float, finite)
+        with sec.context("windows"):
+            arrivals.append((sec.name, tuple(DemandWindow(*w) for w in windows)))
+    return DemandProfile(tuple(arrivals))
 
 
 @dataclass
@@ -502,7 +478,7 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
             reachable_cache[entry] = _reachable_exits(succ, entry, exits)
         reachable = reachable_cache[entry]
         if not reachable:
-            raise TopologyError(f"no exit reachable from entry {entry}")
+            raise TopologyError(f"[segment {entry}] entry: no exit is reachable from it")
         target = reachable[int(rng.integers(len(reachable)))]
         key = (entry, target)
         if key not in route_cache:
@@ -510,6 +486,10 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
         return route_cache[key]
 
     demand_map = dict(demand.arrivals)
+    unknown = sorted(set(demand_map) - set(network.entries()))
+    if unknown:
+        raise TopologyError(f"[arrivals {unknown[0]}]: [segment {unknown[0]}] is not"
+                            " an entry segment")
     pending: list[tuple[float, str, tuple[str, ...]]] = []
     for idx, entry in enumerate(network.entries()):
         windows = demand_map.get(entry)
@@ -525,9 +505,6 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
                 if t >= min(w.end, horizon):
                     break
                 pending.append((t, entry, route_from(entry, rng)))
-    unknown = set(demand_map) - set(network.entries())
-    if unknown:
-        raise TopologyError(f"demand on non-entry segments {sorted(unknown)}")
     pending.sort(key=lambda rec: (rec[0], rec[1]))
     world.arrivals = pending
     return world

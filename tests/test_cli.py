@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
+import math
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from civitas import cli
+from civitas.textfmt import parse_sections
 
 
 def sim_args(data_dir, out, mode="fixed", horizon="120", seed="5"):
@@ -80,6 +86,29 @@ class TestExitCodes:
         assert rc == 1
         assert "params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, mode", [
+        ("--seed", "-1", "fixed"), ("--target", "-5", "hierarchical"),
+        ("--deadline", "-5", "hierarchical"), ("--deadline", "nan", "hierarchical")])
+    def test_bad_flag_is_config_error(self, tmp_path, data_dir, capsys, flag, value,
+                                      mode):
+        out = tmp_path / "run"
+        rc = cli.main(sim_args(data_dir, out, mode=mode) + [flag, value])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_input_is_config_error(self, tmp_path, data_dir, capsys):
+        args = sim_args(data_dir, tmp_path / "run")
+        args[args.index("--demand") + 1] = str(tmp_path)
+        assert cli.main(args) == 1
+        assert f"demand {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_config_error(self, tmp_path, data_dir, capsys):
+        ctg = tmp_path / "latin1.ctg"
+        ctg.write_bytes((data_dir / "twin.ctg").read_bytes() + "# caf\xe9\n".encode("latin-1"))
+        assert cli.main(["schedule", "--ctg", str(ctg), "--out", str(tmp_path / "o")]) == 1
+        assert f"ctg {ctg}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     @pytest.mark.parametrize("windows", ["0:x:0.1", "10:0:0.1", "0:10:0.1, 20:30:0.1",
                                          "0:nan:0.1", "0:600:nan", "0:600:inf"])
     def test_malformed_demand_window_is_parse_error(self, tmp_path, data_dir,
@@ -133,6 +162,37 @@ MALFORMED_VALUES = [
      "[link l1]: capability report must step one level up"),
     ("classify", "city.registry", "src = tcu.area_goals", "src = nobody.area_goals",
      "[link l1]: unknown module 'nobody'"),
+    # task graph values: finite and >= 0, t_ex > 0 off dummy tasks, every
+    # label a task runs under covered, guards naming a label of their site
+    ("schedule", "twin.ctg", "t_ex = 10\n", "t_ex = nan\n", "[task dT12] t_ex"),
+    ("schedule", "twin.ctg", "t_ex = 10\n", "t_ex = -10\n", "[task dT12] t_ex"),
+    ("schedule", "twin.ctg", "n = L:3, H:12", "n = L:3, H:nan", "[task T1] n"),
+    ("schedule", "twin.ctg", "n = L:3, H:12", "n = L:3, H:-4", "[task T1] n"),
+    ("schedule", "twin.ctg", "t_ex = H:22", "t_ex = H:inf", "[task T2p] t_ex"),
+    ("schedule", "twin.ctg", "t_ex = L:6, H:10", "t_ex = L:0, H:10", "[task T1] t_ex"),
+    ("schedule", "twin.ctg", "t_ex = L:6, H:10", "t_ex = L:6", "[task T1] t_ex"),
+    ("schedule", "twin.ctg", "clearance = 5", "clearance = -5", "[ctg Z] clearance"),
+    ("schedule", "twin.ctg", "clearance = 5", "clearance = nan", "[ctg Z] clearance"),
+    ("schedule", "twin.ctg", "guard = c1:L", "guard = c1", "[task T2] guard"),
+    ("schedule", "twin.ctg", "guard = c1:L", "guard = c1:Q", "[task T2] guard"),
+    # non-finite numbers elsewhere
+    ("simulate", "twin.network", "modes = fast:0.01:5", "modes = fast:nan:5",
+     "[signal A] modes"),
+    ("simulate", "twin.network", "modes = fast:0.01:5", "modes = fast:-1:5",
+     "[signal A] modes"),
+    ("classify", "city.registry", "capabilities = throughput:30",
+     "capabilities = throughput:nan", "[module itu_a] capabilities"),
+    # a dead end that is no exit, and arrivals on a segment that is no entry
+    ("simulate", "twin.network", "exit = true", "exit = false",
+     "[segment s4]: not an exit, yet no turn leaves it"),
+    ("simulate", "twin.network", "entry = true", "entry = false",
+     "[arrivals s1]: [segment s1] is not an entry segment"),
+    ("schedule", "twin.ctg", "labels = L, H", "labels = L, L", "[site c1] labels"),
+    # a turn onto a segment elsewhere, and a precedence cycle
+    ("simulate", "twin.network", "turns = s2, s4", "turns = s2, s7",
+     "[segment s1] turns: [segment s7] does not start at A"),
+    ("schedule", "twin.ctg", "after = T1\n", "after = T1, T5\n",
+     "graph has a cycle; these cannot be ordered: [task T2], [task T5]"),
 ]
 
 
@@ -389,13 +449,7 @@ class TestCtmdpCommand:
 
 
 class TestMetricsCommand:
-    def test_job_file_evaluated(self, tmp_path):
-        curves = tmp_path / "curves.csv"
-        curves.write_text("p,adaptive,single\n0,0,0\n1,1,0\n")
-        pairs = tmp_path / "pairs.csv"
-        pairs.write_text("estimated,actual\n10,12\n")
-        job = tmp_path / "job.metrics"
-        job.write_text("""
+    JOB = """
 [scalability demo]
 p1 = 10
 cost1 = 1
@@ -421,7 +475,15 @@ attrs = x:0:1
 rule = x<=0.5
 n = 20000
 seed = 3
-""")
+"""
+
+    def test_job_file_evaluated(self, tmp_path):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("p,adaptive,single\n0,0,0\n1,1,0\n")
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("estimated,actual\n10,12\n")
+        job = tmp_path / "job.metrics"
+        job.write_text(self.JOB)
         out = tmp_path / "met"
         assert cli.main(["metrics", "--job", str(job), "--out", str(out)]) == 0
         with open(out / "metrics.csv") as fh:
@@ -461,6 +523,16 @@ class TestMetricsJobErrors:
         ("[scalability s]\np1 = 10\ncost1 = 1\np2 = 20\n",
          "[scalability s]: missing key 'cost2'"),
         ("[efficiency e]\nfile = nope.csv\n", "[efficiency e]: "),
+        ("[scalability s]\np1 = nan\ncost1 = 1\np2 = 20\ncost2 = 4\n",
+         "[scalability s] p1: must be a finite number, got 'nan'"),
+        ("[scalability s]\np1 = inf\ncost1 = 1\np2 = 20\ncost2 = 4\n",
+         "[scalability s] p1: must be a finite number, got 'inf'"),
+        ("[autonomy u]\nperf = 0, 1\narea = 0, 1\ntime = 0, 1\nconstant = nan\n",
+         "[autonomy u] constant: must be a finite number, got 'nan'"),
+        ("[flexibility f]\nattrs = a:0:1\nrule = a <= nan\n",
+         "[flexibility f] rule: must be a finite number, got 'nan'"),
+        ("[flexibility f]\nattrs = a:0:inf\nrule = a <= 1\n",
+         "[flexibility f] attrs: must be a finite number, got 'inf'"),
     ])
     def test_bad_value_is_exit_one(self, tmp_path, capsys, section, where):
         job = tmp_path / "job.metrics"
@@ -482,6 +554,20 @@ class TestMetricsJobErrors:
         rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert where in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("limit, where", [
+        ("nan", "[predictability p] limit: must be a finite number, got 'nan'"),
+        ("-1", "[predictability p] limit: must be >= 0, got -1"),
+    ])
+    def test_bad_limit_is_exit_one(self, tmp_path, capsys, limit, where):
+        (tmp_path / "pairs.csv").write_text("estimated,actual\n10,12\n")
+        job = tmp_path / "job.metrics"
+        job.write_text(f"[predictability p]\nfile = pairs.csv\nlimit = {limit}\n")
+        rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
 class TestEarlySwitch:
@@ -575,3 +661,76 @@ class TestRuntimeFailure:
         rc = cli.main(["ctmdp", "--model", str(model_csv),
                        "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzzer: one value of one input file replaced by a drawn token.
+
+FUZZ_TEXTS = {name: (resources.files("civitas") / "data" / name).read_text()
+              for name in ("twin.network", "twin.demand", "twin.ctg", "city.registry")}
+FUZZ_TEXTS["job.metrics"] = TestMetricsCommand.JOB
+# Keys the README grammar documents as numbers (or lists of numbers).
+NUMERIC_KEYS = {"length", "speed", "capacity", "approach", "green", "yellow", "red",
+                "offset", "clearance", "thresholds", "direction", "n", "t_ex", "level",
+                "p1", "cost1", "p2", "cost2", "limit", "constant", "perf", "area",
+                "time", "shape", "seed"}
+TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "-1", "0", "2.5", "1e308", "x", "", "a:b"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12))
+
+
+def _key_lines(name: str) -> list[tuple[str, int, str, str]]:
+    """(file, line index, "[kind name]", key) of every `key = value` line."""
+    out, where = [], None
+    for i, line in enumerate(FUZZ_TEXTS[name].splitlines()):
+        if line.startswith("["):
+            sec = parse_sections(line + "\n")[0]
+            where = f"[{sec.kind} {sec.name}]"
+        elif "=" in line and not line.startswith("#"):
+            out.append((name, i, where, line.split("=")[0].strip()))
+    return out
+
+
+FUZZ_EDITS = [edit for name in FUZZ_TEXTS for edit in _key_lines(name)]
+
+
+def _non_finite(token: str) -> bool:
+    try:
+        return not math.isfinite(float(token))
+    except ValueError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "curves.csv").write_text("p,adaptive,single\n0,0,0\n1,1,0\n")
+    (base / "pairs.csv").write_text("estimated,actual\n10,12\n")
+    return base
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edit=st.sampled_from(FUZZ_EDITS), token=TOKENS)
+def test_one_bad_value_exits_zero_or_one(data_dir, fuzz_dir, edit, token):
+    name, index, where, key = edit
+    lines = FUZZ_TEXTS[name].splitlines()
+    lines[index] = f"{key} = {token}"
+    path = fuzz_dir / name
+    path.write_text("\n".join(lines) + "\n")
+    out = str(fuzz_dir / "out")
+    if name == "city.registry":
+        args = ["classify", "--registry", str(path), "--out", out]
+    elif name == "job.metrics":
+        args = ["metrics", "--job", str(path), "--out", out]
+    else:
+        args = sim_args(data_dir, out, mode="hierarchical", horizon="300", seed="3")
+        args[args.index("--" + path.suffix[1:]) + 1] = str(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(args)
+    message = err.getvalue()
+    assert rc in (0, 1), message
+    if rc == 1:
+        assert str(path) in message and where in message, message
+    if key in NUMERIC_KEYS and _non_finite(token):
+        assert rc == 1, f"{where} {key} = {token!r} exited 0"

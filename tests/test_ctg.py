@@ -279,3 +279,32 @@ class TestValidation:
                      CtgTask("B", t_ex=1.0)), (("A", "B"),))
         sched = schedule(resolve(c, ()))
         assert sched.makespan == 1.0
+
+
+class TestLabelValidation:
+    SITE = (ConditionSite("c1"),)
+
+    def test_label_map_covers_only_the_guarded_label(self):
+        # a task guarded on c1 = L runs only under L, so L alone suffices
+        task = CtgTask("T", guard=("c1", "L"), site="c1", n={"L": 3.0}, t_ex={"L": 2.0})
+        table = build_table(Ctg(self.SITE, (task,), ()))
+        assert table.schedules[("L",)].makespan == 2.0
+        assert table.schedules[("H",)].makespan == 0.0
+
+    @pytest.mark.parametrize("task, where", [
+        (CtgTask("T", site="c1", n={"L": 3.0}, t_ex=2.0), "[task T] n: no value for label 'H'"),
+        (CtgTask("T", guard=("c1", "H"), site="c1", t_ex={"L": 2.0}),
+         "[task T] t_ex: no value for label 'H'"),
+        (CtgTask("T", n={"L": 3.0}, t_ex=2.0), "[task T] n: per-label values need a site"),
+        (CtgTask("T", guard=("c1", "Q"), t_ex=2.0), "[task T] guard: no [site c1] with label 'Q'"),
+        (CtgTask("T", site="c9", t_ex=2.0), "[task T] site: unknown site 'c9'"),
+    ])
+    def test_uncovered_label_rejected(self, task, where):
+        with pytest.raises(ValueError) as info:
+            Ctg(self.SITE, (task,), ())
+        assert where in str(info.value)
+
+    def test_loader_names_task_and_key(self, twin_ctg_text):
+        from civitas.textfmt import ParseError
+        with pytest.raises(ParseError, match=r"\[task dT12\] t_ex: must be >= 0, got -10"):
+            load_ctg(twin_ctg_text.replace("t_ex = 10\n", "t_ex = -10\n", 1))
