@@ -277,7 +277,7 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
                 model = ctmdpmod.from_schedule_tables([table], shift_log)
                 sol = ctmdpmod.solve_model(model)
                 if sol.status == "optimal":
-                    engine.areas["area"].set_model(model, sol.objective)
+                    engine.areas["area"].objective = sol.objective
                     t_area = {ctmdpmod.state_name(table.zone, s): table.t_area(s)
                               for s in table.scenarios}
                     engine.top.fg = fgmod.attach(engine.top.fg, "area", sol,

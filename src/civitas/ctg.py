@@ -15,6 +15,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import statistics
@@ -28,6 +29,9 @@ DEFAULT_ZONE = "Z"
 # Constraints anchoring the end of a same-direction run are backed off
 # by this much so the half-open state region still covers the run.
 RUN_END_BACKOFF = 1e-6
+
+# The largest task vehicle count `n`: counts up to 2**53 are exact in a double.
+MAX_COUNT = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -168,14 +172,14 @@ class Ctg:
                 if missing:
                     raise ValueError(f"{where} {key}: no value for label {missing[0]!r}"
                                      f" of [site {attr_site}]")
+            counts = t.n.values() if isinstance(t.n, Mapping) else (t.n,)
+            if any(v > MAX_COUNT for v in counts):
+                raise ValueError(f"{where} n: must be <= 2**53, got {max(counts):g}")
         known = set(ids)
         for a, b in self.arcs:
             if not {a, b} <= known:
                 raise ValueError(f"[task {b}] after: unknown tasks {sorted({a, b} - known)}")
         _toposort(ids, self.arcs)  # raises on cycles
-
-    def site(self, site_id: str) -> ConditionSite:
-        return next(s for s in self.sites if s.id == site_id)
 
     def label_of(self, scenario: Scenario, site_id: str | None) -> str | None:
         if site_id is None:
@@ -183,25 +187,22 @@ class Ctg:
         idx = next(i for i, s in enumerate(self.sites) if s.id == site_id)
         return scenario[idx]
 
-    def exclusion_pairs(self) -> frozenset[frozenset[str]]:
-        """Task pairs sharing a shared road resource or a signal head."""
-        pairs = set()
-        for a, b in itertools.combinations(self.tasks, 2):
-            if a.resources & b.resources & self.shared_resources:
-                pairs.add(frozenset((a.id, b.id)))
-            elif (a.itu is not None and a.itu == b.itu
-                  and a.direction is not None and b.direction is not None
-                  and a.direction != b.direction):
-                pairs.add(frozenset((a.id, b.id)))
-        return frozenset(pairs)
+    @cached_property
+    def gaps(self) -> tuple[tuple[str, str, float], ...]:
+        """Exclusion pairs with their dead times: sorted (task, task, gap).
 
-    def pair_gap(self, a: CtgTask, b: CtgTask) -> float:
-        """Required dead time between an exclusion pair's executions."""
-        if (a.itu is not None and a.itu == b.itu
-                and a.direction is not None and b.direction is not None
-                and a.direction != b.direction):
-            return self.clearance
-        return 0.0
+        Two tasks exclude each other when they hold a common shared road
+        resource or cross the same intersection from opposite directions;
+        the latter also need `clearance` between them.
+        """
+        out = []
+        for a, b in itertools.combinations(self.tasks, 2):
+            opposing = (a.itu is not None and a.itu == b.itu
+                        and {a.direction, b.direction} == {1, 2})
+            if opposing or a.resources & b.resources & self.shared_resources:
+                out.append((*sorted((a.id, b.id)),
+                            self.clearance if opposing else 0.0))
+        return tuple(sorted(out))
 
 
 def enumerate_scenarios(ctg: Ctg) -> list[Scenario]:
@@ -219,7 +220,6 @@ class ResolvedTask:
     dummy: bool = False
     itu: str | None = None
     direction: int | None = None
-    skippable: bool = False
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,7 @@ class ResolvedGraph:
     scenario: Scenario
     tasks: tuple[ResolvedTask, ...]
     arcs: tuple[tuple[str, str], ...]
-    exclusions: frozenset[frozenset[str]]
-    shared: frozenset[str] = frozenset()
-    gaps: tuple[tuple[str, str, float], ...] = ()  # (task, task, dead time)
+    gaps: tuple[tuple[str, str, float], ...]  # (task, task, dead time)
 
     def task(self, task_id: str) -> ResolvedTask:
         return next(t for t in self.tasks if t.id == task_id)
@@ -262,27 +260,21 @@ def resolve(ctg: Ctg, scenario: Scenario, drop: frozenset[str] = frozenset()
         if not t.dummy and duration <= 0:
             raise ValueError(f"task {t.id}: non-dummy duration must be > 0")
         kept.append(ResolvedTask(t.id, duration, t.n_for(label), t.resources,
-                                 t.dummy, t.itu, t.direction, t.skippable))
+                                 t.dummy, t.itu, t.direction))
     ids = {t.id for t in kept}
     arcs = tuple((a, b) for a, b in ctg.arcs if a in ids and b in ids)
-    exclusions = frozenset(p for p in ctg.exclusion_pairs() if p <= ids)
-    by_id = {t.id: t for t in ctg.tasks}
-    gaps = tuple(sorted(
-        (min(pair), max(pair), ctg.pair_gap(by_id[min(pair)], by_id[max(pair)]))
-        for pair in exclusions))
-    return ResolvedGraph(tuple(scenario), tuple(kept), arcs, exclusions,
-                         ctg.shared_resources, gaps)
+    gaps = tuple(g for g in ctg.gaps if g[0] in ids and g[1] in ids)
+    return ResolvedGraph(tuple(scenario), tuple(kept), arcs, gaps)
 
 
 @dataclass(frozen=True)
 class ZoneSchedule:
-    """Feasible start times for one scenario, plus resource idle gaps."""
+    """Feasible start times for one scenario."""
 
     scenario: Scenario
     starts: dict[str, float]
     finishes: dict[str, float]
     makespan: float
-    resource_idle: dict[str, tuple[tuple[float, float], ...]]
     graph: ResolvedGraph
 
 
@@ -355,19 +347,7 @@ def schedule(graph: ResolvedGraph, objective: str = "makespan") -> ZoneSchedule:
         now = heapq.heappop(events)
 
     makespan = max(finishes.values(), default=0.0)
-    idle: dict[str, tuple[tuple[float, float], ...]] = {}
-    for r in sorted({res for t in graph.tasks for res in t.resources & graph.shared}):
-        occ = sorted((starts[t.id], finishes[t.id]) for t in graph.tasks
-                     if r in t.resources & graph.shared)
-        gaps, cursor = [], 0.0
-        for a, b in occ:
-            if a > cursor:
-                gaps.append((cursor, a))
-            cursor = max(cursor, b)
-        if cursor < makespan:
-            gaps.append((cursor, makespan))
-        idle[r] = tuple(gaps)
-    return ZoneSchedule(graph.scenario, starts, finishes, makespan, idle, graph)
+    return ZoneSchedule(graph.scenario, starts, finishes, makespan, graph)
 
 
 @dataclass(frozen=True)

@@ -126,9 +126,7 @@ class ShiftLog:
         return tuple(sorted(names))
 
 
-def from_schedule_tables(tables: list[ScheduleTable], shift_log: ShiftLog,
-                         actions: tuple[str, ...] = (), bounds: tuple[float, ...] = ()
-                         ) -> Ctmdp:
+def from_schedule_tables(tables: list[ScheduleTable], shift_log: ShiftLog) -> Ctmdp:
     """One state per table column across all tables; rates from the log.
 
     The objective reward of a state is the total vehicle count over its
@@ -143,11 +141,9 @@ def from_schedule_tables(tables: list[ScheduleTable], shift_log: ShiftLog,
             reward_of.append(sched.graph.total_n())
     if not states:
         raise ValueError("no schedule-table columns")
-    if not actions:
-        actions = shift_log.observed_actions() or ("default",)
+    actions = shift_log.observed_actions() or ("default",)
     S, A = len(states), len(actions)
     sidx = {s: i for i, s in enumerate(states)}
-    aidx = {a: i for i, a in enumerate(actions)}
 
     observed_dwell = [d for d in shift_log.dwell.values() if d > 0]
     mean_dwell = (sum(observed_dwell) / len(observed_dwell)) if observed_dwell else 1.0
@@ -166,8 +162,7 @@ def from_schedule_tables(tables: list[ScheduleTable], shift_log: ShiftLog,
                 q[i, :, a] = 1.0 / (mean_dwell * (S - 1))
                 q[i, i, a] = 0.0
     rewards = np.tile(np.array(reward_of)[None, :, None], (1, 1, A))
-    return make_ctmdp(states, actions, q, rewards, bounds=bounds,
-                      prior_pairs=tuple(prior_pairs))
+    return make_ctmdp(states, actions, q, rewards, prior_pairs=prior_pairs)
 
 
 def build_lp(m: Ctmdp) -> simplex.LinearProgram:
@@ -226,24 +221,30 @@ def check_optimality(lp: simplex.LinearProgram, sol: simplex.LpSolution,
                      row_names: tuple[str, ...] = ()) -> None:
     """Raise `SolutionInvariantError` unless `sol` is a certified optimum.
 
-    Three conditions, over the columns of x and the surplus columns of the
-    >= rows: the primal residual (equality rows within `BALANCE_TOL`, >=
-    rows and x >= 0 within `OCCUPATION_TOL`); dual feasibility (every
-    reduced cost <= `OPTIMALITY_TOL`, and the reported reduced costs equal
-    c - A'y for the reported multipliers y); complementary slackness
-    (x_j times reduced cost j within `OPTIMALITY_TOL`).  Tolerances on
-    costs scale with the largest objective coefficient.
+    Every number of the solution must be finite.  Then three conditions,
+    over the columns of x and the surplus columns of the >= rows: the
+    primal residual (equality rows within `BALANCE_TOL`, >= rows and
+    x >= 0 within `OCCUPATION_TOL`); dual feasibility (every reduced cost
+    <= `OPTIMALITY_TOL`, and the reported reduced costs equal c - A'y for
+    the reported multipliers y); complementary slackness (x_j times
+    reduced cost j within `OPTIMALITY_TOL`).  Tolerances on costs scale
+    with the largest objective coefficient; a nan fails every condition.
     """
+    for name, value in (("occupation", sol.x), ("multiplier", sol.duals),
+                        ("reduced cost", sol.reduced_costs),
+                        ("objective", [sol.objective, sol.dual_objective])):
+        if not np.all(np.isfinite(value)):
+            raise SolutionInvariantError(f"non-finite {name} in the solution")
     x = sol.x
-    if np.any(x < -OCCUPATION_TOL):
+    if _beyond(-x, OCCUPATION_TOL):
         raise SolutionInvariantError(f"negative occupation {x.min()}")
     resid = lp.eq_lhs @ x - lp.eq_rhs
-    if np.any(np.abs(resid) > BALANCE_TOL):
+    if _beyond(np.abs(resid), BALANCE_TOL):
         worst = int(np.argmax(np.abs(resid)))
         name = row_names[worst] if row_names else f"row {worst}"
         raise SolutionInvariantError(f"primal residual {resid[worst]} at {name}")
     surplus = lp.ge_lhs @ x - lp.ge_rhs
-    if np.any(surplus < -OCCUPATION_TOL):
+    if _beyond(-surplus, OCCUPATION_TOL):
         raise SolutionInvariantError(f"criterion bound violated by {surplus.min()}")
 
     tol = OPTIMALITY_TOL * max(1.0, float(np.abs(lp.objective).max(initial=0.0)))
@@ -253,17 +254,22 @@ def check_optimality(lp: simplex.LinearProgram, sol: simplex.LpSolution,
     # The surplus column of >= row k is -e_k, so its reduced cost is y_k.
     priced = np.concatenate([lp.objective - y_eq @ lp.eq_lhs - y_ge @ lp.ge_lhs,
                              y_ge])
-    if np.any(np.abs(reduced - priced) > tol):
+    if _beyond(np.abs(reduced - priced), tol):
         raise SolutionInvariantError("reduced costs do not match the multipliers")
-    if np.any(reduced > tol):
+    if _beyond(reduced, tol):
         j = int(np.argmax(reduced))
         raise SolutionInvariantError(f"reduced cost {reduced[j]} > 0 at column {j}:"
                                      " the basis is not optimal")
     slack = np.abs(np.concatenate([x, surplus]) * reduced)
-    if np.any(slack > tol):
+    if _beyond(slack, tol):
         j = int(np.argmax(slack))
         raise SolutionInvariantError(f"complementary slackness violated by"
                                      f" {slack[j]} at column {j}")
+
+
+def _beyond(values, tol: float) -> bool:
+    """Whether any of `values` exceeds `tol`; a nan does (it is not <= tol)."""
+    return not np.all(values <= tol)
 
 
 def solve_model(m: Ctmdp) -> CtmdpSolution:
@@ -273,7 +279,7 @@ def solve_model(m: Ctmdp) -> CtmdpSolution:
     if sol.status != simplex.OPTIMAL:
         return CtmdpSolution(sol.status, iterations=sol.iterations)
     check_optimality(lp, sol, m.states + ("normalization",))
-    if sol.duality_gap is None or sol.duality_gap > DUALITY_TOL:
+    if sol.duality_gap is None or _beyond(sol.duality_gap, DUALITY_TOL):
         raise SolutionInvariantError(f"duality gap {sol.duality_gap}")
     x = sol.x
     occupation = {(m.states[i], m.actions[a]): float(x[idx])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 from . import ctg as ctgmod
 from . import fsm as fsmmod
-from .ctmdp import Ctmdp, solve_model
 from .fgraph import FunctionGraph, distribute_goals
 from .registry import DmRegistry, InteractionKind
 
@@ -87,7 +86,12 @@ def aggregate_needs(violations: list[ViolationMsg]) -> list[PerformanceNeeds]:
 
 @dataclass
 class ZoneUnit:
-    """Zone coordinator state inside the engine."""
+    """Zone coordinator state inside the engine.
+
+    `fallback` is the schedule table of the graph without its skippable
+    tasks (None when it has none); `dropped_tasks` is empty or
+    `skippable`, and says which of the two tables is in use.
+    """
 
     id: str
     ctg: ctgmod.Ctg
@@ -100,6 +104,13 @@ class ZoneUnit:
     bound: float | None = None
     min_throughput: float = 0.0
     dropped_tasks: frozenset[str] = frozenset()
+    skippable: frozenset[str] = field(init=False)
+    fallback: ctgmod.ScheduleTable | None = field(init=False)
+
+    def __post_init__(self):
+        self.skippable = frozenset(t.id for t in self.ctg.tasks if t.skippable)
+        self.fallback = (ctgmod.build_table(self.ctg, drop=self.skippable)
+                         if self.skippable else None)
 
     def active_column(self) -> ctgmod.Scenario:
         return self.preferred if self.preferred is not None else self.scenario
@@ -112,10 +123,8 @@ class ZoneUnit:
             self.dropped_tasks = frozenset()
 
     def schedule_for(self, column: ctgmod.Scenario) -> ctgmod.ZoneSchedule:
-        if self.dropped_tasks:
-            return ctgmod.schedule(
-                ctgmod.resolve(self.ctg, column, self.dropped_tasks))
-        return self.table.schedules[column]
+        table = self.fallback if self.dropped_tasks else self.table
+        return table.schedules[column]
 
     def constraints_for(self, column: ctgmod.Scenario,
                         itu: str) -> tuple[fsmmod.TimingConstraint, ...]:
@@ -125,23 +134,15 @@ class ZoneUnit:
 
 @dataclass
 class AreaUnit:
+    """Area coordinator state; `objective` is the last solved CTMDP's value."""
+
     id: str
     zones: tuple[str, ...]
-    model: Ctmdp | None = None
     target: GoalTarget | None = None
     objective: float | None = None
 
-    def set_model(self, model: Ctmdp, objective: float | None = None) -> None:
-        self.model = model
-        self.objective = objective
-
     def expected_throughput(self, engine: "HierarchyEngine") -> float:
-        if self.model is not None:
-            if self.objective is None:
-                sol = solve_model(self.model)
-                if sol.status != "optimal":
-                    return 0.0
-                self.objective = sol.objective
+        if self.objective is not None:
             return self.objective
         total = 0.0
         for zid in self.zones:
@@ -165,17 +166,6 @@ class ReconcileReport:
     passes: int
     unresolved: tuple[ViolationMsg, ...] = ()
     safe_engaged: tuple[str, ...] = ()
-
-
-def report_to_csv(report: ReconcileReport) -> str:
-    lines = ["converged,passes,source,quantity,shortfall,safe_engaged"]
-    safe = ";".join(report.safe_engaged)
-    if not report.unresolved:
-        lines.append(f"{report.converged},{report.passes},,,0,{safe}")
-    for v in report.unresolved:
-        lines.append("%s,%d,%s,%s,%.9g,%s" % (
-            report.converged, report.passes, v.source, v.quantity, v.shortfall, safe))
-    return "\n".join(lines) + "\n"
 
 
 class HierarchyEngine:
@@ -305,19 +295,17 @@ class HierarchyEngine:
                 return True
         # Fallback path: skip skippable tasks unless throughput would drop
         # below the active top-down requirement.
-        skippable = frozenset(t.id for t in zone.ctg.tasks if t.skippable)
-        if skippable:
+        if zone.fallback is not None:
             for column in candidates:
-                if (column, skippable) in zone.rejected:
+                if (column, zone.skippable) in zone.rejected:
                     continue
-                graph = ctgmod.resolve(zone.ctg, column, skippable)
-                if graph.total_n() < zone.min_throughput:
+                sched = zone.fallback.schedules[column]
+                if sched.graph.total_n() < zone.min_throughput:
                     continue
-                sched = ctgmod.schedule(graph)
                 if zone.bound is not None and sched.makespan > zone.bound:
                     continue
                 saved = zone.dropped_tasks
-                zone.dropped_tasks = skippable
+                zone.dropped_tasks = zone.skippable
                 if self._itu_feasible(zone, column):
                     zone.preferred = column
                     return True

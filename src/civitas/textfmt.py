@@ -3,7 +3,8 @@
 All on-disk inputs (networks, demand, task graphs, registries) share one
 human-readable grammar: an INI dialect whose section headers carry a kind
 and a name, e.g. ``[segment s1]``, followed by ``key = value`` lines.
-Lists are comma separated; ``#`` starts a comment.
+Lists are comma separated; ``#`` starts a comment, also after a value
+(where whitespace must precede it).
 
 `Section`'s typed accessors are the one validation layer of that grammar:
 every value they reject, and every error raised inside `Section.context`,
@@ -155,8 +156,8 @@ class Section:
 def parse_sections(text: str) -> list[Section]:
     """Split a config text into typed sections, preserving order."""
     parser = configparser.ConfigParser(
-        delimiters=("=",), comment_prefixes=("#", ";"), strict=True,
-        interpolation=None)
+        delimiters=("=",), comment_prefixes=("#", ";"),
+        inline_comment_prefixes=("#",), strict=True, interpolation=None)
     parser.optionxform = str  # keep key case
     try:
         parser.read_string(text)

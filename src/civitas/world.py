@@ -352,7 +352,6 @@ class WorldState:
     arrivals: list[tuple[float, str, tuple[str, ...]]] = field(default_factory=list)
     arrival_idx: int = 0
     next_vid: int = 0
-    min_headway: float = DEFAULT_HEADWAY
     route_rng: np.random.Generator | None = None
     # Completed traversals per segment in completion order: when each
     # vehicle left the segment and how long it had been on it.  The last
@@ -448,8 +447,7 @@ def _shortest_route(succ: Graph, pred: Graph, source: str, target: str) -> list[
 
 
 def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
-               horizon: float = 0.0, seed: int = 0,
-               min_headway: float = DEFAULT_HEADWAY) -> WorldState:
+               horizon: float = 0.0, seed: int = 0) -> WorldState:
     """Build a world with all randomness drawn up front.
 
     Arrival instants follow a piecewise-constant-rate Poisson process per
@@ -457,8 +455,7 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     are sampled at generation time (uniform over reachable exits, then the
     fastest path), so stepping the world consumes no randomness.
     """
-    world = WorldState(network, min_headway=min_headway,
-                       queues={s.id: [] for s in network.segments},
+    world = WorldState(network, queues={s.id: [] for s in network.segments},
                        completed_at={s.id: array("d") for s in network.segments},
                        traversal_time={s.id: array("d") for s in network.segments})
     seq = np.random.SeedSequence(seed)
@@ -582,7 +579,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         if v.ready_at > now:
             continue
         crossed = completed_at[seg.id]
-        if crossed and crossed[-1] + world.min_headway > now:
+        if crossed and crossed[-1] + DEFAULT_HEADWAY > now:
             continue
         state = controls.get(seg.to_node)
         if state is not None and not state.admits(seg.approach or 0):

@@ -168,6 +168,7 @@ MALFORMED_VALUES = [
     ("schedule", "twin.ctg", "t_ex = 10\n", "t_ex = -10\n", "[task dT12] t_ex"),
     ("schedule", "twin.ctg", "n = L:3, H:12", "n = L:3, H:nan", "[task T1] n"),
     ("schedule", "twin.ctg", "n = L:3, H:12", "n = L:3, H:-4", "[task T1] n"),
+    ("schedule", "twin.ctg", "n = L:3, H:12", "n = L:3, H:1e16", "[task T1] n"),
     ("schedule", "twin.ctg", "t_ex = H:22", "t_ex = H:inf", "[task T2p] t_ex"),
     ("schedule", "twin.ctg", "t_ex = L:6, H:10", "t_ex = L:0, H:10", "[task T1] t_ex"),
     ("schedule", "twin.ctg", "t_ex = L:6, H:10", "t_ex = L:6", "[task T1] t_ex"),
@@ -211,6 +212,19 @@ def test_malformed_value_is_exit_one(tmp_path, data_dir, capsys, command, name,
         args[args.index("--network") + 1] = str(bad)
     assert cli.main(args) == 1
     assert where in capsys.readouterr().err
+
+
+def test_vehicle_count_beyond_exact_doubles_is_exit_one(tmp_path, data_dir, capsys):
+    # n = 1e308 once overflowed the area LP into a nan certificate that
+    # passed, and the run exited 0 with capability 1e+308.
+    bad = tmp_path / "twin.ctg"
+    bad.write_text((data_dir / "twin.ctg").read_text().replace(
+        "n = L:3, H:12", "n = L:3, H:1e308", 1))
+    args = sim_args(data_dir, tmp_path / "o", mode="hierarchical", horizon="600",
+                    seed="3")
+    args[args.index("--ctg") + 1] = str(bad)
+    assert cli.main(args) == 1
+    assert "[task T1] n" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -144,8 +144,7 @@ class TestSchedule:
         for _ in range(50):
             g = random_instance(rng)
             sched = schedule(g)
-            for pair in g.exclusions:
-                a, b = sorted(pair)
+            for a, b, _ in g.gaps:
                 assert (sched.finishes[a] <= sched.starts[b] + 1e-9
                         or sched.finishes[b] <= sched.starts[a] + 1e-9)
 
@@ -298,11 +297,17 @@ class TestLabelValidation:
         (CtgTask("T", n={"L": 3.0}, t_ex=2.0), "[task T] n: per-label values need a site"),
         (CtgTask("T", guard=("c1", "Q"), t_ex=2.0), "[task T] guard: no [site c1] with label 'Q'"),
         (CtgTask("T", site="c9", t_ex=2.0), "[task T] site: unknown site 'c9'"),
+        (CtgTask("T", t_ex=2.0, n=2.0 ** 53 + 2), "[task T] n: must be <= 2**53"),
+        (CtgTask("T", site="c1", n={"L": 1.0, "H": 1e308}, t_ex=2.0),
+         "[task T] n: must be <= 2**53, got 1e+308"),
     ])
     def test_uncovered_label_rejected(self, task, where):
         with pytest.raises(ValueError) as info:
             Ctg(self.SITE, (task,), ())
         assert where in str(info.value)
+
+    def test_counts_up_to_two_to_the_53_are_exact(self):
+        Ctg(self.SITE, (CtgTask("T", t_ex=2.0, n=2.0 ** 53),), ())
 
     def test_loader_names_task_and_key(self, twin_ctg_text):
         from civitas.textfmt import ParseError

@@ -279,11 +279,29 @@ class TestOptimalityCheck:
         ({"duals": np.array([0.0]), "reduced_costs": np.array([1.0, 0.0])},
          "reduced cost 1.0 > 0"),
         ({"x": np.array([0.0, 1.0])}, "complementary slackness"),
+        # nan passes every `value > tol` test; each must still fail
+        ({"x": np.array([np.nan, 0.0])}, "non-finite occupation"),
+        ({"duals": np.array([np.nan])}, "non-finite multiplier"),
+        ({"reduced_costs": np.array([np.nan, -1.0])}, "non-finite reduced cost"),
+        ({"objective": np.inf}, "non-finite objective"),
+        ({"dual_objective": np.nan}, "non-finite objective"),
     ])
     def test_fires_on_each_condition(self, change, message):
         sol = replace(simplex.solve(self.LP), **change)
         with pytest.raises(SolutionInvariantError, match=message):
             check_optimality(self.LP, sol)
+
+    def test_prices_overflowing_to_nan_fail(self):
+        # Finite multipliers whose prices overflow to inf - inf: the nan they
+        # give would pass a `value > tol` test.
+        lp = simplex.LinearProgram.build([1.0, 0.0], eq=[([2.0, 2.0], 2.0)] * 2)
+        sol = simplex.LpSolution(simplex.OPTIMAL, x=np.array([1.0, 0.0]),
+                                 objective=1.0, duals=np.array([1e308, -1e308]),
+                                 dual_objective=1.0,
+                                 reduced_costs=np.array([0.0, -1.0]))
+        with np.errstate(all="ignore"), pytest.raises(SolutionInvariantError,
+                                                      match="do not match"):
+            check_optimality(lp, sol)
 
     def test_surplus_columns_are_priced(self):
         # max -x subject to x >= 1: the surplus column's reduced cost is y.

@@ -4,7 +4,8 @@ Each oracle below is the earlier, direct implementation: the layout scan
 of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
 networkx connectivity check, per-exit `has_path` reachability and
 `shortest_path` routes of the network and `make_world`, the dense Bland
-tableau of the simplex, the `itertools.product` enumeration of
+tableau of the simplex, the per-scenario exclusion-pair rule of the task
+graph's `resolve`, the `itertools.product` enumeration of
 `fgraph.evaluate` and the sampled per-point loop of `fuzzy.surface`.  The
 fast paths must agree with them exactly, not approximately: every
 artifact is byte-identical across the change, so floats are compared by
@@ -24,6 +25,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -39,6 +41,7 @@ from civitas import ctmdp as ctmdpmod
 from civitas import world as w
 from civitas.ctmdp import build_lp, make_ctmdp
 from civitas.fsm import CYCLIC_ORDER, SignalFsm, SignalState
+from civitas.hierarchy import ZoneUnit
 
 
 # ---------------------------------------------------------------- oracles
@@ -596,14 +599,20 @@ def ctmdp_lp(seed, states, actions):
                                tuple(f"a{a}" for a in range(actions)), q, rewards))
 
 
-def ladder_models():
-    """The benchmark's CTMDP ladder (16x3, 32x2, 32x3, 64x2), generated by
-    `perfbench/gen.py` from `LADDER_SEED` as the `offline_plan` workload
-    generates it."""
+def perfbench_gen():
+    """The benchmark's input generators, `perfbench/gen.py`."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def ladder_models():
+    """The benchmark's CTMDP ladder (16x3, 32x2, 32x3, 64x2), generated by
+    `perfbench/gen.py` from `LADDER_SEED` as the `offline_plan` workload
+    generates it."""
+    gen = perfbench_gen()
     rng = np.random.default_rng(gen.LADDER_SEED)
     ctgs, models = {}, {}
     for sites, actions in gen.CTMDP_LADDER:
@@ -679,6 +688,121 @@ class TestSimplexSolve:
         assert_same_optimum(got, *highs_solve(lp))
         assert got.iterations <= LADDER_MAX_PIVOTS
         assert ctmdpmod.solve_model(ladder[rung]).objective == got.objective
+
+
+# ------------------------------------------------------------ task graphs
+#
+# `Ctg.gaps` derives a graph's exclusion pairs and their dead times once;
+# `resolve` used to re-derive them for every scenario from two methods,
+# both kept here.
+
+def exclusion_pairs(ctg):
+    """Task pairs sharing a shared road resource or a signal head."""
+    pairs = set()
+    for a, b in itertools.combinations(ctg.tasks, 2):
+        if a.resources & b.resources & ctg.shared_resources:
+            pairs.add(frozenset((a.id, b.id)))
+        elif (a.itu is not None and a.itu == b.itu
+              and a.direction is not None and b.direction is not None
+              and a.direction != b.direction):
+            pairs.add(frozenset((a.id, b.id)))
+    return frozenset(pairs)
+
+
+def pair_gap(ctg, a, b):
+    """Required dead time between an exclusion pair's executions."""
+    if (a.itu is not None and a.itu == b.itu
+            and a.direction is not None and b.direction is not None
+            and a.direction != b.direction):
+        return ctg.clearance
+    return 0.0
+
+
+def pair_gaps(ctg, ids):
+    """The (task, task, dead time) triples of the exclusion pairs in `ids`."""
+    by_id = {t.id: t for t in ctg.tasks}
+    exclusions = [p for p in exclusion_pairs(ctg) if p <= ids]
+    return tuple(sorted((min(p), max(p), pair_gap(ctg, by_id[min(p)], by_id[max(p)]))
+                        for p in exclusions))
+
+
+def pair_rule_table(ctg, drop=frozenset()):
+    """`build_table`, each scenario's gaps derived by the pair rule."""
+    schedules = {}
+    for scenario in ctgmod.enumerate_scenarios(ctg):
+        graph = ctgmod.resolve(ctg, scenario, drop)
+        graph = replace(graph, gaps=pair_gaps(ctg, {t.id for t in graph.tasks}))
+        schedules[scenario] = ctgmod.schedule(graph)
+    return ctgmod.ScheduleTable(ctg.zone, tuple(schedules), schedules)
+
+
+@st.composite
+def task_graphs(draw):
+    """Guarded tasks on shared and private resources, crossing two
+    intersections from either direction, some dummy, some skippable."""
+    sites = tuple(ctgmod.ConditionSite(f"c{k}") for k in range(draw(st.integers(0, 2))))
+    shared = frozenset(draw(st.sets(st.sampled_from(("r0", "r1", "r2")))))
+    n = draw(st.integers(1, 7))
+    tasks = []
+    for i in range(n):
+        dummy = draw(st.integers(0, 5)) == 0
+        resources = frozenset(draw(st.sets(st.sampled_from(("r0", "r1", "r2", "p")))))
+        guard = None
+        if sites and draw(st.booleans()):
+            guard = (draw(st.sampled_from(sites)).id, draw(st.sampled_from(("L", "H"))))
+        tasks.append(ctgmod.CtgTask(
+            f"T{i}", guard, resources - shared if dummy else resources,
+            n=float(draw(st.integers(0, 9))),
+            t_ex=float(draw(st.integers(0 if dummy else 1, 9))), dummy=dummy,
+            itu=draw(st.sampled_from((None, "X", "Y"))),
+            direction=draw(st.sampled_from((None, 1, 2))),
+            skippable=draw(st.booleans())))
+    arcs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda p: p[0] < p[1]), max_size=n))
+    return ctgmod.Ctg(sites, tuple(tasks), tuple((f"T{a}", f"T{b}") for a, b in sorted(arcs)),
+                      shared, clearance=draw(st.sampled_from((0.0, 2.5, 5.0))))
+
+
+def skippable(ctg):
+    return frozenset(t.id for t in ctg.tasks if t.skippable)
+
+
+def assert_same_table(ctg, drop):
+    got, want = ctgmod.build_table(ctg, drop=drop), pair_rule_table(ctg, drop)
+    assert ctgmod.table_to_csv(got) == ctgmod.table_to_csv(want)
+    assert [s.makespan for _, s in got.columns()] == [s.makespan for _, s in want.columns()]
+
+
+class TestExclusionGaps:
+    @settings(max_examples=300, deadline=None)
+    @given(task_graphs())
+    def test_gaps_match_pair_rule(self, ctg):
+        assert ctg.gaps == pair_gaps(ctg, {t.id for t in ctg.tasks})
+
+    @settings(max_examples=150, deadline=None)
+    @given(task_graphs())
+    def test_tables_match_pair_rule(self, ctg):
+        for drop in {frozenset(), skippable(ctg)}:
+            assert_same_table(ctg, drop)
+
+    def test_benchmark_and_twin_graphs(self, twin_ctg_text):
+        gen = perfbench_gen()
+        rng = np.random.default_rng(gen.LADDER_SEED)
+        texts = [twin_ctg_text] + [gen.ctg_text(sites, rng) for sites in (4, 5, 6)]
+        for text in texts:
+            assert_same_table(ctgmod.load_ctg(text), frozenset())
+
+    @settings(max_examples=100, deadline=None)
+    @given(task_graphs())
+    def test_fallback_schedules_match_resolve(self, ctg):
+        drop = skippable(ctg)
+        assume(drop)
+        scenarios = ctgmod.enumerate_scenarios(ctg)
+        zone = ZoneUnit("Z", ctg, ctgmod.build_table(ctg), (), scenarios[0], 60.0)
+        zone.dropped_tasks = drop
+        for column in scenarios:
+            assert zone.schedule_for(column) == ctgmod.schedule(
+                ctgmod.resolve(ctg, column, drop))
 
 
 # ----------------------------------------------------------------- fgraph

@@ -6,7 +6,7 @@ from civitas.fgraph import FgNode, FunctionGraph, PerfDistribution
 from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                LEVEL_ZONE, AreaUnit, ConstraintMsg,
                                GlobalUnit, HierarchyEngine, ViolationMsg,
-                               ZoneUnit, aggregate_needs, report_to_csv)
+                               ZoneUnit, aggregate_needs)
 
 
 def make_controller(itu_id, offset=0.0):
@@ -36,6 +36,18 @@ def alternating_ctg(heavy_runs):
     arcs.append(("P0", "Q"))
     return ctgmod.Ctg((ctgmod.ConditionSite("c", thresholds=(5.0,)),),
                       tuple(tasks), tuple(arcs), clearance=5.0)
+
+
+def skippable_chain():
+    """Three alternating runs at X in every column; the middle one, P1, is
+    skippable, and dropping it leaves a serviceable schedule."""
+    tasks = (ctgmod.CtgTask("P0", itu="X", direction=1, t_ex=8.0, n=4),
+             ctgmod.CtgTask("P1", itu="X", direction=2, t_ex=8.0, n=4,
+                            skippable=True),
+             ctgmod.CtgTask("P2", itu="X", direction=1, t_ex=8.0, n=4),
+             ctgmod.CtgTask("P3", itu="X", direction=2, t_ex=8.0, n=4))
+    return ctgmod.Ctg((), tasks, (("P0", "P1"), ("P1", "P2"), ("P2", "P3")),
+                      clearance=5.0)
 
 
 def build_engine(ctg, scenario, target=0, budget=5):
@@ -163,36 +175,28 @@ class TestReconcile:
         assert engine.zones["Z"].preferred is None
 
     def test_fallback_skips_task_when_columns_unserviceable(self):
-        # Every column has three alternating runs at X, but the middle run
-        # is a skippable task; dropping it leaves a serviceable schedule.
-        tasks = (ctgmod.CtgTask("P0", itu="X", direction=1, t_ex=8.0, n=4),
-                 ctgmod.CtgTask("P1", itu="X", direction=2, t_ex=8.0, n=4,
-                                skippable=True),
-                 ctgmod.CtgTask("P2", itu="X", direction=1, t_ex=8.0, n=4),
-                 ctgmod.CtgTask("P3", itu="X", direction=2, t_ex=8.0, n=4))
-        bad = ctgmod.Ctg((), tuple(tasks),
-                         (("P0", "P1"), ("P1", "P2"), ("P2", "P3")),
-                         clearance=5.0)
-        engine = build_engine(bad, ())
+        engine = build_engine(skippable_chain(), ())
         report = engine.reconcile()
         assert report.converged
         assert engine.zones["Z"].dropped_tasks == frozenset({"P1"})
 
     def test_fallback_skip_rejected_under_throughput_floor(self):
-        tasks = (ctgmod.CtgTask("P0", itu="X", direction=1, t_ex=8.0, n=4),
-                 ctgmod.CtgTask("P1", itu="X", direction=2, t_ex=8.0, n=4,
-                                skippable=True),
-                 ctgmod.CtgTask("P2", itu="X", direction=1, t_ex=8.0, n=4),
-                 ctgmod.CtgTask("P3", itu="X", direction=2, t_ex=8.0, n=4))
-        bad = ctgmod.Ctg((), tuple(tasks),
-                         (("P0", "P1"), ("P1", "P2"), ("P2", "P3")),
-                         clearance=5.0)
         # target 16 cars: dropping P1 would leave 12 < the floor
-        engine = build_engine(bad, (), target=16)
+        engine = build_engine(skippable_chain(), (), target=16)
         report = engine.reconcile()
         assert not report.converged
         assert engine.zones["Z"].dropped_tasks == frozenset()
         assert "X" in report.safe_engaged
+
+    def test_fallback_judged_by_its_own_schedule(self):
+        # With P1 the chain takes 47 s, over the 30 s bound; without it,
+        # P0 and P2 run together and the schedule takes 21 s.
+        engine = build_engine(skippable_chain(), ())
+        zone = engine.zones["Z"]
+        zone.bound = 30.0
+        assert zone.table.t_area(()) == 47.0 and zone.fallback.t_area(()) == 21.0
+        assert engine._recompute_zone(zone)
+        assert zone.dropped_tasks == frozenset({"P1"})
 
 
 class TestRouting:
@@ -207,11 +211,3 @@ class TestRouting:
         with pytest.raises(ValueError):
             engine.push_down()
 
-
-class TestReportCsv:
-    def test_report_rows(self):
-        engine = build_engine(alternating_ctg(2), ("L",))
-        text = report_to_csv(engine.reconcile())
-        lines = text.strip().splitlines()
-        assert lines[0] == "converged,passes,source,quantity,shortfall,safe_engaged"
-        assert lines[1].startswith("True,1")

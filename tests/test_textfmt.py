@@ -1,8 +1,10 @@
 import enum
+import re
+from pathlib import Path
 
 import pytest
 
-from civitas.textfmt import ParseError, Section, integer
+from civitas.textfmt import ParseError, Section, integer, parse_sections
 
 
 def section(**values):
@@ -83,3 +85,15 @@ class TestContext:
         with pytest.raises(TypeError):
             with section().context():
                 raise TypeError("a bug, not an input error")
+
+
+def test_readme_grammar_examples_parse_without_comments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 5
+    for block in blocks:
+        for sec in parse_sections(block):
+            for key, value in sec.values.items():
+                assert "#" not in value, f"{sec.where} {key} = {value!r}"
+    network = parse_sections(blocks[0])
+    assert network[0].get_bool("signalized") is True
