@@ -95,6 +95,9 @@ class RunConfig:
             raise ConfigError("--horizon must be a finite number > 0")
         if not 0 < self.dt < math.inf:
             raise ConfigError("--dt must be a finite number > 0")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ConfigError(f"--horizon {self.horizon:g} / --dt {self.dt:g}"
+                              " is not a finite number of ticks")
         if round(self.horizon / self.dt) < 1:
             raise ConfigError(f"--horizon {self.horizon:g} / --dt {self.dt:g}"
                               " rounds to no tick")
@@ -344,7 +347,8 @@ def cmd_schedule(args):
     return run
 
 
-def _parse_shift_log(path: str, text: str) -> ctmdpmod.ShiftLog:
+def _parse_shift_log(path: str, text: str, states: set[str]) -> ctmdpmod.ShiftLog:
+    """The shift log at `path`, whose states (and next states) are `states`."""
     reader = csv.DictReader(io.StringIO(text), restval="")
     missing = [c for c in ("state", "action", "dwell")
                if c not in (reader.fieldnames or ())]
@@ -352,6 +356,11 @@ def _parse_shift_log(path: str, text: str) -> ctmdpmod.ShiftLog:
         raise ParseError(f"missing column {', '.join(missing)}")
     log = ctmdpmod.ShiftLog()
     for row in reader:
+        for column in ("state", "next"):  # an empty next means no shift
+            name = row.get(column)
+            if (name or column == "state") and name not in states:
+                raise ConfigError(f"shift log {path}, line {reader.line_num}: {column}"
+                                  f" {name!r} is not a state of the task graph")
         with _naming(f"shift log {path}, line {reader.line_num}: bad dwell"
                      f" {row['dwell']!r}"):
             log.record(row["state"], row["action"], float(row["dwell"]),
@@ -364,8 +373,9 @@ def cmd_ctmdp(args):
         model = _load(args.model, "model", ctmdpmod.model_from_csv)
     elif args.ctg and args.shifts:
         table = _load_table(args.ctg)
+        states = {ctmdpmod.state_name(table.zone, s) for s in table.scenarios}
         shifts = _load(args.shifts, "shift log",
-                       lambda text: _parse_shift_log(args.shifts, text))
+                       lambda text: _parse_shift_log(args.shifts, text, states))
         model = ctmdpmod.from_schedule_tables([table], shifts)
     else:
         raise ConfigError("ctmdp needs --model or both --ctg and --shifts")

@@ -57,6 +57,8 @@ class Ctmdp:
             raise ValueError("every state needs a non-empty admissible action set")
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
+        if not np.all(np.isfinite(self.bounds)):
+            raise ValueError("bounds must be finite")
         for i in range(S):
             for a in range(A):
                 if not self.admissible[i, a]:
@@ -330,12 +332,18 @@ def model_to_csv(m: Ctmdp) -> str:
 
 
 def model_from_csv(text: str) -> Ctmdp:
+    """A model from `model_to_csv` rows.
+
+    Criteria are numbered from 0 without gaps, and each bound names one
+    beyond the objective.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:1] != ["kind"]:
         raise ValueError("missing CTMDP CSV header")
     states: list[str] = []
     actions: list[str] = []
     rates, rewards, bounds = [], [], {}
+    first_reward_row: dict[int, int] = {}  # criterion -> its first reward row
     for n, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -355,19 +363,37 @@ def model_from_csv(text: str) -> Ctmdp:
                 if a not in actions:
                     actions.append(a)
             elif kind == "reward":
-                rewards.append((int(k), i, a, float(value)))
+                criterion, reward = int(k), float(value)
+                if criterion < 0:
+                    raise ValueError(f"reward k {k!r} must be >= 0")
+                if not np.isfinite(reward):
+                    raise ValueError(f"reward {value!r} must be a finite number")
+                rewards.append((criterion, i, a, reward))
+                first_reward_row.setdefault(criterion, n)
                 if i not in states:
                     states.append(i)
                 if a not in actions:
                     actions.append(a)
             elif kind == "bound":
-                bounds[int(k)] = float(value)
+                criterion, bound = int(k), float(value)
+                if not np.isfinite(bound):
+                    raise ValueError(f"bound {value!r} must be a finite number")
+                bounds[criterion] = (bound, n)
             else:
                 raise ValueError(f"unknown row kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"row {n}: {exc}") from exc
+    criteria = sorted(first_reward_row)
+    for expected, criterion in enumerate(criteria):
+        if criterion != expected:
+            raise ValueError(f"row {first_reward_row[criterion]}: reward k {criterion}"
+                             f" skips criterion {expected}, which has no reward rows")
+    K = max(len(criteria), 1)
+    for criterion, (_, n) in bounds.items():
+        if not 1 <= criterion < K:
+            raise ValueError(f"row {n}: bound k {criterion} names no reward criterion"
+                             f" beyond the objective (reward rows give k 0 to {K - 1})")
     S, A = len(states), len(actions)
-    K = max((k for k, *_ in rewards), default=0) + 1
     sidx = {s: i for i, s in enumerate(states)}
     aidx = {a: i for i, a in enumerate(actions)}
     q = np.zeros((S, S, A))
@@ -376,7 +402,7 @@ def model_from_csv(text: str) -> Ctmdp:
     r = np.zeros((K, S, A))
     for k, i, a, v in rewards:
         r[k, sidx[i], aidx[a]] = v
-    bound_list = tuple(bounds.get(k, 0.0) for k in range(1, K))
+    bound_list = tuple(bounds[k][0] if k in bounds else 0.0 for k in range(1, K))
     return make_ctmdp(states, actions, q, r, bounds=bound_list)
 
 

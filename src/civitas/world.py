@@ -157,6 +157,11 @@ class StreetNetwork:
     def _segment_index(self) -> dict[str, RoadSegment]:
         return {s.id: s for s in self.segments}
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        """Each segment's index in declaration order."""
+        return {s.id: i for i, s in enumerate(self.segments)}
+
     def segment(self, seg_id: str) -> RoadSegment:
         seg = self._segment_index.get(seg_id)
         if seg is None:
@@ -341,6 +346,27 @@ class Observation:
 
 
 @dataclass
+class _Agenda:
+    """Which queue heads `step` looks at, and when.
+
+    Each non-empty segment (by index) is in exactly one place: armed,
+    to be checked on the next call; in `timers`, until its head is ready
+    and its headway has run; filed under the intersection whose signal
+    refused its head, until that signal changes; or filed under the full
+    segment its head waits to enter, until that segment pops.  Nothing
+    else can let a waiting head cross, so checking only the armed heads,
+    in declaration order, moves exactly the vehicles a scan of every head
+    would move.
+    """
+
+    armed: set[int]
+    timers: list[tuple[float, int]] = field(default_factory=list)  # heap
+    signal: dict[str, list[int]] = field(default_factory=dict)
+    room: dict[int, list[int]] = field(default_factory=dict)
+    controls: dict[str, SignalState] | None = None  # the previous call's
+
+
+@dataclass
 class WorldState:
     network: StreetNetwork
     clock: float = 0.0
@@ -358,6 +384,8 @@ class WorldState:
     # completion is the segment's last crossing, the headway's origin.
     completed_at: dict[str, array] = field(default_factory=dict)
     traversal_time: dict[str, array] = field(default_factory=dict)
+    # Built by the first `step`, which checks every head; None re-arms all.
+    agenda: _Agenda | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "WorldState":
         return copy.deepcopy(self)
@@ -519,6 +547,7 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
             world.queues[seg_id].append(v)
             world.entered += 1
             world.log("arrive", 0.0, v.vid, seg_id)
+    world.agenda = None  # the next step checks every head
 
 
 def _next_segment(world: WorldState, v: Vehicle, seg: RoadSegment) -> str | None:
@@ -545,52 +574,95 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
     if it is ready, the signal admits its approach, the headway since the
     last crossing has elapsed and the downstream segment has room.
     Blocked vehicles simply wait.  Mutates and returns `world`.
+
+    Only the heads `world.agenda` arms are looked at: the first call's,
+    new heads, heads whose wait has run out, heads under a signal that
+    changed and heads behind a segment that popped.  Each is checked in
+    the tick and order a scan of every head would check it, so the result
+    is that scan's (`tests/test_fastpaths.py` keeps it as the oracle).
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    for node in world.network.signalized_nodes():
-        if node not in controls:
-            raise ValueError(f"controls missing signalized intersection {node}")
+    network, queues = world.network, world.queues
+    agenda = world.agenda
+    if agenda is None:
+        agenda = world.agenda = _Agenda(set(range(len(network.segments))))
+    controls_changed = controls != agenda.controls
+    if controls_changed:
+        for node in network.signalized_nodes():
+            if node not in controls:
+                raise ValueError(f"controls missing signalized intersection {node}")
     # Snap to a fine grid so repeated fractional steps do not drift.
     now = round(world.clock + dt, 10)
     world.clock = now
+    position, armed = network._position, agenda.armed
 
     while (world.arrival_idx < len(world.arrivals)
            and world.arrivals[world.arrival_idx][0] <= now):
         at, seg_id, route = world.arrivals[world.arrival_idx]
         world.arrival_idx += 1
-        seg = world.network.segment(seg_id)
-        if len(world.queues[seg_id]) >= seg.occupancy_limit:
+        seg = network.segment(seg_id)
+        queue = queues[seg_id]
+        if len(queue) >= seg.occupancy_limit:
             world.dropped += 1
             world.log("drop", at, seg_id)
             continue
+        if not queue:
+            armed.add(position[seg_id])
         v = Vehicle(world.next_vid, route, 0, at, at + seg.travel_time)
         world.next_vid += 1
-        world.queues[seg_id].append(v)
+        queue.append(v)
         world.entered += 1
         world.log("arrive", at, v.vid, seg_id)
 
-    queues, completed_at = world.queues, world.completed_at
-    for seg in world.network.segments:
+    if controls_changed:
+        before = agenda.controls or {}
+        for node in [n for n in agenda.signal if controls.get(n) != before.get(n)]:
+            armed.update(agenda.signal.pop(node))
+        agenda.controls = dict(controls)
+    timers = agenda.timers
+    while timers and timers[0][0] <= now:
+        armed.add(heappop(timers)[1])
+    if not armed:
+        return world
+
+    # Heads armed while this tick runs join it if a scan would still reach
+    # them (a later index), and the next tick otherwise.  Should a head
+    # raise, the agenda stays dropped and the next call checks every head.
+    todo = sorted(armed)  # a sorted list is a heap
+    armed.clear()
+    world.agenda = None
+    segments, completed_at, room = network.segments, world.completed_at, agenda.room
+    last = -1
+    while todo:
+        i = heappop(todo)
+        if i == last:
+            continue
+        last = i
+        seg = segments[i]
         queue = queues[seg.id]
         if not queue:
             continue
         v = queue[0]
-        if v.ready_at > now:
-            continue
         crossed = completed_at[seg.id]
-        if crossed and crossed[-1] + DEFAULT_HEADWAY > now:
+        due = v.ready_at
+        if crossed and crossed[-1] + DEFAULT_HEADWAY > due:
+            due = crossed[-1] + DEFAULT_HEADWAY
+        if due > now:
+            heappush(timers, (due, i))
             continue
         state = controls.get(seg.to_node)
         if state is not None and not state.admits(seg.approach or 0):
+            agenda.signal.setdefault(seg.to_node, []).append(i)
             continue
         nxt_id = _next_segment(world, v, seg)
         if nxt_id is None:
             if not seg.exit and v.route:
                 raise TopologyError(f"route of vehicle {v.vid} ends on non-exit {seg.id}")
         else:
-            nxt = world.network.segment(nxt_id)
+            nxt = network.segment(nxt_id)
             if len(queues[nxt_id]) >= nxt.occupancy_limit:
+                room.setdefault(position[nxt_id], []).append(i)
                 continue
         queue.pop(0)
         crossed.append(now)
@@ -605,6 +677,17 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
             v.ready_at = now + nxt.travel_time
             queues[nxt_id].append(v)
             world.log("move", now, v.vid, seg.id, nxt_id)
+        woken = room.pop(i, [])
+        if nxt_id is not None and nxt_id != seg.id and len(queues[nxt_id]) == 1:
+            woken.append(position[nxt_id])  # a new head downstream
+        for j in woken:
+            if j > i:
+                heappush(todo, j)
+            else:
+                armed.add(j)
+        if queue:  # the new head waits out the headway at least
+            heappush(timers, (max(queue[0].ready_at, now + DEFAULT_HEADWAY), i))
+    world.agenda = agenda
     return world
 
 

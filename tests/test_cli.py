@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from civitas import cli
+from civitas import ctmdp as ctmdpmod
 from civitas.textfmt import parse_sections
 
 
@@ -52,6 +53,13 @@ class TestExitCodes:
         assert rc == 1
         assert "--dt" in capsys.readouterr().err
         assert not (tmp_path / "run" / "summary.csv").exists()
+
+    def test_tick_count_overflow_names_the_flags(self, tmp_path, data_dir, capsys):
+        rc = cli.main(sim_args(data_dir, tmp_path / "run", horizon="1e300")
+                      + ["--dt", "1e-300"])
+        assert rc == 1
+        assert ("--horizon 1e+300 / --dt 1e-300 is not a finite number of ticks"
+                in capsys.readouterr().err)
 
     def test_dt_longer_than_horizon_is_config_error(self, tmp_path, data_dir,
                                                     capsys):
@@ -270,7 +278,6 @@ class TestSimulate:
     def test_unnamed_ctg_is_zone_z(self, tmp_path, data_dir, monkeypatch):
         # The shift log and the CTMDP must name an unnamed [ctg]'s states
         # alike, or every observed shift is ignored for the uniform prior.
-        from civitas import ctmdp as ctmdpmod
         priors = []
         build = ctmdpmod.from_schedule_tables
 
@@ -431,8 +438,57 @@ class TestCtmdpCommand:
         assert rc == 1
         assert "shifts.csv: missing column dwell" in err
 
+    @pytest.mark.parametrize("column", ["state", "next"])
+    def test_unknown_shift_state_is_exit_one(self, tmp_path, data_dir, capsys, column):
+        row = {"state": '"Z:(L,L,L)"', "next": '"Z:(H,L,L)"', column: "ghost"}
+        rc, err = self.run_shifts(tmp_path, data_dir, capsys,
+                                  "state,action,dwell,next\n"
+                                  '"Z:(H,L,L)",default,60,"Z:(L,L,L)"\n'
+                                  f"{row['state']},default,5,{row['next']}\n")
+        assert rc == 1
+        assert (f"shifts.csv, line 3: {column} 'ghost' is not a state of the task graph"
+                in err)
+
+    def test_shift_without_next_state_is_accepted(self, tmp_path, data_dir, capsys):
+        rc, err = self.run_shifts(tmp_path, data_dir, capsys,
+                                  'state,action,dwell,next\n"Z:(L,L,L)",default,60,\n')
+        assert rc == 0, err
+
+    def run_model(self, tmp_path, capsys, rows):
+        model_csv = tmp_path / "model.csv"
+        model_csv.write_text("kind,i,j,a,k,value\n"
+                             "rate,a,b,x,,1\n"
+                             "rate,b,a,x,,1\n"
+                             "reward,a,,x,0,1\n"
+                             "reward,b,,x,0,2\n" + "".join(r + "\n" for r in rows))
+        rc = cli.main(["ctmdp", "--model", str(model_csv),
+                       "--out", str(tmp_path / "o")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_non_finite_bound_is_exit_one(self, tmp_path, capsys, bound):
+        rc, err = self.run_model(tmp_path, capsys,
+                                 ["reward,a,,x,1,1", f"bound,,,,1,{bound}"])
+        assert rc == 1
+        assert f"model.csv: row 7: bound '{bound}' must be a finite number" in err
+
+    @pytest.mark.parametrize("k", ["0", "2", "-1"])
+    def test_bound_naming_no_criterion_is_exit_one(self, tmp_path, capsys, k):
+        rc, err = self.run_model(tmp_path, capsys, ["reward,a,,x,1,1", f"bound,,,,{k},0.5"])
+        assert rc == 1
+        assert (f"model.csv: row 7: bound k {k} names no reward criterion beyond the"
+                " objective (reward rows give k 0 to 1)" in err)
+
+    def test_criterion_gap_is_exit_one(self, tmp_path, capsys):
+        rc, err = self.run_model(tmp_path, capsys, ["reward,a,,x,3,1"])
+        assert rc == 1
+        assert "model.csv: row 6: reward k 3 skips criterion 1" in err
+
+    def test_bounded_model_solves(self, tmp_path, capsys):
+        rc, err = self.run_model(tmp_path, capsys, ["reward,a,,x,1,1", "bound,,,,1,0.25"])
+        assert rc == 0, err
+
     def test_bad_model_value_is_exit_one(self, tmp_path, capsys):
-        from civitas import ctmdp as ctmdpmod
         import numpy as np
         q = np.zeros((2, 2, 1))
         q[0, 1, 0] = q[1, 0, 0] = 1.0
@@ -663,7 +719,6 @@ windows = 0:60:0.2
 
 class TestRuntimeFailure:
     def test_unsolvable_model_is_exit_two(self, tmp_path):
-        from civitas import ctmdp as ctmdpmod
         import numpy as np
         q = np.zeros((2, 2, 1))
         q[0, 1, 0] = 1.0
@@ -683,11 +738,36 @@ class TestRuntimeFailure:
 FUZZ_TEXTS = {name: (resources.files("civitas") / "data" / name).read_text()
               for name in ("twin.network", "twin.demand", "twin.ctg", "city.registry")}
 FUZZ_TEXTS["job.metrics"] = TestMetricsCommand.JOB
+# The two CSV inputs of `ctmdp`: a model with one bounded criterion, and a
+# shift log over the twin task graph's states.
+FUZZ_TEXTS["model.csv"] = """kind,i,j,a,k,value
+rate,a,b,x,,1
+rate,b,a,x,,2
+rate,a,b,y,,3
+rate,b,a,y,,0.5
+reward,a,,x,0,4
+reward,b,,x,0,1
+reward,a,,y,0,2
+reward,b,,y,0,3
+reward,a,,x,1,1
+reward,b,,y,1,1
+bound,,,,1,0.25
+"""
+FUZZ_TEXTS["shifts.csv"] = """state,action,dwell,next
+"Z:(L,L,L)",default,120,"Z:(H,L,L)"
+"Z:(H,L,L)",default,60,"Z:(L,L,L)"
+"Z:(L,L,L)",hold,60,"Z:(L,H,L)"
+"Z:(L,H,L)",hold,90,
+"""
+# The cells the model loader reads, per row kind; every shift-log cell is read.
+MODEL_COLUMNS = {"rate": ("kind", "i", "j", "a", "value"),
+                 "reward": ("kind", "i", "a", "k", "value"),
+                 "bound": ("kind", "k", "value")}
 # Keys the README grammar documents as numbers (or lists of numbers).
 NUMERIC_KEYS = {"length", "speed", "capacity", "approach", "green", "yellow", "red",
                 "offset", "clearance", "thresholds", "direction", "n", "t_ex", "level",
                 "p1", "cost1", "p2", "cost2", "limit", "constant", "perf", "area",
-                "time", "shape", "seed"}
+                "time", "shape", "seed", "value", "k", "dwell"}
 TOKENS = st.one_of(
     st.sampled_from(["nan", "inf", "-1", "0", "2.5", "1e308", "x", "", "a:b"]),
     st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12))
@@ -705,7 +785,18 @@ def _key_lines(name: str) -> list[tuple[str, int, str, str]]:
     return out
 
 
-FUZZ_EDITS = [edit for name in FUZZ_TEXTS for edit in _key_lines(name)]
+def _csv_cells(name: str) -> list[tuple[str, int, str, str]]:
+    """(file, row index, "row N:" or "line N:", column) of every read cell."""
+    rows = list(csv.reader(io.StringIO(FUZZ_TEXTS[name])))
+    if name == "model.csv":
+        return [(name, n, f"row {n + 1}:", column) for n, row in enumerate(rows[1:], 1)
+                for column in MODEL_COLUMNS[row[0]]]
+    return [(name, n, f"line {n + 1}:", column) for n in range(1, len(rows))
+            for column in rows[0]]
+
+
+FUZZ_EDITS = [edit for name in FUZZ_TEXTS
+              for edit in (_csv_cells(name) if name.endswith(".csv") else _key_lines(name))]
 
 
 def _non_finite(token: str) -> bool:
@@ -723,19 +814,31 @@ def fuzz_dir(tmp_path_factory):
     return base
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(edit=st.sampled_from(FUZZ_EDITS), token=TOKENS)
 def test_one_bad_value_exits_zero_or_one(data_dir, fuzz_dir, edit, token):
     name, index, where, key = edit
-    lines = FUZZ_TEXTS[name].splitlines()
-    lines[index] = f"{key} = {token}"
     path = fuzz_dir / name
-    path.write_text("\n".join(lines) + "\n")
     out = str(fuzz_dir / "out")
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(FUZZ_TEXTS[name])))
+        rows[index][rows[0].index(key)] = token
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        path.write_text(buf.getvalue())
+    else:
+        lines = FUZZ_TEXTS[name].splitlines()
+        lines[index] = f"{key} = {token}"
+        path.write_text("\n".join(lines) + "\n")
     if name == "city.registry":
         args = ["classify", "--registry", str(path), "--out", out]
     elif name == "job.metrics":
         args = ["metrics", "--job", str(path), "--out", out]
+    elif name == "model.csv":
+        args = ["ctmdp", "--model", str(path), "--out", out]
+    elif name == "shifts.csv":
+        args = ["ctmdp", "--ctg", str(data_dir / "twin.ctg"), "--shifts", str(path),
+                "--out", out]
     else:
         args = sim_args(data_dir, out, mode="hierarchical", horizon="300", seed="3")
         args[args.index("--" + path.suffix[1:]) + 1] = str(path)
@@ -743,6 +846,10 @@ def test_one_bad_value_exits_zero_or_one(data_dir, fuzz_dir, edit, token):
     with contextlib.redirect_stderr(err):
         rc = cli.main(args)
     message = err.getvalue()
+    if name == "model.csv" and rc == 2:  # a well-formed model may be infeasible
+        model = ctmdpmod.model_from_csv(path.read_text())
+        assert ctmdpmod.solve_model(model).status == "infeasible"
+        return
     assert rc in (0, 1), message
     if rc == 1:
         assert str(path) in message and where in message, message

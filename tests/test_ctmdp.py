@@ -113,6 +113,12 @@ class TestConstruction:
             make_ctmdp(("a", "b"), ("x",), q, np.zeros((2, 1)),
                        admissible=np.array([[True], [False]]))
 
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_rejected(self, bound):
+        q = np.zeros((2, 2, 1))
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            make_ctmdp(("a", "b"), ("x",), q, np.ones((2, 2, 1)), bounds=(bound,))
+
 
 class TestFromScheduleTables:
     @pytest.fixture()

@@ -2,7 +2,8 @@
 
 Each oracle below is the earlier, direct implementation: the layout scan
 of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
-networkx connectivity check, per-exit `has_path` reachability and
+scan of every queue head that `world.step` was, the networkx connectivity
+check, per-exit `has_path` reachability and
 `shortest_path` routes of the network and `make_world`, the dense Bland
 tableau of the simplex, the per-scenario exclusion-pair rule of the task
 graph's `resolve`, the `itertools.product` enumeration of
@@ -90,6 +91,69 @@ def recount_observe(world, site, window):
                 entered_at.pop(vid, None)
     n = len(durations)
     return n, (sum(durations) / n) if n else None
+
+
+def scan_step(world, controls, dt):
+    """`world.step` as a scan of every segment's queue head, every tick."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    for node in world.network.signalized_nodes():
+        if node not in controls:
+            raise ValueError(f"controls missing signalized intersection {node}")
+    now = round(world.clock + dt, 10)
+    world.clock = now
+
+    while (world.arrival_idx < len(world.arrivals)
+           and world.arrivals[world.arrival_idx][0] <= now):
+        at, seg_id, route = world.arrivals[world.arrival_idx]
+        world.arrival_idx += 1
+        seg = world.network.segment(seg_id)
+        if len(world.queues[seg_id]) >= seg.occupancy_limit:
+            world.dropped += 1
+            world.log("drop", at, seg_id)
+            continue
+        v = w.Vehicle(world.next_vid, route, 0, at, at + seg.travel_time)
+        world.next_vid += 1
+        world.queues[seg_id].append(v)
+        world.entered += 1
+        world.log("arrive", at, v.vid, seg_id)
+
+    queues, completed_at = world.queues, world.completed_at
+    for seg in world.network.segments:
+        queue = queues[seg.id]
+        if not queue:
+            continue
+        v = queue[0]
+        if v.ready_at > now:
+            continue
+        crossed = completed_at[seg.id]
+        if crossed and crossed[-1] + w.DEFAULT_HEADWAY > now:
+            continue
+        state = controls.get(seg.to_node)
+        if state is not None and not state.admits(seg.approach or 0):
+            continue
+        nxt_id = w._next_segment(world, v, seg)
+        if nxt_id is None:
+            if not seg.exit and v.route:
+                raise w.TopologyError(f"route of vehicle {v.vid} ends on non-exit {seg.id}")
+        else:
+            nxt = world.network.segment(nxt_id)
+            if len(queues[nxt_id]) >= nxt.occupancy_limit:
+                continue
+        queue.pop(0)
+        crossed.append(now)
+        world.traversal_time[seg.id].append(now - v.entered_at)
+        if nxt_id is None:
+            world.exited += 1
+            world.log("depart", now, v.vid, seg.id)
+        else:
+            v.leg += 1
+            v.pending_next = None
+            v.entered_at = now
+            v.ready_at = now + nxt.travel_time
+            queues[nxt_id].append(v)
+            world.log("move", now, v.vid, seg.id, nxt_id)
+    return world
 
 
 def nx_segment_graph(net):
@@ -423,6 +487,130 @@ def test_import_leaves_networkx_out():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr or "networkx was imported"
+
+
+# ------------------------------------------------------------------- step
+
+STEP_DTS = (0.1, 0.25, 1 / 3, 0.5, 0.7)
+
+
+@st.composite
+def step_runs(draw):
+    """A random network with signals, capacity-1 and shared segments, random
+    demand, dynamically routed vehicles placed by `seed_vehicles`, and the
+    inputs of a run: dt, tick count, the tick of a mid-run `copy()`, and
+    the seed and flip rate of per-tick controls."""
+    net = draw(networks())
+    nodes = [i.id for i in net.intersections]
+    signalized = set(draw(st.lists(st.sampled_from(nodes), max_size=4, unique=True)))
+    segments = tuple(replace(s, capacity=draw(st.sampled_from((1, 1, 2, 5))),
+                             shared=draw(st.booleans()),
+                             approach=draw(st.sampled_from((1, 2)))
+                             if s.to_node in signalized else None)
+                     for s in net.segments)
+    net = w.StreetNetwork(segments, tuple(w.Intersection(n, n in signalized)
+                                          for n in nodes))
+    dt = draw(st.sampled_from(STEP_DTS))
+    ticks = draw(st.integers(20, 400))
+    horizon = ticks * dt
+    succ = net.segment_graph()
+    demand = w.DemandProfile(tuple(
+        (e, (w.DemandWindow(0.0, horizon, draw(st.sampled_from((0.05, 0.3, 1.0)))),))
+        for e in net.entries() if w._reachable_exits(succ, e, net.exits())))
+    world = w.make_world(net, demand, horizon, seed=draw(st.integers(0, 999)))
+    placed = draw(st.lists(st.sampled_from(segments), max_size=4, unique=True))
+    w.seed_vehicles(world, [(s.id, draw(st.integers(1, s.occupancy_limit)))
+                            for s in placed])
+    return (world, dt, ticks, draw(st.integers(0, ticks)), draw(st.integers(0, 999)),
+            draw(st.sampled_from((0.01, 0.1, 0.5))), draw(st.booleans()))
+
+
+def step_outcome(stepper, world, controls, dt):
+    try:
+        stepper(world, controls, dt)
+    except w.TopologyError as exc:  # a dynamically routed vehicle stuck
+        return str(exc)
+    return None
+
+
+def assert_same_world(got, want):
+    assert got.clock == want.clock
+    assert got.events == want.events
+    assert got.queues == want.queues
+    for records in ("completed_at", "traversal_time"):
+        assert ({s: a.tobytes() for s, a in getattr(got, records).items()}
+                == {s: a.tobytes() for s, a in getattr(want, records).items()})
+    assert ((got.dropped, got.entered, got.exited, got.next_vid, got.arrival_idx)
+            == (want.dropped, want.entered, want.exited, want.next_vid, want.arrival_idx))
+    assert got.route_rng.bit_generator.state == want.route_rng.bit_generator.state
+
+
+def run_side_by_side(world, dt, ticks, controls_at, copy_at=None):
+    """Step `world` and a scanned twin together, comparing after every tick;
+    from tick `copy_at` on, a copy of the stepped world is stepped too."""
+    oracle, worlds = world.copy(), [world]
+    for k in range(ticks):
+        if k == copy_at:
+            worlds.append(world.copy())
+        controls = controls_at(k)
+        want = step_outcome(scan_step, oracle, controls, dt)
+        for got in worlds:
+            assert step_outcome(w.step, got, controls, dt) == want
+            assert_same_world(got, oracle)
+        if want is not None:
+            return
+
+
+class TestStep:
+    @settings(max_examples=150, deadline=None)
+    @given(step_runs())
+    def test_matches_scan(self, run):
+        world, dt, ticks, copy_at, seed, flip, reuse = run
+        rng = np.random.default_rng(seed)
+        nodes = [i.id for i in world.network.intersections]
+        signalized = set(world.network.signalized_nodes())
+        shown = {n: CYCLIC_ORDER[rng.integers(3)] for n in nodes}
+        kept = {}
+
+        def controls_at(k):
+            """Signals flip at random; an unsignalized node's state comes
+            and goes.  With `reuse`, one dict is changed in place."""
+            for n in nodes:
+                if rng.random() < flip:
+                    shown[n] = CYCLIC_ORDER[rng.integers(3)]
+            controls = kept if reuse else {}
+            for n in nodes:
+                if n in signalized or rng.random() < 0.5:
+                    controls[n] = shown[n]
+                else:
+                    controls.pop(n, None)
+            return controls
+
+        run_side_by_side(world, dt, ticks, controls_at, copy_at)
+
+    def test_vehicles_seeded_mid_run(self):
+        world = w.make_world(RING, None, 0, seed=3)
+        oracle = world.copy()
+        for k in range(800):
+            for seeded in (world, oracle):
+                if k == 0:
+                    w.seed_vehicles(seeded, [("r1", 2), ("r3", 1)])
+                if k == 300:  # r4 is empty then
+                    w.seed_vehicles(seeded, [("r1", 1), ("r4", 2)])
+            w.step(world, {}, 0.1)
+            scan_step(oracle, {}, 0.1)
+            assert_same_world(world, oracle)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_signalized_grid(self, seed):
+        gen = perfbench_gen()
+        net = w.load_network(gen.grid_network(4, np.random.default_rng(seed)))
+        demand = w.load_demand(gen.grid_demand(4, 300.0).replace(
+            f":{gen.GRID_RATE:g}", ":0.3"))
+        world = w.make_world(net, demand, 300.0, seed)
+        controllers = cli._build_controllers(net)
+        run_side_by_side(world, 0.1, 3000, lambda k: {
+            n: c.fsm.state_at(round((k + 1) * 0.1, 10)) for n, c in controllers.items()})
 
 
 # ---------------------------------------------------------------- simplex
