@@ -361,6 +361,8 @@ def _parse_shift_log(path: str, text: str, states: set[str]) -> ctmdpmod.ShiftLo
             if (name or column == "state") and name not in states:
                 raise ConfigError(f"shift log {path}, line {reader.line_num}: {column}"
                                   f" {name!r} is not a state of the task graph")
+        if not row["action"]:
+            raise ConfigError(f"shift log {path}, line {reader.line_num}: empty action")
         with _naming(f"shift log {path}, line {reader.line_num}: bad dwell"
                      f" {row['dwell']!r}"):
             log.record(row["state"], row["action"], float(row["dwell"]),
@@ -477,9 +479,12 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
         box = {name: (low, high) for name, low, high in
                sec.items("attrs", "name:low:high", str, finite, finite)}
         pred = _parse_rule(sec, box)
-        value = metricsmod.flexibility(
-            pred, metricsmod.SpecBox.from_dict(box),
-            sec.get_int("n", 10000), sec.get_int("seed", 0))
+        n = sec.get_int("n", 10000)
+        try:
+            value = metricsmod.flexibility(pred, metricsmod.SpecBox.from_dict(box),
+                                           n, sec.get_int("seed", 0))
+        except MemoryError as exc:
+            raise sec.error("n", f"{n} samples do not fit in memory ({exc})") from exc
         return ("flexibility", "%.9g" % value,
                 f"name={sec.name};n={sec.get('n')};seed={sec.get('seed')}")
     raise ParseError(f"unknown metrics section {sec.kind!r}")

@@ -107,16 +107,15 @@ def _toposort(ids: list[str], arcs: Iterable[tuple[str, str]],
     for a, b in arcs:
         succs[a].append(b)
         indeg[b] += 1
-    ready = sorted((t for t in ids if indeg[t] == 0), key=order_idx.get)
+    ready = [i for i, t in enumerate(ids) if indeg[t] == 0]  # a heap of indices
     out = []
     while ready:
-        t = ready.pop(0)
+        t = ids[heapq.heappop(ready)]
         out.append(t)
-        for s in sorted(succs[t], key=order_idx.get):
+        for s in succs[t]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                ready.append(s)
-        ready.sort(key=order_idx.get)
+                heapq.heappush(ready, order_idx[s])
     if len(out) != len(ids):
         stuck = ", ".join(node.format(t) for t in ids if t not in out)
         raise ValueError(f"graph has a cycle; these cannot be ordered: {stuck}")
@@ -298,15 +297,20 @@ def schedule(graph: ResolvedGraph, objective: str = "makespan") -> ZoneSchedule:
     Ready tasks are started greedily in priority order (critical-path
     length, ties broken by declaration order), each at the earliest time
     its predecessors have finished and every started exclusion partner
-    has been done for at least the pair's dead time.
+    has been done for at least the pair's dead time.  The pending tasks
+    stay in that order, each with its count of unstarted predecessors and
+    the time it is free; a step starts the first one that can start now,
+    or moves the clock to the next finish or end of a dead time.
     """
     if objective not in ("makespan", "throughput"):
         raise ValueError(f"unknown objective {objective!r}")
-    order_idx = {t.id: i for i, t in enumerate(graph.tasks)}
     prio = _priorities(graph, objective)
-    preds: dict[str, list[str]] = {t.id: [] for t in graph.tasks}
+    duration = {t.id: t.duration for t in graph.tasks}
+    succs: dict[str, list[str]] = {t.id: [] for t in graph.tasks}
+    unstarted_preds = dict.fromkeys(duration, 0)
     for a, b in graph.arcs:
-        preds[b].append(a)
+        succs[a].append(b)
+        unstarted_preds[b] += 1
     partners: dict[str, list[tuple[str, float]]] = {t.id: [] for t in graph.tasks}
     for a, b, gap in graph.gaps:
         partners[a].append((b, gap))
@@ -314,37 +318,36 @@ def schedule(graph: ResolvedGraph, objective: str = "makespan") -> ZoneSchedule:
 
     starts: dict[str, float] = {}
     finishes: dict[str, float] = {}
-    pending = {t.id for t in graph.tasks}
+    # The latest finish of a task's started predecessors and, plus the
+    # pair's dead time, of its started exclusion partners.
+    free_at = dict.fromkeys(duration, -math.inf)
+    # Most preferred first (a stable sort keeps declaration order among
+    # equal priorities), so the first startable task is the greedy choice.
+    pending = sorted(duration, key=lambda t: -prio[t])
     events: list[float] = []
     now = 0.0
     while pending:
-        startable = []
-        for tid in pending:
-            if any(p not in finishes or finishes[p] > now for p in preds[tid]):
-                continue
-            blocked = False
-            for other, gap in partners[tid]:
-                if other in finishes and finishes[other] + gap > now:
-                    blocked = True
-                    break
-            if not blocked:
-                startable.append(tid)
-        if startable:
-            tid = min(startable, key=lambda t: (-prio[t], order_idx[t]))
-            task = graph.task(tid)
-            starts[tid] = now
-            finishes[tid] = now + task.duration
-            heapq.heappush(events, finishes[tid])
-            for other, gap in partners[tid]:
-                if gap > 0:
-                    heapq.heappush(events, finishes[tid] + gap)
-            pending.discard(tid)
+        for pos, tid in enumerate(pending):
+            if not unstarted_preds[tid] and free_at[tid] <= now:
+                break
+        else:
+            while events and events[0] <= now:
+                heapq.heappop(events)
+            if not events:
+                raise AssertionError("scheduler stalled with no future events")
+            now = heapq.heappop(events)
             continue
-        while events and events[0] <= now:
-            heapq.heappop(events)
-        if not events:
-            raise AssertionError("scheduler stalled with no future events")
-        now = heapq.heappop(events)
+        del pending[pos]
+        starts[tid] = now
+        finish = finishes[tid] = now + duration[tid]
+        heapq.heappush(events, finish)
+        for s in succs[tid]:
+            unstarted_preds[s] -= 1
+            free_at[s] = max(free_at[s], finish)
+        for other, gap in partners[tid]:
+            free_at[other] = max(free_at[other], finish + gap)
+            if gap > 0:
+                heapq.heappush(events, finish + gap)
 
     makespan = max(finishes.values(), default=0.0)
     return ZoneSchedule(graph.scenario, starts, finishes, makespan, graph)

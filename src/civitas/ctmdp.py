@@ -344,6 +344,7 @@ def model_from_csv(text: str) -> Ctmdp:
     actions: list[str] = []
     rates, rewards, bounds = [], [], {}
     first_reward_row: dict[int, int] = {}  # criterion -> its first reward row
+    row_of: dict[tuple, int] = {}  # the cells a row gives a value for -> its row
     for n, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -357,6 +358,7 @@ def model_from_csv(text: str) -> Ctmdp:
                 if not 0 <= rate < np.inf:
                     raise ValueError(f"rate {value!r} must be a finite number >= 0")
                 rates.append((i, j, a, rate))
+                cell = {"i": i, "j": j, "a": a}
                 for s in (i, j):
                     if s not in states:
                         states.append(s)
@@ -369,6 +371,7 @@ def model_from_csv(text: str) -> Ctmdp:
                 if not np.isfinite(reward):
                     raise ValueError(f"reward {value!r} must be a finite number")
                 rewards.append((criterion, i, a, reward))
+                cell = {"i": i, "a": a, "k": criterion}
                 first_reward_row.setdefault(criterion, n)
                 if i not in states:
                     states.append(i)
@@ -379,8 +382,14 @@ def model_from_csv(text: str) -> Ctmdp:
                 if not np.isfinite(bound):
                     raise ValueError(f"bound {value!r} must be a finite number")
                 bounds[criterion] = (bound, n)
+                cell = {"k": criterion}
             else:
                 raise ValueError(f"unknown row kind {kind!r}")
+            key = (kind, *cell.values())
+            if key in row_of:
+                raise ValueError(f"repeats row {row_of[key]}: a second {kind} for "
+                                 + ", ".join(f"{c}={v}" for c, v in cell.items()))
+            row_of[key] = n
         except ValueError as exc:
             raise ValueError(f"row {n}: {exc}") from exc
     criteria = sorted(first_reward_row)

@@ -31,9 +31,14 @@ class SpecBox:
         return cls(tuple((k, lo, hi) for k, (lo, hi) in d.items()))
 
 
-def flexibility(feasible: Callable[[Mapping[str, float]], bool],
+def flexibility(feasible: Callable[[Mapping[str, np.ndarray]], np.ndarray | bool],
                 box: SpecBox, n: int, seed: int) -> float:
-    """Monte Carlo share of the requirement box the predicate accepts."""
+    """Monte Carlo share of the requirement box the predicate accepts.
+
+    `feasible` is called once, on the columns of the n samples: a map from
+    each attribute to its n sampled values.  It returns one truth value
+    per sample, or a single one that holds for all of them.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -41,11 +46,8 @@ def flexibility(feasible: Callable[[Mapping[str, float]], bool],
     lows = np.array([r[1] for r in box.ranges])
     highs = np.array([r[2] for r in box.ranges])
     samples = rng.uniform(lows, highs, size=(n, len(names)))
-    hits = 0
-    for row in samples:
-        if feasible(dict(zip(names, row))):
-            hits += 1
-    return hits / n
+    accepted = feasible({name: samples[:, j] for j, name in enumerate(names)})
+    return np.count_nonzero(np.broadcast_to(accepted, (n,))) / n
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ import csv
 import io
 import math
 from importlib import resources
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -449,6 +451,14 @@ class TestCtmdpCommand:
         assert (f"shifts.csv, line 3: {column} 'ghost' is not a state of the task graph"
                 in err)
 
+    def test_empty_shift_action_is_exit_one(self, tmp_path, data_dir, capsys):
+        rc, err = self.run_shifts(tmp_path, data_dir, capsys,
+                                  "state,action,dwell,next\n"
+                                  '"Z:(L,L,L)",default,60,"Z:(H,L,L)"\n'
+                                  '"Z:(H,L,L)",,60,"Z:(L,L,L)"\n')
+        assert rc == 1
+        assert "shifts.csv, line 3: empty action" in err
+
     def test_shift_without_next_state_is_accepted(self, tmp_path, data_dir, capsys):
         rc, err = self.run_shifts(tmp_path, data_dir, capsys,
                                   'state,action,dwell,next\n"Z:(L,L,L)",default,60,\n')
@@ -484,12 +494,22 @@ class TestCtmdpCommand:
         assert rc == 1
         assert "model.csv: row 6: reward k 3 skips criterion 1" in err
 
+    @pytest.mark.parametrize("rows, where", [
+        (["rate,a,b,x,,5"], "row 6: repeats row 2: a second rate for i=a, j=b, a=x"),
+        (["reward,b,,x,0,3"], "row 6: repeats row 5: a second reward for i=b, a=x, k=0"),
+        (["reward,a,,x,1,1", "bound,,,,1,0.9", "bound,,,,01,0.1"],
+         "row 8: repeats row 7: a second bound for k=1"),
+    ])
+    def test_repeated_row_is_exit_one(self, tmp_path, capsys, rows, where):
+        rc, err = self.run_model(tmp_path, capsys, rows)
+        assert rc == 1
+        assert f"model.csv: {where}" in err
+
     def test_bounded_model_solves(self, tmp_path, capsys):
         rc, err = self.run_model(tmp_path, capsys, ["reward,a,,x,1,1", "bound,,,,1,0.25"])
         assert rc == 0, err
 
     def test_bad_model_value_is_exit_one(self, tmp_path, capsys):
-        import numpy as np
         q = np.zeros((2, 2, 1))
         q[0, 1, 0] = q[1, 0, 0] = 1.0
         m = ctmdpmod.make_ctmdp(("a", "b"), ("x",), q, np.ones((2, 1)))
@@ -625,6 +645,20 @@ class TestMetricsJobErrors:
         assert rc == 1
         assert where in capsys.readouterr().err
 
+    def test_unallocatable_samples_name_the_key(self, tmp_path, capsys):
+        job = tmp_path / "job.metrics"
+        job.write_text("[flexibility f]\nattrs = a:0:1, b:0:1\nrule = a <= 1\n"
+                       "n = 100000000000\n")
+        # The draw numpy would refuse; nothing is allocated.
+        rng = mock.Mock()
+        rng.uniform.side_effect = MemoryError("Unable to allocate 1.46 TiB")
+        with mock.patch.object(np.random, "default_rng", return_value=rng):
+            rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert rng.uniform.call_args.kwargs["size"] == (100000000000, 2)
+        assert (f"metrics job {job}: [flexibility f] n: 100000000000 samples do not"
+                " fit in memory (Unable to allocate 1.46 TiB)" in capsys.readouterr().err)
+
 
     @pytest.mark.parametrize("limit, where", [
         ("nan", "[predictability p] limit: must be a finite number, got 'nan'"),
@@ -719,7 +753,6 @@ windows = 0:60:0.2
 
 class TestRuntimeFailure:
     def test_unsolvable_model_is_exit_two(self, tmp_path):
-        import numpy as np
         q = np.zeros((2, 2, 1))
         q[0, 1, 0] = 1.0
         q[1, 0, 0] = 1.0

@@ -2,23 +2,25 @@
 
 Each oracle below is the earlier, direct implementation: the layout scan
 of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
-scan of every queue head that `world.step` was, the networkx connectivity
-check, per-exit `has_path` reachability and
-`shortest_path` routes of the network and `make_world`, the dense Bland
-tableau of the simplex, the per-scenario exclusion-pair rule of the task
-graph's `resolve`, the `itertools.product` enumeration of
-`fgraph.evaluate` and the sampled per-point loop of `fuzzy.surface`.  The
-fast paths must agree with them exactly, not approximately: every
-artifact is byte-identical across the change, so floats are compared by
-their bytes or with `==`.  There are two exceptions.  The fuzzy
-centroid's closed form adds at most three terms where the sampled one
-adds a whole output universe, so the two may differ in the last bits
-(`CENTROID_ULPS`).  The revised simplex takes other pivots than the
-tableau, so the two are compared by status and objective; HiGHS is a
-second oracle.
+scan of every queue head that `world.step` was, the networkx
+connectivity check, per-exit `has_path` reachability and `shortest_path`
+routes of the network and `make_world`, the dense Bland tableau of the
+simplex, the per-scenario exclusion-pair rule of the task graph's
+`resolve`, the list scheduler's rescan of every pending task, the
+`itertools.product` enumeration of `fgraph.evaluate`, the sampled
+per-point loop of `fuzzy.surface` and the per-row predicate calls of
+`metrics.flexibility`.  The fast paths must agree with them exactly, not
+approximately: every artifact is byte-identical across the change, so
+floats are compared by their bytes or with `==`.  There are two
+exceptions.  The fuzzy centroid's closed form adds at most three terms
+where the sampled one adds a whole output universe, so the two may
+differ in the last bits (`CENTROID_ULPS`).  The revised simplex takes
+other pivots than the tableau, so the two are compared by status and
+objective; HiGHS is a second oracle.
 """
 
 import csv
+import heapq
 import importlib.util
 import io
 import itertools
@@ -39,10 +41,12 @@ import civitas
 from civitas import cli, fgraph, fuzzy, simplex
 from civitas import ctg as ctgmod
 from civitas import ctmdp as ctmdpmod
+from civitas import metrics as metricsmod
 from civitas import world as w
 from civitas.ctmdp import build_lp, make_ctmdp
 from civitas.fsm import CYCLIC_ORDER, SignalFsm, SignalState
 from civitas.hierarchy import ZoneUnit
+from civitas.textfmt import Section, parse_sections
 
 
 # ---------------------------------------------------------------- oracles
@@ -993,6 +997,89 @@ class TestExclusionGaps:
                 ctgmod.resolve(ctg, column, drop))
 
 
+# `schedule` keeps its pending tasks in priority order, each with its
+# count of unstarted predecessors and the time it is free, and starts the
+# first that can start; it used to check every pending task against all
+# its predecessors and partners at each step and take the minimum by
+# (-priority, declaration index).
+
+def rescan_schedule(graph, objective="makespan"):
+    """The list scheduler that rescanned every pending task at each step."""
+    order_idx = {t.id: i for i, t in enumerate(graph.tasks)}
+    prio = ctgmod._priorities(graph, objective)
+    preds = {t.id: [] for t in graph.tasks}
+    for a, b in graph.arcs:
+        preds[b].append(a)
+    partners = {t.id: [] for t in graph.tasks}
+    for a, b, gap in graph.gaps:
+        partners[a].append((b, gap))
+        partners[b].append((a, gap))
+    starts, finishes = {}, {}
+    pending = {t.id for t in graph.tasks}
+    events = []
+    now = 0.0
+    while pending:
+        startable = []
+        for tid in pending:
+            if any(p not in finishes or finishes[p] > now for p in preds[tid]):
+                continue
+            if not any(other in finishes and finishes[other] + gap > now
+                       for other, gap in partners[tid]):
+                startable.append(tid)
+        if startable:
+            tid = min(startable, key=lambda t: (-prio[t], order_idx[t]))
+            starts[tid] = now
+            finishes[tid] = now + graph.task(tid).duration
+            heapq.heappush(events, finishes[tid])
+            for other, gap in partners[tid]:
+                if gap > 0:
+                    heapq.heappush(events, finishes[tid] + gap)
+            pending.discard(tid)
+            continue
+        while events and events[0] <= now:
+            heapq.heappop(events)
+        now = heapq.heappop(events)
+    return ctgmod.ZoneSchedule(graph.scenario, starts, finishes,
+                               max(finishes.values(), default=0.0), graph)
+
+
+def assert_same_schedules(ctg, objective, drop=frozenset()):
+    want = {}
+    for scenario in ctgmod.enumerate_scenarios(ctg):
+        graph = ctgmod.resolve(ctg, scenario, drop)
+        got, want[scenario] = (ctgmod.schedule(graph, objective),
+                               rescan_schedule(graph, objective))
+        # Insertion order too: it is the order tasks were started in.
+        assert list(got.starts.items()) == list(want[scenario].starts.items())
+        assert list(got.finishes.items()) == list(want[scenario].finishes.items())
+        assert got.makespan == want[scenario].makespan
+    table = ctgmod.ScheduleTable(ctg.zone, tuple(want), want)
+    assert (ctgmod.table_to_csv(ctgmod.build_table(ctg, objective, drop))
+            == ctgmod.table_to_csv(table))
+
+
+OBJECTIVES = ("makespan", "throughput")
+
+
+class TestSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(task_graphs(), st.sampled_from(OBJECTIVES))
+    def test_matches_rescan(self, ctg, objective):
+        for drop in {frozenset(), skippable(ctg)}:
+            assert_same_schedules(ctg, objective, drop)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_benchmark_and_twin_graphs(self, twin_ctg_text, objective):
+        gen = perfbench_gen()
+        texts = [twin_ctg_text]
+        rng = np.random.default_rng(gen.LADDER_SEED)
+        texts += [gen.ctg_text(sites, rng) for sites in (4, 5, 6)]
+        rng = np.random.default_rng(0)
+        texts += [gen.ctg_text(gen.SCHEDULE_SITES, rng) for _ in range(2)]
+        for text in texts:
+            assert_same_schedules(ctgmod.load_ctg(text), objective)
+
+
 # ----------------------------------------------------------------- fgraph
 
 def topo_order(fg):
@@ -1218,3 +1305,79 @@ class TestSurface:
         i, d = fi * params.i.MI, fd * params.d.MI
         assert ulp_distance(fuzzy.control(i, d, params, rules, resolution),
                             sampled_control(i, d, params, rules, resolution)) <= CENTROID_ULPS
+
+
+# ---------------------------------------------------------------- metrics
+#
+# `flexibility` calls its predicate once, on the sample columns; it used
+# to call it on a dict per sample.
+
+def loop_flexibility(feasible, box, n, seed):
+    """The Monte Carlo share, one predicate call per sampled row."""
+    rng = np.random.default_rng(seed)
+    names = [r[0] for r in box.ranges]
+    lows = np.array([r[1] for r in box.ranges])
+    highs = np.array([r[2] for r in box.ranges])
+    samples = rng.uniform(lows, highs, size=(n, len(names)))
+    hits = 0
+    for row in samples:
+        if feasible(dict(zip(names, row))):
+            hits += 1
+    return hits / n
+
+
+@st.composite
+def spec_boxes(draw):
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    ranges = []
+    for name in names:
+        low = draw(st.floats(-100, 100))
+        high = low + draw(st.floats(1e-3, 100))
+        assume(low < high)
+        ranges.append((name, low, high))
+    return metricsmod.SpecBox(tuple(ranges))
+
+
+@st.composite
+def rules(draw, box):
+    """A `metrics` job rule on one attribute, through the CLI's parser;
+    its bound falls inside the box or up to half its width outside."""
+    name, low, high = draw(st.sampled_from(box.ranges))
+    op = draw(st.sampled_from(sorted(cli._RULE_OPS)))
+    bound = low + (high - low) * draw(st.floats(-0.5, 1.5))
+    sec = Section("flexibility", "box", {"rule": f"{name} {op} {bound!r}"})
+    return cli._parse_rule(sec, {r[0]: None for r in box.ranges})
+
+
+@st.composite
+def predicates(draw, box):
+    kind = draw(st.sampled_from(("rule", "sum", "constant")))
+    if kind == "rule":
+        return draw(rules(box))
+    if kind == "constant":
+        value = draw(st.booleans())
+        return lambda pt: value
+    names = [r[0] for r in box.ranges]
+    threshold = draw(st.floats(-200, 200))
+    return lambda pt: sum(pt[name] for name in names) < threshold
+
+
+class TestFlexibility:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_row_loop(self, data, n, seed):
+        box = data.draw(spec_boxes())
+        feasible = data.draw(predicates(box))
+        assert (metricsmod.flexibility(feasible, box, n, seed)
+                == loop_flexibility(feasible, box, n, seed))
+
+    def test_benchmark_job(self):
+        gen = perfbench_gen()
+        sec = parse_sections(gen.flexibility_job(np.random.default_rng(0)))[0]
+        box = {name: (low, high) for name, low, high in
+               sec.items("attrs", "name:low:high", str, float, float)}
+        feasible = cli._parse_rule(sec, box)
+        box = metricsmod.SpecBox.from_dict(box)
+        n, seed = sec.get_int("n"), sec.get_int("seed")
+        assert (metricsmod.flexibility(feasible, box, n, seed)
+                == loop_flexibility(feasible, box, n, seed))
