@@ -101,6 +101,8 @@ class RunConfig:
         if round(self.horizon / self.dt) < 1:
             raise ConfigError(f"--horizon {self.horizon:g} / --dt {self.dt:g}"
                               " rounds to no tick")
+        with _naming("--dt"):
+            worldmod.step_units(self.dt)
         if self.mode not in ("fixed", "hierarchical"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "hierarchical" and not self.ctg:
@@ -256,8 +258,7 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     epoch_count = 0
     prev_state_name = None
     early = [] if engine else [n for n, c in controllers.items() if c.early_switch]
-    for k in range(ticks):
-        t = round((k + 1) * cfg.dt, 10)
+    for k, t in enumerate(worldmod.tick_times(cfg.dt, ticks)):
         for node in early:
             controllers[node] = _maybe_early_switch(net, world, controllers[node], t)
         controls = {node: ctrl.fsm.state_at(t) for node, ctrl in controllers.items()}
@@ -405,12 +406,12 @@ def cmd_fuzzy_surface(args):
 
     def run():
         grid = fuzzymod.surface(params, n=args.n)
-        i_axis = np.linspace(0.0, params.i.MI, args.n)
-        d_axis = np.linspace(0.0, params.d.MI, args.n)
+        # Python floats format faster than numpy scalars; an axis value once
+        i_axis = ["%.9g," % x for x in np.linspace(0.0, params.i.MI, args.n).tolist()]
+        d_axis = ["%.9g," % x for x in np.linspace(0.0, params.d.MI, args.n).tolist()]
         lines = ["i,d,u"]
-        for a in range(args.n):
-            for b in range(args.n):
-                lines.append("%.9g,%.9g,%.9g" % (i_axis[a], d_axis[b], grid[a, b]))
+        for i, row in zip(i_axis, grid):
+            lines.extend([i + d + "%.9g" % u for d, u in zip(d_axis, row.tolist())])
         _write(os.path.join(args.out, "surface.csv"), "\n".join(lines) + "\n")
         logger.info("surface: %d rows", args.n * args.n)
     return run

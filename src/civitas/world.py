@@ -14,6 +14,7 @@ import copy
 import math
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -25,6 +26,13 @@ from .fsm import ImplementationMode, SignalFsm, SignalState
 from .textfmt import ParseError, Section, finite, parse_sections
 
 DEFAULT_HEADWAY = 2.0
+
+# The clock counts whole units of 1e-10 s: tick k of a run with step dt
+# ends at u = k * step_units(dt) units, at u / CLOCK_UNITS_PER_S seconds.
+# Python rounds the quotient of two ints once, correctly, so that is the
+# double nearest u * 1e-10: what snapping a time within half a unit of it
+# with `round(x, 10)` gave.  (Multiplying by 1e-10, which is inexact, is not.)
+CLOCK_UNITS_PER_S = 10**10
 
 Graph = dict[str, dict[str, float]]  # segment -> {neighbouring segment: weight}
 
@@ -364,12 +372,18 @@ class _Agenda:
     signal: dict[str, list[int]] = field(default_factory=dict)
     room: dict[int, list[int]] = field(default_factory=dict)
     controls: dict[str, SignalState] | None = None  # the previous call's
+    dt: float | None = None  # the previous call's, and its clock units
+    dt_units: int = 0
+    # The earliest pending arrival or timer, -inf while a head is armed:
+    # a call before it under unchanged controls has nothing to do.
+    due: float = -math.inf
 
 
 @dataclass
 class WorldState:
     network: StreetNetwork
-    clock: float = 0.0
+    clock: float = 0.0  # clock_units / CLOCK_UNITS_PER_S, the time artifacts read
+    clock_units: int = 0
     queues: dict[str, list[Vehicle]] = field(default_factory=dict)
     events: list[tuple] = field(default_factory=list)
     entered: int = 0
@@ -550,6 +564,26 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
     world.agenda = None  # the next step checks every head
 
 
+def step_units(dt: float) -> int:
+    """A step of dt seconds as a whole number of clock units, at least one.
+
+    Raises ValueError when dt is not a finite number > 0, or is too small
+    to move the clock (it rounds to no unit).
+    """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite number > 0, got {dt:g}")
+    units = round(dt * CLOCK_UNITS_PER_S)
+    if units == 0:
+        raise ValueError(f"dt {dt:g} is below the clock's resolution of 1e-10 s")
+    return units
+
+
+def tick_times(dt: float, ticks: int) -> Iterator[float]:
+    """When each of `ticks` steps of dt from zero ends: `step`'s clock."""
+    unit = step_units(dt)
+    return (k * unit / CLOCK_UNITS_PER_S for k in range(1, ticks + 1))
+
+
 def _next_segment(world: WorldState, v: Vehicle, seg: RoadSegment) -> str | None:
     """Planned next leg; draws one lazily for dynamically routed vehicles."""
     if v.route:
@@ -580,21 +614,29 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
     changed and heads behind a segment that popped.  Each is checked in
     the tick and order a scan of every head would check it, so the result
     is that scan's (`tests/test_fastpaths.py` keeps it as the oracle).
+    A call with nothing armed, the previous call's controls and a time
+    before the agenda's next arrival or timer only moves the clock.
+
+    The clock advances by `step_units(dt)` whole units, so it never
+    drifts; dt must be a finite number > 0 of at least one unit.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    network, queues = world.network, world.queues
     agenda = world.agenda
     if agenda is None:
-        agenda = world.agenda = _Agenda(set(range(len(network.segments))))
+        agenda = world.agenda = _Agenda(set(range(len(world.network.segments))))
+    if dt != agenda.dt:
+        agenda.dt_units, agenda.dt = step_units(dt), dt
+    units = world.clock_units + agenda.dt_units
+    now = units / CLOCK_UNITS_PER_S
+    if now < agenda.due and controls == agenda.controls:
+        world.clock_units, world.clock = units, now
+        return world
+    network, queues = world.network, world.queues
     controls_changed = controls != agenda.controls
     if controls_changed:
         for node in network.signalized_nodes():
             if node not in controls:
                 raise ValueError(f"controls missing signalized intersection {node}")
-    # Snap to a fine grid so repeated fractional steps do not drift.
-    now = round(world.clock + dt, 10)
-    world.clock = now
+    world.clock_units, world.clock = units, now
     position, armed = network._position, agenda.armed
 
     while (world.arrival_idx < len(world.arrivals)
@@ -624,6 +666,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
     while timers and timers[0][0] <= now:
         armed.add(heappop(timers)[1])
     if not armed:
+        agenda.due = _next_due(world, timers)
         return world
 
     # Heads armed while this tick runs join it if a scan would still reach
@@ -687,8 +730,17 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
                 armed.add(j)
         if queue:  # the new head waits out the headway at least
             heappush(timers, (max(queue[0].ready_at, now + DEFAULT_HEADWAY), i))
+    agenda.due = -math.inf if armed else _next_due(world, timers)
     world.agenda = agenda
     return world
+
+
+def _next_due(world: WorldState, timers: list[tuple[float, int]]) -> float:
+    """The time of the next arrival or timer, whichever is first."""
+    due = timers[0][0] if timers else math.inf
+    if world.arrival_idx < len(world.arrivals):
+        due = min(due, world.arrivals[world.arrival_idx][0])
+    return due
 
 
 def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> Observation:

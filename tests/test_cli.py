@@ -63,6 +63,15 @@ class TestExitCodes:
         assert ("--horizon 1e+300 / --dt 1e-300 is not a finite number of ticks"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("dt", ["1e-11", "4e-11"])
+    def test_dt_below_clock_resolution_is_config_error(self, tmp_path, data_dir,
+                                                       capsys, dt):
+        rc = cli.main(sim_args(data_dir, tmp_path / "run", horizon="1e-8")
+                      + ["--dt", dt])
+        assert rc == 1
+        assert "--dt" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_dt_longer_than_horizon_is_config_error(self, tmp_path, data_dir,
                                                     capsys):
         rc = cli.main(sim_args(data_dir, tmp_path / "run", horizon="0.04"))
@@ -326,6 +335,85 @@ class TestSimulate:
         }
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in want}
+        assert got == want
+
+    # Recorded before the tick clock became integer units, at dts other than
+    # the benchmark's 0.1: every dt on the 1e-10 grid keeps its artifacts.
+    @pytest.mark.parametrize("mode, dt, want", [
+        ("fixed", "0.05", {
+            "events.log": "d9d3b6b9f22227ace600de7a622ae712"
+                          "fbb89cac33f292f739e9839ff46393f0",
+            "reports.csv": "b5adbff28d26bf8c09df1d1d2aef6fe9"
+                           "c89e85f3998b410967bbba34739993f0",
+            "summary.csv": "3bd2228c34c356e2b44b056ef8287eb3"
+                           "c95f0f4680cfe4aed612c1924e0d3892",
+        }),
+        ("fixed", "0.25", {
+            "events.log": "7bb6260c65ef9234fe562c45a2c66a76"
+                          "a0aeac0904dbec36a73a13fc458b0481",
+            "reports.csv": "b5adbff28d26bf8c09df1d1d2aef6fe9"
+                           "c89e85f3998b410967bbba34739993f0",
+            "summary.csv": "d7e2f84916d3bade0698845a10659c7e"
+                           "d974aecb5111e31a0e0831027b5cffeb",
+        }),
+        ("fixed", "0.7", {
+            "events.log": "26f3183035a774db4d000fd29483a4a7"
+                          "44fdf5a0012c34583a0e7ec9bc2c3da2",
+            "reports.csv": "b5adbff28d26bf8c09df1d1d2aef6fe9"
+                           "c89e85f3998b410967bbba34739993f0",
+            "summary.csv": "e3ded0d1cef14066592dd3c05449b60c"
+                           "1b7488b760f8c218ed78aea793acd079",
+        }),
+        ("hierarchical", "0.05", {
+            "events.log": "d69cb77733f5c64d3bc456744aa27594"
+                          "84b0318e1c308439bf0d0dff427eb20b",
+            "function_graph.csv": "ec1397013041e1667cae14651aac2313"
+                                  "086346db4f6d9006d512c2be5b9e2d81",
+            "goal_allocation.csv": "d644848725dcc23ad44f4847579d1e10"
+                                   "33120dacec90c03e589d818a2bc997d3",
+            "reports.csv": "cd739e41aca8a0e97dded696f7b8472c"
+                           "8808010d20da66be424705e1b1b26684",
+            "schedule_table.csv": "6d2aeb026f67699a8d61729197f3b282"
+                                  "137af87391d1695f5c2c01732c0647d8",
+            "summary.csv": "8a45c17829abf04ca1d14e807bea7f7d"
+                           "243250d0b68fa2ce7f4b35a00e2529aa",
+        }),
+        ("hierarchical", "0.25", {
+            "events.log": "179f4cf5cd9eee89ad46c50cc845e0a5"
+                          "9d10f532199321233804a306e9d4d22a",
+            "function_graph.csv": "a600f7aac5c95c68352401d47c757add"
+                                  "39430332fab50a62521bb8212a947005",
+            "goal_allocation.csv": "d644848725dcc23ad44f4847579d1e10"
+                                   "33120dacec90c03e589d818a2bc997d3",
+            "reports.csv": "cd739e41aca8a0e97dded696f7b8472c"
+                           "8808010d20da66be424705e1b1b26684",
+            "schedule_table.csv": "6d2aeb026f67699a8d61729197f3b282"
+                                  "137af87391d1695f5c2c01732c0647d8",
+            "summary.csv": "5dd5546cf3ff40a97c304300a4ffdbf4"
+                           "457c9cc9dd6a58636e3a63b50ae7cc31",
+        }),
+        ("hierarchical", "0.7", {
+            "events.log": "ce38f1c9f4a70c404fb45f8f6b0acc16"
+                          "d1fb2c0f47d5ee5db9a69beab8880fa3",
+            "function_graph.csv": "aefc2e602664f2f05e17718ba766226c"
+                                  "2a31a9d7445632fa3a15c73669cf5b02",
+            "goal_allocation.csv": "d644848725dcc23ad44f4847579d1e10"
+                                   "33120dacec90c03e589d818a2bc997d3",
+            "reports.csv": "8dc1397b925d7636571196a3818e2fbb"
+                           "032b2a4077208f8d9ea3123c0b740134",
+            "schedule_table.csv": "6d2aeb026f67699a8d61729197f3b282"
+                                  "137af87391d1695f5c2c01732c0647d8",
+            "summary.csv": "856502e70f9a0916a73f622cee4a1bf1"
+                           "765148c2d3a3ef88aa2d29dada436720",
+        }),
+    ])
+    def test_golden_artifacts_at_other_dts(self, tmp_path, data_dir, mode, dt, want):
+        import hashlib
+        out = tmp_path / "golden_dt"
+        assert cli.main(sim_args(data_dir, out, mode=mode, horizon="1800", seed="1")
+                        + ["--dt", dt]) == 0
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.iterdir()}
         assert got == want
 
     def test_registry_flag_emits_interaction_report(self, tmp_path, data_dir):

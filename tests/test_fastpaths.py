@@ -2,21 +2,22 @@
 
 Each oracle below is the earlier, direct implementation: the layout scan
 of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
-scan of every queue head that `world.step` was, the networkx
-connectivity check, per-exit `has_path` reachability and `shortest_path`
-routes of the network and `make_world`, the dense Bland tableau of the
-simplex, the per-scenario exclusion-pair rule of the task graph's
-`resolve`, the list scheduler's rescan of every pending task, the
-`itertools.product` enumeration of `fgraph.evaluate`, the sampled
-per-point loop of `fuzzy.surface` and the per-row predicate calls of
-`metrics.flexibility`.  The fast paths must agree with them exactly, not
-approximately: every artifact is byte-identical across the change, so
-floats are compared by their bytes or with `==`.  There are two
-exceptions.  The fuzzy centroid's closed form adds at most three terms
-where the sampled one adds a whole output universe, so the two may
-differ in the last bits (`CENTROID_ULPS`).  The revised simplex takes
-other pivots than the tableau, so the two are compared by status and
-objective; HiGHS is a second oracle.
+scan of every queue head that `world.step` was, the two rounded clocks
+that `world.step` and the tick loop kept, the networkx connectivity
+check, per-exit `has_path` reachability and `shortest_path` routes of
+the network and `make_world`, the dense Bland tableau of the simplex,
+the per-scenario exclusion-pair rule of the task graph's `resolve`, the
+list scheduler's rescan of every pending task, the `itertools.product`
+enumeration of `fgraph.evaluate`, the sampled per-point loop of
+`fuzzy.surface`, the scalar-indexed rows of `surface.csv` and the
+per-row predicate calls of `metrics.flexibility`.  The fast paths must
+agree with them exactly, not approximately: every artifact is
+byte-identical across the change, so floats are compared by their bytes
+or with `==`.  There are two exceptions.  The fuzzy centroid's closed
+form adds at most three terms where the sampled one adds a whole output
+universe, so the two may differ in the last bits (`CENTROID_ULPS`).  The
+revised simplex takes other pivots than the tableau, so the two are
+compared by status and objective; HiGHS is a second oracle.
 """
 
 import csv
@@ -615,6 +616,183 @@ class TestStep:
         controllers = cli._build_controllers(net)
         run_side_by_side(world, 0.1, 3000, lambda k: {
             n: c.fsm.state_at(round((k + 1) * 0.1, 10)) for n, c in controllers.items()})
+
+
+# ------------------------------------------------------------------ clock
+#
+# `world.step` used to accumulate `round(clock + dt, 10)`, and the tick loop
+# of `cli.run_simulation` took `round((k + 1) * dt, 10)` for its time.  Both
+# now read k * step_units(dt) / CLOCK_UNITS_PER_S at tick k (`step` and
+# `tick_times`), which must be both old clocks exactly for every dt on the
+# 1e-10 grid.
+
+def accumulated_clock(dt, ticks, clock=0.0):
+    """The clock `world.step` kept, after each of `ticks` steps."""
+    for _ in range(ticks):
+        clock = round(clock + dt, 10)
+        yield clock
+
+
+def rounded_tick_time(dt, k):
+    """The time the tick loop gave tick k (counting from 1)."""
+    return round(k * dt, 10)
+
+
+def stepped_clock(dt, ticks, world=None):
+    """`world.step`'s clock after each of `ticks` steps of an empty ring."""
+    world = world or w.make_world(RING, None, 0, seed=0)
+    for _ in range(ticks):
+        yield w.step(world, {}, dt).clock
+
+
+GRID_DTS = (0.05, 0.1, 0.13, 0.25, 0.3, 0.7)
+
+
+class TestClock:
+    @pytest.mark.parametrize("dt", GRID_DTS)
+    def test_every_tick_of_four_hours(self, dt):
+        ticks = math.ceil(14400 / dt)
+        clocks = zip(stepped_clock(dt, ticks), w.tick_times(dt, ticks),
+                     accumulated_clock(dt, ticks))
+        for k, (got, tick, old) in enumerate(clocks, 1):
+            assert got == tick == old == rounded_tick_time(dt, k), k
+        assert got >= 14400.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**11), st.floats(0.0, 14400.0), st.integers(1, 60))
+    def test_any_dt_on_the_grid(self, units, start, ticks):
+        """From any tick of a 4 h run on, for the next `ticks` ticks."""
+        dt = units / w.CLOCK_UNITS_PER_S
+        assert w.step_units(dt) == units
+        k0 = int(start / dt)
+        world = w.make_world(RING, None, 0, seed=0)
+        world.clock_units, world.clock = k0 * units, rounded_tick_time(dt, k0)
+        old = accumulated_clock(dt, ticks, world.clock)
+        for k, (got, want) in enumerate(zip(stepped_clock(dt, ticks, world), old),
+                                        k0 + 1):
+            assert got == want == rounded_tick_time(dt, k) == world.clock_units / 10**10
+
+    def test_off_grid_dt_keeps_the_stepped_clock(self):
+        """dt = 1/3 is 3333333333 units a tick: the clock `world.step` kept
+        up to 2**17 s, where its rounding started to drift.  The tick loop's
+        time was another clock, off by a unit from the second tick on."""
+        dt, ticks = 1 / 3, 3 * 2**17
+        for got, old in zip(stepped_clock(dt, ticks), accumulated_clock(dt, ticks)):
+            assert got == old
+        assert 131071.99 < got < 131072  # 3333333333 units are a bit under 1/3 s
+        assert (rounded_tick_time(dt, 1), rounded_tick_time(dt, 2)) == (
+            w.step_units(dt) / 10**10, 0.6666666667)
+        assert 2 * w.step_units(dt) / 10**10 == 0.6666666666
+
+    def test_tick_loop_reads_the_world_clock(self, tmp_path, data_dir):
+        """Every signal state of a tick is read at the time its step ends
+        (in fixed mode, where nothing else asks for one)."""
+        times, ends, step, state_at = [], [], w.step, SignalFsm.state_at
+
+        def stepped(world, controls, dt):
+            step(world, controls, dt)
+            ends.append((len(times), world.clock))
+            return world
+
+        def recorded(fsm, t):
+            times.append(t)
+            return state_at(fsm, t)
+
+        for dt in (0.1, 1 / 3, 0.7):
+            cfg = cli.RunConfig(str(data_dir / "twin.network"),
+                                str(data_dir / "twin.demand"), None, None, 300.0, 2,
+                                str(tmp_path / f"{dt:.3f}"), "fixed", dt)
+            times.clear()
+            ends.clear()
+            with (mock.patch.object(cli.worldmod, "step", stepped),
+                  mock.patch.object(SignalFsm, "state_at", recorded)):
+                cli.run_simulation(cfg)
+            assert len(ends) == round(300.0 / dt)
+            start = 0
+            for end, clock in ends:
+                assert set(times[start:end]) == {clock}
+                start = end
+
+
+# ---------------------------------------------------------- idle step
+#
+# A step with nothing armed, the previous controls and a time before the
+# agenda's next arrival or timer returns after moving the clock.  These
+# cases sit on that edge; each is also checked against the scan.
+
+def line_network():
+    """Entry a (1 s long) into the signalized node x, then the exit b (2 s)."""
+    return w.StreetNetwork(
+        (w.RoadSegment("a", "n0", "x", 10.0, 10.0, 5, approach=1, entry=True),
+         w.RoadSegment("b", "x", "n2", 20.0, 10.0, 5, exit=True)),
+        (w.Intersection("n0"), w.Intersection("x", signalized=True),
+         w.Intersection("n2")))
+
+
+def line_world(arrivals=()):
+    world = w.make_world(line_network(), None, 0, seed=0)
+    world.arrivals = [(at, "a", ("a", "b")) for at in arrivals]
+    return world
+
+
+def crossings(world):
+    return [(ev[1], ev[0]) for ev in world.events if ev[0] in ("move", "depart")]
+
+
+RED, GREEN = SignalState.RED, SignalState.GREEN  # RED admits approach 1
+
+
+class TestIdleStep:
+    @pytest.mark.parametrize("dt", [0.1, 0.25, 0.7])
+    def test_arrival_exactly_at_a_tick(self, dt):
+        times = list(w.tick_times(dt, 9))
+        at = [times[2], times[3], times[8]]
+        world = line_world(at)
+        run_side_by_side(world, dt, 40, lambda k: {"x": RED})
+        arrived = [ev[1] for ev in world.events if ev[0] == "arrive"]
+        assert arrived == at
+
+    def test_arrival_joins_in_its_own_tick(self):
+        world = line_world([0.5])
+        for k in range(1, 7):
+            w.step(world, {"x": RED}, 0.1)
+            assert world.entered == (k >= 5)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.25, 0.5])
+    def test_timer_due_exactly_at_a_tick(self, dt):
+        """The head is ready at 1.5 s, its follower 2 s of headway later."""
+        world = line_world([0.5, 0.5])
+        run_side_by_side(world, dt, round(6 / dt), lambda k: {"x": RED})
+        assert crossings(world) == [(1.5, "move"), (3.5, "move"),
+                                    (3.5, "depart"), (5.5, "depart")]
+
+    def test_controls_change_with_nothing_armed(self):
+        world = line_world([0.5])
+        signal = [GREEN] * 30 + [RED] * 10
+        run_side_by_side(world, 0.1, 40, lambda k: {"x": signal[k]})
+        assert crossings(world)[0] == (3.1, "move")
+
+    def test_waiting_head_leaves_the_agenda_idle(self):
+        world = line_world([0.5])
+        for _ in range(30):
+            w.step(world, {"x": GREEN}, 0.1)
+        agenda = world.agenda
+        assert (agenda.armed, agenda.timers, agenda.due) == (set(), [], math.inf)
+        assert agenda.signal == {"x": [0]}
+        w.step(world, {"x": RED}, 0.1)
+        assert crossings(world) == [(3.1, "move")]
+
+    def test_controls_updated_in_place_rearm_waiters(self):
+        """One dict, changed in place, as a tick loop that keeps it would."""
+        world, oracle = line_world([0.5]), line_world([0.5])
+        controls = {"x": GREEN}
+        for k in range(40):
+            if k == 30:
+                controls["x"] = RED
+            w.step(world, controls, 0.1)
+            scan_step(oracle, controls, 0.1)
+            assert_same_world(world, oracle)
+        assert crossings(world)[0] == (3.1, "move")
 
 
 # ---------------------------------------------------------------- simplex
@@ -1305,6 +1483,31 @@ class TestSurface:
         i, d = fi * params.i.MI, fd * params.d.MI
         assert ulp_distance(fuzzy.control(i, d, params, rules, resolution),
                             sampled_control(i, d, params, rules, resolution)) <= CENTROID_ULPS
+
+
+# `cmd_fuzzy_surface` formats the surface from Python floats; it used to
+# index the numpy arrays once per number.
+
+def loop_surface_csv(params, n):
+    """surface.csv as written one numpy scalar at a time."""
+    grid = fuzzy.surface(params, n=n)
+    i_axis = np.linspace(0.0, params.i.MI, n)
+    d_axis = np.linspace(0.0, params.d.MI, n)
+    lines = ["i,d,u"]
+    for a in range(n):
+        for b in range(n):
+            lines.append("%.9g,%.9g,%.9g" % (i_axis[a], d_axis[b], grid[a, b]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSurfaceCsv:
+    @pytest.mark.parametrize("row", ["0.5,1,1.2", "0.39,0.47,0.54", "0.75,1.25,2.73"])
+    @pytest.mark.parametrize("n", [2, 3, 121, 200])
+    def test_matches_scalar_loop(self, tmp_path, row, n):
+        assert cli.main(["fuzzy-surface", row, str(n), "--out", str(tmp_path)]) == 0
+        params = fuzzy.FuzzyParams.uniform(*map(float, row.split(",")))
+        want = loop_surface_csv(params, n).encode()
+        assert (tmp_path / "surface.csv").read_bytes() == want
 
 
 # ---------------------------------------------------------------- metrics

@@ -240,6 +240,21 @@ exit = true
             logs.append("\n".join(w.format_event(e) for e in world.events))
         assert logs[0] == logs[1]
 
+    @pytest.mark.parametrize("dt", [1e-11, 4e-11, 0.0, -0.1, float("nan"), float("inf")])
+    def test_dt_that_cannot_move_the_clock_rejected(self, dt):
+        world = run_ring(steps=10)
+        with pytest.raises(ValueError, match="dt"):
+            w.step(world, {}, dt)
+        assert world.clock == 1.0
+
+    def test_clock_counts_whole_units(self):
+        assert [w.step_units(dt) for dt in (6e-11, 1e-10, 0.1, 1 / 3)] == [
+            1, 1, 10**9, 3333333333]
+        world = run_ring(steps=0)
+        for dt in (0.1, 0.25, 0.1):  # the step may change between calls
+            w.step(world, {}, dt)
+        assert (world.clock_units, world.clock) == (45 * 10**8, 0.45)
+
     def test_copy_isolates_state(self):
         world = run_ring(steps=10)
         clone = world.copy()
