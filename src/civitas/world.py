@@ -18,7 +18,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import count
 
 import numpy as np
 
@@ -297,9 +296,10 @@ class DemandWindow:
     def __post_init__(self):
         # make_world draws arrivals until the end or the horizon: a nan end
         # or rate, or an infinite rate, would never stop it.
-        if not (math.isfinite(self.start) and 0 <= self.rate < math.inf) or math.isnan(self.end):
-            raise ValueError("window start must be finite, its end a number and its rate"
-                             " a finite number >= 0")
+        # A start before 0 would draw arrivals before the clock does.
+        if not (0 <= self.start < math.inf and 0 <= self.rate < math.inf) or math.isnan(self.end):
+            raise ValueError("window start must be a finite number >= 0, its end a number"
+                             " and its rate a finite number >= 0")
         if self.end <= self.start:
             raise ValueError("window end must exceed start")
 
@@ -411,81 +411,118 @@ class WorldState:
         self.events.append(tuple(record))
 
 
-def _predecessors(succ: Graph) -> Graph:
-    """The reverse of a `segment_graph`, each segment's feeders in declaration order."""
-    pred: Graph = {seg: {} for seg in succ}
-    for seg, nexts in succ.items():
-        for nxt, weight in nexts.items():
-            pred[nxt][seg] = weight
-    return pred
+class _Router:
+    """Routes on a network's `segment_graph`, with segments as integer indices.
 
-
-def _reachable_exits(succ: Graph, entry: str, exits: tuple[str, ...]) -> list[str]:
-    """The exits a vehicle entering on `entry` can reach, in `exits` order."""
-    seen, stack = {entry}, [entry]
-    while stack:
-        for nxt in succ[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return [e for e in exits if e in seen]
-
-
-def _shortest_route(succ: Graph, pred: Graph, source: str, target: str) -> list[str]:
-    """Least-travel-time segment path from `source` to `target`.
-
-    A transcription of networkx's `bidirectional_dijkstra` (3.6.1), which
-    routes came from before.  Equal-time paths are common (a uniform grid
-    has many), and which one is returned depends on the alternating
-    directions, the shared insertion counter in the heap entries, the
-    strict `<` relaxations, the strict meeting update and the neighbour
-    order of `succ` and `pred`: change any of them and vehicles take other
-    routes.  A single-source Dijkstra breaks those ties differently.
+    `succ[i]` holds segment i's (next segment, travel time) pairs in
+    `allowed_turns` order and `pred[i]` its (feeder, travel time) pairs in
+    declaration order, the orders networkx kept for the graph routes came
+    from before.
     """
-    if source == target:
-        return [source]
-    dists: list[dict[str, float]] = [{}, {}]  # settled distances, [forward, backward]
-    preds: list[dict[str, str | None]] = [{source: None}, {target: None}]
-    seen: list[dict[str, float]] = [{source: 0}, {target: 0}]
-    fringe: list[list] = [[], []]
-    c = count()
-    heappush(fringe[0], (0, next(c), source))
-    heappush(fringe[1], (0, next(c), target))
-    neighbors = (succ, pred)
-    finaldist = meetnode = None
-    direction = 1
-    while fringe[0] and fringe[1]:
-        direction = 1 - direction
-        dist, _, v = heappop(fringe[direction])
-        if v in dists[direction]:
-            continue
-        dists[direction][v] = dist
-        if v in dists[1 - direction]:
-            forward, node = [], meetnode
-            while node is not None:
-                forward.append(node)
-                node = preds[0][node]
-            forward.reverse()
-            node = preds[1][meetnode]
-            while node is not None:
-                forward.append(node)
-                node = preds[1][node]
-            return forward
-        for w, cost in neighbors[direction][v].items():
-            vw_length = dist + cost
-            # networkx raises here if vw_length < dists[direction][w], which
-            # positive travel times rule out.
-            if w in dists[direction]:
-                continue
-            if w not in seen[direction] or vw_length < seen[direction][w]:
-                seen[direction][w] = vw_length
-                heappush(fringe[direction], (vw_length, next(c), w))
-                preds[direction][w] = v
-                if w in seen[1 - direction]:
-                    total = vw_length + seen[1 - direction][w]
-                    if finaldist is None or finaldist > total:
-                        finaldist, meetnode = total, w
-    raise TopologyError(f"no path from {source} to {target}")
+
+    def __init__(self, network: StreetNetwork):
+        self.ids = tuple(s.id for s in network.segments)
+        self.index = index = network._position
+        self.succ = tuple(tuple((index[nxt], time) for nxt, time in nexts.items())
+                          for nexts in network.segment_graph().values())
+        pred: list[list[tuple[int, float]]] = [[] for _ in self.ids]
+        for i, nexts in enumerate(self.succ):
+            for j, time in nexts:
+                pred[j].append((i, time))
+        self.pred = tuple(map(tuple, pred))
+
+    def reachable_exits(self, entry: str, exits: tuple[str, ...]) -> list[str]:
+        """The exits a vehicle entering on `entry` can reach, in `exits` order."""
+        succ, start = self.succ, self.index[entry]
+        seen, stack = [False] * len(succ), [start]
+        seen[start] = True
+        while stack:
+            for j, _ in succ[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        return [e for e in exits if seen[self.index[e]]]
+
+    def route(self, source: str, target: str) -> tuple[str, ...]:
+        """Least-travel-time segment path from `source` to `target`.
+
+        networkx's `bidirectional_dijkstra` (3.6.1), which routes came from
+        before, with its two directions written out.  Equal-time paths are
+        common (a uniform grid has many), and which one is returned depends
+        on the directions alternating, forward first; on heap ties going to
+        the earlier push; on the strict `<` of the relaxations and of the
+        meeting update; on stopping at the first pop the other direction
+        has settled; and on the neighbour order of `succ` and `pred`.
+        Change any of them and vehicles take other routes.  A single-source
+        Dijkstra breaks those ties differently.  Raises TopologyError when
+        either fringe empties first.  (`tests/test_fastpaths.py` keeps the
+        string-keyed transcription this replaced as an oracle.)
+
+        A segment a direction has not reached has a tentative time of nan,
+        and `best` is nan before the first meeting: `not d >= nan` holds for
+        every d, as "not seen yet" did, and is `d < x` once there is an x.
+        (An inf start would refuse a path whose time overflows to inf.)
+        """
+        ids, succ, pred = self.ids, self.succ, self.pred
+        s, t = self.index[source], self.index[target]
+        if s == t:
+            return (source,)
+        n = len(ids)
+        fdone, bdone = [False] * n, [False] * n  # settled, forward and backward
+        fseen, bseen = [math.nan] * n, [math.nan] * n  # tentative times
+        fprev, bprev = [-1] * n, [-1] * n  # the segment each was reached from
+        fseen[s] = bseen[t] = 0.0
+        ffringe, bfringe = [(0.0, 0, s)], [(0.0, 1, t)]
+        pushes = 2  # the heaps' shared push counter: ties go to the earlier push
+        best = math.nan  # the best meeting's total time, nan before the first
+        meet = -1
+        while ffringe and bfringe:
+            dist, _, v = heappop(ffringe)
+            if not fdone[v]:
+                fdone[v] = True
+                if bdone[v]:
+                    break
+                for w, cost in succ[v]:
+                    if fdone[w]:
+                        continue
+                    d = dist + cost
+                    if not d >= fseen[w]:
+                        fseen[w], fprev[w] = d, v
+                        heappush(ffringe, (d, pushes, w))
+                        pushes += 1
+                        other = bseen[w]
+                        if other == other and not d + other >= best:  # seen, and better
+                            best, meet = d + other, w
+            if not ffringe:
+                continue  # and the loop ends: no path
+            dist, _, v = heappop(bfringe)
+            if not bdone[v]:
+                bdone[v] = True
+                if fdone[v]:
+                    break
+                for w, cost in pred[v]:
+                    if bdone[w]:
+                        continue
+                    d = dist + cost
+                    if not d >= bseen[w]:
+                        bseen[w], bprev[w] = d, v
+                        heappush(bfringe, (d, pushes, w))
+                        pushes += 1
+                        other = fseen[w]
+                        if other == other and not d + other >= best:
+                            best, meet = d + other, w
+        else:
+            raise TopologyError(f"no path from {source} to {target}")
+        path, node = [], meet
+        while node >= 0:
+            path.append(ids[node])
+            node = fprev[node]
+        path.reverse()
+        node = bprev[meet]
+        while node >= 0:
+            path.append(ids[node])
+            node = bprev[node]
+        return tuple(path)
 
 
 def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
@@ -506,22 +543,21 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     if demand is None or horizon <= 0:
         return world
 
-    succ = network.segment_graph()
-    pred = _predecessors(succ)
+    router = _Router(network)
     exits = network.exits()
     reachable_cache: dict[str, list[str]] = {}
     route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def route_from(entry: str, rng: np.random.Generator) -> tuple[str, ...]:
         if entry not in reachable_cache:
-            reachable_cache[entry] = _reachable_exits(succ, entry, exits)
+            reachable_cache[entry] = router.reachable_exits(entry, exits)
         reachable = reachable_cache[entry]
         if not reachable:
             raise TopologyError(f"[segment {entry}] entry: no exit is reachable from it")
         target = reachable[int(rng.integers(len(reachable)))]
         key = (entry, target)
         if key not in route_cache:
-            route_cache[key] = tuple(_shortest_route(succ, pred, entry, target))
+            route_cache[key] = router.route(entry, target)
         return route_cache[key]
 
     demand_map = dict(demand.arrivals)
@@ -567,12 +603,15 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
 def step_units(dt: float) -> int:
     """A step of dt seconds as a whole number of clock units, at least one.
 
-    Raises ValueError when dt is not a finite number > 0, or is too small
-    to move the clock (it rounds to no unit).
+    Raises ValueError when dt is not a finite number > 0, is too small to
+    move the clock (it rounds to no unit) or too large to count in units.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a finite number > 0, got {dt:g}")
-    units = round(dt * CLOCK_UNITS_PER_S)
+    scaled = dt * CLOCK_UNITS_PER_S
+    if scaled == math.inf:
+        raise ValueError(f"dt {dt:g} overflows the clock's count of 1e-10 s units")
+    units = round(scaled)
     if units == 0:
         raise ValueError(f"dt {dt:g} is below the clock's resolution of 1e-10 s")
     return units

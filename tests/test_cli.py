@@ -63,6 +63,13 @@ class TestExitCodes:
         assert ("--horizon 1e+300 / --dt 1e-300 is not a finite number of ticks"
                 in capsys.readouterr().err)
 
+    def test_dt_beyond_clock_range_names_the_flag(self, tmp_path, data_dir, capsys):
+        rc = cli.main(sim_args(data_dir, tmp_path / "run", horizon="1e300")
+                      + ["--dt", "1e299"])
+        assert rc == 1
+        assert "--dt: dt 1e+299 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("dt", ["1e-11", "4e-11"])
     def test_dt_below_clock_resolution_is_config_error(self, tmp_path, data_dir,
                                                        capsys, dt):
@@ -213,6 +220,8 @@ MALFORMED_VALUES = [
      "[segment s1] turns: [segment s7] does not start at A"),
     ("schedule", "twin.ctg", "after = T1\n", "after = T1, T5\n",
      "graph has a cycle; these cannot be ordered: [task T2], [task T5]"),
+    # arrivals before the clock starts
+    ("simulate", "twin.demand", "0:600:0.08", "-5:600:0.08", "[arrivals s1] windows"),
 ]
 
 
@@ -228,7 +237,8 @@ def test_malformed_value_is_exit_one(tmp_path, data_dir, capsys, command, name,
             "schedule": ["schedule", "--ctg", str(bad), "--out", out],
             "simulate": sim_args(data_dir, out)}[command]
     if command == "simulate":
-        args[args.index("--network") + 1] = str(bad)
+        flag = "--demand" if name.endswith(".demand") else "--network"
+        args[args.index(flag) + 1] = str(bad)
     assert cli.main(args) == 1
     assert where in capsys.readouterr().err
 
@@ -976,3 +986,28 @@ def test_one_bad_value_exits_zero_or_one(data_dir, fuzz_dir, edit, token):
         assert str(path) in message and where in message, message
     if key in NUMERIC_KEYS and _non_finite(token):
         assert rc == 1, f"{where} {key} = {token!r} exited 0"
+
+
+SIMULATE_FLAGS = ("--horizon", "--dt", "--deadline", "--seed", "--target")
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    (5e-324, 1e-300, 1e-11, 1e-10, 0.1, 1e298, 1e299, 1e308, -0.0)))
+ANY_INT = st.one_of(st.integers(), st.integers(2**63 - 2, 2**70), st.integers(-2**70, -1))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(horizon=ANY_FLOAT, dt=ANY_FLOAT, deadline=st.none() | ANY_FLOAT,
+       seed=ANY_INT, target=st.none() | ANY_INT,
+       mode=st.sampled_from(("fixed", "hierarchical")))
+def test_simulate_flags_build_or_name_the_flag(horizon, dt, deadline, seed, target,
+                                               mode):
+    """Any numbers for `simulate`'s flags build a config or raise ConfigError
+    naming a flag; the config is only built, no run starts."""
+    try:
+        cfg = cli.RunConfig("n.network", "n.demand", "n.ctg", None, horizon, seed,
+                            "out", mode, dt, target, deadline)
+    except cli.ConfigError as exc:
+        assert any(flag in str(exc) for flag in SIMULATE_FLAGS), str(exc)
+        return
+    assert cfg.seed >= 0 and (target is None or target >= 0)
+    assert deadline is None or 0 < deadline < math.inf
+    assert round(horizon / dt) >= 1 and cli.worldmod.step_units(dt) >= 1

@@ -5,7 +5,9 @@ of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
 scan of every queue head that `world.step` was, the two rounded clocks
 that `world.step` and the tick loop kept, the networkx connectivity
 check, per-exit `has_path` reachability and `shortest_path` routes of
-the network and `make_world`, the dense Bland tableau of the simplex,
+the network and `make_world`, the string-keyed dict transcription of
+the bidirectional Dijkstra that routed `make_world`'s arrivals before
+its router on segment indices, the dense Bland tableau of the simplex,
 the per-scenario exclusion-pair rule of the task graph's `resolve`, the
 list scheduler's rescan of every pending task, the `itertools.product`
 enumeration of `fgraph.evaluate`, the sampled per-point loop of
@@ -174,6 +176,82 @@ def nx_segment_graph(net):
 
 def has_path_exits(graph, entry, exits):
     return [e for e in exits if e == entry or nx.has_path(graph, entry, e)]
+
+
+def dict_predecessors(succ):
+    """The reverse of a `segment_graph`, each segment's feeders in declaration order."""
+    pred = {seg: {} for seg in succ}
+    for seg, nexts in succ.items():
+        for nxt, weight in nexts.items():
+            pred[nxt][seg] = weight
+    return pred
+
+
+def dict_route(succ, pred, source, target):
+    """networkx's `bidirectional_dijkstra` (3.6.1) over string-keyed dicts,
+    with its `direction` index: what `make_world` routed with before."""
+    if source == target:
+        return [source]
+    dists = [{}, {}]  # settled distances, [forward, backward]
+    preds = [{source: None}, {target: None}]
+    seen = [{source: 0}, {target: 0}]
+    fringe = [[], []]
+    c = itertools.count()
+    heapq.heappush(fringe[0], (0, next(c), source))
+    heapq.heappush(fringe[1], (0, next(c), target))
+    neighbors = (succ, pred)
+    finaldist = meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heapq.heappop(fringe[direction])
+        if v in dists[direction]:
+            continue
+        dists[direction][v] = dist
+        if v in dists[1 - direction]:
+            forward, node = [], meetnode
+            while node is not None:
+                forward.append(node)
+                node = preds[0][node]
+            forward.reverse()
+            node = preds[1][meetnode]
+            while node is not None:
+                forward.append(node)
+                node = preds[1][node]
+            return forward
+        for u, cost in neighbors[direction][v].items():
+            vu_length = dist + cost
+            if u in dists[direction]:
+                continue
+            if u not in seen[direction] or vu_length < seen[direction][u]:
+                seen[direction][u] = vu_length
+                heapq.heappush(fringe[direction], (vu_length, next(c), u))
+                preds[direction][u] = v
+                if u in seen[1 - direction]:
+                    total = vu_length + seen[1 - direction][u]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, u
+    raise w.TopologyError(f"no path from {source} to {target}")
+
+
+class DictRouter:
+    """`w._Router`'s interface over the dict transcription, for `make_world`."""
+
+    def __init__(self, network):
+        self.succ = network.segment_graph()
+        self.pred = dict_predecessors(self.succ)
+
+    def reachable_exits(self, entry, exits):
+        seen, stack = {entry}, [entry]
+        while stack:
+            for nxt in self.succ[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return [e for e in exits if e in seen]
+
+    def route(self, source, target):
+        return tuple(dict_route(self.succ, self.pred, source, target))
 
 
 # ------------------------------------------------------------- state_at
@@ -395,15 +473,27 @@ def grid(k):
 
 def assert_routes_match(net, sources, targets):
     graph = nx_segment_graph(net)
-    succ = net.segment_graph()
-    pred = w._predecessors(succ)
+    router = w._Router(net)
     for source, target in itertools.product(sources, targets):
         if nx.has_path(graph, source, target):
-            assert (w._shortest_route(succ, pred, source, target)
-                    == nx.shortest_path(graph, source, target, weight="weight"))
+            assert (router.route(source, target)
+                    == tuple(nx.shortest_path(graph, source, target, weight="weight")))
         else:
             with pytest.raises(w.TopologyError, match="no path"):
-                w._shortest_route(succ, pred, source, target)
+                router.route(source, target)
+
+
+def demand_on(net, rate, horizon):
+    """One window of `rate` over the horizon at every entry that reaches an exit."""
+    router = w._Router(net)
+    return w.DemandProfile(tuple(
+        (e, (w.DemandWindow(0.0, horizon, rate),))
+        for e in net.entries() if router.reachable_exits(e, net.exits())))
+
+
+def dict_routed_arrivals(net, demand, horizon, seed):
+    with mock.patch.object(w, "_Router", DictRouter):
+        return w.make_world(net, demand, horizon, seed).arrivals
 
 
 class TestReachableExits:
@@ -411,16 +501,17 @@ class TestReachableExits:
     @given(networks())
     def test_matches_has_path(self, net):
         graph = nx_segment_graph(net)
-        exits = net.exits()
+        router, exits = w._Router(net), net.exits()
         for entry in net.entries():
-            assert (w._reachable_exits(net.segment_graph(), entry, exits)
+            assert (router.reachable_exits(entry, exits)
                     == has_path_exits(graph, entry, exits))
 
     def test_twin_entries(self, twin_network_text):
         net = w.load_network(twin_network_text)
         graph = nx_segment_graph(net)
+        router = w._Router(net)
         for entry in net.entries():
-            got = w._reachable_exits(net.segment_graph(), entry, net.exits())
+            got = router.reachable_exits(entry, net.exits())
             assert got and got == has_path_exits(graph, entry, net.exits())
 
 
@@ -440,18 +531,59 @@ class TestShortestRoute:
         net = w.load_network(twin_network_text)
         assert_routes_match(net, net.entries(), net.exits())
 
+    def test_matches_dict_transcription_on_12x12_grid(self):
+        net = grid(12)
+        router, succ = w._Router(net), net.segment_graph()
+        pred = dict_predecessors(succ)
+        for source, target in itertools.product(net.entries(), net.exits()):
+            assert router.route(source, target) == tuple(
+                dict_route(succ, pred, source, target))
+
+    def test_route_whose_time_overflows(self):
+        # 1e308 m at 1e-10 m/s takes inf s: networkx still returns the path
+        net = w.StreetNetwork(
+            (w.RoadSegment("e", "a", "b", 10.0, 5.0, 5, entry=True),
+             w.RoadSegment("x", "b", "c", 1e308, 1e-10, 5, exit=True)),
+            tuple(w.Intersection(n) for n in "abc"))
+        succ = net.segment_graph()
+        assert (w._Router(net).route("e", "x")
+                == tuple(dict_route(succ, dict_predecessors(succ), "e", "x"))
+                == tuple(nx.shortest_path(nx_segment_graph(net), "e", "x", weight="weight"))
+                == ("e", "x"))
+
     @settings(max_examples=100)
     @given(networks())
     def test_segment_graph_is_the_networkx_graph(self, net):
         graph = nx_segment_graph(net)
         succ = net.segment_graph()
-        pred = w._predecessors(succ)
         assert list(succ) == list(graph)
         for seg in succ:
             assert list(succ[seg].items()) == [
                 (nxt, d["weight"]) for nxt, d in graph.succ[seg].items()]
-            assert list(pred[seg].items()) == [
+        router = w._Router(net)  # and the router's adjacency on indices
+        assert router.ids == tuple(graph)
+        for i, seg in enumerate(router.ids):
+            assert [(router.ids[j], t) for j, t in router.succ[i]] == [
+                (nxt, d["weight"]) for nxt, d in graph.succ[seg].items()]
+            assert [(router.ids[j], t) for j, t in router.pred[i]] == [
                 (prev, d["weight"]) for prev, d in graph.pred[seg].items()]
+
+
+class TestMakeWorldRoutes:
+    """`make_world` draws the same arrivals as with the dict transcription."""
+
+    def test_grid8(self):
+        net = grid(8)
+        demand = demand_on(net, 0.05, 600.0)
+        want = dict_routed_arrivals(net, demand, 600.0, 5)
+        assert len(want) > 500 and w.make_world(net, demand, 600.0, 5).arrivals == want
+
+    @settings(max_examples=100)
+    @given(networks(), st.sampled_from((0.05, 0.3, 1.0)), st.integers(0, 999))
+    def test_hypothesis_networks(self, net, rate, seed):
+        demand = demand_on(net, rate, 120.0)
+        assert (w.make_world(net, demand, 120.0, seed).arrivals
+                == dict_routed_arrivals(net, demand, 120.0, seed))
 
 
 @st.composite
@@ -518,10 +650,10 @@ def step_runs(draw):
     dt = draw(st.sampled_from(STEP_DTS))
     ticks = draw(st.integers(20, 400))
     horizon = ticks * dt
-    succ = net.segment_graph()
+    router = w._Router(net)
     demand = w.DemandProfile(tuple(
         (e, (w.DemandWindow(0.0, horizon, draw(st.sampled_from((0.05, 0.3, 1.0)))),))
-        for e in net.entries() if w._reachable_exits(succ, e, net.exits())))
+        for e in net.entries() if router.reachable_exits(e, net.exits())))
     world = w.make_world(net, demand, horizon, seed=draw(st.integers(0, 999)))
     placed = draw(st.lists(st.sampled_from(segments), max_size=4, unique=True))
     w.seed_vehicles(world, [(s.id, draw(st.integers(1, s.occupancy_limit)))
@@ -912,14 +1044,21 @@ def highs_solve(lp):
     """Status and objective from scipy's HiGHS; skips without scipy."""
     optimize = pytest.importorskip("scipy.optimize")
     n = len(lp.objective)
-    res = optimize.linprog(
-        -lp.objective, A_eq=lp.eq_lhs if lp.eq_lhs.size else None,
-        b_eq=lp.eq_rhs if lp.eq_lhs.size else None,
-        A_ub=-lp.ge_lhs if lp.ge_lhs.size else None,
-        b_ub=-lp.ge_rhs if lp.ge_lhs.size else None,
-        bounds=[(0, None)] * n, method="highs",
-        # HiGHS's presolve reports some unbounded LPs as infeasible.
-        options={"presolve": False})
+
+    def linprog(presolve):
+        return optimize.linprog(
+            -lp.objective, A_eq=lp.eq_lhs if lp.eq_lhs.size else None,
+            b_eq=lp.eq_rhs if lp.eq_lhs.size else None,
+            A_ub=-lp.ge_lhs if lp.ge_lhs.size else None,
+            b_ub=-lp.ge_rhs if lp.ge_lhs.size else None,
+            bounds=[(0, None)] * n, method="highs", options={"presolve": presolve})
+
+    # HiGHS's presolve reports some unbounded LPs as infeasible, so it is
+    # off; without it HiGHS leaves some LPs undecided (status 4, such as
+    # max x2 s.t. x1 >= x2, which is unbounded), and those get presolve.
+    res = linprog(False)
+    if res.status == 4:
+        res = linprog(True)
     status = HIGHS_STATUS[res.status]
     return status, (float(-res.fun) if status == simplex.OPTIMAL else None)
 

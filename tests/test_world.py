@@ -240,7 +240,8 @@ exit = true
             logs.append("\n".join(w.format_event(e) for e in world.events))
         assert logs[0] == logs[1]
 
-    @pytest.mark.parametrize("dt", [1e-11, 4e-11, 0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [1e-11, 4e-11, 0.0, -0.1, float("nan"), float("inf"),
+                                    1e299])
     def test_dt_that_cannot_move_the_clock_rejected(self, dt):
         world = run_ring(steps=10)
         with pytest.raises(ValueError, match="dt"):
