@@ -258,13 +258,32 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     epoch_count = 0
     prev_state_name = None
     early = [] if engine else [n for n, c in controllers.items() if c.early_switch]
-    for k, t in enumerate(worldmod.tick_times(cfg.dt, ticks)):
+    # The signal states are one dict filled in place every tick; `world.step`
+    # compares it with its own copy of the last tick's, so a changed state
+    # still re-arms the heads that wait on it.  Controllers change only on an
+    # early switch or in a reconcile, and `fsms` is rebuilt after either.
+    controls: dict[str, fsmmod.SignalState] = {}
+
+    def current_fsms():
+        return [(node, ctrl.fsm) for node, ctrl in controllers.items()]
+    fsms = current_fsms()
+    countdown = epoch_every  # ticks left to the next epoch (hierarchical mode)
+    for t in worldmod.tick_times(cfg.dt, ticks):
         for node in early:
-            controllers[node] = _maybe_early_switch(net, world, controllers[node], t)
-        controls = {node: ctrl.fsm.state_at(t) for node, ctrl in controllers.items()}
+            ctrl = controllers[node]
+            switched = _maybe_early_switch(net, world, ctrl, t)
+            if switched is not ctrl:
+                controllers[node] = switched
+                fsms = current_fsms()
+        for node, fsm in fsms:
+            controls[node] = fsm.state_at(t)
+        # looked up on the module every tick: the benchmark's set-up probe
+        # replaces `world.step` and restores it on its first call
         worldmod.step(world, controls, cfg.dt)
 
-        if engine is not None and (k + 1) % epoch_every == 0:
+        countdown -= 1
+        if countdown == 0 and engine is not None:
+            countdown = epoch_every
             epoch_count += 1
             labels = []
             for est in estimators:
@@ -289,6 +308,7 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
             report = engine.reconcile(at=t)
             reports.append((t, report))
             _drain_engine_events(engine, world)
+            fsms = current_fsms()
 
     if registry is not None:
         _write(os.path.join(cfg.out, "interactions.csv"),
@@ -360,11 +380,11 @@ def _parse_shift_log(path: str, text: str, states: set[str]) -> ctmdpmod.ShiftLo
         for column in ("state", "next"):  # an empty next means no shift
             name = row.get(column)
             if (name or column == "state") and name not in states:
-                raise ConfigError(f"shift log {path}, line {reader.line_num}: {column}"
+                raise ConfigError(f"shifts {path}, line {reader.line_num}: {column}"
                                   f" {name!r} is not a state of the task graph")
         if not row["action"]:
-            raise ConfigError(f"shift log {path}, line {reader.line_num}: empty action")
-        with _naming(f"shift log {path}, line {reader.line_num}: bad dwell"
+            raise ConfigError(f"shifts {path}, line {reader.line_num}: empty action")
+        with _naming(f"shifts {path}, line {reader.line_num}: bad dwell"
                      f" {row['dwell']!r}"):
             log.record(row["state"], row["action"], float(row["dwell"]),
                        row.get("next") or None)
@@ -377,7 +397,7 @@ def cmd_ctmdp(args):
     elif args.ctg and args.shifts:
         table = _load_table(args.ctg)
         states = {ctmdpmod.state_name(table.zone, s) for s in table.scenarios}
-        shifts = _load(args.shifts, "shift log",
+        shifts = _load(args.shifts, "shifts",
                        lambda text: _parse_shift_log(args.shifts, text, states))
         model = ctmdpmod.from_schedule_tables([table], shifts)
     else:
@@ -403,9 +423,13 @@ def cmd_fuzzy_surface(args):
         params = fuzzymod.FuzzyParams.uniform(m, M, MI)
     if args.n < 2:
         raise ConfigError(f"fuzzy-surface n must be >= 2, got {args.n}")
+    try:
+        grid = fuzzymod.surface(params, n=args.n)
+    except MemoryError as exc:
+        raise ConfigError(f"fuzzy-surface n: {args.n} x {args.n} points do not fit"
+                          f" in memory ({exc})") from exc
 
     def run():
-        grid = fuzzymod.surface(params, n=args.n)
         # Python floats format faster than numpy scalars; an axis value once
         i_axis = ["%.9g," % x for x in np.linspace(0.0, params.i.MI, args.n).tolist()]
         d_axis = ["%.9g," % x for x in np.linspace(0.0, params.d.MI, args.n).tolist()]
@@ -584,6 +608,8 @@ def main(argv: list[str] | None = None) -> int:
     try:  # phase one: flags and input files
         args = build_parser().parse_args(argv)
         run = args.func(args)
+        with _naming(f"--out {args.out}"):  # the run writes into it
+            os.makedirs(args.out, exist_ok=True)
     except Exception as exc:
         logger.debug("input failure", exc_info=True)
         print(f"civitas: error: {exc}", file=sys.stderr)

@@ -113,12 +113,20 @@ class SignalFsm:
         """Position within the cycle frame (seconds past cycle start)."""
         return (t - self.offset) % self.cycle
 
+    @cached_property
+    def _timing(self) -> tuple[float, float, float, float,
+                               SignalState, SignalState, SignalState]:
+        """(offset, cycle, end 0, end 1, state 0, state 1, state 2)."""
+        (s0, _, b0), (s1, _, b1), (s2, _, _) = self._layout
+        return self.offset, self.cycle, b0, b1, s0, s1, s2
+
     def state_at(self, t: float) -> SignalState:
         # The regions tile [0, cycle) in order and p is never negative, so
         # testing each region's end alone is the scan `a <= p < b`; a p past
         # the last end (rounding) or NaN falls to the last region's state.
-        p = (t - self.offset) % self.cycle
-        (s0, _, b0), (s1, _, b1), (s2, _, _) = self._layout
+        # Called once per controller per tick: one cached tuple to unpack.
+        offset, cycle, b0, b1, s0, s1, s2 = self._timing
+        p = (t - offset) % cycle
         if p < b0:
             return s0
         if p < b1:

@@ -64,6 +64,9 @@ class RoadSegment:
                              f" got {self.free_flow_speed:g}")
         if self.capacity < 1:
             raise ValueError(f"{where} capacity: must be >= 1, got {self.capacity}")
+        if self.travel_time == math.inf:  # a vehicle on it would never leave
+            raise ValueError(f"{where} length: {self.length:g} m at"
+                             f" {self.free_flow_speed:g} m/s is no finite travel time")
 
     @property
     def travel_time(self) -> float:
@@ -654,7 +657,9 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
     the tick and order a scan of every head would check it, so the result
     is that scan's (`tests/test_fastpaths.py` keeps it as the oracle).
     A call with nothing armed, the previous call's controls and a time
-    before the agenda's next arrival or timer only moves the clock.
+    before the agenda's next arrival or timer only moves the clock.  The
+    agenda compares `controls` with its own copy of the previous call's,
+    so a caller may fill one dict in place from tick to tick.
 
     The clock advances by `step_units(dt)` whole units, so it never
     drifts; dt must be a finite number > 0 of at least one unit.
@@ -677,16 +682,17 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
                 raise ValueError(f"controls missing signalized intersection {node}")
     world.clock_units, world.clock = units, now
     position, armed = network._position, agenda.armed
+    segment, log = network._segment_index, world.events.append
 
     while (world.arrival_idx < len(world.arrivals)
            and world.arrivals[world.arrival_idx][0] <= now):
         at, seg_id, route = world.arrivals[world.arrival_idx]
         world.arrival_idx += 1
-        seg = network.segment(seg_id)
+        seg = segment[seg_id]
         queue = queues[seg_id]
         if len(queue) >= seg.occupancy_limit:
             world.dropped += 1
-            world.log("drop", at, seg_id)
+            log(("drop", at, seg_id))
             continue
         if not queue:
             armed.add(position[seg_id])
@@ -694,7 +700,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         world.next_vid += 1
         queue.append(v)
         world.entered += 1
-        world.log("arrive", at, v.vid, seg_id)
+        log(("arrive", at, v.vid, seg_id))
 
     if controls_changed:
         before = agenda.controls or {}
@@ -742,7 +748,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
             if not seg.exit and v.route:
                 raise TopologyError(f"route of vehicle {v.vid} ends on non-exit {seg.id}")
         else:
-            nxt = network.segment(nxt_id)
+            nxt = segment[nxt_id]
             if len(queues[nxt_id]) >= nxt.occupancy_limit:
                 room.setdefault(position[nxt_id], []).append(i)
                 continue
@@ -751,14 +757,14 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         world.traversal_time[seg.id].append(now - v.entered_at)
         if nxt_id is None:
             world.exited += 1
-            world.log("depart", now, v.vid, seg.id)
+            log(("depart", now, v.vid, seg.id))
         else:
             v.leg += 1
             v.pending_next = None
             v.entered_at = now
             v.ready_at = now + nxt.travel_time
             queues[nxt_id].append(v)
-            world.log("move", now, v.vid, seg.id, nxt_id)
+            log(("move", now, v.vid, seg.id, nxt_id))
         woken = room.pop(i, [])
         if nxt_id is not None and nxt_id != seg.id and len(queues[nxt_id]) == 1:
             woken.append(position[nxt_id])  # a new head downstream

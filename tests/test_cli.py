@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 from importlib import resources
 from unittest import mock
 
@@ -178,6 +179,9 @@ MALFORMED_VALUES = [
     ("simulate", "twin.network", "length = 120", "length = nan",
      "[segment s1] length"),
     ("simulate", "twin.network", "speed = 10", "speed = 0", "[segment s1] speed"),
+    # 1e308 m at 1e-10 m/s: a travel time of inf, which no vehicle would end
+    ("simulate", "twin.network", "length = 120\nspeed = 10",
+     "length = 1e308\nspeed = 1e-10", "[segment s1] length"),
     ("simulate", "twin.network", "capacity = 30", "capacity = 0",
      "[segment s1] capacity"),
     ("schedule", "twin.ctg", "thresholds = 6", "thresholds = nan",
@@ -456,6 +460,17 @@ class TestFuzzySurface:
     def test_bad_params_rejected(self, tmp_path):
         assert cli.main(["fuzzy-surface", "1,2", "11",
                          "--out", str(tmp_path)]) == 1
+
+    def test_unallocatable_grid_names_n(self, tmp_path, capsys):
+        # 100000 x 100000 points exited 2 ("Unable to allocate 74.5 GiB");
+        # the stub raises what numpy raised, so nothing is allocated
+        error = MemoryError("Unable to allocate 74.5 GiB")
+        with mock.patch.object(cli.fuzzymod, "surface", side_effect=error) as surface:
+            rc = cli.main(["fuzzy-surface", "0.5,1,1.2", "100000",
+                           "--out", str(tmp_path)])
+        assert rc == 1 and surface.call_args.kwargs["n"] == 100000
+        assert ("fuzzy-surface n: 100000 x 100000 points do not fit in memory"
+                " (Unable to allocate 74.5 GiB)" in capsys.readouterr().err)
 
     # Recorded from the sampled centroid before the closed form replaced it:
     # the benchmark's row and three rows whose spikes sit where the two
@@ -1011,3 +1026,75 @@ def test_simulate_flags_build_or_name_the_flag(horizon, dt, deadline, seed, targ
     assert cfg.seed >= 0 and (target is None or target >= 0)
     assert deadline is None or 0 < deadline < math.inf
     assert round(horizon / dt) >= 1 and cli.worldmod.step_units(dt) >= 1
+
+
+# The flags of the other commands, one drawn value at a time.  Paths are
+# relative to the working directory the test runs in, so a drawn `--out`
+# stays inside it; `n` and `--out` are drawn from the fixed tokens only
+# (a drawn number could ask for a surface of n * n points beyond memory,
+# and a drawn absolute path for an output directory anywhere).
+FLAG_ARGS = {
+    "schedule": {"--ctg": "twin.ctg", "--objective": "makespan", "--out": "out"},
+    "ctmdp": {"--ctg": "twin.ctg", "--shifts": "shifts.csv", "--out": "out"},
+    "ctmdp model": {"--model": "model.csv", "--out": "out"},
+    "fuzzy-surface": {"params": "0.5,1,1.2", "n": "5", "--out": "out"},
+    "metrics": {"--job": "job.metrics", "--out": "out"},
+    "classify": {"--registry": "city.registry", "--out": "out"},
+}
+FLAG_CASES = [(command, flag) for command, flags in FLAG_ARGS.items() for flag in flags]
+FLAG_TOKENS = ("nan", "inf", "-1", "0", "1", "2.5", "1e308", "x", "", "a:b", "1,2",
+               "0.5,1,inf", "nan,1,2", "1,1,1", "2,1,3", "0.5,1,1.2,4", "-",
+               "adir", "afile", "binary", "missing/x", "afile/x", "a\x00b")
+
+
+@pytest.fixture(scope="module")
+def flag_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("flags")
+    for name, text in FUZZ_TEXTS.items():
+        (base / name).write_text(text)
+    (base / "curves.csv").write_text("p,adaptive,single\n0,0,0\n1,1,0\n")
+    (base / "pairs.csv").write_text("estimated,actual\n10,12\n")
+    (base / "adir").mkdir()
+    (base / "afile").write_text("x = 1\n")
+    (base / "binary").write_bytes(b"\xff\xfe\x00[")
+    return base
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=st.sampled_from(FLAG_CASES), data=st.data())
+def test_one_bad_flag_exits_zero_or_one(flag_dir, case, data):
+    command, flag = case
+    tokens = st.sampled_from(FLAG_TOKENS)
+    if flag not in ("n", "--out"):
+        tokens |= st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+    token = data.draw(tokens, label="token")
+    args = [command.split()[0]]
+    for key, value in FLAG_ARGS[command].items():
+        value = token if key == flag else value
+        args += [key, value] if key.startswith("--") else [value]
+    err = io.StringIO()
+    with contextlib.chdir(flag_dir), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(args)
+        except SystemExit as exc:  # a drawn "-h" asks argparse for help
+            rc = exc.code
+    message = err.getvalue()
+    assert rc in (0, 1), message
+    if rc == 1:
+        assert re.search(rf"(?<!\w){re.escape(flag.lstrip('-'))}(?!\w)", message), message
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/x", "", "a\x00b"])
+def test_output_that_is_no_directory_is_exit_one(flag_dir, capsys, out):
+    # the run used to fail writing into it and exit 2 (or, given an empty
+    # path, write into the working directory and exit 0)
+    with contextlib.chdir(flag_dir):
+        assert cli.main(["classify", "--registry", "city.registry", "--out", out]) == 1
+    assert "--out" in capsys.readouterr().err
+
+
+def test_shift_log_errors_name_the_flag(flag_dir, capsys):
+    with contextlib.chdir(flag_dir):
+        assert cli.main(["ctmdp", "--ctg", "twin.ctg", "--shifts", "adir",
+                         "--out", "out"]) == 1
+    assert "shifts adir: Is a directory" in capsys.readouterr().err

@@ -3,8 +3,9 @@
 Each oracle below is the earlier, direct implementation: the layout scan
 of `SignalFsm.state_at`, the event-log recount of `observe_cycle`, the
 scan of every queue head that `world.step` was, the two rounded clocks
-that `world.step` and the tick loop kept, the networkx connectivity
-check, per-exit `has_path` reachability and `shortest_path` routes of
+that `world.step` and the tick loop kept, the tick loop of
+`cli.run_simulation` with a new controls dict per tick, the networkx
+connectivity check, per-exit `has_path` reachability and `shortest_path` routes of
 the network and `make_world`, the string-keyed dict transcription of
 the bidirectional Dijkstra that routed `make_world`'s arrivals before
 its router on segment indices, the dense Bland tableau of the simplex,
@@ -42,9 +43,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import civitas
 from civitas import cli, fgraph, fuzzy, simplex
+from civitas import hierarchy as hiermod
 from civitas import ctg as ctgmod
 from civitas import ctmdp as ctmdpmod
 from civitas import metrics as metricsmod
+from civitas import registry as regmod
 from civitas import world as w
 from civitas.ctmdp import build_lp, make_ctmdp
 from civitas.fsm import CYCLIC_ORDER, SignalFsm, SignalState
@@ -540,16 +543,19 @@ class TestShortestRoute:
                 dict_route(succ, pred, source, target))
 
     def test_route_whose_time_overflows(self):
-        # 1e308 m at 1e-10 m/s takes inf s: networkx still returns the path
+        # two legs of 1e308 s each add up to inf s: networkx still returns
+        # the path
         net = w.StreetNetwork(
             (w.RoadSegment("e", "a", "b", 10.0, 5.0, 5, entry=True),
-             w.RoadSegment("x", "b", "c", 1e308, 1e-10, 5, exit=True)),
-            tuple(w.Intersection(n) for n in "abc"))
+             w.RoadSegment("y", "b", "c", 1e308, 1.0, 5),
+             w.RoadSegment("x", "c", "d", 1e308, 1.0, 5, exit=True)),
+            tuple(w.Intersection(n) for n in "abcd"))
         succ = net.segment_graph()
+        assert succ["e"]["y"] + succ["y"]["x"] == math.inf
         assert (w._Router(net).route("e", "x")
                 == tuple(dict_route(succ, dict_predecessors(succ), "e", "x"))
                 == tuple(nx.shortest_path(nx_segment_graph(net), "e", "x", weight="weight"))
-                == ("e", "x"))
+                == ("e", "y", "x"))
 
     @settings(max_examples=100)
     @given(networks())
@@ -925,6 +931,201 @@ class TestIdleStep:
             scan_step(oracle, controls, 0.1)
             assert_same_world(world, oracle)
         assert crossings(world)[0] == (3.1, "move")
+
+
+# -------------------------------------------------------------- tick loop
+#
+# `cli.run_simulation` used to build a new controls dict every tick from
+# every controller and to find its epochs with `enumerate` and a modulo.
+# That loop is the oracle: every `simulate` artifact must come out
+# byte-identical with it, early switches (which replace a controller
+# between epochs) included.
+
+def dict_run_simulation(cfg, inputs=None):
+    """`cli.run_simulation` with its tick loop as it was before `controls`
+    became one dict filled in place."""
+    os.makedirs(cfg.out, exist_ok=True)
+    net, world, ctg, table, registry = inputs or cli.load_simulation(cfg)
+    controllers = cli._build_controllers(net)
+
+    engine = None
+    estimators = []
+    shift_log = ctmdpmod.ShiftLog()
+    zone = None
+    reports = []
+    cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
+
+    if cfg.mode == "hierarchical":
+        itus = tuple(sorted(controllers))
+        initial = tuple(s.labels[0] for s in ctg.sites)
+        zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
+        area = hiermod.AreaUnit("area", (zone.id,))
+        capability = table.schedules[initial].graph.total_n()
+        fg = fgraph.FunctionGraph(
+            (fgraph.FgNode("area", fgraph.PerfDistribution.point(
+                table.t_area(initial)), capability),))
+        target = cfg.target if cfg.target is not None else int(capability)
+        deadline = cfg.deadline if cfg.deadline is not None else cycle
+        top = hiermod.GlobalUnit("tcu", fg, target, deadline, ("area",))
+        engine = hiermod.HierarchyEngine(top, {"area": area}, {zone.id: zone},
+                                         controllers,
+                                         cli._runtime_registry("tcu", "area", zone.id, itus))
+        estimators = [ctgmod.RunningMedianThreshold(s) for s in ctg.sites]
+        reports.append((0.0, engine.reconcile(at=0.0)))
+        cli._drain_engine_events(engine, world)
+        controllers = engine.controllers
+
+    ticks = int(round(cfg.horizon / cfg.dt))
+    epoch_every = max(1, int(round(min(cycle / cfg.dt, ticks + 1))))
+    epoch_count = 0
+    prev_state_name = None
+    early = [] if engine else [n for n, c in controllers.items() if c.early_switch]
+    for k, t in enumerate(w.tick_times(cfg.dt, ticks)):
+        for node in early:
+            controllers[node] = cli._maybe_early_switch(net, world, controllers[node], t)
+        controls = {node: ctrl.fsm.state_at(t) for node, ctrl in controllers.items()}
+        w.step(world, controls, cfg.dt)
+
+        if engine is not None and (k + 1) % epoch_every == 0:
+            epoch_count += 1
+            labels = []
+            for est in estimators:
+                obs = w.observe_cycle(world, est.site.segment, (t - cycle, t))
+                labels.append(est.observe(obs.n))
+            scenario = tuple(labels)
+            state_name = ctmdpmod.state_name(table.zone, scenario)
+            if prev_state_name is not None:
+                shift_log.record(prev_state_name, "default", cycle, state_name)
+            prev_state_name = state_name
+            zone.set_scenario(scenario)
+            if epoch_count % 5 == 0:
+                model = ctmdpmod.from_schedule_tables([table], shift_log)
+                sol = ctmdpmod.solve_model(model)
+                if sol.status == "optimal":
+                    engine.areas["area"].objective = sol.objective
+                    t_area = {ctmdpmod.state_name(table.zone, s): table.t_area(s)
+                              for s in table.scenarios}
+                    engine.top.fg = fgraph.attach(engine.top.fg, "area", sol,
+                                                  model, t_area)
+            report = engine.reconcile(at=t)
+            reports.append((t, report))
+            cli._drain_engine_events(engine, world)
+
+    if registry is not None:
+        cli._write(os.path.join(cfg.out, "interactions.csv"),
+                   regmod.classification_report(registry))
+    if engine is not None:
+        alloc = fgraph.distribute_goals(engine.top.fg, engine.top.target,
+                                        engine.top.deadline)
+        cli._write(os.path.join(cfg.out, "goal_allocation.csv"),
+                   fgraph.allocation_to_csv(alloc))
+        cli._write(os.path.join(cfg.out, "function_graph.csv"),
+                   fgraph.graph_to_csv(engine.top.fg))
+
+    w.write_event_log(world.events, os.path.join(cfg.out, "events.log"))
+    summary = {
+        "mode": cfg.mode, "seed": cfg.seed, "horizon": cfg.horizon,
+        "entered": world.entered, "exited": world.exited,
+        "dropped": world.dropped, "remaining": world.vehicle_count(),
+    }
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(summary))
+    writer.writerow([summary[k] for k in summary])
+    cli._write(os.path.join(cfg.out, "summary.csv"), buf.getvalue())
+
+    lines = ["time,converged,passes,unresolved,safe_engaged"]
+    for at, report in reports:
+        lines.append("%.9g,%s,%d,%d,%s" % (
+            at, report.converged, report.passes, len(report.unresolved),
+            ";".join(report.safe_engaged)))
+    cli._write(os.path.join(cfg.out, "reports.csv"), "\n".join(lines) + "\n")
+    if table is not None:
+        cli._write(os.path.join(cfg.out, "schedule_table.csv"),
+                   ctgmod.table_to_csv(table))
+    return summary
+
+
+def assert_same_artifacts(tmp_path, argv):
+    """`simulate argv` writes the same files, byte for byte, with the tick
+    loop of `cli.run_simulation` and with `dict_run_simulation`'s."""
+    fast, oracle = tmp_path / "fast", tmp_path / "oracle"
+    assert cli.main(["simulate", *argv, "--out", str(fast)]) == 0
+    with mock.patch.object(cli, "run_simulation", dict_run_simulation):
+        assert cli.main(["simulate", *argv, "--out", str(oracle)]) == 0
+    names = sorted(os.listdir(oracle))
+    assert sorted(os.listdir(fast)) == names and "events.log" in names
+    for name in names:
+        assert (fast / name).read_bytes() == (oracle / name).read_bytes(), name
+    return (fast / "events.log").read_text()
+
+
+def twin_args(data_dir, mode, seed, dt, network=None):
+    return ["--network", str(network or data_dir / "twin.network"),
+            "--demand", str(data_dir / "twin.demand"),
+            "--ctg", str(data_dir / "twin.ctg"), "--mode", mode,
+            "--seed", str(seed), "--dt", repr(dt), "--horizon", "1800"]
+
+
+class TestTickLoop:
+    @pytest.mark.parametrize("dt", [0.1, 0.25, 1 / 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "hierarchical"])
+    def test_twin_matches_dict_per_tick(self, tmp_path, data_dir, mode, seed, dt):
+        assert_same_artifacts(tmp_path, twin_args(data_dir, mode, seed, dt))
+
+    def test_signalized_grid(self, tmp_path):
+        gen = perfbench_gen()
+        net, dem = tmp_path / "grid4.network", tmp_path / "grid4.demand"
+        net.write_text(gen.grid_network(4, np.random.default_rng(4)))
+        dem.write_text(gen.grid_demand(4, 600.0))
+        events = assert_same_artifacts(tmp_path, [
+            "--network", str(net), "--demand", str(dem), "--horizon", "600",
+            "--seed", "4"])
+        assert events.count("\nmove\t") > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_early_switch_rebuilds_the_signals(self, tmp_path, data_dir, seed):
+        # the only place a controller changes between epochs
+        net = tmp_path / "early.network"
+        net.write_text((data_dir / "twin.network").read_text().replace(
+            "safe_mode = safe", "safe_mode = safe\nearly_switch = true"))
+        events = assert_same_artifacts(tmp_path, twin_args(
+            data_dir, "fixed", seed, 0.1, network=net))
+        assert events.count("early_switch\t") > 10
+
+    def test_call_shape(self, tmp_path, data_dir, monkeypatch):
+        # One `world.step` looked up on the module per tick, which the
+        # benchmark's set-up probe needs (it replaces `world.step` and puts
+        # the original back on its first call, as `perfbench/child.py`'s
+        # `Probes._one_shot` does), and one `state_at` per controller per
+        # tick, called from `run_simulation` itself (the traced checks
+        # count the calls made directly under it).
+        calls = {"probe": 0, "step": 0, "state_at": 0, "state_at_in_loop": 0}
+        step, state_at = w.step, SignalFsm.state_at
+
+        def counted_step(*args):
+            calls["step"] += 1
+            return step(*args)
+
+        def probe(*args):
+            calls["probe"] += 1
+            setattr(w, "step", counted_step)
+            return counted_step(*args)
+
+        def counted_state_at(fsm, t):
+            calls["state_at"] += 1
+            if sys._getframe(1).f_code is cli.run_simulation.__code__:
+                calls["state_at_in_loop"] += 1
+            return state_at(fsm, t)
+
+        monkeypatch.setattr(w, "step", probe)
+        monkeypatch.setattr(SignalFsm, "state_at", counted_state_at)
+        argv = twin_args(data_dir, "fixed", 1, 0.1)
+        assert cli.main(["simulate", *argv, "--out", str(tmp_path)]) == 0
+        ticks, controllers = 18_000, 2
+        assert calls == {"probe": 1, "step": ticks, "state_at": ticks * controllers,
+                         "state_at_in_loop": ticks * controllers}
 
 
 # ---------------------------------------------------------------- simplex
