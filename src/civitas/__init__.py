@@ -9,8 +9,8 @@ goal-oriented module registry round out the library.
 """
 
 from .fsm import (SignalFsm, SignalState, TimingConstraint, ImplementationMode,
-                  IntersectionController, advance, set_offset,
-                  apply_timing_constraints, shortcut_to_safe)
+                  IntersectionController, apply_timing_constraints,
+                  shortcut_to_safe)
 from .ctg import (Ctg, CtgTask, ConditionSite, ScheduleTable, ZoneSchedule,
                   enumerate_scenarios, resolve, schedule, build_table,
                   derive_timing_constraints, load_ctg)

@@ -117,7 +117,7 @@ def _build_controllers(net: worldmod.StreetNetwork
             spec.intersection, spec.fsm, spec.modes, early_switch=spec.early_switch)
     for node in net.signalized_nodes():
         if node not in controllers:
-            fsm = fsmmod.SignalFsm(30.0, 5.0, 25.0)
+            fsm = fsmmod.SignalFsm(*fsmmod.DEFAULT_SPLITS)
             controllers[node] = fsmmod.IntersectionController(node, fsm)
     return controllers
 

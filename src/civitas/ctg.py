@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import statistics
 
-from .fsm import SignalFsm, TimingConstraint, admitting_state
+from .fsm import TimingConstraint, admitting_state
 from .textfmt import ParseError, parse_sections
 
 # Zone name of a task graph whose file gives its [ctg] section no name.
@@ -493,27 +493,3 @@ class RunningMedianThreshold:
             label = self.site.label_for(n)  # multi-label sites keep static bounds
         self.history.append(float(n))
         return label
-
-
-def check_schedule_admission(fsm: SignalFsm, sched: ZoneSchedule, itu_id: str,
-                             resolution: float = 0.1) -> list[tuple[str, float]]:
-    """Replay oracle: sample each crossing task's interval against the FSM.
-
-    Returns (task id, time) pairs where the controller state does not
-    admit the task's direction.
-    """
-    violations = []
-    for t in sched.graph.tasks:
-        if t.itu != itu_id or t.direction is None or t.dummy:
-            continue
-        lo, hi = sched.starts[t.id], sched.finishes[t.id]
-        samples = [lo]
-        k = 1
-        while lo + k * resolution < hi:
-            samples.append(lo + k * resolution)
-            k += 1
-        samples.append(max(lo, hi - RUN_END_BACKOFF))
-        for at in samples:
-            if not fsm.state_at(at).admits(t.direction):
-                violations.append((t.id, at))
-    return violations

@@ -23,6 +23,10 @@ YELLOW_MIN = 3.0
 # green-split ranges.
 _EDGE_EPS = 1e-9
 
+# Green, yellow and red of a signalized intersection whose timing the
+# network does not give.
+DEFAULT_SPLITS = (30.0, 5.0, 25.0)
+
 # Splits applied together with the safe implementation mode when a
 # controller degrades (default behavior on non-convergence).
 FALLBACK_SPLITS = (30.0, 5.0, 25.0)
@@ -63,8 +67,8 @@ class SignalFsm:
     """Cyclic Green->Yellow->Red controller with split/cycle/offset times.
 
     `anchor` is the state occupying the start of the cycle frame; the two
-    other states follow in the fixed cyclic order.  `elapsed` is the
-    absolute time the controller has been advanced to.
+    other states follow in the fixed cyclic order.  The state is a function
+    of absolute time, `state_at(t)`; the offset is set at construction.
     """
 
     green: float
@@ -72,7 +76,6 @@ class SignalFsm:
     red: float
     offset: float = 0.0
     anchor: SignalState = SignalState.GREEN
-    elapsed: float = 0.0
 
     def __post_init__(self):
         for name in ("green", "yellow", "red"):
@@ -109,6 +112,12 @@ class SignalFsm:
         """
         return self._layout
 
+    def region(self, state: SignalState) -> tuple[float, float]:
+        """(start, end) of `state`'s region in the cached layout."""
+        k = (CYCLIC_ORDER.index(state) - CYCLIC_ORDER.index(self.anchor)) % 3
+        _, a, b = self._layout[k]
+        return a, b
+
     def phase_position(self, t: float) -> float:
         """Position within the cycle frame (seconds past cycle start)."""
         return (t - self.offset) % self.cycle
@@ -132,34 +141,6 @@ class SignalFsm:
         if p < b1:
             return s1
         return s2
-
-    @property
-    def state(self) -> SignalState:
-        return self.state_at(self.elapsed)
-
-    @property
-    def phase_clock(self) -> float:
-        p = self.phase_position(self.elapsed)
-        for state, a, b in self.layout():
-            if a <= p < b:
-                return p - a
-        return 0.0
-
-
-def advance(fsm: SignalFsm, dt: float) -> SignalFsm:
-    """Advance the controller clock by dt seconds (dt >= 0)."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    if dt == 0:
-        return fsm
-    return replace(fsm, elapsed=fsm.elapsed + dt)
-
-
-def set_offset(fsm: SignalFsm, offset: float) -> SignalFsm:
-    """Phase-shift the controller relative to the reference clock."""
-    if not 0 <= offset < fsm.cycle:
-        raise ValueError(f"offset {offset} outside [0, {fsm.cycle})")
-    return replace(fsm, offset=offset)
 
 
 @dataclass(frozen=True)
@@ -198,14 +179,10 @@ def _satisfied(fsm: SignalFsm, c: TimingConstraint) -> bool:
 
 
 def _shortfall(fsm: SignalFsm, c: TimingConstraint) -> float:
-    """Cyclic distance from the deadline to the required state's region."""
+    """Cyclic distance from a violated deadline to the required state's region."""
+    a, b = fsm.region(c.required_state)
     p = fsm.phase_position(c.deadline)
-    for state, a, b in fsm.layout():
-        if state is c.required_state:
-            if a <= p < b:
-                return 0.0
-            return min((a - p) % fsm.cycle, (p - b) % fsm.cycle)
-    raise AssertionError("state missing from layout")
+    return min((a - p) % fsm.cycle, (p - b) % fsm.cycle)
 
 
 def _green_interval(fsm: SignalFsm, c: TimingConstraint) -> tuple[float, float]:
@@ -332,9 +309,6 @@ class IntersectionController:
     def safe_mode(self) -> ImplementationMode:
         return next(m for m in self.modes if m.safe)
 
-    def mode(self, mode_id: str) -> ImplementationMode:
-        return next(m for m in self.modes if m.id == mode_id)
-
 
 def shortcut_to_safe(ctrl: IntersectionController, violation: object,
                      at: float = 0.0) -> IntersectionController:
@@ -362,31 +336,18 @@ def skip_to_next_state(fsm: SignalFsm, at: float) -> SignalFsm:
     approach has no traffic; pool-level timing constraints should not be
     active when this is applied.
     """
-    p = fsm.phase_position(at)
-    for _, a, b in fsm.layout():
-        if a <= p < b:
-            remaining = b - p
-            return replace(fsm, offset=(fsm.offset - remaining) % fsm.cycle)
-    return fsm
-
-
-def check_constraints_by_replay(fsm: SignalFsm,
-                                constraints: list[TimingConstraint] | tuple,
-                                resolution: float = 0.1) -> list[TimingConstraint]:
-    """Independent checker: step the FSM and compare states at deadlines.
-
-    Returns the constraints whose required state does not hold when the
-    controller is advanced to the deadline in `resolution` steps.
-    """
-    violated = []
-    for c in constraints:
-        steps = int(c.deadline / resolution)
-        probe = replace(fsm, elapsed=0.0)
-        for _ in range(steps):
-            probe = advance(probe, resolution)
-        leftover = c.deadline - probe.elapsed  # land exactly on the deadline
-        if leftover > 0:
-            probe = advance(probe, leftover)
-        if probe.state is not c.required_state:
-            violated.append(c)
-    return violated
+    state = fsm.state_at(at)
+    _, end = fsm.region(state)
+    offset = (fsm.offset - (end - fsm.phase_position(at))) % fsm.cycle
+    # Rounding can leave `at` a few float spacings short of the region end,
+    # still in the current state: step the offset back by that spacing until
+    # the state at `at` has moved on.  A next region narrower than the
+    # spacing cannot be hit, so the steps are bounded.  `%` can round a
+    # tiny negative up to the cycle itself, which `min` maps just below it.
+    step = math.ulp(max(abs(at), fsm.cycle))
+    for _ in range(16):
+        out = replace(fsm, offset=min(offset, math.nextafter(fsm.cycle, 0.0)))
+        if out.state_at(at) is not state:
+            break
+        offset = (offset - step) % fsm.cycle
+    return out

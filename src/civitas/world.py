@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .fsm import ImplementationMode, SignalFsm, SignalState
+from .fsm import DEFAULT_SPLITS, ImplementationMode, SignalFsm, SignalState
 from .textfmt import ParseError, Section, finite, parse_sections
 
 DEFAULT_HEADWAY = 2.0
@@ -282,7 +282,7 @@ def _load_signal(sec: Section) -> SignalSpec:
     with sec.context("modes"):
         modes = tuple(ImplementationMode(*m, safe=m[0] == safe) for m in modes)
     splits = (sec.number(key, default, low=0, open_low=True)
-              for key, default in (("green", 30.0), ("yellow", 5.0), ("red", 25.0)))
+              for key, default in zip(("green", "yellow", "red"), DEFAULT_SPLITS))
     timing = (*splits, sec.number("offset", 0.0, low=0),
               sec.choice("anchor", SignalState, SignalState.GREEN))
     with sec.context("offset"):  # the one bound the accessors cannot check

@@ -19,6 +19,7 @@ from civitas import registry as regmod
 from civitas import world as w
 from tests.test_ctg import brute_force_makespan, random_instance
 from tests.test_ctmdp import best_deterministic_policy, random_model
+from tests.replay import check_constraints_by_replay
 
 MONOTONE_SLACK = 0.01
 
@@ -133,7 +134,7 @@ def test_criterion_6_fsm_contract(twin_ctg_text):
                 cons = ctgmod.derive_timing_constraints(sched, itu, cycle=60.0)
                 out = fsmmod.apply_timing_constraints(base, cons)
                 assert isinstance(out, fsmmod.SignalFsm)
-                assert fsmmod.check_constraints_by_replay(out, cons) == []
+                assert check_constraints_by_replay(out, cons) == []
 
         modes = (fsmmod.ImplementationMode("fast", 0.01, 5.0),
                  fsmmod.ImplementationMode("safe", 1.0, 0.2, safe=True))

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from civitas import cli
 from civitas import ctmdp as ctmdpmod
+from civitas import fsm as fsmmod
+from civitas import world as worldmod
 from civitas.textfmt import parse_sections
 
 
@@ -862,6 +864,21 @@ windows = 0:60:0.2
     def test_off_by_default(self, tmp_path):
         base = self.run(tmp_path, early=False, name="default")
         assert "early_switch" not in (base / "events.log").read_text()
+
+
+class TestDefaultTiming:
+    def test_signal_without_splits_and_signal_without_section_agree(
+            self, twin_network_text):
+        # [signal A] keeps its modes but gives no splits; B loses its section.
+        head, signals = twin_network_text.split("[signal A]")
+        signal_a = signals[:signals.index("[signal B]")].splitlines()
+        text = head + "\n".join(["[signal A]"] + [
+            line for line in signal_a if not line.startswith(("green", "yellow", "red"))])
+        controllers = cli._build_controllers(worldmod.load_network(text))
+        splits = {node: (c.fsm.green, c.fsm.yellow, c.fsm.red)
+                  for node, c in controllers.items()}
+        assert splits == {"A": fsmmod.DEFAULT_SPLITS, "B": fsmmod.DEFAULT_SPLITS}
+        assert controllers["A"].modes and not controllers["B"].modes
 
 
 class TestRuntimeFailure:

@@ -5,9 +5,10 @@ import pytest
 
 from civitas import fsm as fsmmod
 from civitas.ctg import (ConditionSite, Ctg, CtgTask, RunningMedianThreshold,
-                         build_table, check_schedule_admission,
-                         derive_timing_constraints, enumerate_scenarios,
-                         load_ctg, resolve, schedule, table_to_csv)
+                         build_table, derive_timing_constraints,
+                         enumerate_scenarios, load_ctg, resolve, schedule,
+                         table_to_csv)
+from tests.replay import check_schedule_admission
 
 
 def brute_force_makespan(graph):

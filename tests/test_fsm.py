@@ -1,14 +1,14 @@
-import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from civitas import fsm
-from civitas.fsm import (SignalFsm, SignalState, TimingConstraint,
+from civitas.fsm import (CYCLIC_ORDER, SignalFsm, SignalState, TimingConstraint,
                          ImplementationMode, IntersectionController,
-                         InfeasibilityReport, advance, set_offset,
-                         apply_timing_constraints, shortcut_to_safe,
-                         check_constraints_by_replay)
+                         InfeasibilityReport, apply_timing_constraints,
+                         shortcut_to_safe)
+from tests.replay import check_constraints_by_replay
 
 
 def make_fsm(**kw):
@@ -18,24 +18,11 @@ def make_fsm(**kw):
 
 
 class TestAdvance:
-    def test_zero_dt_is_identity(self):
-        f = make_fsm()
-        assert advance(f, 0) == f
+    """The signal moving through its cycle on absolute time."""
 
     def test_split_boundary_transition(self):
         f = make_fsm()
-        assert advance(f, 30).state is SignalState.YELLOW
-
-    def test_full_cycle_returns_to_start(self):
-        for phase in (0.0, 7.3, 31.0, 59.9):
-            f = advance(make_fsm(), phase)
-            g = advance(f, 60.0)
-            assert g.state is f.state
-            assert g.phase_clock == pytest.approx(f.phase_clock, abs=1e-9)
-
-    def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            advance(make_fsm(), -1)
+        assert f.state_at(30) is SignalState.YELLOW
 
     def test_cyclic_order_green_yellow_red(self):
         f = make_fsm()
@@ -52,15 +39,15 @@ class TestAdvance:
 class TestOffset:
     def test_zero_offset_unchanged(self):
         f = make_fsm()
-        assert set_offset(f, 0.0).state_at(17.0) is f.state_at(17.0)
+        assert make_fsm(offset=0.0).state_at(17.0) is f.state_at(17.0)
 
     def test_offset_equal_cycle_rejected(self):
         with pytest.raises(ValueError):
-            set_offset(make_fsm(), 60.0)
+            make_fsm(offset=60.0)
 
     def test_shift_replays_unshifted_states(self):
         f = make_fsm()
-        g = set_offset(f, 10.0)
+        g = make_fsm(offset=10.0)
         for n in range(1200):
             t = n / 10.0
             assert g.state_at(t + 10.0) is f.state_at(t)
@@ -167,12 +154,13 @@ class TestShortcutToSafe:
         assert len(modes_seen) == 1
 
 
-class TestPhaseClock:
-    def test_phase_clock_within_split(self):
-        f = make_fsm()
-        for n in range(0, 600):
-            g = dataclasses.replace(f, elapsed=n / 10.0)
-            assert 0 <= g.phase_clock < g.split(g.state)
+@st.composite
+def signals(draw):
+    green, yellow, red = (draw(st.floats(0.1, 120.0)) for _ in range(3))
+    cycle = green + yellow + red
+    offset = draw(st.floats(0.0, 1.0, exclude_max=True)) * cycle
+    return SignalFsm(green, yellow, red, offset if offset < cycle else 0.0,
+                     draw(st.sampled_from(CYCLIC_ORDER)))
 
 
 class TestSkipToNextState:
@@ -188,3 +176,24 @@ class TestSkipToNextState:
         assert (g.green, g.yellow, g.red) == (f.green, f.yellow, f.red)
         # one full cycle later the same boundary recurs
         assert g.state_at(17.0 + 60.0) is SignalState.YELLOW
+
+    def test_switch_lands_on_the_asked_time(self):
+        # Shifting the offset by the time left lands a hair short of the
+        # Green end at 8.2: the switch must still show Yellow at 8.2.
+        f = make_fsm()
+        g = fsm.skip_to_next_state(f, 8.2)
+        assert g.state_at(8.2) is SignalState.YELLOW
+
+    def test_switch_just_before_a_region_end(self):
+        # The shift is a tiny negative there, which `%` rounds up to the
+        # cycle itself: no valid offset.
+        f = make_fsm()
+        at = math.nextafter(30.0, 0.0)
+        assert fsm.skip_to_next_state(f, at).state_at(at) is SignalState.YELLOW
+
+    @given(signals(), st.floats(0.0, 1e5))
+    def test_next_state_holds_at_the_switch(self, f, at):
+        g = fsm.skip_to_next_state(f, at)
+        now = CYCLIC_ORDER.index(f.state_at(at))
+        assert g.state_at(at) is CYCLIC_ORDER[(now + 1) % 3]
+        assert (g.green, g.yellow, g.red, g.anchor) == (f.green, f.yellow, f.red, f.anchor)

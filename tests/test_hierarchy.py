@@ -1,12 +1,15 @@
 import pytest
 
+from civitas import cli
 from civitas import ctg as ctgmod
 from civitas import fsm as fsmmod
+from civitas import registry as regmod
 from civitas.fgraph import FgNode, FunctionGraph, PerfDistribution
 from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                LEVEL_ZONE, AreaUnit, ConstraintMsg,
                                GlobalUnit, HierarchyEngine, ViolationMsg,
                                ZoneUnit, aggregate_needs)
+from tests.replay import check_schedule_admission
 
 
 def make_controller(itu_id, offset=0.0):
@@ -59,6 +62,38 @@ def build_engine(ctg, scenario, target=0, budget=5):
     controllers = {"X": make_controller("X")}
     return HierarchyEngine(top, {"area": area}, {"Z": zone}, controllers,
                            budget=budget)
+
+
+def twin_engine(ctg_text, registry):
+    """The engine `simulate` builds for the twin corridor, on `registry`."""
+    ctg = ctgmod.load_ctg(ctg_text)
+    table = ctgmod.build_table(ctg)
+    initial = tuple(s.labels[0] for s in ctg.sites)
+    zone = ZoneUnit(ctg.zone, ctg, table, ("A", "B"), initial, cycle=60.0)
+    fg = FunctionGraph((FgNode("area", PerfDistribution.point(table.t_area(initial)),
+                               10.0),))
+    top = GlobalUnit("tcu", fg, 0, 60.0, ("area",))
+    return HierarchyEngine(top, {"area": AreaUnit("area", (zone.id,))}, {zone.id: zone},
+                           {itu: make_controller(itu) for itu in ("A", "B")}, registry)
+
+
+class TestRoutes:
+    def test_full_runtime_registry_passes(self, twin_ctg_text):
+        registry = cli._runtime_registry("tcu", "area", "Z", ("A", "B"))
+        engine = twin_engine(twin_ctg_text, registry)
+        engine.reconcile()
+        assert ("Z", "A") in {(m.source, m.target) for m in engine.messages}
+
+    def test_missing_goal_setting_link_refuses_the_route(self, twin_ctg_text):
+        full = cli._runtime_registry("tcu", "area", "Z", ("A", "B"))
+        registry = regmod.DmRegistry()
+        for module in full.modules():
+            registry.register(module)
+        for link in full.links():
+            if (link.src[0], link.dst[0]) != ("Z", "A"):
+                registry.wire(link.src, link.dst, link.role)
+        with pytest.raises(ValueError, match="message route Z->A needs a Guiding link"):
+            twin_engine(twin_ctg_text, registry).reconcile()
 
 
 class TestMessages:
@@ -133,7 +168,7 @@ class TestReconcile:
         # verified by the replay oracle: the applied splits admit the schedule
         sched = zone.schedule_for(("L",))
         out = engine.controllers["X"].fsm
-        assert ctgmod.check_schedule_admission(out, sched, "X") == []
+        assert check_schedule_admission(out, sched, "X") == []
 
     def test_contradiction_exhausts_budget_and_engages_safe_mode(self):
         ctg = alternating_ctg(3)
