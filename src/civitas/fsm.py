@@ -170,9 +170,6 @@ class ConstraintShortfall:
 class InfeasibilityReport:
     entries: tuple[ConstraintShortfall, ...]
 
-    def __bool__(self):
-        return True
-
 
 def _satisfied(fsm: SignalFsm, c: TimingConstraint) -> bool:
     return fsm.state_at(c.deadline) is c.required_state
@@ -185,49 +182,41 @@ def _shortfall(fsm: SignalFsm, c: TimingConstraint) -> float:
     return min((a - p) % fsm.cycle, (p - b) % fsm.cycle)
 
 
-def _green_interval(fsm: SignalFsm, c: TimingConstraint) -> tuple[float, float]:
-    """Feasible green-split range under which the constraint holds.
+def _region_ends(yellow: float, cycle: float) -> dict[SignalState, tuple]:
+    """Each anchor's first two region ends as (constant, slope in green)."""
+    # The yellow split stays fixed and red = cycle - yellow - green, so each
+    # region end is linear in the green split: constant + slope * green.
+    return {SignalState.GREEN: ((0.0, 1), (yellow, 1)),                  # G Y R
+            SignalState.YELLOW: ((yellow, 0), (cycle, -1)),              # Y R G
+            SignalState.RED: ((cycle - yellow, -1), (cycle - yellow, 0))}  # R G Y
 
-    The yellow split stays fixed and red = cycle - yellow - green, so each
-    state's region boundary is linear in the green split and the feasible
-    set per constraint is a single interval (possibly empty or
-    unbounded); open ends are shrunk by _EDGE_EPS.
+
+def _green_interval(ends: tuple[tuple[float, int], ...], k: int,
+                    p: float) -> tuple[float, float]:
+    """Green-split range under which region `k` from the anchor holds phase `p`.
+
+    Region k runs from end k-1 to end k of `ends`; as in `state_at`, the
+    first region has no start and the last no end to meet.  The range is a
+    single interval (possibly empty or unbounded); open ends are shrunk by
+    _EDGE_EPS.
     """
-    y, cyc = fsm.yellow, fsm.cycle
-    p = fsm.phase_position(c.deadline)
-    lo, hi = -float("inf"), float("inf")
-    empty = (1.0, 0.0)
-    s = c.required_state
-    if fsm.anchor is SignalState.GREEN:
-        # G [0,g) Y [g,g+y) R [g+y,cyc)
-        if s is SignalState.GREEN:
-            lo = p + _EDGE_EPS
-        elif s is SignalState.YELLOW:
-            lo, hi = p - y + _EDGE_EPS, p
-        else:
-            hi = p - y
-    elif fsm.anchor is SignalState.YELLOW:
-        # Y [0,y) R [y,cyc-g) G [cyc-g,cyc)
-        if s is SignalState.YELLOW:
-            if not p < y:
-                return empty
-        elif s is SignalState.RED:
-            if not p >= y:
-                return empty
-            hi = cyc - p - _EDGE_EPS
-        else:
-            lo = cyc - p
-    else:
-        # R [0,r) G [r,r+g) Y [cyc-y,cyc) with r = cyc - y - g
-        if s is SignalState.RED:
-            hi = cyc - y - p - _EDGE_EPS
-        elif s is SignalState.GREEN:
-            if not p < cyc - y:
-                return empty
-            lo = cyc - y - p
-        else:
-            if not p >= cyc - y:
-                return empty
+    lo, hi = -math.inf, math.inf
+    if k > 0:  # start <= p
+        a, slope = ends[k - 1]
+        if slope == 0 and not a <= p:
+            return (1.0, 0.0)
+        if slope > 0:
+            hi = p - a
+        elif slope < 0:
+            lo = a - p
+    if k < 2:  # p < end
+        b, slope = ends[k]
+        if slope == 0 and not p < b:
+            return (1.0, 0.0)
+        if slope > 0:
+            lo = p - b + _EDGE_EPS
+        elif slope < 0:
+            hi = b - p - _EDGE_EPS
     return (lo, hi)
 
 
@@ -249,19 +238,24 @@ def apply_timing_constraints(
     if all(_satisfied(fsm, c) for c in constraints):
         return fsm
 
+    # A rotation keeps the cycle and the offset, so each phase is one number.
+    phases = [(fsm.phase_position(c.deadline), CYCLIC_ORDER.index(c.required_state))
+              for c in constraints]
+    ends = _region_ends(fsm.yellow, fsm.cycle)
     anchor_idx = CYCLIC_ORDER.index(fsm.anchor)
     for rotation in range(3):
-        anchor = CYCLIC_ORDER[(anchor_idx + rotation) % 3]
-        probe = replace(fsm, anchor=anchor)
+        first = (anchor_idx + rotation) % 3
         lo = GREEN_MIN
         hi = fsm.cycle - fsm.yellow - RED_MIN
-        for c in constraints:
-            c_lo, c_hi = _green_interval(probe, c)
+        for p, state_idx in phases:
+            c_lo, c_hi = _green_interval(ends[CYCLIC_ORDER[first]],
+                                         (state_idx - first) % 3, p)
             lo, hi = max(lo, c_lo), min(hi, c_hi)
         if lo > hi:
             continue
-        g = probe.green if lo <= probe.green <= hi else (lo + hi) / 2.0
-        return replace(probe, green=g, red=fsm.cycle - fsm.yellow - g)
+        g = fsm.green if lo <= fsm.green <= hi else (lo + hi) / 2.0
+        return replace(fsm, anchor=CYCLIC_ORDER[first], green=g,
+                       red=fsm.cycle - fsm.yellow - g)
 
     entries = tuple(
         ConstraintShortfall(c, _shortfall(fsm, c))

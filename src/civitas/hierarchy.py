@@ -89,8 +89,9 @@ class ZoneUnit:
     """Zone coordinator state inside the engine.
 
     `fallback` is the schedule table of the graph without its skippable
-    tasks (None when it has none); `dropped_tasks` is empty or
-    `skippable`, and says which of the two tables is in use.
+    tasks (None when it has none).  `choice` is the (column, on fallback
+    table) the zone serves after a recompute, None for its scenario's
+    column of the full table.
     """
 
     id: str
@@ -99,37 +100,32 @@ class ZoneUnit:
     itus: tuple[str, ...]
     scenario: ctgmod.Scenario
     cycle: float
-    preferred: ctgmod.Scenario | None = None
+    choice: tuple[ctgmod.Scenario, bool] | None = None
     rejected: set = field(default_factory=set)
     bound: float | None = None
     min_throughput: float = 0.0
-    dropped_tasks: frozenset[str] = frozenset()
-    skippable: frozenset[str] = field(init=False)
     fallback: ctgmod.ScheduleTable | None = field(init=False)
 
     def __post_init__(self):
-        self.skippable = frozenset(t.id for t in self.ctg.tasks if t.skippable)
-        self.fallback = (ctgmod.build_table(self.ctg, drop=self.skippable)
-                         if self.skippable else None)
-
-    def active_column(self) -> ctgmod.Scenario:
-        return self.preferred if self.preferred is not None else self.scenario
+        drop = frozenset(t.id for t in self.ctg.tasks if t.skippable)
+        self.fallback = ctgmod.build_table(self.ctg, drop=drop) if drop else None
 
     def set_scenario(self, scenario: ctgmod.Scenario) -> None:
         if scenario != self.scenario:
             self.scenario = scenario
-            self.preferred = None
+            self.choice = None
             self.rejected = set()
-            self.dropped_tasks = frozenset()
 
-    def schedule_for(self, column: ctgmod.Scenario) -> ctgmod.ZoneSchedule:
-        table = self.fallback if self.dropped_tasks else self.table
-        return table.schedules[column]
+    def schedule(self, column: ctgmod.Scenario,
+                 on_fallback: bool = False) -> ctgmod.ZoneSchedule:
+        return (self.fallback if on_fallback else self.table).schedules[column]
 
-    def constraints_for(self, column: ctgmod.Scenario,
+    def active_schedule(self) -> ctgmod.ZoneSchedule:
+        return self.schedule(*(self.choice or (self.scenario, False)))
+
+    def constraints_for(self, sched: ctgmod.ZoneSchedule,
                         itu: str) -> tuple[fsmmod.TimingConstraint, ...]:
-        return ctgmod.derive_timing_constraints(
-            self.schedule_for(column), itu, cycle=self.cycle)
+        return ctgmod.derive_timing_constraints(sched, itu, cycle=self.cycle)
 
 
 @dataclass
@@ -146,8 +142,7 @@ class AreaUnit:
             return self.objective
         total = 0.0
         for zid in self.zones:
-            zone = engine.zones[zid]
-            total += zone.schedule_for(zone.active_column()).graph.total_n()
+            total += engine.zones[zid].active_schedule().graph.total_n()
         return total
 
 
@@ -190,22 +185,17 @@ class HierarchyEngine:
         for aid in areas:
             self.parent_of[aid] = top.id
 
-    def _check_route(self, src: str, dst: str, expected: InteractionKind) -> None:
-        if self.registry is None:
-            return
-        kind = self.registry.link_kind(src, dst)
-        if kind is not expected:
-            raise ValueError(
-                f"message route {src}->{dst} needs a {expected.value} link, found "
-                f"{kind.value if kind else 'none'}")
-
-    def _send_down(self, msg: ConstraintMsg) -> ConstraintMsg:
-        self._check_route(msg.source, msg.target, InteractionKind.GUIDING)
-        self.messages.append(msg)
-        return msg
-
-    def _send_up(self, msg: ViolationMsg) -> ViolationMsg:
-        self._check_route(msg.source, msg.target, InteractionKind.ENABLING)
+    def _send(self, msg: ConstraintMsg | ViolationMsg) -> ConstraintMsg | ViolationMsg:
+        """Log `msg` once the registry has the link its direction needs:
+        Guiding for constraints down, Enabling for violations up."""
+        if self.registry is not None:
+            expected = (InteractionKind.GUIDING if isinstance(msg, ConstraintMsg)
+                        else InteractionKind.ENABLING)
+            kind = self.registry.link_kind(msg.source, msg.target)
+            if kind is not expected:
+                raise ValueError(
+                    f"message route {msg.source}->{msg.target} needs a"
+                    f" {expected.value} link, found {kind.value if kind else 'none'}")
         self.messages.append(msg)
         return msg
 
@@ -216,24 +206,21 @@ class HierarchyEngine:
         for aid in self.top.areas:
             target = GoalTarget(alloc.target(aid), alloc.deadline(aid))
             self.areas[aid].target = target
-            msgs.append(self._send_down(ConstraintMsg(
+            msgs.append(self._send(ConstraintMsg(
                 LEVEL_GLOBAL, LEVEL_AREA, self.top.id, aid, target, at)))
         for aid in self.top.areas:
-            area = self.areas[aid]
-            deadline = area.target.deadline if area.target else self.top.deadline
-            floor = (area.target.throughput / len(area.zones)
-                     if area.target and area.zones else 0.0)
-            for zid in area.zones:
-                self.zones[zid].bound = deadline
-                self.zones[zid].min_throughput = floor
-                msgs.append(self._send_down(ConstraintMsg(
-                    LEVEL_AREA, LEVEL_ZONE, aid, zid, TableBound(deadline), at)))
+            target, zones = self.areas[aid].target, self.areas[aid].zones
+            for zid in zones:
+                self.zones[zid].bound = target.deadline
+                self.zones[zid].min_throughput = target.throughput / len(zones)
+                msgs.append(self._send(ConstraintMsg(
+                    LEVEL_AREA, LEVEL_ZONE, aid, zid, TableBound(target.deadline), at)))
         for zid, zone in self.zones.items():
-            column = zone.active_column()
+            sched = zone.active_schedule()
             for itu in zone.itus:
-                constraints = zone.constraints_for(column, itu)
-                msgs.append(self._send_down(ConstraintMsg(
-                    LEVEL_ZONE, LEVEL_INTERSECTION, zid, itu, constraints, at)))
+                msgs.append(self._send(ConstraintMsg(
+                    LEVEL_ZONE, LEVEL_INTERSECTION, zid, itu,
+                    zone.constraints_for(sched, itu), at)))
         return msgs
 
     def run_children(self, msgs: list[ConstraintMsg], at: float = 0.0
@@ -247,7 +234,7 @@ class HierarchyEngine:
             outcome = fsmmod.apply_timing_constraints(ctrl.fsm, msg.payload)
             if isinstance(outcome, fsmmod.InfeasibilityReport):
                 shortfall = max((e.shortfall for e in outcome.entries), default=0.0)
-                violations.append(self._send_up(ViolationMsg(
+                violations.append(self._send(ViolationMsg(
                     LEVEL_INTERSECTION, LEVEL_ZONE, msg.target, msg.source,
                     "state_deadline", max(shortfall, 1e-9), at)))
             else:
@@ -255,9 +242,9 @@ class HierarchyEngine:
         for zid, zone in self.zones.items():
             if zone.bound is None:
                 continue
-            t_area = zone.schedule_for(zone.active_column()).makespan
+            t_area = zone.active_schedule().makespan
             if t_area > zone.bound:
-                violations.append(self._send_up(ViolationMsg(
+                violations.append(self._send(ViolationMsg(
                     LEVEL_ZONE, LEVEL_AREA, zid, self.parent_of[zid],
                     "t_area", t_area - zone.bound, at)))
         for aid, area in self.areas.items():
@@ -265,51 +252,37 @@ class HierarchyEngine:
                 continue
             expected = area.expected_throughput(self)
             if expected < area.target.throughput:
-                violations.append(self._send_up(ViolationMsg(
+                violations.append(self._send(ViolationMsg(
                     LEVEL_AREA, LEVEL_GLOBAL, aid, self.top.id,
                     "throughput", area.target.throughput - expected, at)))
         return violations
 
-    def _itu_feasible(self, zone: ZoneUnit, column: ctgmod.Scenario) -> bool:
-        for itu in zone.itus:
-            constraints = zone.constraints_for(column, itu)
-            outcome = fsmmod.apply_timing_constraints(
-                self.controllers[itu].fsm, constraints)
-            if isinstance(outcome, fsmmod.InfeasibilityReport):
-                return False
-        return True
+    def _itu_feasible(self, zone: ZoneUnit, sched: ctgmod.ZoneSchedule) -> bool:
+        return not any(isinstance(
+            fsmmod.apply_timing_constraints(self.controllers[itu].fsm,
+                                            zone.constraints_for(sched, itu)),
+            fsmmod.InfeasibilityReport) for itu in zone.itus)
 
     def _recompute_zone(self, zone: ZoneUnit) -> bool:
-        """Pick the lightest-makespan column (or fallback) the ITUs can serve."""
-        zone.rejected.add((zone.active_column(), zone.dropped_tasks))
-        candidates = sorted(zone.table.scenarios,
-                            key=lambda s: (zone.table.t_area(s), s))
-        for column in candidates:
-            if (column, frozenset()) in zone.rejected:
-                continue
-            if zone.bound is not None and zone.table.t_area(column) > zone.bound:
-                continue
-            if self._itu_feasible(zone, column):
-                zone.preferred = column
-                zone.dropped_tasks = frozenset()
-                return True
-        # Fallback path: skip skippable tasks unless throughput would drop
-        # below the active top-down requirement.
-        if zone.fallback is not None:
-            for column in candidates:
-                if (column, zone.skippable) in zone.rejected:
+        """Choose the first schedule the zone's intersections can serve.
+
+        The full table's columns come first, then the fallback table's,
+        each in order of full-table makespan; every column is judged on its
+        own table's schedule.  A fallback schedule must also keep the
+        zone's throughput floor.  Rejected choices are not retried.
+        """
+        zone.rejected.add(zone.choice or (zone.scenario, False))
+        columns = sorted(zone.table.scenarios, key=lambda s: (zone.table.t_area(s), s))
+        for on_fallback in (False, True) if zone.fallback else (False,):
+            for column in columns:
+                sched = zone.schedule(column, on_fallback)
+                if ((column, on_fallback) in zone.rejected
+                        or on_fallback and sched.graph.total_n() < zone.min_throughput
+                        or zone.bound is not None and sched.makespan > zone.bound):
                     continue
-                sched = zone.fallback.schedules[column]
-                if sched.graph.total_n() < zone.min_throughput:
-                    continue
-                if zone.bound is not None and sched.makespan > zone.bound:
-                    continue
-                saved = zone.dropped_tasks
-                zone.dropped_tasks = zone.skippable
-                if self._itu_feasible(zone, column):
-                    zone.preferred = column
+                if self._itu_feasible(zone, sched):
+                    zone.choice = (column, on_fallback)
                     return True
-                zone.dropped_tasks = saved
         return False
 
     def _recompute_area(self, area: AreaUnit) -> None:
@@ -350,18 +323,13 @@ class HierarchyEngine:
                     self._recompute_area(self.areas[aid])
             if self.top.id in flagged:
                 self._recompute_global(needs)
-        safe_engaged = []
-        affected_zones = {v.source for v in violations if v.source_level == LEVEL_ZONE}
-        affected_zones.update(v.target for v in violations
-                              if v.source_level == LEVEL_INTERSECTION)
-        affected_itus = {v.source for v in violations
-                         if v.source_level == LEVEL_INTERSECTION}
-        for zid in affected_zones:
-            if zid in self.zones:
-                affected_itus.update(self.zones[zid].itus)
-        for itu in sorted(affected_itus):
+        # Safe mode for every intersection of a zone that failed or that
+        # one of its intersections failed.
+        failed = ({v.source for v in violations if v.source_level == LEVEL_ZONE}
+                  | {v.target for v in violations if v.target_level == LEVEL_ZONE})
+        safe_engaged = sorted({itu for zid in failed for itu in self.zones[zid].itus})
+        for itu in safe_engaged:
             self.controllers[itu] = fsmmod.shortcut_to_safe(
                 self.controllers[itu], f"reconcile budget exhausted at {at}", at)
-            safe_engaged.append(itu)
         return ReconcileReport(False, self.budget, tuple(violations),
                                tuple(safe_engaged))

@@ -21,7 +21,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .fsm import DEFAULT_SPLITS, ImplementationMode, SignalFsm, SignalState
+from .fsm import (DEFAULT_SPLITS, GREEN_MIN, RED_MIN, YELLOW_MIN,
+                  ImplementationMode, SignalFsm, SignalState)
 from .textfmt import ParseError, Section, finite, parse_sections
 
 DEFAULT_HEADWAY = 2.0
@@ -147,6 +148,13 @@ class StreetNetwork:
         if cut_off:
             raise TopologyError(f"network graph is not connected: [intersection {cut_off[0]}]"
                                 f" is cut off from [segment {self.segments[0].id}]")
+        for s in self.segments:
+            for nxt in s.turns or ():
+                if self.segment(nxt).from_node != s.to_node:
+                    raise TopologyError(f"[segment {s.id}] turns: [segment {nxt}] does"
+                                        f" not start at {s.to_node}")
+            if not s.exit and not self.allowed_turns(s.id):  # a vehicle would be stuck
+                raise TopologyError(f"[segment {s.id}]: not an exit, yet no turn leaves it")
 
     def _reached(self, nodes: set[str]) -> set[str]:
         """The intersections joined to the first segment, ignoring direction."""
@@ -261,16 +269,8 @@ def load_network(text: str) -> StreetNetwork:
             signals.append(_load_signal(sec))
         else:
             raise ParseError(f"unknown section kind {sec.kind!r}")
-    net = StreetNetwork(tuple(segments), tuple(intersections),
-                        tuple(zones), tuple(signals))
-    for s in net.segments:
-        for nxt in s.turns or ():
-            if net.segment(nxt).from_node != s.to_node:
-                raise TopologyError(f"[segment {s.id}] turns: [segment {nxt}] does not"
-                                    f" start at {s.to_node}")
-        if not s.exit and not net.allowed_turns(s.id):  # a vehicle there would be stuck
-            raise TopologyError(f"[segment {s.id}]: not an exit, yet no turn leaves it")
-    return net
+    return StreetNetwork(tuple(segments), tuple(intersections),
+                         tuple(zones), tuple(signals))
 
 
 def _load_signal(sec: Section) -> SignalSpec:
@@ -281,8 +281,8 @@ def _load_signal(sec: Section) -> SignalSpec:
         raise sec.error("safe_mode", "must name one mode")
     with sec.context("modes"):
         modes = tuple(ImplementationMode(*m, safe=m[0] == safe) for m in modes)
-    splits = (sec.number(key, default, low=0, open_low=True)
-              for key, default in zip(("green", "yellow", "red"), DEFAULT_SPLITS))
+    splits = (sec.number(key, default, low=low) for key, default, low in zip(
+        ("green", "yellow", "red"), DEFAULT_SPLITS, (GREEN_MIN, YELLOW_MIN, RED_MIN)))
     timing = (*splits, sec.number("offset", 0.0, low=0),
               sec.choice("anchor", SignalState, SignalState.GREEN))
     with sec.context("offset"):  # the one bound the accessors cannot check
@@ -634,10 +634,8 @@ def _next_segment(world: WorldState, v: Vehicle, seg: RoadSegment) -> str | None
         return None  # end of route: leaves the network
     if seg.exit:
         return None
-    if v.pending_next is None:
+    if v.pending_next is None:  # the network gives every non-exit a turn
         options = world.network.allowed_turns(seg.id)
-        if not options:
-            raise TopologyError(f"vehicle stuck: no turns from {seg.id}")
         v.pending_next = options[int(world.route_rng.integers(len(options)))]
     return v.pending_next
 

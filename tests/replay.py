@@ -1,12 +1,19 @@
-"""Sampled replays of a signal against its deadlines and schedules.
+"""Oracles for the timing code of `civitas.fsm`.
 
-Two independent checkers that step through time instead of reasoning
-about the cycle's regions: they are the oracles the closed-form timing
-code of `civitas.fsm` is tested against.
+Two independent checkers step through time instead of reasoning about
+the cycle's regions: sampled replays of a signal against its deadlines
+and schedules.  The green-split rule is also kept here in its earlier
+form, one hand-written region layout per anchor and a probe signal per
+anchor rotation, which `fsm.apply_timing_constraints` must match bit
+for bit.
 """
 
+from dataclasses import replace
+
 from civitas.ctg import RUN_END_BACKOFF, ZoneSchedule
-from civitas.fsm import SignalFsm, TimingConstraint
+from civitas.fsm import (_EDGE_EPS, CYCLIC_ORDER, GREEN_MIN, RED_MIN,
+                         ConstraintShortfall, InfeasibilityReport, SignalFsm,
+                         SignalState, TimingConstraint, _satisfied, _shortfall)
 
 
 def check_constraints_by_replay(fsm: SignalFsm,
@@ -53,3 +60,74 @@ def check_schedule_admission(fsm: SignalFsm, sched: ZoneSchedule, itu_id: str,
             if not fsm.state_at(at).admits(t.direction):
                 violations.append((t.id, at))
     return violations
+
+
+def layout_green_interval(fsm: SignalFsm, c: TimingConstraint) -> tuple[float, float]:
+    """Feasible green-split range under which the constraint holds.
+
+    The yellow split stays fixed and red = cycle - yellow - green, so each
+    state's region boundary is linear in the green split and the feasible
+    set per constraint is a single interval (possibly empty or
+    unbounded); open ends are shrunk by _EDGE_EPS.
+    """
+    y, cyc = fsm.yellow, fsm.cycle
+    p = fsm.phase_position(c.deadline)
+    lo, hi = -float("inf"), float("inf")
+    empty = (1.0, 0.0)
+    s = c.required_state
+    if fsm.anchor is SignalState.GREEN:
+        # G [0,g) Y [g,g+y) R [g+y,cyc)
+        if s is SignalState.GREEN:
+            lo = p + _EDGE_EPS
+        elif s is SignalState.YELLOW:
+            lo, hi = p - y + _EDGE_EPS, p
+        else:
+            hi = p - y
+    elif fsm.anchor is SignalState.YELLOW:
+        # Y [0,y) R [y,cyc-g) G [cyc-g,cyc)
+        if s is SignalState.YELLOW:
+            if not p < y:
+                return empty
+        elif s is SignalState.RED:
+            if not p >= y:
+                return empty
+            hi = cyc - p - _EDGE_EPS
+        else:
+            lo = cyc - p
+    else:
+        # R [0,r) G [r,r+g) Y [cyc-y,cyc) with r = cyc - y - g
+        if s is SignalState.RED:
+            hi = cyc - y - p - _EDGE_EPS
+        elif s is SignalState.GREEN:
+            if not p < cyc - y:
+                return empty
+            lo = cyc - y - p
+        else:
+            if not p >= cyc - y:
+                return empty
+    return (lo, hi)
+
+
+def probe_apply_timing_constraints(fsm: SignalFsm, constraints):
+    """`apply_timing_constraints` sweeping a probe signal per anchor rotation."""
+    constraints = tuple(constraints)
+    if all(_satisfied(fsm, c) for c in constraints):
+        return fsm
+    anchor_idx = CYCLIC_ORDER.index(fsm.anchor)
+    for rotation in range(3):
+        anchor = CYCLIC_ORDER[(anchor_idx + rotation) % 3]
+        probe = replace(fsm, anchor=anchor)
+        lo = GREEN_MIN
+        hi = fsm.cycle - fsm.yellow - RED_MIN
+        for c in constraints:
+            c_lo, c_hi = layout_green_interval(probe, c)
+            lo, hi = max(lo, c_lo), min(hi, c_hi)
+        if lo > hi:
+            continue
+        g = probe.green if lo <= probe.green <= hi else (lo + hi) / 2.0
+        return replace(probe, green=g, red=fsm.cycle - fsm.yellow - g)
+    entries = tuple(
+        ConstraintShortfall(c, _shortfall(fsm, c))
+        for c in constraints if not _satisfied(fsm, c)
+    )
+    return InfeasibilityReport(entries)

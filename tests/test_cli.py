@@ -4,6 +4,7 @@ import io
 import math
 import re
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,10 @@ from civitas import ctmdp as ctmdpmod
 from civitas import fsm as fsmmod
 from civitas import world as worldmod
 from civitas.textfmt import parse_sections
+
+
+# A zone task graph for the twin network whose first column no signal can serve.
+ALTERNATING_CTG = Path(__file__).with_name("alternating.ctg")
 
 
 def sim_args(data_dir, out, mode="fixed", horizon="120", seed="5"):
@@ -167,6 +172,9 @@ MALFORMED_VALUES = [
     ("simulate", "twin.network", "anchor = Green", "anchor = Purple",
      "[signal A] anchor"),
     ("simulate", "twin.network", "green = 30", "green = -5", "[signal A] green"),
+    # splits below fsm's minimums: 1 s green and red, 3 s yellow
+    ("simulate", "twin.network", "yellow = 5", "yellow = 1e-300", "[signal A] yellow"),
+    ("simulate", "twin.network", "red = 25", "red = 0.5", "[signal A] red"),
     ("simulate", "twin.network", "offset = 0\n", "offset = 500\n",
      "[signal A] offset"),
     ("schedule", "twin.ctg", "thresholds = 6", "thresholds = x",
@@ -301,6 +309,18 @@ class TestSimulate:
         digest = hashlib.sha256((out / "events.log").read_bytes()).hexdigest()
         assert digest == ("60bf0506f0016b0712d4165c59a7192b"
                           "6b41dc8ae944ad96446092a345146d7b")
+
+    def test_hierarchical_run_reaches_the_zone_search(self, tmp_path, data_dir):
+        # The first column of alternating.ctg needs three alternating runs
+        # at A: the first reconcile reports it and the zone moves on.
+        out = tmp_path / "run"
+        args = sim_args(data_dir, out, mode="hierarchical", horizon="300", seed="1")
+        args[args.index("--ctg") + 1] = str(ALTERNATING_CTG)
+        assert cli.main(args) == 0
+        with open(out / "reports.csv", newline="") as fh:
+            assert "2" in {row["passes"] for row in csv.DictReader(fh)}
+        lines = (out / "events.log").read_text().splitlines()
+        assert any(line.startswith("violation\t") for line in lines)
 
     def test_unnamed_ctg_is_zone_z(self, tmp_path, data_dir, monkeypatch):
         # The shift log and the CTMDP must name an unnamed [ctg]'s states

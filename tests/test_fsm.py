@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from civitas import fsm
 from civitas.fsm import (CYCLIC_ORDER, SignalFsm, SignalState, TimingConstraint,
                          ImplementationMode, IntersectionController,
                          InfeasibilityReport, apply_timing_constraints,
                          shortcut_to_safe)
-from tests.replay import check_constraints_by_replay
+from tests.replay import (check_constraints_by_replay, layout_green_interval,
+                          probe_apply_timing_constraints)
 
 
 def make_fsm(**kw):
@@ -112,6 +114,74 @@ class TestTimingConstraints:
             assert check_constraints_by_replay(out, cs, resolution=0.01) == []
         else:
             assert out.entries
+
+
+def bits(values):
+    """Floats by their bytes: 0.0 and -0.0 differ."""
+    return tuple(float(v).hex() for v in values)
+
+
+split_times = st.floats(0.1, 120.0, allow_nan=False)
+
+
+@st.composite
+def timed_fsms(draw):
+    cycle_share = draw(st.floats(0.0, 1.0, exclude_max=True))
+    f = SignalFsm(draw(split_times), draw(split_times), draw(split_times),
+                  anchor=draw(st.sampled_from(CYCLIC_ORDER)))
+    return replace(f, offset=min(cycle_share * f.cycle, math.nextafter(f.cycle, 0)))
+
+
+@st.composite
+def deadlines(draw, f):
+    """Anywhere in ten cycles, or a few ulps from where the phase is a
+    region end, yellow, cycle - yellow or 0, some cycles on."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.0, 10 * f.cycle))
+    marks = [b for _, _, b in f.layout()] + [0.0, f.yellow, f.cycle - f.yellow]
+    t = f.offset + draw(st.integers(0, 5)) * f.cycle + draw(st.sampled_from(marks))
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    return max(t, 0.0)
+
+
+class TestGreenInterval:
+    """The table-driven rule against the hand-written layouts it replaced."""
+
+    @settings(max_examples=1000)
+    @given(st.data(), timed_fsms(), st.sampled_from(CYCLIC_ORDER))
+    def test_matches_the_layouts(self, data, f, state):
+        c = TimingConstraint(data.draw(deadlines(f)), state)
+        k = (CYCLIC_ORDER.index(state) - CYCLIC_ORDER.index(f.anchor)) % 3
+        got = fsm._green_interval(fsm._region_ends(f.yellow, f.cycle)[f.anchor], k,
+                                  f.phase_position(c.deadline))
+        assert bits(got) == bits(layout_green_interval(f, c))
+
+    @given(split_times, split_times, split_times, st.sampled_from(CYCLIC_ORDER),
+           st.sampled_from(CYCLIC_ORDER))
+    def test_matches_the_layouts_at_the_cycle_itself(self, g, y, r, anchor, state):
+        # an offset below half an ulp of the cycle puts deadline 0 at phase cycle
+        f = SignalFsm(g, y, r, offset=5e-324, anchor=anchor)
+        c = TimingConstraint(0.0, state)
+        assert f.phase_position(0.0) == f.cycle
+        k = (CYCLIC_ORDER.index(state) - CYCLIC_ORDER.index(anchor)) % 3
+        got = fsm._green_interval(fsm._region_ends(y, f.cycle)[anchor], k, f.cycle)
+        assert bits(got) == bits(layout_green_interval(f, c))
+
+    @settings(max_examples=500)
+    @given(st.data(), timed_fsms(), st.integers(1, 5))
+    def test_apply_matches_the_probe_sweep(self, data, f, n):
+        cs = [TimingConstraint(data.draw(deadlines(f)),
+                               data.draw(st.sampled_from(CYCLIC_ORDER)))
+              for _ in range(n)]
+        got, want = apply_timing_constraints(f, cs), probe_apply_timing_constraints(f, cs)
+        if isinstance(want, SignalFsm):
+            assert isinstance(got, SignalFsm) and got.anchor is want.anchor
+            assert (bits((got.green, got.yellow, got.red, got.offset))
+                    == bits((want.green, want.yellow, want.red, want.offset)))
+        else:
+            assert got == want
 
 
 def make_controller(active="fast"):

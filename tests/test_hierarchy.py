@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from civitas import cli
 from civitas import ctg as ctgmod
@@ -51,6 +52,52 @@ def skippable_chain():
              ctgmod.CtgTask("P3", itu="X", direction=2, t_ex=8.0, n=4))
     return ctgmod.Ctg((), tasks, (("P0", "P1"), ("P1", "P2"), ("P2", "P3")),
                       clearance=5.0)
+
+
+def fallback_trap():
+    """Column L alternates four runs at X and serves only without the
+    skippable B; column H alternates four runs on either table."""
+    def task(tid, direction, label=None, skippable=False):
+        return ctgmod.CtgTask(tid, guard=label and ("s", label), itu="X",
+                              direction=direction, t_ex=8.0, skippable=skippable)
+    tasks = (task("A", 1), task("B", 2, "L", True), task("C", 1, "L"),
+             task("D", 2, "L"), task("E", 2, "H"), task("F", 1, "H"),
+             task("G", 2, "H"))
+    arcs = (("A", "B"), ("B", "C"), ("C", "D"), ("A", "E"), ("E", "F"), ("F", "G"))
+    return ctgmod.Ctg((ctgmod.ConditionSite("s", thresholds=(5.0,)),), tasks, arcs,
+                      clearance=5.0)
+
+
+@st.composite
+def zone_searches(draw):
+    """An engine whose one-site zone at X runs a chain of random runs per
+    column, some skippable, in a random choice with random rejections."""
+    tasks = [ctgmod.CtgTask("P", itu="X", direction=draw(st.sampled_from((1, 2))),
+                            t_ex=8.0, n=2.0)]
+    arcs = []
+    for label in ("L", "H"):
+        prev = "P"
+        for i in range(draw(st.integers(1, 4))):
+            tid = f"{label}{i}"
+            tasks.append(ctgmod.CtgTask(
+                tid, guard=("s", label), itu="X",
+                direction=draw(st.sampled_from((1, 2))),
+                t_ex=draw(st.sampled_from((4.0, 8.0, 12.0))),
+                n=float(draw(st.integers(0, 4))), skippable=draw(st.booleans())))
+            arcs.append((prev, tid))
+            prev = tid
+    ctg = ctgmod.Ctg((ctgmod.ConditionSite("s", thresholds=(5.0,)),), tuple(tasks),
+                     tuple(arcs), clearance=5.0)
+    engine = build_engine(ctg, draw(st.sampled_from((("L",), ("H",)))))
+    engine.controllers["X"] = make_controller("X", draw(st.sampled_from((0.0, 10.0, 45.0))))
+    zone = engine.zones["Z"]
+    choices = [(c, on_fallback) for c in zone.table.scenarios
+               for on_fallback in ((False, True) if zone.fallback else (False,))]
+    zone.choice = draw(st.sampled_from([None] + choices))
+    zone.rejected = set(draw(st.lists(st.sampled_from(choices))))
+    zone.bound = draw(st.sampled_from((None, 30.0, 60.0)))
+    zone.min_throughput = draw(st.sampled_from((0.0, 4.0, 8.0)))
+    return engine
 
 
 def build_engine(ctg, scenario, target=0, budget=5):
@@ -164,9 +211,9 @@ class TestReconcile:
         report = engine.reconcile()
         assert report.converged and report.passes == 2
         zone = engine.zones["Z"]
-        assert zone.active_column() == ("L",)
+        assert zone.choice == (("L",), False)
         # verified by the replay oracle: the applied splits admit the schedule
-        sched = zone.schedule_for(("L",))
+        sched = zone.schedule(("L",))
         out = engine.controllers["X"].fsm
         assert check_schedule_admission(out, sched, "X") == []
 
@@ -205,22 +252,22 @@ class TestReconcile:
     def test_scenario_change_resets_preference(self):
         engine = build_engine(alternating_ctg(3), ("H",))
         engine.reconcile()
-        assert engine.zones["Z"].active_column() == ("L",)
+        assert engine.zones["Z"].choice == (("L",), False)
         engine.zones["Z"].set_scenario(("L",))
-        assert engine.zones["Z"].preferred is None
+        assert engine.zones["Z"].choice is None
 
     def test_fallback_skips_task_when_columns_unserviceable(self):
         engine = build_engine(skippable_chain(), ())
         report = engine.reconcile()
         assert report.converged
-        assert engine.zones["Z"].dropped_tasks == frozenset({"P1"})
+        assert engine.zones["Z"].choice == ((), True)
 
     def test_fallback_skip_rejected_under_throughput_floor(self):
         # target 16 cars: dropping P1 would leave 12 < the floor
         engine = build_engine(skippable_chain(), (), target=16)
         report = engine.reconcile()
         assert not report.converged
-        assert engine.zones["Z"].dropped_tasks == frozenset()
+        assert engine.zones["Z"].choice is None
         assert "X" in report.safe_engaged
 
     def test_fallback_judged_by_its_own_schedule(self):
@@ -231,7 +278,26 @@ class TestReconcile:
         zone.bound = 30.0
         assert zone.table.t_area(()) == 47.0 and zone.fallback.t_area(()) == 21.0
         assert engine._recompute_zone(zone)
-        assert zone.dropped_tasks == frozenset({"P1"})
+        assert zone.choice == ((), True)
+
+
+class TestZoneSearch:
+    def test_fallback_zone_does_not_pick_an_unserved_full_column(self):
+        engine = build_engine(fallback_trap(), ("H",))
+        zone = engine.zones["Z"]
+        zone.choice = (("H",), True)
+        assert not engine._itu_feasible(zone, zone.schedule(("L",)))
+        assert engine._recompute_zone(zone)
+        assert zone.choice == (("L",), True)
+        assert engine._itu_feasible(zone, zone.active_schedule())
+
+    @settings(max_examples=300, deadline=None)
+    @given(zone_searches())
+    def test_chosen_schedule_is_served_on_its_own_table(self, engine):
+        zone = engine.zones["Z"]
+        if engine._recompute_zone(zone):
+            assert zone.choice not in zone.rejected
+            assert engine._itu_feasible(zone, zone.active_schedule())
 
 
 class TestRouting:

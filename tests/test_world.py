@@ -117,6 +117,18 @@ speed = 5
                                                   r" segments \['zz'\]"):
             w.load_network(LINE.replace("entry = true", "entry = true\nturns = y, zz"))
 
+    @pytest.mark.parametrize("x_turns, y_exit, where", [
+        (("x",), True, r"\[segment x\] turns: \[segment x\] does not start at b"),
+        ((), True, r"\[segment x\]: not an exit, yet no turn leaves it"),
+        (None, False, r"\[segment y\]: not an exit, yet no turn leaves it"),
+    ])
+    def test_turn_faults_rejected_when_built_in_code(self, x_turns, y_exit, where):
+        segments = (w.RoadSegment("x", "a", "b", 100.0, 10.0, 5, entry=True,
+                                  turns=x_turns),
+                    w.RoadSegment("y", "b", "c", 50.0, 10.0, 5, exit=y_exit))
+        with pytest.raises(w.TopologyError, match=where):
+            w.StreetNetwork(segments, tuple(w.Intersection(n) for n in "abc"))
+
     def test_missing_approach_at_signal_rejected(self):
         text = """
 [intersection a]
