@@ -23,9 +23,8 @@ from .fuzzy import (FuzzyParams, ParamRow, RuleBase, DEFAULT_RULES,
                     lcu_update)
 from .hierarchy import (HierarchyEngine, ConstraintMsg, ViolationMsg,
                         ReconcileReport, aggregate_needs)
-from .metrics import (SpecBox, CostedPerf, EffortField, CurvePair,
-                      flexibility, scalability, scalability_between, autonomy,
-                      efficiency, predictability)
+from .metrics import (SpecBox, EffortField, CurvePair, flexibility,
+                      scalability, autonomy, efficiency, predictability)
 from .registry import (DmModule, DmRegistry, Goal, Capability, LinkRole,
                        InteractionKind, load_registry)
 from .world import (StreetNetwork, RoadSegment, WorldState, DemandProfile,

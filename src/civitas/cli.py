@@ -143,40 +143,6 @@ def _maybe_early_switch(net: worldmod.StreetNetwork, world: worldmod.WorldState,
     return ctrl
 
 
-def _runtime_registry(top_id: str, area_id: str, zone_id: str,
-                      itus: tuple[str, ...]) -> regmod.DmRegistry:
-    """Registry mirroring the engine's modules so routing can be checked."""
-    reg = regmod.DmRegistry()
-    maximize = regmod.Direction.MAXIMIZE
-    reg.register(regmod.DmModule(top_id, hiermod.LEVEL_GLOBAL,
-                                 (regmod.Goal("network_throughput", maximize),),
-                                 inputs=("caps",), outputs=("goals",)))
-    reg.register(regmod.DmModule(area_id, hiermod.LEVEL_AREA,
-                                 (regmod.Goal("area_throughput", maximize),),
-                                 inputs=("goals", "zone_caps"),
-                                 outputs=("zone_bounds", "caps")))
-    reg.register(regmod.DmModule(zone_id, hiermod.LEVEL_ZONE,
-                                 (regmod.Goal("zone_throughput", maximize),),
-                                 inputs=("zone_bounds", "itu_caps"),
-                                 outputs=("itu_deadlines", "zone_caps")))
-    for itu in itus:
-        reg.register(regmod.DmModule(itu, hiermod.LEVEL_INTERSECTION,
-                                     (regmod.Goal("throughput", maximize),),
-                                     inputs=("deadlines",), outputs=("caps",)))
-    reg.wire((top_id, "goals"), (area_id, "goals"), regmod.LinkRole.GOAL_SETTING)
-    reg.wire((area_id, "zone_bounds"), (zone_id, "zone_bounds"),
-             regmod.LinkRole.GOAL_SETTING)
-    reg.wire((area_id, "caps"), (top_id, "caps"), regmod.LinkRole.CAPABILITY_REPORT)
-    reg.wire((zone_id, "zone_caps"), (area_id, "zone_caps"),
-             regmod.LinkRole.CAPABILITY_REPORT)
-    for itu in itus:
-        reg.wire((zone_id, "itu_deadlines"), (itu, "deadlines"),
-                 regmod.LinkRole.GOAL_SETTING)
-        reg.wire((itu, "caps"), (zone_id, "itu_caps"),
-                 regmod.LinkRole.CAPABILITY_REPORT)
-    return reg
-
-
 def _payload_desc(payload: object) -> str:
     if isinstance(payload, tuple):
         return f"constraints={len(payload)}"
@@ -200,29 +166,70 @@ def _drain_engine_events(engine: hiermod.HierarchyEngine,
         ctrl.events.clear()
 
 
+def _zone_itus(net: worldmod.StreetNetwork, ctg: ctgmod.Ctg) -> tuple[str, ...]:
+    """The ITUs of the network zone `ctg` names: the signalized nodes its
+    member segments enter.  A network without zones is one implicit zone
+    of every segment.  Each site's segment and each task's ITU must be
+    the zone's."""
+    members = {s.id for s in net.segments}
+    if net.zones:
+        zone = next((z for z in net.zones if z.id == ctg.zone), None)
+        if zone is None:
+            raise ValueError(f"[ctg {ctg.zone}]: the network has no [zone {ctg.zone}]")
+        members = zone.members
+    itus = tuple(sorted({net.segment(m).to_node for m in members}
+                        & set(net.signalized_nodes())))
+    for site in ctg.sites:
+        if site.segment not in members:
+            raise ValueError(f"[site {site.id}] segment: {site.segment!r} is not"
+                             f" a segment of zone {ctg.zone}")
+    for task in ctg.tasks:
+        if task.itu is not None and task.itu not in itus:
+            raise ValueError(f"[task {task.id}] itu: {task.itu!r} is not an ITU of"
+                             f" zone {ctg.zone} ({', '.join(itus)})")
+    return itus
+
+
 def load_simulation(cfg: RunConfig) -> tuple:
     """The inputs of a run: the phase of `simulate` whose errors exit 1."""
     net = _load(cfg.network, "network", worldmod.load_network)
     demand = _load(cfg.demand, "demand", worldmod.load_demand)
     with _naming(f"network {cfg.network} with demand {cfg.demand}"):
         world = worldmod.make_world(net, demand, cfg.horizon, cfg.seed)
-    ctg = table = registry = None
+    ctg = table = itus = registry = None
     if cfg.mode == "hierarchical":
         ctg = _load(cfg.ctg, "ctg", ctgmod.load_ctg)
+        with _naming(f"ctg {cfg.ctg} on network {cfg.network}"):
+            itus = _zone_itus(net, ctg)
         with _naming(f"ctg {cfg.ctg}"):
-            for site in ctg.sites:
-                if site.segment not in {s.id for s in net.segments}:
-                    raise ValueError(f"[site {site.id}] segment: {site.segment!r} is"
-                                     f" not a segment of network {cfg.network}")
             table = ctgmod.build_table(ctg)
     if cfg.registry:
         registry = _load(cfg.registry, "registry", regmod.load_registry)
-    return net, world, ctg, table, registry
+    return net, world, ctg, table, itus, registry
+
+
+def _build_engine(cfg: RunConfig, ctg: ctgmod.Ctg, table: ctgmod.ScheduleTable,
+                  itus: tuple[str, ...],
+                  controllers: dict[str, fsmmod.IntersectionController],
+                  cycle: float) -> hiermod.HierarchyEngine:
+    """The hierarchy of a run: the global unit `tcu` over one area `area`
+    over the zone `ctg` describes, whose ITUs are `itus`."""
+    initial = tuple(s.labels[0] for s in ctg.sites)
+    zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
+    capability = table.schedules[initial].graph.total_n()
+    fg = fgmod.FunctionGraph(
+        (fgmod.FgNode("area", fgmod.PerfDistribution.point(
+            table.t_area(initial)), capability),))
+    target = cfg.target if cfg.target is not None else int(capability)
+    deadline = cfg.deadline if cfg.deadline is not None else cycle
+    top = hiermod.GlobalUnit("tcu", fg, target, deadline, ("area",))
+    return hiermod.HierarchyEngine(top, {"area": hiermod.AreaUnit("area", (zone.id,))},
+                                   {zone.id: zone}, controllers)
 
 
 def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     os.makedirs(cfg.out, exist_ok=True)
-    net, world, ctg, table, registry = inputs or load_simulation(cfg)
+    net, world, ctg, table, itus, registry = inputs or load_simulation(cfg)
     controllers = _build_controllers(net)
 
     engine = None
@@ -233,20 +240,8 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
 
     if cfg.mode == "hierarchical":
-        itus = tuple(sorted(controllers))
-        initial = tuple(s.labels[0] for s in ctg.sites)
-        zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
-        area = hiermod.AreaUnit("area", (zone.id,))
-        capability = table.schedules[initial].graph.total_n()
-        fg = fgmod.FunctionGraph(
-            (fgmod.FgNode("area", fgmod.PerfDistribution.point(
-                table.t_area(initial)), capability),))
-        target = cfg.target if cfg.target is not None else int(capability)
-        deadline = cfg.deadline if cfg.deadline is not None else cycle
-        top = hiermod.GlobalUnit("tcu", fg, target, deadline, ("area",))
-        engine = hiermod.HierarchyEngine(top, {"area": area}, {zone.id: zone},
-                                         controllers,
-                                         _runtime_registry("tcu", "area", zone.id, itus))
+        engine = _build_engine(cfg, ctg, table, itus, controllers, cycle)
+        zone = engine.zones[ctg.zone]
         estimators = [ctgmod.RunningMedianThreshold(s) for s in ctg.sites]
         reports.append((0.0, engine.reconcile(at=0.0)))
         _drain_engine_events(engine, world)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from . import ctg as ctgmod
 from . import fsm as fsmmod
 from .fgraph import FunctionGraph, distribute_goals
-from .registry import DmRegistry, InteractionKind
 
 LEVEL_INTERSECTION = 1
 LEVEL_ZONE = 2
@@ -169,33 +168,31 @@ class HierarchyEngine:
     def __init__(self, top: GlobalUnit, areas: dict[str, AreaUnit],
                  zones: dict[str, ZoneUnit],
                  controllers: dict[str, fsmmod.IntersectionController],
-                 registry: DmRegistry | None = None,
                  budget: int = DEFAULT_BUDGET):
+        """Raise ValueError unless the modules form a tree: each zone in
+        one area, each ITU in one zone and under a controller."""
         self.top = top
         self.areas = areas
         self.zones = zones
         self.controllers = controllers
-        self.registry = registry
         self.budget = budget
         self.messages: list[object] = []
-        self.parent_of = {zid: aid for aid, area in areas.items() for zid in area.zones}
+        self.parent_of = {aid: top.id for aid in areas}
+        for kind, tree in (("areas", {aid: a.zones for aid, a in areas.items()}),
+                           ("zones", {zid: z.itus for zid, z in zones.items()})):
+            for parent, children in tree.items():
+                for child in children:
+                    if child in self.parent_of:
+                        raise ValueError(f"{child!r} is listed by {kind}"
+                                         f" {self.parent_of[child]!r} and {parent!r}")
+                    self.parent_of[child] = parent
         for zid, zone in zones.items():
             for itu in zone.itus:
-                self.parent_of[itu] = zid
-        for aid in areas:
-            self.parent_of[aid] = top.id
+                if itu not in controllers:
+                    raise ValueError(f"ITU {itu!r} of zone {zid!r} has no controller")
 
     def _send(self, msg: ConstraintMsg | ViolationMsg) -> ConstraintMsg | ViolationMsg:
-        """Log `msg` once the registry has the link its direction needs:
-        Guiding for constraints down, Enabling for violations up."""
-        if self.registry is not None:
-            expected = (InteractionKind.GUIDING if isinstance(msg, ConstraintMsg)
-                        else InteractionKind.ENABLING)
-            kind = self.registry.link_kind(msg.source, msg.target)
-            if kind is not expected:
-                raise ValueError(
-                    f"message route {msg.source}->{msg.target} needs a"
-                    f" {expected.value} link, found {kind.value if kind else 'none'}")
+        """Log `msg` and return it."""
         self.messages.append(msg)
         return msg
 

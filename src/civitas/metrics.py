@@ -50,28 +50,12 @@ def flexibility(feasible: Callable[[Mapping[str, np.ndarray]], np.ndarray | bool
     return np.count_nonzero(np.broadcast_to(accepted, (n,))) / n
 
 
-@dataclass(frozen=True)
-class CostedPerf:
-    """A performance level together with the resources spent to reach it."""
-
-    performance: float
-    cost: float
-
-    def __post_init__(self):
-        if self.cost <= 0:
-            raise ValueError("cost must be > 0")
-
-
 def scalability(p1: float, cost1: float, p2: float, cost2: float) -> float:
     """Relative resource cost of moving performance from p1 to p2."""
     for name, v in (("p1", p1), ("cost1", cost1), ("p2", p2), ("cost2", cost2)):
         if v <= 0:
             raise ValueError(f"{name} must be > 0")
     return (p1 * cost2) / (p2 * cost1)
-
-
-def scalability_between(a: CostedPerf, b: CostedPerf) -> float:
-    return scalability(a.performance, a.cost, b.performance, b.cost)
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,7 @@ class TestExitCodes:
 
 # One value made malformed in a shipped input file: (command, file, the
 # first occurrence of `old` -> `new`, the section and key the message names).
+# `simulate` runs in hierarchical mode, so its task graph is read too.
 MALFORMED_VALUES = [
     ("classify", "city.registry", "goals = network_throughput:maximize",
      "goals = q:maxim", "[module tcu] goals"),
@@ -236,6 +237,15 @@ MALFORMED_VALUES = [
      "graph has a cycle; these cannot be ordered: [task T2], [task T5]"),
     # arrivals before the clock starts
     ("simulate", "twin.demand", "0:600:0.08", "-5:600:0.08", "[arrivals s1] windows"),
+    # the zone topology: the task graph names a network zone, whose
+    # segments hold its sites and whose entered signals are its tasks' ITUs
+    ("simulate", "twin.ctg", "[ctg Z]", "[ctg Q]", "[ctg Q]: the network has no [zone Q]"),
+    ("simulate", "twin.network", "members = s1, s2", "members = s2",
+     "[site c1] segment: 's1' is not a segment of zone Z"),
+    ("simulate", "twin.ctg", "segment = s1", "segment = s99",
+     "[site c1] segment: 's99' is not a segment of zone Z"),
+    ("simulate", "twin.ctg", "itu = B", "itu = Q",
+     "[task T7] itu: 'Q' is not an ITU of zone Z (A, B)"),
 ]
 
 
@@ -249,9 +259,9 @@ def test_malformed_value_is_exit_one(tmp_path, data_dir, capsys, command, name,
     out = str(tmp_path / "o")
     args = {"classify": ["classify", "--registry", str(bad), "--out", out],
             "schedule": ["schedule", "--ctg", str(bad), "--out", out],
-            "simulate": sim_args(data_dir, out)}[command]
+            "simulate": sim_args(data_dir, out, mode="hierarchical")}[command]
     if command == "simulate":
-        flag = "--demand" if name.endswith(".demand") else "--network"
+        flag = "--" + name.rpartition(".")[2]
         args[args.index(flag) + 1] = str(bad)
     assert cli.main(args) == 1
     assert where in capsys.readouterr().err
@@ -321,6 +331,26 @@ class TestSimulate:
             assert "2" in {row["passes"] for row in csv.DictReader(fh)}
         lines = (out / "events.log").read_text().splitlines()
         assert any(line.startswith("violation\t") for line in lines)
+
+    def test_network_without_zones_is_one_implicit_zone(self, tmp_path, data_dir):
+        # The twin's one zone holds every segment, and so both signals: the
+        # run is the same without it, interactions.csv of --registry included.
+        text = (data_dir / "twin.network").read_text()
+        section = "[zone Z]\nmembers = s1, s2, s3, s4, s5, s6, s7, s8, s9\n"
+        assert section in text
+        bare = tmp_path / "bare.network"
+        bare.write_text(text.replace(section, ""))
+        for name, network in (("zoned", data_dir / "twin.network"), ("bare", bare)):
+            args = sim_args(data_dir, tmp_path / name, mode="hierarchical",
+                            horizon="1800", seed="3")
+            args[args.index("--network") + 1] = str(network)
+            assert cli.main([*args, "--registry", str(data_dir / "city.registry")]) == 0
+        names = sorted(p.name for p in (tmp_path / "zoned").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "bare").iterdir())
+        assert {"events.log", "interactions.csv", "function_graph.csv"} <= set(names)
+        for name in names:
+            assert ((tmp_path / "zoned" / name).read_bytes()
+                    == (tmp_path / "bare" / name).read_bytes()), name
 
     def test_unnamed_ctg_is_zone_z(self, tmp_path, data_dir, monkeypatch):
         # The shift log and the CTMDP must name an unnamed [ctg]'s states

@@ -43,7 +43,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import civitas
 from civitas import cli, fgraph, fuzzy, simplex
-from civitas import hierarchy as hiermod
 from civitas import ctg as ctgmod
 from civitas import ctmdp as ctmdpmod
 from civitas import metrics as metricsmod
@@ -947,9 +946,9 @@ class TestIdleStep:
 
 def dict_run_simulation(cfg, inputs=None):
     """`cli.run_simulation` with its tick loop as it was before `controls`
-    became one dict filled in place."""
+    became one dict filled in place; its engine is `cli._build_engine`'s."""
     os.makedirs(cfg.out, exist_ok=True)
-    net, world, ctg, table, registry = inputs or cli.load_simulation(cfg)
+    net, world, ctg, table, itus, registry = inputs or cli.load_simulation(cfg)
     controllers = cli._build_controllers(net)
 
     engine = None
@@ -960,20 +959,8 @@ def dict_run_simulation(cfg, inputs=None):
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
 
     if cfg.mode == "hierarchical":
-        itus = tuple(sorted(controllers))
-        initial = tuple(s.labels[0] for s in ctg.sites)
-        zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
-        area = hiermod.AreaUnit("area", (zone.id,))
-        capability = table.schedules[initial].graph.total_n()
-        fg = fgraph.FunctionGraph(
-            (fgraph.FgNode("area", fgraph.PerfDistribution.point(
-                table.t_area(initial)), capability),))
-        target = cfg.target if cfg.target is not None else int(capability)
-        deadline = cfg.deadline if cfg.deadline is not None else cycle
-        top = hiermod.GlobalUnit("tcu", fg, target, deadline, ("area",))
-        engine = hiermod.HierarchyEngine(top, {"area": area}, {zone.id: zone},
-                                         controllers,
-                                         cli._runtime_registry("tcu", "area", zone.id, itus))
+        engine = cli._build_engine(cfg, ctg, table, itus, controllers, cycle)
+        zone = engine.zones[ctg.zone]
         estimators = [ctgmod.RunningMedianThreshold(s) for s in ctg.sites]
         reports.append((0.0, engine.reconcile(at=0.0)))
         cli._drain_engine_events(engine, world)

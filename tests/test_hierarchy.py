@@ -1,10 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from civitas import cli
 from civitas import ctg as ctgmod
 from civitas import fsm as fsmmod
-from civitas import registry as regmod
 from civitas.fgraph import FgNode, FunctionGraph, PerfDistribution
 from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                LEVEL_ZONE, AreaUnit, ConstraintMsg,
@@ -111,36 +109,44 @@ def build_engine(ctg, scenario, target=0, budget=5):
                            budget=budget)
 
 
-def twin_engine(ctg_text, registry):
-    """The engine `simulate` builds for the twin corridor, on `registry`."""
-    ctg = ctgmod.load_ctg(ctg_text)
+def tree_engine(areas, zones, controlled):
+    """An engine whose areas and zones list the given children, with a
+    controller for each id in `controlled`."""
+    ctg = alternating_ctg(2)
     table = ctgmod.build_table(ctg)
-    initial = tuple(s.labels[0] for s in ctg.sites)
-    zone = ZoneUnit(ctg.zone, ctg, table, ("A", "B"), initial, cycle=60.0)
-    fg = FunctionGraph((FgNode("area", PerfDistribution.point(table.t_area(initial)),
-                               10.0),))
-    top = GlobalUnit("tcu", fg, 0, 60.0, ("area",))
-    return HierarchyEngine(top, {"area": AreaUnit("area", (zone.id,))}, {zone.id: zone},
-                           {itu: make_controller(itu) for itu in ("A", "B")}, registry)
+    fg = FunctionGraph(tuple(FgNode(aid, PerfDistribution.point(30.0), 10.0)
+                             for aid in areas))
+    return HierarchyEngine(
+        GlobalUnit("tcu", fg, 0, 60.0, tuple(areas)),
+        {aid: AreaUnit(aid, zids) for aid, zids in areas.items()},
+        {zid: ZoneUnit(zid, ctg, table, itus, ("L",), cycle=60.0)
+         for zid, itus in zones.items()},
+        {itu: make_controller(itu) for itu in controlled})
 
 
-class TestRoutes:
-    def test_full_runtime_registry_passes(self, twin_ctg_text):
-        registry = cli._runtime_registry("tcu", "area", "Z", ("A", "B"))
-        engine = twin_engine(twin_ctg_text, registry)
+class TestTopology:
+    def test_a_tree_maps_each_module_to_its_parent(self):
+        engine = tree_engine({"a1": ("Z1",), "a2": ("Z2", "Z3")},
+                             {"Z1": ("X",), "Z2": ("Y", "W"), "Z3": ()},
+                             ("W", "X", "Y"))
+        assert engine.parent_of == {"a1": "tcu", "a2": "tcu", "Z1": "a1",
+                                    "Z2": "a2", "Z3": "a2", "X": "Z1",
+                                    "Y": "Z2", "W": "Z2"}
         engine.reconcile()
-        assert ("Z", "A") in {(m.source, m.target) for m in engine.messages}
+        assert {(m.source, m.target) for m in engine.messages} >= {
+            ("tcu", "a2"), ("a2", "Z2"), ("Z2", "W")}
 
-    def test_missing_goal_setting_link_refuses_the_route(self, twin_ctg_text):
-        full = cli._runtime_registry("tcu", "area", "Z", ("A", "B"))
-        registry = regmod.DmRegistry()
-        for module in full.modules():
-            registry.register(module)
-        for link in full.links():
-            if (link.src[0], link.dst[0]) != ("Z", "A"):
-                registry.wire(link.src, link.dst, link.role)
-        with pytest.raises(ValueError, match="message route Z->A needs a Guiding link"):
-            twin_engine(twin_ctg_text, registry).reconcile()
+    def test_zone_in_two_areas_is_refused(self):
+        with pytest.raises(ValueError, match="'Z' is listed by areas 'a1' and 'a2'"):
+            tree_engine({"a1": ("Z",), "a2": ("Z",)}, {"Z": ("X",)}, ("X",))
+
+    def test_itu_in_two_zones_is_refused(self):
+        with pytest.raises(ValueError, match="'X' is listed by zones 'Z1' and 'Z2'"):
+            tree_engine({"area": ("Z1", "Z2")}, {"Z1": ("X",), "Z2": ("X",)}, ("X",))
+
+    def test_itu_without_controller_is_refused(self):
+        with pytest.raises(ValueError, match="ITU 'Y' of zone 'Z' has no controller"):
+            tree_engine({"area": ("Z",)}, {"Z": ("X", "Y")}, ("X",))
 
 
 class TestMessages:
@@ -298,17 +304,4 @@ class TestZoneSearch:
         if engine._recompute_zone(zone):
             assert zone.choice not in zone.rejected
             assert engine._itu_feasible(zone, zone.active_schedule())
-
-
-class TestRouting:
-    def test_registry_enforces_guiding_routes(self):
-        from civitas import registry as regmod
-        engine = build_engine(alternating_ctg(2), ("L",))
-        reg = regmod.DmRegistry()
-        # register modules but wire NO links: every send must fail
-        for mid, level in (("tcu", 4), ("area", 3), ("Z", 2), ("X", 1)):
-            reg.register(regmod.DmModule(mid, level, inputs=("in",), outputs=("out",)))
-        engine.registry = reg
-        with pytest.raises(ValueError):
-            engine.push_down()
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from civitas.metrics import (CostedPerf, CurvePair, EffortField, SpecBox,
-                             autonomy, efficiency, flexibility, predictability,
-                             scalability, scalability_between)
+from civitas.metrics import (CurvePair, EffortField, SpecBox, autonomy,
+                             efficiency, flexibility, predictability, scalability)
 
 BOX2 = SpecBox.from_dict({"x": (0.0, 1.0), "y": (0.0, 1.0)})
 
@@ -48,11 +47,6 @@ class TestScalability:
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
             scalability(0, 1, 1, 1)
-
-    def test_costed_perf_pair(self):
-        assert scalability_between(CostedPerf(10, 1), CostedPerf(20, 4)) == 2.0
-        with pytest.raises(ValueError):
-            CostedPerf(10, 0)
 
 
 class TestAutonomy:
