@@ -149,23 +149,6 @@ def _payload_desc(payload: object) -> str:
     return repr(payload)
 
 
-def _drain_engine_events(engine: hiermod.HierarchyEngine,
-                         world: worldmod.WorldState) -> None:
-    """Append pending messages and controller events to the world log."""
-    for msg in engine.messages:
-        if isinstance(msg, hiermod.ConstraintMsg):
-            world.log("constraint", msg.issued_at, msg.source, msg.target,
-                      _payload_desc(msg.payload))
-        else:
-            world.log("violation", msg.occurred_at, msg.source, msg.target,
-                      msg.quantity, msg.shortfall)
-    engine.messages.clear()
-    for ctrl in engine.controllers.values():
-        for at, kind, detail in ctrl.events:
-            world.log(kind, at, detail)
-        ctrl.events.clear()
-
-
 def _zone_itus(net: worldmod.StreetNetwork, ctg: ctgmod.Ctg) -> tuple[str, ...]:
     """The ITUs of the network zone `ctg` names: the signalized nodes its
     member segments enter.  A network without zones is one implicit zone
@@ -208,51 +191,92 @@ def load_simulation(cfg: RunConfig) -> tuple:
     return net, world, ctg, table, itus, registry
 
 
-def _build_engine(cfg: RunConfig, ctg: ctgmod.Ctg, table: ctgmod.ScheduleTable,
-                  itus: tuple[str, ...],
-                  controllers: dict[str, fsmmod.IntersectionController],
-                  cycle: float) -> hiermod.HierarchyEngine:
-    """The hierarchy of a run: the global unit `tcu` over one area `area`
-    over the zone `ctg` describes, whose ITUs are `itus`."""
-    initial = tuple(s.labels[0] for s in ctg.sites)
-    zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
-    capability = table.schedules[initial].graph.total_n()
-    fg = fgmod.FunctionGraph(
-        (fgmod.FgNode("area", fgmod.PerfDistribution.point(
-            table.t_area(initial)), capability),))
-    target = cfg.target if cfg.target is not None else int(capability)
-    deadline = cfg.deadline if cfg.deadline is not None else cycle
-    top = hiermod.GlobalUnit("tcu", fg, target, deadline, ("area",))
-    return hiermod.HierarchyEngine(top, {"area": hiermod.AreaUnit("area", (zone.id,))},
-                                   {zone.id: zone}, controllers)
+class EpochLoop:
+    """The hierarchical half of a run: the global unit `tcu` over one area
+    `area` over the zone `ctg` describes, whose ITUs are `itus`, and the
+    state its epochs carry.  The engine replaces entries of `controllers`
+    in place.  Building it reconciles once, at time 0."""
+
+    def __init__(self, cfg: RunConfig, ctg: ctgmod.Ctg, table: ctgmod.ScheduleTable,
+                 itus: tuple[str, ...],
+                 controllers: dict[str, fsmmod.IntersectionController],
+                 cycle: float, world: worldmod.WorldState):
+        initial = tuple(s.labels[0] for s in ctg.sites)
+        self.zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
+        self.area = hiermod.AreaUnit("area", (self.zone.id,))
+        capability = table.schedules[initial].graph.total_n()
+        fg = fgmod.FunctionGraph(
+            (fgmod.FgNode("area", fgmod.PerfDistribution.point(
+                table.t_area(initial)), capability),))
+        target = cfg.target if cfg.target is not None else int(capability)
+        deadline = cfg.deadline if cfg.deadline is not None else cycle
+        self.engine = hiermod.HierarchyEngine(
+            hiermod.GlobalUnit("tcu", fg, target, deadline), {"area": self.area},
+            {self.zone.id: self.zone}, controllers)
+        self.table, self.cycle, self.world = table, cycle, world
+        self.estimators = [ctgmod.RunningMedianThreshold(s) for s in ctg.sites]
+        self.t_area = {ctmdpmod.state_name(table.zone, s): table.t_area(s)
+                       for s in table.scenarios}
+        self.shift_log = ctmdpmod.ShiftLog()
+        self.state: str | None = None  # the CTMDP state of the last epoch
+        self.count = 0
+        self.reports: list[tuple[float, hiermod.ReconcileReport]] = []
+        self._reconcile(0.0)
+
+    def close(self, t: float) -> None:
+        """End the epoch at `t`: observe each site over the last cycle,
+        classify the scenario, log the shift, re-solve the area CTMDP every
+        fifth epoch and attach it to the function graph, then reconcile."""
+        self.count += 1
+        scenario = tuple(est.observe(worldmod.observe_cycle(
+            self.world, est.site.segment, (t - self.cycle, t)).n)
+            for est in self.estimators)
+        state = ctmdpmod.state_name(self.table.zone, scenario)
+        if self.state is not None:
+            self.shift_log.record(self.state, "default", self.cycle, state)
+        self.state = state
+        self.zone.set_scenario(scenario)
+        if self.count % 5 == 0:
+            model = ctmdpmod.from_schedule_tables([self.table], self.shift_log)
+            sol = ctmdpmod.solve_model(model)
+            if sol.status == "optimal":
+                self.area.objective = sol.objective
+                top = self.engine.top
+                top.fg = fgmod.attach(top.fg, "area", sol, model, self.t_area)
+        self._reconcile(t)
+
+    def _reconcile(self, t: float) -> None:
+        """Reconcile at `t`, then log the engine's messages and the
+        controllers' events to the world."""
+        engine, log = self.engine, self.world.log
+        self.reports.append((t, engine.reconcile(at=t)))
+        for msg in engine.messages:
+            if isinstance(msg, hiermod.ConstraintMsg):
+                log("constraint", msg.issued_at, msg.source, msg.target,
+                    _payload_desc(msg.payload))
+            else:
+                log("violation", msg.occurred_at, msg.source, msg.target,
+                    msg.quantity, msg.shortfall)
+        engine.messages.clear()
+        for ctrl in engine.controllers.values():
+            for at, kind, detail in ctrl.events:
+                log(kind, at, detail)
+            ctrl.events.clear()
 
 
 def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     os.makedirs(cfg.out, exist_ok=True)
     net, world, ctg, table, itus, registry = inputs or load_simulation(cfg)
     controllers = _build_controllers(net)
-
-    engine = None
-    estimators: list[ctgmod.RunningMedianThreshold] = []
-    shift_log = ctmdpmod.ShiftLog()
-    zone = None
-    reports: list[tuple[float, hiermod.ReconcileReport]] = []
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
-
+    epochs = None
     if cfg.mode == "hierarchical":
-        engine = _build_engine(cfg, ctg, table, itus, controllers, cycle)
-        zone = engine.zones[ctg.zone]
-        estimators = [ctgmod.RunningMedianThreshold(s) for s in ctg.sites]
-        reports.append((0.0, engine.reconcile(at=0.0)))
-        _drain_engine_events(engine, world)
-        controllers = engine.controllers
+        epochs = EpochLoop(cfg, ctg, table, itus, controllers, cycle, world)
 
     ticks = int(round(cfg.horizon / cfg.dt))
     # a cycle longer than the horizon has no epoch (and may not fit an int)
     epoch_every = max(1, int(round(min(cycle / cfg.dt, ticks + 1))))
-    epoch_count = 0
-    prev_state_name = None
-    early = [] if engine else [n for n, c in controllers.items() if c.early_switch]
+    early = [] if epochs else [n for n, c in controllers.items() if c.early_switch]
     # The signal states are one dict filled in place every tick; `world.step`
     # compares it with its own copy of the last tick's, so a changed state
     # still re-arms the heads that wait on it.  Controllers change only on an
@@ -277,44 +301,30 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
         worldmod.step(world, controls, cfg.dt)
 
         countdown -= 1
-        if countdown == 0 and engine is not None:
+        if countdown == 0 and epochs is not None:
             countdown = epoch_every
-            epoch_count += 1
-            labels = []
-            for est in estimators:
-                obs = worldmod.observe_cycle(world, est.site.segment,
-                                             (t - cycle, t))
-                labels.append(est.observe(obs.n))
-            scenario = tuple(labels)
-            state_name = ctmdpmod.state_name(table.zone, scenario)
-            if prev_state_name is not None:
-                shift_log.record(prev_state_name, "default", cycle, state_name)
-            prev_state_name = state_name
-            zone.set_scenario(scenario)
-            if epoch_count % 5 == 0:
-                model = ctmdpmod.from_schedule_tables([table], shift_log)
-                sol = ctmdpmod.solve_model(model)
-                if sol.status == "optimal":
-                    engine.areas["area"].objective = sol.objective
-                    t_area = {ctmdpmod.state_name(table.zone, s): table.t_area(s)
-                              for s in table.scenarios}
-                    engine.top.fg = fgmod.attach(engine.top.fg, "area", sol,
-                                                 model, t_area)
-            report = engine.reconcile(at=t)
-            reports.append((t, report))
-            _drain_engine_events(engine, world)
+            epochs.close(t)
             fsms = current_fsms()
 
+    summary = _write_artifacts(cfg, world, epochs, registry)
+    logger.info("simulate: %s", summary)
+    return summary
+
+
+def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
+                     epochs: EpochLoop | None,
+                     registry: regmod.DmRegistry | None) -> dict:
+    """Write every artifact of a finished run into `cfg.out`; return the
+    summary.  `epochs` is None in fixed mode."""
     if registry is not None:
         _write(os.path.join(cfg.out, "interactions.csv"),
                regmod.classification_report(registry))
-    if engine is not None:
-        alloc = fgmod.distribute_goals(engine.top.fg, engine.top.target,
-                                       engine.top.deadline)
+    if epochs is not None:
+        top = epochs.engine.top
+        alloc = fgmod.distribute_goals(top.fg, top.target, top.deadline)
         _write(os.path.join(cfg.out, "goal_allocation.csv"),
                fgmod.allocation_to_csv(alloc))
-        _write(os.path.join(cfg.out, "function_graph.csv"),
-               fgmod.graph_to_csv(engine.top.fg))
+        _write(os.path.join(cfg.out, "function_graph.csv"), fgmod.graph_to_csv(top.fg))
 
     worldmod.write_event_log(world.events, os.path.join(cfg.out, "events.log"))
     summary = {
@@ -329,15 +339,14 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     _write(os.path.join(cfg.out, "summary.csv"), buf.getvalue())
 
     lines = ["time,converged,passes,unresolved,safe_engaged"]
-    for at, report in reports:
+    for at, report in epochs.reports if epochs else ():
         lines.append("%.9g,%s,%d,%d,%s" % (
             at, report.converged, report.passes, len(report.unresolved),
             ";".join(report.safe_engaged)))
     _write(os.path.join(cfg.out, "reports.csv"), "\n".join(lines) + "\n")
-    if table is not None:
+    if epochs is not None:
         _write(os.path.join(cfg.out, "schedule_table.csv"),
-               ctgmod.table_to_csv(table))
-    logger.info("simulate: %s", summary)
+               ctgmod.table_to_csv(epochs.table))
     return summary
 
 

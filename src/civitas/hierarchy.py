@@ -151,7 +151,6 @@ class GlobalUnit:
     fg: FunctionGraph
     target: int
     deadline: float
-    areas: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -200,13 +199,12 @@ class HierarchyEngine:
         """Emit one constraint message per child module, top to bottom."""
         msgs: list[ConstraintMsg] = []
         alloc = distribute_goals(self.top.fg, self.top.target, self.top.deadline)
-        for aid in self.top.areas:
-            target = GoalTarget(alloc.target(aid), alloc.deadline(aid))
-            self.areas[aid].target = target
+        for aid, area in self.areas.items():
+            area.target = GoalTarget(alloc.target(aid), alloc.deadline(aid))
             msgs.append(self._send(ConstraintMsg(
-                LEVEL_GLOBAL, LEVEL_AREA, self.top.id, aid, target, at)))
-        for aid in self.top.areas:
-            target, zones = self.areas[aid].target, self.areas[aid].zones
+                LEVEL_GLOBAL, LEVEL_AREA, self.top.id, aid, area.target, at)))
+        for aid, area in self.areas.items():
+            target, zones = area.target, area.zones
             for zid in zones:
                 self.zones[zid].bound = target.deadline
                 self.zones[zid].min_throughput = target.throughput / len(zones)
@@ -282,15 +280,6 @@ class HierarchyEngine:
                     return True
         return False
 
-    def _recompute_area(self, area: AreaUnit) -> None:
-        # Relax each zone's bound to what it can actually achieve, provided
-        # the area deadline still covers it.
-        for zid in area.zones:
-            zone = self.zones[zid]
-            best = min(zone.table.t_area(s) for s in zone.table.scenarios)
-            if area.target is not None and best <= area.target.deadline:
-                zone.bound = max(zone.bound or 0.0, best)
-
     def _recompute_global(self, needs: list[PerformanceNeeds]) -> None:
         # Accept the documented degradation: shrink the global target by the
         # aggregate throughput shortfall so feasible goals are re-distributed.
@@ -311,13 +300,12 @@ class HierarchyEngine:
                 return ReconcileReport(True, pass_n)
             needs = aggregate_needs(violations)
             flagged = {n.parent for n in needs}
-            # Deepest flagged parents first: zones, then areas, then the top.
+            # Deepest flagged parents first: zones, then the top.  An area
+            # has no recompute: each pass resets its zones' bounds to its
+            # deadline, so a zone over that bound fails every pass.
             for zid in sorted(self.zones):
                 if zid in flagged:
                     self._recompute_zone(self.zones[zid])
-            for aid in sorted(self.areas):
-                if aid in flagged:
-                    self._recompute_area(self.areas[aid])
             if self.top.id in flagged:
                 self._recompute_global(needs)
         # Safe mode for every intersection of a zone that failed or that

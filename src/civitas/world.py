@@ -802,35 +802,20 @@ def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> 
     return Observation(site, n, t_ex, window)
 
 
-def check_zone_balance(world: WorldState, zone_id: str,
-                       window: tuple[float, float]) -> int:
-    """entered - exited - delta(in-zone count) over the window; 0 when sound."""
+def check_zone_balance(world: WorldState, zone_id: str) -> int:
+    """The zone's vehicle count by the event log minus the vehicles on its
+    members' queues at `world.clock`: 0 when the log and the queues agree."""
     members = world.network.zone(zone_id).members
-    t0, t1 = window
-    entered = exited = 0
-    count_t0 = count_t1 = 0
+    logged = 0
     for ev in world.events:
-        kind, at = ev[0], ev[1]
+        kind = ev[0]
         if kind == "arrive":
-            delta_in = 1 if ev[3] in members else 0
-            delta_out = 0
+            logged += ev[3] in members
         elif kind == "depart":
-            delta_in = 0
-            delta_out = 1 if ev[3] in members else 0
+            logged -= ev[3] in members
         elif kind == "move":
-            src_in, dst_in = ev[3] in members, ev[4] in members
-            delta_in = 1 if (dst_in and not src_in) else 0
-            delta_out = 1 if (src_in and not dst_in) else 0
-        else:
-            continue
-        if at <= t0:
-            count_t0 += delta_in - delta_out
-        if at <= t1:
-            count_t1 += delta_in - delta_out
-        if t0 < at <= t1:
-            entered += delta_in
-            exited += delta_out
-    return entered - exited - (count_t1 - count_t0)
+            logged += (ev[4] in members) - (ev[3] in members)
+    return logged - sum(len(world.queues[m]) for m in members)
 
 
 def format_event(ev: tuple) -> str:

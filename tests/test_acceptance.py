@@ -184,15 +184,11 @@ members = r2, r3
         net = w.load_network(text)
         world = w.make_world(net, None, 0, seed=7)
         w.seed_vehicles(world, [("r1", 6), ("r3", 4)])
-        for _ in range(100_000):
-            w.step(world, {}, 0.1)
+        for _ in range(20):  # 500 s windows
+            for _ in range(5000):
+                w.step(world, {}, 0.1)
+            assert w.check_zone_balance(world, "inner") == 0
         assert world.vehicle_count() == 10
-
-        horizon = world.clock
-        t0 = 0.0
-        while t0 < horizon:
-            assert w.check_zone_balance(world, "inner", (t0, t0 + 500.0)) == 0
-            t0 += 500.0
 
         occupancy = 0
         for ev in world.events:

@@ -30,6 +30,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -46,7 +47,6 @@ from civitas import cli, fgraph, fuzzy, simplex
 from civitas import ctg as ctgmod
 from civitas import ctmdp as ctmdpmod
 from civitas import metrics as metricsmod
-from civitas import registry as regmod
 from civitas import world as w
 from civitas.ctmdp import build_lp, make_ctmdp
 from civitas.fsm import CYCLIC_ORDER, SignalFsm, SignalState
@@ -946,95 +946,26 @@ class TestIdleStep:
 
 def dict_run_simulation(cfg, inputs=None):
     """`cli.run_simulation` with its tick loop as it was before `controls`
-    became one dict filled in place; its engine is `cli._build_engine`'s."""
+    became one dict filled in place; its epochs and artifacts are the CLI's."""
     os.makedirs(cfg.out, exist_ok=True)
     net, world, ctg, table, itus, registry = inputs or cli.load_simulation(cfg)
     controllers = cli._build_controllers(net)
-
-    engine = None
-    estimators = []
-    shift_log = ctmdpmod.ShiftLog()
-    zone = None
-    reports = []
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
-
+    epochs = None
     if cfg.mode == "hierarchical":
-        engine = cli._build_engine(cfg, ctg, table, itus, controllers, cycle)
-        zone = engine.zones[ctg.zone]
-        estimators = [ctgmod.RunningMedianThreshold(s) for s in ctg.sites]
-        reports.append((0.0, engine.reconcile(at=0.0)))
-        cli._drain_engine_events(engine, world)
-        controllers = engine.controllers
+        epochs = cli.EpochLoop(cfg, ctg, table, itus, controllers, cycle, world)
 
     ticks = int(round(cfg.horizon / cfg.dt))
     epoch_every = max(1, int(round(min(cycle / cfg.dt, ticks + 1))))
-    epoch_count = 0
-    prev_state_name = None
-    early = [] if engine else [n for n, c in controllers.items() if c.early_switch]
+    early = [] if epochs else [n for n, c in controllers.items() if c.early_switch]
     for k, t in enumerate(w.tick_times(cfg.dt, ticks)):
         for node in early:
             controllers[node] = cli._maybe_early_switch(net, world, controllers[node], t)
         controls = {node: ctrl.fsm.state_at(t) for node, ctrl in controllers.items()}
         w.step(world, controls, cfg.dt)
-
-        if engine is not None and (k + 1) % epoch_every == 0:
-            epoch_count += 1
-            labels = []
-            for est in estimators:
-                obs = w.observe_cycle(world, est.site.segment, (t - cycle, t))
-                labels.append(est.observe(obs.n))
-            scenario = tuple(labels)
-            state_name = ctmdpmod.state_name(table.zone, scenario)
-            if prev_state_name is not None:
-                shift_log.record(prev_state_name, "default", cycle, state_name)
-            prev_state_name = state_name
-            zone.set_scenario(scenario)
-            if epoch_count % 5 == 0:
-                model = ctmdpmod.from_schedule_tables([table], shift_log)
-                sol = ctmdpmod.solve_model(model)
-                if sol.status == "optimal":
-                    engine.areas["area"].objective = sol.objective
-                    t_area = {ctmdpmod.state_name(table.zone, s): table.t_area(s)
-                              for s in table.scenarios}
-                    engine.top.fg = fgraph.attach(engine.top.fg, "area", sol,
-                                                  model, t_area)
-            report = engine.reconcile(at=t)
-            reports.append((t, report))
-            cli._drain_engine_events(engine, world)
-
-    if registry is not None:
-        cli._write(os.path.join(cfg.out, "interactions.csv"),
-                   regmod.classification_report(registry))
-    if engine is not None:
-        alloc = fgraph.distribute_goals(engine.top.fg, engine.top.target,
-                                        engine.top.deadline)
-        cli._write(os.path.join(cfg.out, "goal_allocation.csv"),
-                   fgraph.allocation_to_csv(alloc))
-        cli._write(os.path.join(cfg.out, "function_graph.csv"),
-                   fgraph.graph_to_csv(engine.top.fg))
-
-    w.write_event_log(world.events, os.path.join(cfg.out, "events.log"))
-    summary = {
-        "mode": cfg.mode, "seed": cfg.seed, "horizon": cfg.horizon,
-        "entered": world.entered, "exited": world.exited,
-        "dropped": world.dropped, "remaining": world.vehicle_count(),
-    }
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(summary))
-    writer.writerow([summary[k] for k in summary])
-    cli._write(os.path.join(cfg.out, "summary.csv"), buf.getvalue())
-
-    lines = ["time,converged,passes,unresolved,safe_engaged"]
-    for at, report in reports:
-        lines.append("%.9g,%s,%d,%d,%s" % (
-            at, report.converged, report.passes, len(report.unresolved),
-            ";".join(report.safe_engaged)))
-    cli._write(os.path.join(cfg.out, "reports.csv"), "\n".join(lines) + "\n")
-    if table is not None:
-        cli._write(os.path.join(cfg.out, "schedule_table.csv"),
-                   ctgmod.table_to_csv(table))
-    return summary
+        if epochs is not None and (k + 1) % epoch_every == 0:
+            epochs.close(t)
+    return cli._write_artifacts(cfg, world, epochs, registry)
 
 
 def assert_same_artifacts(tmp_path, argv):
@@ -1064,6 +995,18 @@ class TestTickLoop:
     @pytest.mark.parametrize("mode", ["fixed", "hierarchical"])
     def test_twin_matches_dict_per_tick(self, tmp_path, data_dir, mode, seed, dt):
         assert_same_artifacts(tmp_path, twin_args(data_dir, mode, seed, dt))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zone_over_its_deadline_reaches_the_area(self, tmp_path, data_dir, seed):
+        # Every twin column takes longer than 20 s, so every pass sends a
+        # zone -> area `t_area` violation; an area has no recompute, so
+        # every reconcile runs out its budget and engages safe mode.
+        events = assert_same_artifacts(tmp_path, twin_args(
+            data_dir, "hierarchical", seed, 0.1) + ["--deadline", "20"])
+        rows = (tmp_path / "fast" / "reports.csv").read_text().splitlines()[1:]
+        assert len(rows) == 31
+        assert all(row.split(",", 1)[1] == "False,5,1,A;B" for row in rows)
+        assert re.search(r"^violation\t[^\t]+\tZ\tarea\tt_area\t", events, re.M)
 
     def test_signalized_grid(self, tmp_path):
         gen = perfbench_gen()

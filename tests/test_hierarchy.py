@@ -103,7 +103,7 @@ def build_engine(ctg, scenario, target=0, budget=5):
     zone = ZoneUnit("Z", ctg, table, ("X",), scenario, cycle=60.0)
     area = AreaUnit("area", ("Z",))
     fg = FunctionGraph((FgNode("area", PerfDistribution.point(30.0), 10.0),))
-    top = GlobalUnit("tcu", fg, target, 60.0, ("area",))
+    top = GlobalUnit("tcu", fg, target, 60.0)
     controllers = {"X": make_controller("X")}
     return HierarchyEngine(top, {"area": area}, {"Z": zone}, controllers,
                            budget=budget)
@@ -117,7 +117,7 @@ def tree_engine(areas, zones, controlled):
     fg = FunctionGraph(tuple(FgNode(aid, PerfDistribution.point(30.0), 10.0)
                              for aid in areas))
     return HierarchyEngine(
-        GlobalUnit("tcu", fg, 0, 60.0, tuple(areas)),
+        GlobalUnit("tcu", fg, 0, 60.0),
         {aid: AreaUnit(aid, zids) for aid, zids in areas.items()},
         {zid: ZoneUnit(zid, ctg, table, itus, ("L",), cycle=60.0)
          for zid, itus in zones.items()},
@@ -135,6 +135,18 @@ class TestTopology:
         engine.reconcile()
         assert {(m.source, m.target) for m in engine.messages} >= {
             ("tcu", "a2"), ("a2", "Z2"), ("Z2", "W")}
+
+    def test_every_area_gets_its_messages(self):
+        # the engine's areas are the one list of areas: each gets its goal
+        # and passes a bound to each of its zones
+        engine = tree_engine({"a1": ("Z1",), "a2": ("Z2", "Z3")},
+                             {"Z1": ("X",), "Z2": ("Y",), "Z3": ()}, ("X", "Y"))
+        msgs = engine.push_down()
+        assert [(m.source, m.target) for m in msgs
+                if m.target_level > LEVEL_INTERSECTION] == [
+            ("tcu", "a1"), ("tcu", "a2"), ("a1", "Z1"), ("a2", "Z2"), ("a2", "Z3")]
+        for zid, aid in (("Z1", "a1"), ("Z2", "a2"), ("Z3", "a2")):
+            assert engine.zones[zid].bound == engine.areas[aid].target.deadline
 
     def test_zone_in_two_areas_is_refused(self):
         with pytest.raises(ValueError, match="'Z' is listed by areas 'a1' and 'a2'"):
@@ -254,6 +266,10 @@ class TestReconcile:
         report = engine.reconcile()
         flat = [v for v in engine.messages if isinstance(v, ViolationMsg)]
         assert any(v.quantity == "throughput" and v.target == "tcu" for v in flat)
+        # the top shrinks its target by the shortfall (column L serves
+        # 4 cars), and the second pass meets it
+        assert report.converged and report.passes == 2
+        assert engine.top.target == 4
 
     def test_scenario_change_resets_preference(self):
         engine = build_engine(alternating_ctg(3), ("H",))

@@ -319,14 +319,29 @@ class TestObserveCycle:
 
 class TestZoneBalance:
     def test_residual_zero_every_window(self):
-        world = run_ring(steps=5000, vehicles=[("r1", 6), ("r4", 4)])
-        for t0 in range(0, 450, 50):
-            assert w.check_zone_balance(world, "inner", (float(t0), t0 + 50.0)) == 0
+        world = run_ring(steps=0, vehicles=[("r1", 6), ("r4", 4)])
+        for _ in range(9):
+            for _ in range(500):
+                w.step(world, {}, 0.1)
+            assert w.check_zone_balance(world, "inner") == 0
+
+    def test_corrupted_log_is_caught(self):
+        world = run_ring(steps=5000, vehicles=[("r1", 6), ("r3", 4)])
+        assert w.check_zone_balance(world, "inner") == 0
+        entries = sum(1 for ev in world.events if ev[0] == "move" and ev[4] == "r2")
+        assert entries > 0
+        lost = world.copy()
+        lost.events = [ev for ev in world.events
+                       if not (ev[0] == "move" and ev[4] == "r2")]
+        assert w.check_zone_balance(lost, "inner") == -entries
+        invented = world.copy()
+        invented.events += [("depart", world.clock, 1000 + k, "r3") for k in range(7)]
+        assert w.check_zone_balance(invented, "inner") == -7
 
     def test_unknown_zone_rejected(self):
         world = run_ring(steps=10)
         with pytest.raises(KeyError):
-            w.check_zone_balance(world, "ghost", (0.0, 1.0))
+            w.check_zone_balance(world, "ghost")
 
     def test_open_network_balance(self, twin_network_text, twin_demand_text):
         net = w.load_network(twin_network_text)
@@ -337,8 +352,9 @@ class TestZoneBalance:
             state = (SignalState.GREEN if (t % 60) < 30 else
                      SignalState.YELLOW if (t % 60) < 35 else SignalState.RED)
             w.step(world, {"A": state, "B": state}, 0.1)
-        for t0 in (0.0, 60.0, 120.0, 180.0, 240.0):
-            assert w.check_zone_balance(world, "Z", (t0, t0 + 60.0)) == 0
+            if (k + 1) % 600 == 0:
+                assert w.check_zone_balance(world, "Z") == 0
+        assert world.entered > 0 and world.vehicle_count() > 0
 
     def test_counters_cross_check_event_log(self, twin_network_text,
                                             twin_demand_text):
