@@ -22,7 +22,7 @@ from .fuzzy import (FuzzyParams, ParamRow, RuleBase, DEFAULT_RULES,
                     fuzzify, infer, defuzzify_centroid, control, surface,
                     lcu_update)
 from .hierarchy import (HierarchyEngine, ConstraintMsg, ViolationMsg,
-                        ReconcileReport, aggregate_needs)
+                        ReconcileReport)
 from .metrics import (SpecBox, EffortField, CurvePair, flexibility,
                       scalability, autonomy, efficiency, predictability)
 from .registry import (DmModule, DmRegistry, Goal, Capability, LinkRole,

@@ -153,7 +153,7 @@ def _zone_itus(net: worldmod.StreetNetwork, ctg: ctgmod.Ctg) -> tuple[str, ...]:
     """The ITUs of the network zone `ctg` names: the signalized nodes its
     member segments enter.  A network without zones is one implicit zone
     of every segment.  Each site's segment and each task's ITU must be
-    the zone's."""
+    the zone's, and each ITU's signal needs a safe mode to fall back to."""
     members = {s.id for s in net.segments}
     if net.zones:
         zone = next((z for z in net.zones if z.id == ctg.zone), None)
@@ -162,6 +162,11 @@ def _zone_itus(net: worldmod.StreetNetwork, ctg: ctgmod.Ctg) -> tuple[str, ...]:
         members = zone.members
     itus = tuple(sorted({net.segment(m).to_node for m in members}
                         & set(net.signalized_nodes())))
+    modes = {spec.intersection: spec.modes for spec in net.signals}
+    for itu in itus:
+        if not modes.get(itu):
+            where = f"[signal {itu}] modes" if itu in modes else f"[intersection {itu}]"
+            raise ValueError(f"{where}: ITU {itu} of zone {ctg.zone} has no safe mode")
     for site in ctg.sites:
         if site.segment not in members:
             raise ValueError(f"[site {site.id}] segment: {site.segment!r} is not"

@@ -3,10 +3,10 @@
 Constraints flow strictly one level down (global goal allocation to
 areas, schedule-table bounds to zones, signal timing deadlines to
 intersections); violations flow strictly one level up as quantified
-shortfalls.  A reconcile pass pushes constraints down, runs the children,
-aggregates violations and recomputes the deepest flagged parents first;
-the loop stops at convergence or degrades affected intersections to their
-safe implementation mode when the iteration budget runs out.
+shortfalls.  A reconcile pass pushes constraints down, runs the children
+and recomputes the flagged parents, deepest first.  The loop stops at
+convergence, or degrades affected intersections to their safe
+implementation mode once a pass changes nothing or the budget runs out.
 """
 
 from __future__ import annotations
@@ -65,22 +65,6 @@ class ViolationMsg:
             raise ValueError("shortfall must be > 0")
         if self.target_level != self.source_level + 1:
             raise ValueError("violations move exactly one level up")
-
-
-@dataclass(frozen=True)
-class PerformanceNeeds:
-    parent: str
-    totals: tuple[tuple[str, float], ...]  # (quantity, summed shortfall)
-
-
-def aggregate_needs(violations: list[ViolationMsg]) -> list[PerformanceNeeds]:
-    """Sum shortfalls per (parent, quantity); parents of the result are flagged."""
-    sums: dict[str, dict[str, float]] = {}
-    for v in violations:
-        sums.setdefault(v.target, {})[v.quantity] = (
-            sums.get(v.target, {}).get(v.quantity, 0.0) + v.shortfall)
-    return [PerformanceNeeds(parent, tuple(sorted(q.items())))
-            for parent, q in sorted(sums.items())]
 
 
 @dataclass
@@ -168,12 +152,14 @@ class HierarchyEngine:
                  zones: dict[str, ZoneUnit],
                  controllers: dict[str, fsmmod.IntersectionController],
                  budget: int = DEFAULT_BUDGET):
-        """Raise ValueError unless the modules form a tree: each zone in
-        one area, each ITU in one zone and under a controller."""
+        """Raise ValueError unless the modules form a tree: each zone in one
+        area, each ITU in one zone under a controller with a safe mode."""
         self.top = top
         self.areas = areas
         self.zones = zones
         self.controllers = controllers
+        if budget < 1:
+            raise ValueError(f"budget {budget} allows no reconcile pass")
         self.budget = budget
         self.messages: list[object] = []
         self.parent_of = {aid: top.id for aid in areas}
@@ -189,6 +175,8 @@ class HierarchyEngine:
             for itu in zone.itus:
                 if itu not in controllers:
                     raise ValueError(f"ITU {itu!r} of zone {zid!r} has no controller")
+                if not controllers[itu].modes:
+                    raise ValueError(f"ITU {itu!r} of zone {zid!r} has no safe mode")
 
     def _send(self, msg: ConstraintMsg | ViolationMsg) -> ConstraintMsg | ViolationMsg:
         """Log `msg` and return it."""
@@ -280,34 +268,33 @@ class HierarchyEngine:
                     return True
         return False
 
-    def _recompute_global(self, needs: list[PerformanceNeeds]) -> None:
+    def _recompute_global(self, violations: list[ViolationMsg]) -> bool:
         # Accept the documented degradation: shrink the global target by the
-        # aggregate throughput shortfall so feasible goals are re-distributed.
-        for need in needs:
-            if need.parent != self.top.id:
-                continue
-            for quantity, total in need.totals:
-                if quantity == "throughput":
-                    self.top.target = max(0, self.top.target - int(round(total)))
+        # areas' summed throughput shortfall so feasible goals are
+        # re-distributed.  True when the target moved.
+        before = self.top.target
+        self.top.target = max(0, before - int(round(sum(
+            v.shortfall for v in violations if v.target == self.top.id))))
+        return self.top.target != before
 
     def reconcile(self, at: float = 0.0) -> ReconcileReport:
-        """Push down, run children, push up, recompute; loop within budget."""
-        violations: list[ViolationMsg] = []
+        """Push down, run children, recompute; repeat while a recompute
+        changes something, within the budget."""
         for pass_n in range(1, self.budget + 1):
-            msgs = self.push_down(at)
-            violations = self.run_children(msgs, at)
+            violations = self.run_children(self.push_down(at), at)
             if not violations:
                 return ReconcileReport(True, pass_n)
-            needs = aggregate_needs(violations)
-            flagged = {n.parent for n in needs}
-            # Deepest flagged parents first: zones, then the top.  An area
-            # has no recompute: each pass resets its zones' bounds to its
-            # deadline, so a zone over that bound fails every pass.
+            flagged = {v.target for v in violations}
+            # Deepest flagged parents first: zones, then the top.  A pass
+            # after one that changed nothing would repeat it.
+            changed = False
             for zid in sorted(self.zones):
                 if zid in flagged:
-                    self._recompute_zone(self.zones[zid])
+                    changed |= self._recompute_zone(self.zones[zid])
             if self.top.id in flagged:
-                self._recompute_global(needs)
+                changed |= self._recompute_global(violations)
+            if not changed:
+                break
         # Safe mode for every intersection of a zone that failed or that
         # one of its intersections failed.
         failed = ({v.source for v in violations if v.source_level == LEVEL_ZONE}
@@ -316,5 +303,5 @@ class HierarchyEngine:
         for itu in safe_engaged:
             self.controllers[itu] = fsmmod.shortcut_to_safe(
                 self.controllers[itu], f"reconcile budget exhausted at {at}", at)
-        return ReconcileReport(False, self.budget, tuple(violations),
+        return ReconcileReport(False, pass_n, tuple(violations),
                                tuple(safe_engaged))

@@ -1,11 +1,12 @@
-"""Oracles for the timing code of `civitas.fsm`.
+"""Oracles for the timing code of `civitas.fsm` and the reconcile loop.
 
 Two independent checkers step through time instead of reasoning about
 the cycle's regions: sampled replays of a signal against its deadlines
 and schedules.  The green-split rule is also kept here in its earlier
 form, one hand-written region layout per anchor and a probe signal per
 anchor rotation, which `fsm.apply_timing_constraints` must match bit
-for bit.
+for bit.  The reconcile loop is kept in its budget-only form, which runs
+passes until convergence or the budget even when a pass changed nothing.
 """
 
 from dataclasses import replace
@@ -13,7 +14,9 @@ from dataclasses import replace
 from civitas.ctg import RUN_END_BACKOFF, ZoneSchedule
 from civitas.fsm import (_EDGE_EPS, CYCLIC_ORDER, GREEN_MIN, RED_MIN,
                          ConstraintShortfall, InfeasibilityReport, SignalFsm,
-                         SignalState, TimingConstraint, _satisfied, _shortfall)
+                         SignalState, TimingConstraint, _satisfied, _shortfall,
+                         shortcut_to_safe)
+from civitas.hierarchy import LEVEL_ZONE, HierarchyEngine, ReconcileReport
 
 
 def check_constraints_by_replay(fsm: SignalFsm,
@@ -131,3 +134,30 @@ def probe_apply_timing_constraints(fsm: SignalFsm, constraints):
         for c in constraints if not _satisfied(fsm, c)
     )
     return InfeasibilityReport(entries)
+
+
+def budget_reconcile(engine: HierarchyEngine, at: float = 0.0) -> ReconcileReport:
+    """`engine.reconcile` as a loop that only the budget ends: each pass
+    pushes down, runs the children, recomputes the flagged zones and
+    shrinks the top's target by the summed throughput shortfall."""
+    for pass_n in range(1, engine.budget + 1):
+        violations = engine.run_children(engine.push_down(at), at)
+        if not violations:
+            return ReconcileReport(True, pass_n)
+        flagged = {v.target for v in violations}
+        for zid in sorted(engine.zones):
+            if zid in flagged:
+                engine._recompute_zone(engine.zones[zid])
+        if engine.top.id in flagged:
+            total = 0.0
+            for v in violations:
+                if v.target == engine.top.id and v.quantity == "throughput":
+                    total += v.shortfall
+            engine.top.target = max(0, engine.top.target - int(round(total)))
+    failed = ({v.source for v in violations if v.source_level == LEVEL_ZONE}
+              | {v.target for v in violations if v.target_level == LEVEL_ZONE})
+    safe_engaged = sorted({itu for zid in failed for itu in engine.zones[zid].itus})
+    for itu in safe_engaged:
+        engine.controllers[itu] = shortcut_to_safe(
+            engine.controllers[itu], f"reconcile budget exhausted at {at}", at)
+    return ReconcileReport(False, engine.budget, tuple(violations), tuple(safe_engaged))

@@ -172,6 +172,14 @@ MALFORMED_VALUES = [
      "[signal A] modes"),
     ("simulate", "twin.network", "anchor = Green", "anchor = Purple",
      "[signal A] anchor"),
+    # a zone's signal with no safe mode to fall back to
+    ("simulate", "twin.network",
+     "modes = fast:0.01:5, normal:0.1:1, safe:1.0:0.2\nsafe_mode = safe\n", "",
+     "[signal A] modes: ITU A of zone Z has no safe mode"),
+    ("simulate", "twin.network",
+     "[signal A]\ngreen = 30\nyellow = 5\nred = 25\noffset = 0\nanchor = Green\n"
+     "modes = fast:0.01:5, normal:0.1:1, safe:1.0:0.2\nsafe_mode = safe\n", "",
+     "[intersection A]: ITU A of zone Z has no safe mode"),
     ("simulate", "twin.network", "green = 30", "green = -5", "[signal A] green"),
     # splits below fsm's minimums: 1 s green and red, 3 s yellow
     ("simulate", "twin.network", "yellow = 5", "yellow = 1e-300", "[signal A] yellow"),

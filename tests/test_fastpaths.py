@@ -998,15 +998,16 @@ class TestTickLoop:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_zone_over_its_deadline_reaches_the_area(self, tmp_path, data_dir, seed):
-        # Every twin column takes longer than 20 s, so every pass sends a
-        # zone -> area `t_area` violation; an area has no recompute, so
-        # every reconcile runs out its budget and engages safe mode.
+        # Every twin column takes longer than 20 s, so the first pass sends
+        # a zone -> area `t_area` violation; an area has no recompute, so
+        # every reconcile stops after that pass and engages safe mode.
         events = assert_same_artifacts(tmp_path, twin_args(
             data_dir, "hierarchical", seed, 0.1) + ["--deadline", "20"])
         rows = (tmp_path / "fast" / "reports.csv").read_text().splitlines()[1:]
         assert len(rows) == 31
-        assert all(row.split(",", 1)[1] == "False,5,1,A;B" for row in rows)
-        assert re.search(r"^violation\t[^\t]+\tZ\tarea\tt_area\t", events, re.M)
+        assert all(row.split(",", 1)[1] == "False,1,1,A;B" for row in rows)
+        assert len(re.findall(r"^violation\t[^\t]+\tZ\tarea\tt_area\t", events,
+                              re.M)) == 31
 
     def test_signalized_grid(self, tmp_path):
         gen = perfbench_gen()

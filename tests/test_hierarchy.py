@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +10,8 @@ from civitas.fgraph import FgNode, FunctionGraph, PerfDistribution
 from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                LEVEL_ZONE, AreaUnit, ConstraintMsg,
                                GlobalUnit, HierarchyEngine, ViolationMsg,
-                               ZoneUnit, aggregate_needs)
-from tests.replay import check_schedule_admission
+                               ZoneUnit)
+from tests.replay import budget_reconcile, check_schedule_admission
 
 
 def make_controller(itu_id, offset=0.0):
@@ -109,9 +112,9 @@ def build_engine(ctg, scenario, target=0, budget=5):
                            budget=budget)
 
 
-def tree_engine(areas, zones, controlled):
+def tree_engine(areas, zones, controlled, controller=make_controller):
     """An engine whose areas and zones list the given children, with a
-    controller for each id in `controlled`."""
+    `controller` for each id in `controlled`."""
     ctg = alternating_ctg(2)
     table = ctgmod.build_table(ctg)
     fg = FunctionGraph(tuple(FgNode(aid, PerfDistribution.point(30.0), 10.0)
@@ -121,14 +124,30 @@ def tree_engine(areas, zones, controlled):
         {aid: AreaUnit(aid, zids) for aid, zids in areas.items()},
         {zid: ZoneUnit(zid, ctg, table, itus, ("L",), cycle=60.0)
          for zid, itus in zones.items()},
-        {itu: make_controller(itu) for itu in controlled})
+        {itu: controller(itu) for itu in controlled})
+
+
+def two_area_engine():
+    """Area a1 over zone Z1 at X; area a2 over Z2 at Y and W, and Z3."""
+    return tree_engine({"a1": ("Z1",), "a2": ("Z2", "Z3")},
+                       {"Z1": ("X",), "Z2": ("Y", "W"), "Z3": ()}, ("W", "X", "Y"))
+
+
+@st.composite
+def reconciles(draw):
+    """A zone search or the two-area engine, under a random top target,
+    area objectives and budget."""
+    engine = draw(zone_searches()) if draw(st.booleans()) else two_area_engine()
+    engine.top.target = draw(st.sampled_from((0, 5, 16, 1000)))
+    for area in engine.areas.values():
+        area.objective = draw(st.sampled_from((None, 4.6, 12.0)))
+    engine.budget = draw(st.integers(1, 6))
+    return engine
 
 
 class TestTopology:
     def test_a_tree_maps_each_module_to_its_parent(self):
-        engine = tree_engine({"a1": ("Z1",), "a2": ("Z2", "Z3")},
-                             {"Z1": ("X",), "Z2": ("Y", "W"), "Z3": ()},
-                             ("W", "X", "Y"))
+        engine = two_area_engine()
         assert engine.parent_of == {"a1": "tcu", "a2": "tcu", "Z1": "a1",
                                     "Z2": "a2", "Z3": "a2", "X": "Z1",
                                     "Y": "Z2", "W": "Z2"}
@@ -159,6 +178,16 @@ class TestTopology:
     def test_itu_without_controller_is_refused(self):
         with pytest.raises(ValueError, match="ITU 'Y' of zone 'Z' has no controller"):
             tree_engine({"area": ("Z",)}, {"Z": ("X", "Y")}, ("X",))
+
+    def test_budget_without_a_pass_is_refused(self):
+        with pytest.raises(ValueError, match="budget 0 allows no reconcile pass"):
+            build_engine(alternating_ctg(2), ("L",), budget=0)
+
+    def test_itu_without_safe_mode_is_refused(self):
+        def modeless(itu):
+            return replace(make_controller(itu), modes=(), active_mode="")
+        with pytest.raises(ValueError, match="ITU 'X' of zone 'Z' has no safe mode"):
+            tree_engine({"area": ("Z",)}, {"Z": ("X",)}, ("X",), modeless)
 
 
 class TestMessages:
@@ -198,24 +227,6 @@ class TestPushDown:
         assert constraints
 
 
-class TestPushUp:
-    def test_no_violations_no_needs(self):
-        assert aggregate_needs([]) == []
-
-    def test_shortfalls_sum_per_quantity(self):
-        vs = [ViolationMsg(LEVEL_INTERSECTION, LEVEL_ZONE, "X1", "Z", "cars", 5.0, 0.0),
-              ViolationMsg(LEVEL_INTERSECTION, LEVEL_ZONE, "X2", "Z", "cars", 5.0, 0.0)]
-        needs = aggregate_needs(vs)
-        assert needs[0].parent == "Z"
-        assert dict(needs[0].totals) == {"cars": 10.0}
-
-    def test_mixed_quantities_grouped(self):
-        vs = [ViolationMsg(LEVEL_INTERSECTION, LEVEL_ZONE, "X", "Z", "cars", 5.0, 0.0),
-              ViolationMsg(LEVEL_INTERSECTION, LEVEL_ZONE, "X", "Z", "seconds", 2.0, 0.0)]
-        needs = aggregate_needs(vs)
-        assert dict(needs[0].totals) == {"cars": 5.0, "seconds": 2.0}
-
-
 class TestReconcile:
     def test_satisfiable_converges_first_pass(self):
         engine = build_engine(alternating_ctg(2), ("L",))
@@ -235,7 +246,7 @@ class TestReconcile:
         out = engine.controllers["X"].fsm
         assert check_schedule_admission(out, sched, "X") == []
 
-    def test_contradiction_exhausts_budget_and_engages_safe_mode(self):
+    def test_contradiction_stalls_and_engages_safe_mode(self):
         ctg = alternating_ctg(3)
         # both columns heavy-style: make the light branch alternate too
         tasks = list(ctg.tasks) + [
@@ -247,8 +258,10 @@ class TestReconcile:
         bad = ctgmod.Ctg(ctg.sites, tuple(tasks), tuple(arcs), clearance=5.0)
         engine = build_engine(bad, ("H",), budget=3)
         report = engine.reconcile()
+        # the zone finds no column its intersection serves, so a second
+        # pass would repeat the first
         assert not report.converged
-        assert report.passes == 3
+        assert report.passes == 1
         assert report.unresolved
         assert "X" in report.safe_engaged
         assert engine.controllers["X"].active_mode == "safe"
@@ -270,6 +283,47 @@ class TestReconcile:
         # 4 cars), and the second pass meets it
         assert report.converged and report.passes == 2
         assert engine.top.target == 4
+
+    def test_top_shortfall_rounding_to_zero_ends_after_one_pass(self):
+        # 4.6 expected cars against a target of 5: the top shrinks its
+        # target by round(0.4) = 0, so a second pass would repeat the first
+        engine = build_engine(alternating_ctg(2), ("L",), target=5)
+        engine.areas["area"].objective = 4.6
+        report = engine.reconcile()
+        assert not report.converged and report.passes == 1
+        assert len(engine.messages) == 4 and engine.top.target == 5
+
+    @pytest.mark.parametrize("budget, converged", [(4, False), (5, True)])
+    def test_budget_ends_a_loop_that_changes_every_pass(self, budget, converged):
+        # The top sums both areas' shortfalls on pass 1 (1000 -> 12), then
+        # shrinks its target on every pass until a1's share is met at 8.
+        engine = two_area_engine()
+        engine.top.target, engine.budget = 1000, budget
+        report = engine.reconcile()
+        shortfalls = [(v.source, v.shortfall) for v in engine.messages
+                      if isinstance(v, ViolationMsg)]
+        assert shortfalls[:2] == [("a1", 496.0), ("a2", 492.0)]
+        assert report.converged is converged and report.passes == budget
+        assert engine.top.target == 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(reconciles())
+    def test_loop_matches_budget_only_oracle(self, engine):
+        oracle = copy.deepcopy(engine)
+        report, expected = engine.reconcile(), budget_reconcile(oracle)
+        assert (report.converged, report.unresolved, report.safe_engaged) == (
+            expected.converged, expected.unresolved, expected.safe_engaged)
+        assert engine.controllers == oracle.controllers
+        assert engine.top.target == oracle.top.target
+        for zid, zone in engine.zones.items():
+            assert (zone.choice, zone.rejected) == (
+                oracle.zones[zid].choice, oracle.zones[zid].rejected)
+        # the oracle's passes beyond the loop's repeat the loop's last pass
+        n, repeats = len(engine.messages), expected.passes - report.passes
+        assert oracle.messages[:n] == engine.messages and repeats >= 0
+        extra = oracle.messages[n:]
+        last = extra[:len(extra) // repeats] if repeats else []
+        assert extra == last * repeats and engine.messages[n - len(last):] == last
 
     def test_scenario_change_resets_preference(self):
         engine = build_engine(alternating_ctg(3), ("H",))
