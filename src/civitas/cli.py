@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import logging
 import math
@@ -19,21 +20,19 @@ import operator
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import ctg as ctgmod
-from . import ctmdp as ctmdpmod
-from . import fgraph as fgmod
-from . import fsm as fsmmod
-from . import fuzzy as fuzzymod
-from . import hierarchy as hiermod
-from . import metrics as metricsmod
-from . import registry as regmod
-from . import world as worldmod
 from .textfmt import ParseError, finite, integer, parse_sections
+
+if TYPE_CHECKING:  # each command imports the modules it runs
+    from . import ctg as ctgmod
+    from . import ctmdp as ctmdpmod
+    from . import fsm as fsmmod
+    from . import hierarchy as hiermod
+    from . import registry as regmod
+    from . import world as worldmod
 
 logger = logging.getLogger("civitas")
 
@@ -85,6 +84,7 @@ class RunConfig:
     deadline: float | None = None
 
     def __post_init__(self):
+        from .world import step_units
         if self.seed < 0:
             raise ConfigError("--seed must be >= 0")
         if self.target is not None and self.target < 0:
@@ -102,7 +102,7 @@ class RunConfig:
             raise ConfigError(f"--horizon {self.horizon:g} / --dt {self.dt:g}"
                               " rounds to no tick")
         with _naming("--dt"):
-            worldmod.step_units(self.dt)
+            step_units(self.dt)
         if self.mode not in ("fixed", "hierarchical"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "hierarchical" and not self.ctg:
@@ -111,6 +111,7 @@ class RunConfig:
 
 def _build_controllers(net: worldmod.StreetNetwork
                        ) -> dict[str, fsmmod.IntersectionController]:
+    from . import fsm as fsmmod
     controllers = {}
     for spec in net.signals:
         controllers[spec.intersection] = fsmmod.IntersectionController(
@@ -120,27 +121,6 @@ def _build_controllers(net: worldmod.StreetNetwork
             fsm = fsmmod.SignalFsm(*fsmmod.DEFAULT_SPLITS)
             controllers[node] = fsmmod.IntersectionController(node, fsm)
     return controllers
-
-
-def _maybe_early_switch(net: worldmod.StreetNetwork, world: worldmod.WorldState,
-                        ctrl: fsmmod.IntersectionController,
-                        t: float) -> fsmmod.IntersectionController:
-    """Cut a dwell short when the admitted approach is empty.
-
-    Only used while no zone timing constraints are active (fixed mode);
-    pools of vehicles must keep following the coordinated tables.
-    """
-    state = ctrl.fsm.state_at(t)
-    if state is fsmmod.SignalState.YELLOW:
-        return ctrl
-    admitted = 2 if state is fsmmod.SignalState.GREEN else 1
-    queues = {1: 0, 2: 0}
-    for seg_id in net.incoming()[ctrl.id]:
-        queues[net.segment(seg_id).approach] += len(world.queues[seg_id])
-    if queues[admitted] == 0 and queues[3 - admitted] > 0:
-        world.log("early_switch", t, ctrl.id)
-        return replace(ctrl, fsm=fsmmod.skip_to_next_state(ctrl.fsm, t))
-    return ctrl
 
 
 def _payload_desc(payload: object) -> str:
@@ -180,19 +160,22 @@ def _zone_itus(net: worldmod.StreetNetwork, ctg: ctgmod.Ctg) -> tuple[str, ...]:
 
 def load_simulation(cfg: RunConfig) -> tuple:
     """The inputs of a run: the phase of `simulate` whose errors exit 1."""
+    from . import world as worldmod
     net = _load(cfg.network, "network", worldmod.load_network)
     demand = _load(cfg.demand, "demand", worldmod.load_demand)
     with _naming(f"network {cfg.network} with demand {cfg.demand}"):
         world = worldmod.make_world(net, demand, cfg.horizon, cfg.seed)
     ctg = table = itus = registry = None
     if cfg.mode == "hierarchical":
+        from . import ctg as ctgmod
         ctg = _load(cfg.ctg, "ctg", ctgmod.load_ctg)
         with _naming(f"ctg {cfg.ctg} on network {cfg.network}"):
             itus = _zone_itus(net, ctg)
         with _naming(f"ctg {cfg.ctg}"):
             table = ctgmod.build_table(ctg)
     if cfg.registry:
-        registry = _load(cfg.registry, "registry", regmod.load_registry)
+        from .registry import load_registry
+        registry = _load(cfg.registry, "registry", load_registry)
     return net, world, ctg, table, itus, registry
 
 
@@ -206,6 +189,10 @@ class EpochLoop:
                  itus: tuple[str, ...],
                  controllers: dict[str, fsmmod.IntersectionController],
                  cycle: float, world: worldmod.WorldState):
+        from . import ctg as ctgmod
+        from . import ctmdp as ctmdpmod
+        from . import fgraph as fgmod
+        from . import hierarchy as hiermod
         initial = tuple(s.labels[0] for s in ctg.sites)
         self.zone = hiermod.ZoneUnit(ctg.zone, ctg, table, itus, initial, cycle)
         self.area = hiermod.AreaUnit("area", (self.zone.id,))
@@ -232,6 +219,9 @@ class EpochLoop:
         """End the epoch at `t`: observe each site over the last cycle,
         classify the scenario, log the shift, re-solve the area CTMDP every
         fifth epoch and attach it to the function graph, then reconcile."""
+        from . import ctmdp as ctmdpmod
+        from . import world as worldmod
+        from .fgraph import attach
         self.count += 1
         scenario = tuple(est.observe(worldmod.observe_cycle(
             self.world, est.site.segment, (t - self.cycle, t)).n)
@@ -247,16 +237,17 @@ class EpochLoop:
             if sol.status == "optimal":
                 self.area.objective = sol.objective
                 top = self.engine.top
-                top.fg = fgmod.attach(top.fg, "area", sol, model, self.t_area)
+                top.fg = attach(top.fg, "area", sol, model, self.t_area)
         self._reconcile(t)
 
     def _reconcile(self, t: float) -> None:
         """Reconcile at `t`, then log the engine's messages and the
         controllers' events to the world."""
+        from .hierarchy import ConstraintMsg
         engine, log = self.engine, self.world.log
         self.reports.append((t, engine.reconcile(at=t)))
         for msg in engine.messages:
-            if isinstance(msg, hiermod.ConstraintMsg):
+            if isinstance(msg, ConstraintMsg):
                 log("constraint", msg.issued_at, msg.source, msg.target,
                     _payload_desc(msg.payload))
             else:
@@ -270,6 +261,7 @@ class EpochLoop:
 
 
 def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
+    from . import world as worldmod
     os.makedirs(cfg.out, exist_ok=True)
     net, world, ctg, table, itus, registry = inputs or load_simulation(cfg)
     controllers = _build_controllers(net)
@@ -295,7 +287,7 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     for t in worldmod.tick_times(cfg.dt, ticks):
         for node in early:
             ctrl = controllers[node]
-            switched = _maybe_early_switch(net, world, ctrl, t)
+            switched = worldmod.early_switch(world, ctrl, t)
             if switched is not ctrl:
                 controllers[node] = switched
                 fsms = current_fsms()
@@ -321,10 +313,13 @@ def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
                      registry: regmod.DmRegistry | None) -> dict:
     """Write every artifact of a finished run into `cfg.out`; return the
     summary.  `epochs` is None in fixed mode."""
+    from . import world as worldmod
     if registry is not None:
+        from .registry import classification_report
         _write(os.path.join(cfg.out, "interactions.csv"),
-               regmod.classification_report(registry))
+               classification_report(registry))
     if epochs is not None:
+        from . import fgraph as fgmod
         top = epochs.engine.top
         alloc = fgmod.distribute_goals(top.fg, top.target, top.deadline)
         _write(os.path.join(cfg.out, "goal_allocation.csv"),
@@ -350,8 +345,9 @@ def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
             ";".join(report.safe_engaged)))
     _write(os.path.join(cfg.out, "reports.csv"), "\n".join(lines) + "\n")
     if epochs is not None:
+        from .ctg import table_to_csv
         _write(os.path.join(cfg.out, "schedule_table.csv"),
-               ctgmod.table_to_csv(epochs.table))
+               table_to_csv(epochs.table))
     return summary
 
 
@@ -364,27 +360,29 @@ def cmd_simulate(args):
 
 
 def _load_table(path: str, objective: str = "makespan") -> ctgmod.ScheduleTable:
-    return _load(path, "ctg", lambda text: ctgmod.build_table(ctgmod.load_ctg(text),
-                                                               objective))
+    from .ctg import build_table, load_ctg
+    return _load(path, "ctg", lambda text: build_table(load_ctg(text), objective))
 
 
 def cmd_schedule(args):
+    from .ctg import table_to_csv
     table = _load_table(args.ctg, args.objective)
 
     def run():
-        _write(os.path.join(args.out, "schedule_table.csv"), ctgmod.table_to_csv(table))
+        _write(os.path.join(args.out, "schedule_table.csv"), table_to_csv(table))
         logger.info("schedule: %d columns", len(table.scenarios))
     return run
 
 
 def _parse_shift_log(path: str, text: str, states: set[str]) -> ctmdpmod.ShiftLog:
     """The shift log at `path`, whose states (and next states) are `states`."""
+    from .ctmdp import ShiftLog
     reader = csv.DictReader(io.StringIO(text), restval="")
     missing = [c for c in ("state", "action", "dwell")
                if c not in (reader.fieldnames or ())]
     if missing:
         raise ParseError(f"missing column {', '.join(missing)}")
-    log = ctmdpmod.ShiftLog()
+    log = ShiftLog()
     for row in reader:
         for column in ("state", "next"):  # an empty next means no shift
             name = row.get(column)
@@ -401,6 +399,7 @@ def _parse_shift_log(path: str, text: str, states: set[str]) -> ctmdpmod.ShiftLo
 
 
 def cmd_ctmdp(args):
+    from . import ctmdp as ctmdpmod
     if args.model:
         model = _load(args.model, "model", ctmdpmod.model_from_csv)
     elif args.ctg and args.shifts:
@@ -427,6 +426,9 @@ def cmd_ctmdp(args):
 
 
 def cmd_fuzzy_surface(args):
+    import numpy as np
+
+    from . import fuzzy as fuzzymod
     with _naming(f"params {args.params!r}"):
         m, M, MI = (float(x) for x in args.params.split(","))
         params = fuzzymod.FuzzyParams.uniform(m, M, MI)
@@ -469,6 +471,9 @@ def _parse_rule(sec, attrs: dict):
 
 def _metric_row(sec, base: str) -> tuple[str, str, str]:
     """The metrics.csv row of one job section; `base` resolves its files."""
+    import numpy as np
+
+    from . import metrics as metricsmod
     if sec.kind == "scalability":
         value = metricsmod.scalability(*(sec.number(key) for key in
                                          ("p1", "cost1", "p2", "cost2")))
@@ -544,16 +549,19 @@ def cmd_metrics(args):
 
 
 def cmd_classify(args):
-    reg = _load(args.registry, "registry", regmod.load_registry)
+    from .registry import classification_report, load_registry
+    reg = _load(args.registry, "registry", load_registry)
 
     def run():
         _write(os.path.join(args.out, "interactions.csv"),
-               regmod.classification_report(reg))
+               classification_report(reg))
         logger.info("classify: %d links", len(reg.links()))
     return run
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: `main` only reads it."""
     parser = _Parser(prog="civitas", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

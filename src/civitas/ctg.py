@@ -11,14 +11,13 @@ and each schedule maps down to signal timing constraints.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
-
-import statistics
 
 from .fsm import TimingConstraint, admitting_state
 from .textfmt import ParseError, parse_sections
@@ -475,7 +474,8 @@ class RunningMedianThreshold:
 
     The configured threshold seeds the history so early cycles behave as
     authored; every observed per-cycle count then shifts the boundary
-    toward the running median of the site's own traffic.
+    toward the running median of the site's own traffic.  The history is
+    kept sorted, so the median is read from its middle.
     """
 
     def __init__(self, site: ConditionSite):
@@ -484,12 +484,14 @@ class RunningMedianThreshold:
 
     @property
     def threshold(self) -> float:
-        return statistics.median(self.history)
+        h = self.history
+        mid = len(h) // 2
+        return h[mid] if len(h) % 2 else (h[mid - 1] + h[mid]) / 2
 
     def observe(self, n: float) -> str:
         if len(self.site.labels) == 2:
             label = self.site.labels[0] if n <= self.threshold else self.site.labels[1]
         else:
             label = self.site.label_for(n)  # multi-label sites keep static bounds
-        self.history.append(float(n))
+        bisect.insort(self.history, float(n))
         return label

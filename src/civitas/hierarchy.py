@@ -279,7 +279,9 @@ class HierarchyEngine:
 
     def reconcile(self, at: float = 0.0) -> ReconcileReport:
         """Push down, run children, recompute; repeat while a recompute
-        changes something, within the budget."""
+        changes something, within the budget.  A loop that does not
+        converge engages safe mode, logged as stalled when it stopped
+        before its last pass and as out of budget otherwise."""
         for pass_n in range(1, self.budget + 1):
             violations = self.run_children(self.push_down(at), at)
             if not violations:
@@ -300,8 +302,9 @@ class HierarchyEngine:
         failed = ({v.source for v in violations if v.source_level == LEVEL_ZONE}
                   | {v.target for v in violations if v.target_level == LEVEL_ZONE})
         safe_engaged = sorted({itu for zid in failed for itu in self.zones[zid].itus})
+        why = "stalled" if pass_n < self.budget else "budget exhausted"
         for itu in safe_engaged:
             self.controllers[itu] = fsmmod.shortcut_to_safe(
-                self.controllers[itu], f"reconcile budget exhausted at {at}", at)
+                self.controllers[itu], f"reconcile {why} at {at}", at)
         return ReconcileReport(False, pass_n, tuple(violations),
                                tuple(safe_engaged))

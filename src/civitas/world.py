@@ -15,14 +15,15 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .fsm import (DEFAULT_SPLITS, GREEN_MIN, RED_MIN, YELLOW_MIN,
-                  ImplementationMode, SignalFsm, SignalState)
+                  ImplementationMode, IntersectionController, SignalFsm,
+                  SignalState, skip_to_next_state)
 from .textfmt import ParseError, Section, finite, parse_sections
 
 DEFAULT_HEADWAY = 2.0
@@ -784,6 +785,28 @@ def _next_due(world: WorldState, timers: list[tuple[float, int]]) -> float:
     if world.arrival_idx < len(world.arrivals):
         due = min(due, world.arrivals[world.arrival_idx][0])
     return due
+
+
+def early_switch(world: WorldState, ctrl: IntersectionController,
+                 t: float) -> IntersectionController:
+    """`ctrl` with its dwell cut short at `t` when the approach it admits is
+    empty and the other is not; `ctrl` itself otherwise.
+
+    Only used while no zone timing constraints are active (fixed mode);
+    pools of vehicles must keep following the coordinated tables.
+    """
+    state = ctrl.fsm.state_at(t)
+    if state is SignalState.YELLOW:
+        return ctrl
+    admitted = 2 if state is SignalState.GREEN else 1
+    net = world.network
+    queues = {1: 0, 2: 0}
+    for seg_id in net.incoming()[ctrl.id]:
+        queues[net.segment(seg_id).approach] += len(world.queues[seg_id])
+    if queues[admitted] == 0 and queues[3 - admitted] > 0:
+        world.log("early_switch", t, ctrl.id)
+        return replace(ctrl, fsm=skip_to_next_state(ctrl.fsm, t))
+    return ctrl
 
 
 def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> Observation:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from civitas import cli
 from civitas import ctmdp as ctmdpmod
 from civitas import fsm as fsmmod
+from civitas import fuzzy as fuzzymod
 from civitas import world as worldmod
 from civitas.textfmt import parse_sections
 
@@ -525,7 +526,7 @@ class TestFuzzySurface:
         # 100000 x 100000 points exited 2 ("Unable to allocate 74.5 GiB");
         # the stub raises what numpy raised, so nothing is allocated
         error = MemoryError("Unable to allocate 74.5 GiB")
-        with mock.patch.object(cli.fuzzymod, "surface", side_effect=error) as surface:
+        with mock.patch.object(fuzzymod, "surface", side_effect=error) as surface:
             rc = cli.main(["fuzzy-surface", "0.5,1,1.2", "100000",
                            "--out", str(tmp_path)])
         assert rc == 1 and surface.call_args.kwargs["n"] == 100000
@@ -1100,7 +1101,7 @@ def test_simulate_flags_build_or_name_the_flag(horizon, dt, deadline, seed, targ
         return
     assert cfg.seed >= 0 and (target is None or target >= 0)
     assert deadline is None or 0 < deadline < math.inf
-    assert round(horizon / dt) >= 1 and cli.worldmod.step_units(dt) >= 1
+    assert round(horizon / dt) >= 1 and worldmod.step_units(dt) >= 1
 
 
 # The flags of the other commands, one drawn value at a time.  Paths are

@@ -1,7 +1,9 @@
 import itertools
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from civitas import fsm as fsmmod
 from civitas.ctg import (ConditionSite, Ctg, CtgTask, RunningMedianThreshold,
@@ -253,6 +255,19 @@ class TestThresholds:
         for n in (10, 10, 10, 10):
             est.observe(n)
         assert est.threshold == 10.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((0.5, 5.0, 6.0, 11.5)),
+           st.lists(st.integers(0, 12) | st.sampled_from((2.5, 6.0, 7.5)), max_size=60))
+    def test_threshold_is_the_statistics_median(self, seed, counts):
+        # the oracle: `statistics.median` of the seed and every count so
+        # far, in arrival order (ties and even lengths included)
+        est = RunningMedianThreshold(ConditionSite("c", thresholds=(seed,)))
+        seen = [seed]
+        for n in counts:
+            assert est.observe(n) == ("L" if n <= statistics.median(seen) else "H")
+            seen.append(float(n))
+            assert est.threshold == statistics.median(seen)
 
     def test_strictly_increasing_thresholds_required(self):
         with pytest.raises(ValueError):

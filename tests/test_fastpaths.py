@@ -25,6 +25,7 @@ compared by status and objective; HiGHS is a second oracle.
 
 import csv
 import heapq
+import importlib
 import importlib.util
 import io
 import itertools
@@ -345,7 +346,7 @@ def _twin_hier_world(data_dir, tmp_dir):
     cfg = cli.RunConfig(str(data_dir / "twin.network"),
                         str(data_dir / "twin.demand"), str(data_dir / "twin.ctg"),
                         None, 900.0, 17, str(tmp_dir), "hierarchical")
-    with mock.patch.object(cli.worldmod, "observe_cycle", checked):
+    with mock.patch.object(w, "observe_cycle", checked):
         cli.run_simulation(cfg)
     assert len(seen) == 3 * 15
     return seen[-1]
@@ -625,14 +626,131 @@ class TestConnectivity:
                 w.StreetNetwork(segments, intersections)
 
 
-def test_import_leaves_networkx_out():
+# ------------------------------------------------ import scope and API
+#
+# Each check runs in a fresh interpreter: `import civitas` loads no module,
+# and each command loads only the modules it runs.
+
+def fresh_python(code, cwd=None):
+    """Run `code` in a new interpreter that imports this source tree."""
     src = str(Path(civitas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_networkx_out():
     code = "import sys, civitas, civitas.cli; sys.exit('networkx' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_python(code)
     assert done.returncode == 0, done.stderr or "networkx was imported"
+
+
+def test_package_import_loads_no_module():
+    done = fresh_python(
+        "import sys, civitas; print(sorted(m for m in sys.modules if 'civitas' in m))\n"
+        "import civitas.cli; print(sorted(m for m in sys.modules if 'civitas' in m),"
+        " 'numpy' in sys.modules)\n"
+        "print(civitas.simplex.__name__)")  # a module is imported on first use
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "['civitas']", "['civitas', 'civitas.cli', 'civitas.textfmt'] False",
+        "civitas.simplex"]
+
+
+SIMULATE_TWIN = ("simulate --network {data}/twin.network --demand {data}/twin.demand"
+                 " --horizon 120 --seed 1 --out {out}")
+HIERARCHY = ("civitas.ctg", "civitas.ctmdp", "civitas.simplex", "civitas.fgraph",
+             "civitas.hierarchy")
+OFFLINE = ("civitas.fuzzy", "civitas.metrics", "civitas.registry")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (SIMULATE_TWIN, HIERARCHY + OFFLINE),
+    (SIMULATE_TWIN + " --mode hierarchical --ctg {data}/twin.ctg", OFFLINE),
+    ("schedule --ctg {data}/twin.ctg --out {out}", ("numpy",)),
+    ("classify --registry {data}/city.registry --out {out}", ("numpy",)),
+], ids=["simulate-fixed", "simulate-hierarchical", "schedule", "classify"])
+def test_command_loads_only_its_modules(data_dir, tmp_path, argv, absent):
+    argv = argv.format(data=data_dir, out=tmp_path / "out").split()
+    done = fresh_python(
+        f"import sys\nfrom civitas import cli\nassert cli.main({argv!r}) == 0\n"
+        f"print(sorted(set({list(absent)!r}) & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n", f"{argv[0]} loaded {done.stdout.strip()}"
+
+
+# The package's names at the time they were first imported eagerly, by the
+# module that defines them.
+PACKAGE_NAMES = {
+    "fsm": ("SignalFsm", "SignalState", "TimingConstraint", "ImplementationMode",
+            "IntersectionController", "apply_timing_constraints", "shortcut_to_safe"),
+    "ctg": ("Ctg", "CtgTask", "ConditionSite", "ScheduleTable", "ZoneSchedule",
+            "enumerate_scenarios", "resolve", "schedule", "build_table",
+            "derive_timing_constraints", "load_ctg"),
+    "ctmdp": ("Ctmdp", "ShiftLog", "make_ctmdp", "from_schedule_tables", "build_lp",
+              "solve_model", "extract_policy"),
+    "fgraph": ("PerfDistribution", "FunctionGraph", "FgNode", "GoalAllocation",
+               "attach", "evaluate", "distribute_goals"),
+    "fuzzy": ("FuzzyParams", "ParamRow", "RuleBase", "DEFAULT_RULES", "fuzzify",
+              "infer", "defuzzify_centroid", "control", "surface", "lcu_update"),
+    "hierarchy": ("HierarchyEngine", "ConstraintMsg", "ViolationMsg", "ReconcileReport"),
+    "metrics": ("SpecBox", "EffortField", "CurvePair", "flexibility", "scalability",
+                "autonomy", "efficiency", "predictability"),
+    "registry": ("DmModule", "DmRegistry", "Goal", "Capability", "LinkRole",
+                 "InteractionKind", "load_registry"),
+    "world": ("StreetNetwork", "RoadSegment", "WorldState", "DemandProfile",
+              "load_network", "load_demand", "make_world", "step", "observe_cycle",
+              "check_zone_balance"),
+}
+
+
+class TestPackageApi:
+    def test_all_lists_the_package_names(self):
+        names = [n for names in PACKAGE_NAMES.values() for n in names]
+        assert len(names) == 71 and civitas.__all__ == names
+        assert civitas.__version__ == "0.1.0"
+
+    def test_each_name_is_its_module_attribute(self):
+        for module, names in PACKAGE_NAMES.items():
+            mod = importlib.import_module(f"civitas.{module}")
+            assert getattr(civitas, module) is mod
+            for name in names:
+                assert getattr(civitas, name) is getattr(mod, name), name
+
+    def test_star_import_and_dir_list_every_name(self):
+        namespace = {}
+        exec("from civitas import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(civitas.__all__)
+        assert set(civitas.__all__) <= set(dir(civitas))
+
+    def test_unknown_name_is_named(self):
+        with pytest.raises(AttributeError, match="'civitas' has no attribute 'no_such'"):
+            civitas.no_such  # noqa: B018
+
+
+def test_one_parser_serves_every_command_of_a_process(data_dir, tmp_path):
+    """A fixed `simulate`, a usage error and a `schedule` in one process
+    (one cached parser) exit and write as they do in fresh processes."""
+    runs = [SIMULATE_TWIN.format(data=data_dir, out="{out}/sim"),
+            f"schedule --ctg {data_dir}/twin.ctg --horizon 5 --out {{out}}/bad",
+            f"schedule --ctg {data_dir}/twin.ctg --out {{out}}/sch"]
+
+    def mains(argvs, out):
+        return "from civitas import cli\n" + "".join(
+            f"print(cli.main({argv.format(out=out).split()!r}))\n" for argv in argvs)
+    fresh = [fresh_python(mains([argv], tmp_path / "fresh")) for argv in runs]
+    one = fresh_python(mains(runs, tmp_path / "one")
+                       + "assert cli.build_parser() is cli.build_parser()\n")
+    assert one.returncode == 0, one.stderr
+    assert one.stdout.split() == [f.stdout.strip() for f in fresh] == ["0", "1", "0"]
+    written = sorted(p.relative_to(tmp_path / "fresh")
+                     for p in (tmp_path / "fresh").rglob("*") if p.is_file())
+    assert written and written == sorted(p.relative_to(tmp_path / "one")
+                                         for p in (tmp_path / "one").rglob("*")
+                                         if p.is_file())
+    for rel in written:
+        assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes()
 
 
 # ------------------------------------------------------------------- step
@@ -845,7 +963,7 @@ class TestClock:
                                 str(tmp_path / f"{dt:.3f}"), "fixed", dt)
             times.clear()
             ends.clear()
-            with (mock.patch.object(cli.worldmod, "step", stepped),
+            with (mock.patch.object(w, "step", stepped),
                   mock.patch.object(SignalFsm, "state_at", recorded)):
                 cli.run_simulation(cfg)
             assert len(ends) == round(300.0 / dt)
@@ -960,7 +1078,7 @@ def dict_run_simulation(cfg, inputs=None):
     early = [] if epochs else [n for n, c in controllers.items() if c.early_switch]
     for k, t in enumerate(w.tick_times(cfg.dt, ticks)):
         for node in early:
-            controllers[node] = cli._maybe_early_switch(net, world, controllers[node], t)
+            controllers[node] = w.early_switch(world, controllers[node], t)
         controls = {node: ctrl.fsm.state_at(t) for node, ctrl in controllers.items()}
         w.step(world, controls, cfg.dt)
         if epochs is not None and (k + 1) % epoch_every == 0:

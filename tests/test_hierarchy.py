@@ -145,6 +145,12 @@ def reconciles(draw):
     return engine
 
 
+def safe_mode_details(engine):
+    """The detail of every safe_mode event the engine's controllers hold."""
+    return [detail for ctrl in engine.controllers.values()
+            for _, kind, detail in ctrl.events if kind == "safe_mode"]
+
+
 class TestTopology:
     def test_a_tree_maps_each_module_to_its_parent(self):
         engine = two_area_engine()
@@ -265,6 +271,7 @@ class TestReconcile:
         assert report.unresolved
         assert "X" in report.safe_engaged
         assert engine.controllers["X"].active_mode == "safe"
+        assert safe_mode_details(engine) == ["X violation=reconcile stalled at 0.0"]
 
     def test_quiescence_after_convergence(self):
         engine = build_engine(alternating_ctg(3), ("H",))
@@ -306,6 +313,21 @@ class TestReconcile:
         assert report.converged is converged and report.passes == budget
         assert engine.top.target == 8
 
+    @pytest.mark.parametrize("budget, passes, why", [
+        (4, 4, "budget exhausted"), (5, 5, "budget exhausted"), (6, 5, "stalled")])
+    def test_safe_mode_says_why_the_loop_stopped(self, budget, passes, why):
+        # Zones over a 20 s deadline never converge; the top's target moves
+        # on passes 1-4, so pass 5 changes nothing.  A loop that stops
+        # before its last pass stalled; one that makes every pass ran out
+        # of budget.
+        engine = two_area_engine()
+        engine.top.target, engine.top.deadline, engine.budget = 1000, 20.0, budget
+        report = engine.reconcile()
+        assert not report.converged and report.passes == passes
+        assert report.safe_engaged == ("W", "X", "Y")
+        assert safe_mode_details(engine) == [
+            f"{itu} violation=reconcile {why} at 0.0" for itu in ("W", "X", "Y")]
+
     @settings(max_examples=200, deadline=None)
     @given(reconciles())
     def test_loop_matches_budget_only_oracle(self, engine):
@@ -313,7 +335,17 @@ class TestReconcile:
         report, expected = engine.reconcile(), budget_reconcile(oracle)
         assert (report.converged, report.unresolved, report.safe_engaged) == (
             expected.converged, expected.unresolved, expected.safe_engaged)
-        assert engine.controllers == oracle.controllers
+        # the oracle always says "budget exhausted"; the loop says "stalled"
+        # when it stopped before its last pass
+        why = "stalled" if report.passes < engine.budget else "budget exhausted"
+        details = safe_mode_details(engine)
+        assert len(details) == len(report.safe_engaged)
+        assert all(f" violation=reconcile {why} at " in d for d in details)
+        masked = {itu: replace(ctrl, events=[
+            (at, kind, detail.replace(f"reconcile {why} at", "reconcile budget exhausted at"))
+            for at, kind, detail in ctrl.events])
+            for itu, ctrl in engine.controllers.items()}
+        assert masked == oracle.controllers
         assert engine.top.target == oracle.top.target
         for zid, zone in engine.zones.items():
             assert (zone.choice, zone.rejected) == (
