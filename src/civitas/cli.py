@@ -320,11 +320,11 @@ def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
                classification_report(registry))
     if epochs is not None:
         from . import fgraph as fgmod
-        top = epochs.engine.top
-        alloc = fgmod.distribute_goals(top.fg, top.target, top.deadline)
+        engine = epochs.engine
         _write(os.path.join(cfg.out, "goal_allocation.csv"),
-               fgmod.allocation_to_csv(alloc))
-        _write(os.path.join(cfg.out, "function_graph.csv"), fgmod.graph_to_csv(top.fg))
+               fgmod.allocation_to_csv(engine.allocation()))
+        _write(os.path.join(cfg.out, "function_graph.csv"),
+               fgmod.graph_to_csv(engine.top.fg))
 
     worldmod.write_event_log(world.events, os.path.join(cfg.out, "events.log"))
     summary = {

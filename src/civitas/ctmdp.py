@@ -59,15 +59,20 @@ class Ctmdp:
             raise ValueError("rewards must be finite")
         if not np.all(np.isfinite(self.bounds)):
             raise ValueError("bounds must be finite")
-        for i in range(S):
-            for a in range(A):
-                if not self.admissible[i, a]:
-                    continue
-                off = np.delete(self.q[i, :, a], i)
-                if np.any(off < 0):
-                    raise ValueError(f"negative off-diagonal rate in state {self.states[i]}")
-                if abs(self.q[i, :, a].sum()) > GENERATOR_TOL * max(1.0, np.abs(self.q[i, :, a]).max()):
-                    raise ValueError(f"generator row {self.states[i]}/{self.actions[a]} does not sum to 0")
+        # rows[i, a] is the generator row q[i, :, a].  Summed along this
+        # contiguous last axis, each row adds in the pairwise order of its
+        # own `.sum()`.  The first admissible pair in state-major order that
+        # fails names the error, a negative rate before a nonzero sum.
+        rows = np.ascontiguousarray(self.q.transpose(0, 2, 1))
+        negative = ((rows < 0) & ~np.eye(S, dtype=bool)[:, None, :]).any(axis=2)
+        unbalanced = np.abs(rows.sum(axis=2)) > GENERATOR_TOL * np.maximum(
+            1.0, np.abs(rows).max(axis=2, initial=0.0))
+        failing = (negative | unbalanced) & self.admissible
+        if failing.any():
+            i, a = divmod(int(failing.argmax()), A)
+            if negative[i, a]:
+                raise ValueError(f"negative off-diagonal rate in state {self.states[i]}")
+            raise ValueError(f"generator row {self.states[i]}/{self.actions[a]} does not sum to 0")
 
     @property
     def k(self) -> int:
@@ -175,31 +180,20 @@ def build_lp(m: Ctmdp) -> simplex.LinearProgram:
     equals inflow from elsewhere), one normalization row summing the
     occupation to 1, and one >= row per bounded criterion.
     """
-    pairs = m.pairs()
-    n = len(pairs)
-    col = {pa: idx for idx, pa in enumerate(pairs)}
-    objective = np.array([m.rewards[0, i, a] for i, a in pairs])
-
-    eq = []
-    S = len(m.states)
-    for j in range(S):
-        row = np.zeros(n)
-        for (i, a), idx in col.items():
-            if i == j:
-                # total exit rate out of j under a (equals -q[j,j,a])
-                row[idx] += -m.q[j, j, a]
-            else:
-                row[idx] -= m.q[i, j, a]
-        eq.append((row, 0.0))
-    eq.append((np.ones(n), 1.0))
-
-    ge = []
-    for k in range(1, m.k):
-        row = np.array([m.rewards[k, i, a] for i, a in pairs])
-        ge.append((row, m.bounds[k - 1]))
-
-    names = tuple(f"x[{m.states[i]},{m.actions[a]}]" for i, a in pairs)
-    return simplex.LinearProgram.build(objective, eq=eq, ge=ge, names=names)
+    states, actions = np.nonzero(m.admissible)  # the pairs, state-major
+    # Balance row j holds the exit rate -q[j, j, a] in state j's own
+    # columns and the inflow -q[i, j, a] in the others: one expression,
+    # whose `0.0 -` turns a zero rate into +0.0 as a sum started at 0 did.
+    # The last row is the normalization.
+    eq_lhs = np.ones((len(m.states) + 1, len(states)))
+    eq_lhs[:-1] = 0.0 - m.q[states, :, actions].T
+    eq_rhs = np.append(np.zeros(len(m.states)), 1.0)
+    names = tuple(f"x[{m.states[i]},{m.actions[a]}]"
+                  for i, a in zip(states.tolist(), actions.tolist()))
+    return simplex.LinearProgram(
+        np.array(m.rewards[0, states, actions], dtype=float), eq_lhs, eq_rhs,
+        np.array(m.rewards[1:, states, actions], dtype=float, order="C"),
+        np.array(m.bounds, dtype=float), names)
 
 
 class SolutionInvariantError(RuntimeError):

@@ -7,6 +7,15 @@ shortfalls.  A reconcile pass pushes constraints down, runs the children
 and recomputes the flagged parents, deepest first.  The loop stops at
 convergence, or degrades affected intersections to their safe
 implementation mode once a pass changes nothing or the budget runs out.
+
+Between reconciles the engine keeps three results, each recomputed only
+when its inputs change: the goal allocation of the top's function graph
+(for the graph object, target and deadline it was computed from), each
+zone's timing constraints per (table, column, ITU), and the outcome of
+applying constraints to a signal per (FSM, constraints) pair of values.
+A schedule table, its columns and a zone's cycle never change after
+construction, and the graph, signals and constraints are frozen, so a
+kept result is the one a fresh computation would give.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import ctg as ctgmod
+from . import fgraph as fgmod
 from . import fsm as fsmmod
-from .fgraph import FunctionGraph, distribute_goals
 
 LEVEL_INTERSECTION = 1
 LEVEL_ZONE = 2
@@ -74,7 +83,7 @@ class ZoneUnit:
     `fallback` is the schedule table of the graph without its skippable
     tasks (None when it has none).  `choice` is the (column, on fallback
     table) the zone serves after a recompute, None for its scenario's
-    column of the full table.
+    column of the full table.  `constraints_for` keeps what it derives.
     """
 
     id: str
@@ -88,6 +97,8 @@ class ZoneUnit:
     bound: float | None = None
     min_throughput: float = 0.0
     fallback: ctgmod.ScheduleTable | None = field(init=False)
+    _constraints: dict = field(init=False, default_factory=dict, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         drop = frozenset(t.id for t in self.ctg.tasks if t.skippable)
@@ -103,12 +114,25 @@ class ZoneUnit:
                  on_fallback: bool = False) -> ctgmod.ZoneSchedule:
         return (self.fallback if on_fallback else self.table).schedules[column]
 
-    def active_schedule(self) -> ctgmod.ZoneSchedule:
-        return self.schedule(*(self.choice or (self.scenario, False)))
+    @property
+    def active(self) -> tuple[ctgmod.Scenario, bool]:
+        """The (column, on fallback table) the zone serves."""
+        return self.choice or (self.scenario, False)
 
-    def constraints_for(self, sched: ctgmod.ZoneSchedule,
+    def active_schedule(self) -> ctgmod.ZoneSchedule:
+        return self.schedule(*self.active)
+
+    def constraints_for(self, column: ctgmod.Scenario, on_fallback: bool,
                         itu: str) -> tuple[fsmmod.TimingConstraint, ...]:
-        return ctgmod.derive_timing_constraints(sched, itu, cycle=self.cycle)
+        """The timing constraints that `column`'s schedule on the full or
+        the fallback table sets `itu`, derived on first use and kept: the
+        same tuple every later call."""
+        key = (column, on_fallback, itu)
+        constraints = self._constraints.get(key)
+        if constraints is None:
+            constraints = self._constraints[key] = ctgmod.derive_timing_constraints(
+                self.schedule(column, on_fallback), itu, cycle=self.cycle)
+        return constraints
 
 
 @dataclass
@@ -132,7 +156,7 @@ class AreaUnit:
 @dataclass
 class GlobalUnit:
     id: str
-    fg: FunctionGraph
+    fg: fgmod.FunctionGraph
     target: int
     deadline: float
 
@@ -162,6 +186,10 @@ class HierarchyEngine:
             raise ValueError(f"budget {budget} allows no reconcile pass")
         self.budget = budget
         self.messages: list[object] = []
+        # (fg, target, deadline, allocation) of the last allocation, and
+        # (fsm, outcome) per (fsm, constraints) pair applied so far
+        self._allocation: tuple | None = None
+        self._applied: dict[tuple, tuple] = {}
         self.parent_of = {aid: top.id for aid in areas}
         for kind, tree in (("areas", {aid: a.zones for aid, a in areas.items()}),
                            ("zones", {zid: z.itus for zid, z in zones.items()})):
@@ -183,10 +211,34 @@ class HierarchyEngine:
         self.messages.append(msg)
         return msg
 
+    def allocation(self) -> fgmod.GoalAllocation:
+        """The top's goal distributed over its function graph, recomputed
+        only when `top.fg` (by identity), `top.target` or `top.deadline`
+        changed since the last call."""
+        fg, target, deadline = self.top.fg, self.top.target, self.top.deadline
+        kept = self._allocation
+        if kept is None or kept[0] is not fg or kept[1:3] != (target, deadline):
+            kept = self._allocation = (fg, target, deadline,
+                                       fgmod.distribute_goals(fg, target, deadline))
+        return kept[3]
+
+    def _apply(self, fsm: fsmmod.SignalFsm,
+               constraints: tuple[fsmmod.TimingConstraint, ...]
+               ) -> fsmmod.SignalFsm | fsmmod.InfeasibilityReport:
+        """`apply_timing_constraints`, computed once per (FSM, constraints)
+        pair of values; an FSM that already satisfies them is returned as
+        it came."""
+        key = (fsm, constraints)
+        kept = self._applied.get(key)
+        if kept is None:
+            kept = self._applied[key] = (
+                fsm, fsmmod.apply_timing_constraints(fsm, constraints))
+        return fsm if kept[1] is kept[0] else kept[1]
+
     def push_down(self, at: float = 0.0) -> list[ConstraintMsg]:
         """Emit one constraint message per child module, top to bottom."""
         msgs: list[ConstraintMsg] = []
-        alloc = distribute_goals(self.top.fg, self.top.target, self.top.deadline)
+        alloc = self.allocation()
         for aid, area in self.areas.items():
             area.target = GoalTarget(alloc.target(aid), alloc.deadline(aid))
             msgs.append(self._send(ConstraintMsg(
@@ -199,11 +251,11 @@ class HierarchyEngine:
                 msgs.append(self._send(ConstraintMsg(
                     LEVEL_AREA, LEVEL_ZONE, aid, zid, TableBound(target.deadline), at)))
         for zid, zone in self.zones.items():
-            sched = zone.active_schedule()
+            column, on_fallback = zone.active
             for itu in zone.itus:
                 msgs.append(self._send(ConstraintMsg(
                     LEVEL_ZONE, LEVEL_INTERSECTION, zid, itu,
-                    zone.constraints_for(sched, itu), at)))
+                    zone.constraints_for(column, on_fallback, itu), at)))
         return msgs
 
     def run_children(self, msgs: list[ConstraintMsg], at: float = 0.0
@@ -214,13 +266,13 @@ class HierarchyEngine:
             if msg.target_level != LEVEL_INTERSECTION:
                 continue
             ctrl = self.controllers[msg.target]
-            outcome = fsmmod.apply_timing_constraints(ctrl.fsm, msg.payload)
+            outcome = self._apply(ctrl.fsm, msg.payload)
             if isinstance(outcome, fsmmod.InfeasibilityReport):
                 shortfall = max((e.shortfall for e in outcome.entries), default=0.0)
                 violations.append(self._send(ViolationMsg(
                     LEVEL_INTERSECTION, LEVEL_ZONE, msg.target, msg.source,
                     "state_deadline", max(shortfall, 1e-9), at)))
-            else:
+            elif outcome is not ctrl.fsm:
                 self.controllers[msg.target] = replace(ctrl, fsm=outcome)
         for zid, zone in self.zones.items():
             if zone.bound is None:
@@ -240,10 +292,11 @@ class HierarchyEngine:
                     "throughput", area.target.throughput - expected, at)))
         return violations
 
-    def _itu_feasible(self, zone: ZoneUnit, sched: ctgmod.ZoneSchedule) -> bool:
+    def _itu_feasible(self, zone: ZoneUnit, column: ctgmod.Scenario,
+                      on_fallback: bool) -> bool:
         return not any(isinstance(
-            fsmmod.apply_timing_constraints(self.controllers[itu].fsm,
-                                            zone.constraints_for(sched, itu)),
+            self._apply(self.controllers[itu].fsm,
+                        zone.constraints_for(column, on_fallback, itu)),
             fsmmod.InfeasibilityReport) for itu in zone.itus)
 
     def _recompute_zone(self, zone: ZoneUnit) -> bool:
@@ -254,7 +307,7 @@ class HierarchyEngine:
         own table's schedule.  A fallback schedule must also keep the
         zone's throughput floor.  Rejected choices are not retried.
         """
-        zone.rejected.add(zone.choice or (zone.scenario, False))
+        zone.rejected.add(zone.active)
         columns = sorted(zone.table.scenarios, key=lambda s: (zone.table.t_area(s), s))
         for on_fallback in (False, True) if zone.fallback else (False,):
             for column in columns:
@@ -263,7 +316,7 @@ class HierarchyEngine:
                         or on_fallback and sched.graph.total_n() < zone.min_throughput
                         or zone.bound is not None and sched.makespan > zone.bound):
                     continue
-                if self._itu_feasible(zone, sched):
+                if self._itu_feasible(zone, column, on_fallback):
                     zone.choice = (column, on_fallback)
                     return True
         return False

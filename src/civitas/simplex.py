@@ -101,8 +101,9 @@ class LpSolution:
 class _Basis:
     """The basic columns of `a` and their inverse, kept by eta updates."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, columns: list[int]):
-        self.a, self.b, self.columns = a, b, columns
+    def __init__(self, a: np.ndarray, b: np.ndarray, columns):
+        self.a, self.b = a, b
+        self.columns = np.array(columns, dtype=np.intp)
         self.refactor()
 
     def refactor(self) -> None:
@@ -123,7 +124,7 @@ class _Basis:
             self.refactor()
             return
         pivot_row = self.inverse[row] / d[row]
-        self.inverse -= np.outer(d, pivot_row)
+        self.inverse -= d[:, None] * pivot_row
         self.inverse[row] = pivot_row
 
 
@@ -134,24 +135,25 @@ def _optimize(basis: _Basis, costs: np.ndarray, iterations: int,
     degenerate = 0
     while iterations < max_iters:
         iterations += 1
-        reduced = costs - (costs[basis.columns] @ basis.inverse) @ basis.a
-        reduced[basis.columns] = 0.0
-        improving = np.flatnonzero(reduced > PIVOT_TOL)
+        columns = basis.columns
+        reduced = costs - (costs[columns] @ basis.inverse) @ basis.a
+        reduced[columns] = 0.0
+        improving = (reduced > PIVOT_TOL).nonzero()[0]
         if not improving.size:
             return None, iterations
         bland = degenerate >= BLAND_AFTER
-        entering = int(improving[0] if bland else np.argmax(reduced))
+        entering = int(improving[0] if bland else reduced.argmax())
         d = basis.inverse @ basis.a[:, entering]
-        rows = np.flatnonzero(d > PIVOT_TOL)
+        rows = (d > PIVOT_TOL).nonzero()[0]
         if not rows.size:
             return UNBOUNDED, iterations
         ratios = basis.values()[rows] / d[rows]
         theta = ratios.min()
         ties = rows[ratios <= theta + PIVOT_TOL]
         if bland:
-            leaving = int(ties[np.argmin(np.take(basis.columns, ties))])
+            leaving = int(ties[columns[ties].argmin()])
         else:
-            leaving = int(ties[np.argmax(d[ties])])
+            leaving = int(ties[d[ties].argmax()])
         degenerate = degenerate + 1 if theta == 0.0 else 0
         basis.pivot(leaving, entering, d)
     return ITERATION_LIMIT, iterations
@@ -207,7 +209,7 @@ def solve(lp: LinearProgram, max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:
                 break
         else:
             dropped.append(i)
-    redundant = {basis.columns[i] - n_total for i in dropped}
+    redundant = {int(basis.columns[i]) - n_total for i in dropped}
     rows = [r for r in range(m) if r not in redundant]
     columns = [c for i, c in enumerate(basis.columns) if i not in dropped]
 

@@ -1,4 +1,5 @@
-"""Oracles for the timing code of `civitas.fsm` and the reconcile loop.
+"""Oracles for the timing code of `civitas.fsm`, the reconcile loop and
+the area CTMDP's arrays.
 
 Two independent checkers step through time instead of reasoning about
 the cycle's regions: sampled replays of a signal against its deadlines
@@ -6,17 +7,30 @@ and schedules.  The green-split rule is also kept here in its earlier
 form, one hand-written region layout per anchor and a probe signal per
 anchor rotation, which `fsm.apply_timing_constraints` must match bit
 for bit.  The reconcile loop is kept in its budget-only form, which runs
-passes until convergence or the budget even when a pass changed nothing.
+passes until convergence or the budget even when a pass changed nothing,
+and its push-down and run-children pass in their uncached form, which
+allocates goals, derives constraints and applies them afresh each time.
+The CTMDP's generator checks, the balance rows of its LP and the
+simplex's pivot step are kept as the per-row loops they were.
 """
 
+import copy
 from dataclasses import replace
 
-from civitas.ctg import RUN_END_BACKOFF, ZoneSchedule
+import numpy as np
+
+from civitas.ctg import RUN_END_BACKOFF, ZoneSchedule, derive_timing_constraints
+from civitas.ctmdp import GENERATOR_TOL
+from civitas.fgraph import distribute_goals
 from civitas.fsm import (_EDGE_EPS, CYCLIC_ORDER, GREEN_MIN, RED_MIN,
                          ConstraintShortfall, InfeasibilityReport, SignalFsm,
                          SignalState, TimingConstraint, _satisfied, _shortfall,
-                         shortcut_to_safe)
-from civitas.hierarchy import LEVEL_ZONE, HierarchyEngine, ReconcileReport
+                         apply_timing_constraints, shortcut_to_safe)
+from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
+                               LEVEL_ZONE, ConstraintMsg, GoalTarget,
+                               HierarchyEngine, ReconcileReport, TableBound,
+                               ViolationMsg)
+from civitas import simplex
 
 
 def check_constraints_by_replay(fsm: SignalFsm,
@@ -161,3 +175,171 @@ def budget_reconcile(engine: HierarchyEngine, at: float = 0.0) -> ReconcileRepor
         engine.controllers[itu] = shortcut_to_safe(
             engine.controllers[itu], f"reconcile budget exhausted at {at}", at)
     return ReconcileReport(False, engine.budget, tuple(violations), tuple(safe_engaged))
+
+
+class UncachedEngine(HierarchyEngine):
+    """`HierarchyEngine` whose push-down allocates the goals and derives
+    the timing constraints on every call, and whose children and zone
+    search apply constraints afresh, the children replacing the
+    controller each time."""
+
+    def push_down(self, at=0.0):
+        msgs = []
+        alloc = distribute_goals(self.top.fg, self.top.target, self.top.deadline)
+        for aid, area in self.areas.items():
+            area.target = GoalTarget(alloc.target(aid), alloc.deadline(aid))
+            msgs.append(self._send(ConstraintMsg(
+                LEVEL_GLOBAL, LEVEL_AREA, self.top.id, aid, area.target, at)))
+        for aid, area in self.areas.items():
+            target, zones = area.target, area.zones
+            for zid in zones:
+                self.zones[zid].bound = target.deadline
+                self.zones[zid].min_throughput = target.throughput / len(zones)
+                msgs.append(self._send(ConstraintMsg(
+                    LEVEL_AREA, LEVEL_ZONE, aid, zid, TableBound(target.deadline), at)))
+        for zid, zone in self.zones.items():
+            sched = zone.active_schedule()
+            for itu in zone.itus:
+                msgs.append(self._send(ConstraintMsg(
+                    LEVEL_ZONE, LEVEL_INTERSECTION, zid, itu,
+                    derive_timing_constraints(sched, itu, cycle=zone.cycle), at)))
+        return msgs
+
+    def run_children(self, msgs, at=0.0):
+        violations = []
+        for msg in msgs:
+            if msg.target_level != LEVEL_INTERSECTION:
+                continue
+            ctrl = self.controllers[msg.target]
+            outcome = apply_timing_constraints(ctrl.fsm, msg.payload)
+            if isinstance(outcome, InfeasibilityReport):
+                shortfall = max((e.shortfall for e in outcome.entries), default=0.0)
+                violations.append(self._send(ViolationMsg(
+                    LEVEL_INTERSECTION, LEVEL_ZONE, msg.target, msg.source,
+                    "state_deadline", max(shortfall, 1e-9), at)))
+            else:
+                self.controllers[msg.target] = replace(ctrl, fsm=outcome)
+        for zid, zone in self.zones.items():
+            if zone.bound is None:
+                continue
+            t_area = zone.active_schedule().makespan
+            if t_area > zone.bound:
+                violations.append(self._send(ViolationMsg(
+                    LEVEL_ZONE, LEVEL_AREA, zid, self.parent_of[zid],
+                    "t_area", t_area - zone.bound, at)))
+        for aid, area in self.areas.items():
+            if area.target is None:
+                continue
+            expected = area.expected_throughput(self)
+            if expected < area.target.throughput:
+                violations.append(self._send(ViolationMsg(
+                    LEVEL_AREA, LEVEL_GLOBAL, aid, self.top.id,
+                    "throughput", area.target.throughput - expected, at)))
+        return violations
+
+    def _itu_feasible(self, zone, column, on_fallback):
+        sched = zone.schedule(column, on_fallback)
+        return not any(isinstance(
+            apply_timing_constraints(self.controllers[itu].fsm,
+                                     derive_timing_constraints(sched, itu, cycle=zone.cycle)),
+            InfeasibilityReport) for itu in zone.itus)
+
+
+def uncached_copy(engine: HierarchyEngine) -> UncachedEngine:
+    """A deep copy of `engine` that runs as an `UncachedEngine`."""
+    oracle = copy.deepcopy(engine)
+    oracle.__class__ = UncachedEngine
+    return oracle
+
+
+def loop_check_generator(states, actions, admissible, q) -> None:
+    """`Ctmdp`'s generator checks, one admissible row at a time in
+    state-major order: ValueError at the first row with a negative
+    off-diagonal rate or a sum beyond `GENERATOR_TOL`."""
+    for i in range(len(states)):
+        for a in range(len(actions)):
+            if not admissible[i, a]:
+                continue
+            off = np.delete(q[i, :, a], i)
+            if np.any(off < 0):
+                raise ValueError(f"negative off-diagonal rate in state {states[i]}")
+            if abs(q[i, :, a].sum()) > GENERATOR_TOL * max(1.0, np.abs(q[i, :, a]).max()):
+                raise ValueError(f"generator row {states[i]}/{actions[a]} does not sum to 0")
+
+
+def loop_build_lp(m) -> simplex.LinearProgram:
+    """`ctmdp.build_lp` with each balance row summed entry by entry."""
+    pairs = m.pairs()
+    n = len(pairs)
+    col = {pa: idx for idx, pa in enumerate(pairs)}
+    objective = np.array([m.rewards[0, i, a] for i, a in pairs])
+    eq = []
+    for j in range(len(m.states)):
+        row = np.zeros(n)
+        for (i, a), idx in col.items():
+            if i == j:
+                row[idx] += -m.q[j, j, a]
+            else:
+                row[idx] -= m.q[i, j, a]
+        eq.append((row, 0.0))
+    eq.append((np.ones(n), 1.0))
+    ge = [(np.array([m.rewards[k, i, a] for i, a in pairs]), m.bounds[k - 1])
+          for k in range(1, m.k)]
+    names = tuple(f"x[{m.states[i]},{m.actions[a]}]" for i, a in pairs)
+    return simplex.LinearProgram.build(objective, eq=eq, ge=ge, names=names)
+
+
+class ListBasis:
+    """`simplex._Basis` with its columns in a list and its eta update
+    through `np.outer`."""
+
+    def __init__(self, a, b, columns):
+        self.a, self.b, self.columns = a, b, list(columns)
+        self.refactor()
+
+    def refactor(self):
+        self.inverse = np.linalg.inv(self.a[:, self.columns])
+        self.pivots = 0
+
+    def values(self):
+        x = self.inverse @ self.b
+        x[np.abs(x) <= simplex.FEAS_TOL] = 0.0
+        return x
+
+    def pivot(self, row, col, d):
+        self.columns[row] = col
+        self.pivots += 1
+        if self.pivots >= simplex.REFACTOR_EVERY:
+            self.refactor()
+            return
+        pivot_row = self.inverse[row] / d[row]
+        self.inverse -= np.outer(d, pivot_row)
+        self.inverse[row] = pivot_row
+
+
+def list_optimize(basis, costs, iterations, max_iters):
+    """`simplex._optimize` through numpy's function wrappers."""
+    degenerate = 0
+    while iterations < max_iters:
+        iterations += 1
+        reduced = costs - (costs[basis.columns] @ basis.inverse) @ basis.a
+        reduced[basis.columns] = 0.0
+        improving = np.flatnonzero(reduced > simplex.PIVOT_TOL)
+        if not improving.size:
+            return None, iterations
+        bland = degenerate >= simplex.BLAND_AFTER
+        entering = int(improving[0] if bland else np.argmax(reduced))
+        d = basis.inverse @ basis.a[:, entering]
+        rows = np.flatnonzero(d > simplex.PIVOT_TOL)
+        if not rows.size:
+            return simplex.UNBOUNDED, iterations
+        ratios = basis.values()[rows] / d[rows]
+        theta = ratios.min()
+        ties = rows[ratios <= theta + simplex.PIVOT_TOL]
+        if bland:
+            leaving = int(ties[np.argmin(np.take(basis.columns, ties))])
+        else:
+            leaving = int(ties[np.argmax(d[ties])])
+        degenerate = degenerate + 1 if theta == 0.0 else 0
+        basis.pivot(leaving, entering, d)
+    return simplex.ITERATION_LIMIT, iterations

@@ -9,9 +9,12 @@ connectivity check, per-exit `has_path` reachability and `shortest_path` routes 
 the network and `make_world`, the string-keyed dict transcription of
 the bidirectional Dijkstra that routed `make_world`'s arrivals before
 its router on segment indices, the dense Bland tableau of the simplex,
-the per-scenario exclusion-pair rule of the task graph's `resolve`, the
-list scheduler's rescan of every pending task, the `itertools.product`
-enumeration of `fgraph.evaluate`, the sampled per-point loop of
+the per-row generator checks of `Ctmdp`, the entry-by-entry balance
+rows of `build_lp` and the simplex's pivot step on a list basis (these
+three in `tests/replay.py`), the per-scenario exclusion-pair rule of
+the task graph's `resolve`, the list scheduler's rescan of every
+pending task, the `itertools.product` enumeration of
+`fgraph.evaluate`, the sampled per-point loop of
 `fuzzy.surface`, the scalar-indexed rows of `surface.csv` and the
 per-row predicate calls of `metrics.flexibility`.  The fast paths must
 agree with them exactly, not approximately: every artifact is
@@ -47,12 +50,14 @@ import civitas
 from civitas import cli, fgraph, fuzzy, simplex
 from civitas import ctg as ctgmod
 from civitas import ctmdp as ctmdpmod
+from civitas import fsm as fsmmod
 from civitas import metrics as metricsmod
 from civitas import world as w
 from civitas.ctmdp import build_lp, make_ctmdp
 from civitas.fsm import CYCLIC_ORDER, SignalFsm, SignalState
-from civitas.hierarchy import ZoneUnit
+from civitas.hierarchy import HierarchyEngine, ZoneUnit
 from civitas.textfmt import Section, parse_sections
+from tests import replay
 
 
 # ---------------------------------------------------------------- oracles
@@ -1181,6 +1186,53 @@ class TestTickLoop:
                          "state_at_in_loop": ticks * controllers}
 
 
+def test_epoch_work_is_done_once_per_input(tmp_path, data_dir, monkeypatch):
+    # Over a twin hierarchical run the engine allocates the goal once per
+    # (function graph object, target, deadline) that a push-down or the
+    # artifact writer meets, derives constraints at most once per (table,
+    # column, ITU) and applies constraints only to an (FSM, constraints)
+    # pair of values it has not applied before.
+    allocations, push_downs, derivations, applications = [], [], [], []
+    distribute_goals = fgraph.distribute_goals
+    derive = ctgmod.derive_timing_constraints
+    apply = fsmmod.apply_timing_constraints
+    push_down = HierarchyEngine.push_down
+
+    def counted_distribute_goals(fg, target, deadline):
+        allocations.append((fg, target, deadline))
+        return distribute_goals(fg, target, deadline)
+
+    def counted_derive(sched, itu, cycle=None):
+        derivations.append((sched, itu))
+        return derive(sched, itu, cycle=cycle)
+
+    def counted_apply(fsm, constraints):
+        applications.append((fsm, constraints))
+        return apply(fsm, constraints)
+
+    def recorded_push_down(engine, at=0.0):
+        push_downs.append((engine.top.fg, engine.top.target, engine.top.deadline))
+        return push_down(engine, at)
+
+    monkeypatch.setattr(fgraph, "distribute_goals", counted_distribute_goals)
+    monkeypatch.setattr(ctgmod, "derive_timing_constraints", counted_derive)
+    monkeypatch.setattr(fsmmod, "apply_timing_constraints", counted_apply)
+    monkeypatch.setattr(HierarchyEngine, "push_down", recorded_push_down)
+    argv = twin_args(data_dir, "hierarchical", 1, 0.1)
+    assert cli.main(["simulate", *argv, "--out", str(tmp_path)]) == 0
+
+    def by_graph(keys):  # the graphs stay alive in the lists, so ids are unique
+        return [(id(fg), target, deadline) for fg, target, deadline in keys]
+    assert len(push_downs) == 31  # one pass per reconcile: 30 epochs and t = 0
+    assert len(set(by_graph(allocations))) == len(allocations)
+    assert set(by_graph(push_downs)) <= set(by_graph(allocations))
+    # the t = 0 graph and one per CTMDP solve, every fifth epoch
+    assert len(allocations) == 1 + 30 // 5
+    derived = [(id(sched), itu) for sched, itu in derivations]
+    assert len(set(derived)) == len(derived) <= 2 * 8  # 2 ITUs, 8 columns
+    assert len(set(applications)) == len(applications) < 2 * 31
+
+
 # ---------------------------------------------------------------- simplex
 #
 # The dense Bland tableau the revised simplex replaced, with its per-row
@@ -1451,6 +1503,126 @@ class TestSimplexSolve:
         assert_same_optimum(got, *highs_solve(lp))
         assert got.iterations <= LADDER_MAX_PIVOTS
         assert ctmdpmod.solve_model(ladder[rung]).objective == got.objective
+
+
+# ------------------------------------------------------------ CTMDP arrays
+#
+# `Ctmdp` checks its generator rows, `build_lp` fills its balance rows and
+# the simplex takes its pivot steps as whole-array operations; the per-row
+# loops they replaced are in `tests/replay.py`.
+
+@st.composite
+def generators(draw):
+    """(S, A, admissible, q): rates of a seeded draw, zero and -0.0 rates
+    among them, diagonals filled as `make_ctmdp` fills them, then up to
+    three rows spoiled by a negative off-diagonal rate, by any sum or by
+    a sum within 1e-4 of `GENERATOR_TOL`, or, with 8 states or more,
+    every row put within 1e-4 of it: there the summation order decides
+    about one verdict in eight."""
+    every_row_near = draw(st.booleans())
+    S, A = draw(st.integers(8 if every_row_near else 1, 14)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = rng.uniform(0.0, 1.0, (S, S, A)) * 10.0 ** rng.integers(-3, 4, (S, S, A))
+    q[rng.random((S, S, A)) < 0.2] = 0.0
+    q[rng.random((S, S, A)) < 0.1] = -0.0
+    q = make_ctmdp(range(S), range(A), q, np.zeros((S, A))).q
+    admissible = rng.random((S, A)) < 0.8
+    admissible[np.arange(S), rng.integers(0, A, S)] = True
+    if every_row_near:
+        spoils = [(i, a, "near") for i in range(S) for a in range(A)]
+    else:
+        spoils = [(int(rng.integers(S)), int(rng.integers(A)),
+                   draw(st.sampled_from(("negative", "near", "any"))))
+                  for _ in range(draw(st.integers(0, 3)))]
+    for i, a, spoil in spoils:
+        if spoil == "negative" and S > 1:
+            q[i, (i + 1 + int(rng.integers(S - 1))) % S, a] = -rng.uniform(1e-9, 1.0)
+        elif spoil == "near":
+            scale = max(1.0, np.abs(q[i, :, a]).max())
+            q[i, i, a] += (rng.choice((-1.0, 1.0)) * ctmdpmod.GENERATOR_TOL * scale
+                           * (1.0 + rng.uniform(-1e-4, 1e-4)))
+        elif spoil == "any":
+            q[i, i, a] += rng.uniform(-1.0, 1.0)
+    return S, A, admissible, q
+
+
+def verdict(check, *args):
+    """None when `check(*args)` passes, else its ValueError's message."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def same_bits(got, want):
+    """Whether two arrays, floats or Nones hold the same bits."""
+    if got is None or want is None:
+        return got is want
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and (
+        got.tobytes() == want.tobytes())
+
+
+def list_solve(lp, max_iters=simplex.DEFAULT_MAX_ITERS):
+    """`simplex.solve` with the pivot step of `tests/replay.py`."""
+    with mock.patch.object(simplex, "_Basis", replay.ListBasis), \
+            mock.patch.object(simplex, "_optimize", replay.list_optimize):
+        return simplex.solve(lp, max_iters=max_iters)
+
+
+def assert_same_solution(got, want):
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for name in ("x", "objective", "duals", "dual_objective", "reduced_costs"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+class TestCtmdpArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(generators())
+    def test_generator_checks_match_row_loop(self, drawn):
+        S, A, admissible, q = drawn
+        states, actions = tuple(f"s{i}" for i in range(S)), tuple(f"a{a}" for a in range(A))
+        assert verdict(ctmdpmod.Ctmdp, states, actions, admissible, q,
+                       np.zeros((1, S, A))) == verdict(
+            replay.loop_check_generator, states, actions, admissible, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generators(), st.integers(1, 3))
+    def test_lp_matches_row_loop(self, drawn, criteria):
+        S, A, admissible, q = drawn
+        q = np.abs(q)  # a valid generator: rates >= 0, diagonals refilled
+        rewards = np.arange(criteria * S * A, dtype=float).reshape(criteria, S, A)
+        m = make_ctmdp(tuple(f"s{i}" for i in range(S)), tuple(f"a{a}" for a in range(A)),
+                       q, rewards, admissible, bounds=(0.5,) * (criteria - 1))
+        got, want = build_lp(m), replay.loop_build_lp(m)
+        for name in ("objective", "eq_lhs", "eq_rhs", "ge_lhs", "ge_rhs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(np.signbit(getattr(got, name)),
+                                  np.signbit(getattr(want, name))), name
+            assert getattr(got, name).flags.c_contiguous, name
+        assert got.names == want.names
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        return ladder_models()
+
+    @pytest.mark.parametrize("rung", ["16x3", "32x2", "32x3", "64x2"])
+    def test_ladder_solves_match_pivot_loop(self, ladder, rung):
+        lp = build_lp(ladder[rung])
+        assert_same_solution(simplex.solve(lp), list_solve(lp))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dense_lps(quarters), dense_lps(),
+                     st.builds(ctmdp_lp, st.integers(0, 2 ** 32 - 1),
+                               st.integers(2, 9), st.integers(1, 3))),
+           st.sampled_from([simplex.BLAND_AFTER, 0]),
+           st.sampled_from([simplex.DEFAULT_MAX_ITERS, 2]))
+    def test_solves_match_pivot_loop(self, lp, bland_after, max_iters):
+        with mock.patch.object(simplex, "BLAND_AFTER", bland_after), \
+                np.errstate(all="ignore"):
+            assert_same_solution(simplex.solve(lp, max_iters=max_iters),
+                                 list_solve(lp, max_iters=max_iters))
 
 
 # ------------------------------------------------------------ task graphs

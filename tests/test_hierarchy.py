@@ -2,7 +2,7 @@ import copy
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from civitas import ctg as ctgmod
 from civitas import fsm as fsmmod
@@ -11,7 +11,8 @@ from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                LEVEL_ZONE, AreaUnit, ConstraintMsg,
                                GlobalUnit, HierarchyEngine, ViolationMsg,
                                ZoneUnit)
-from tests.replay import budget_reconcile, check_schedule_admission
+from tests.replay import (budget_reconcile, check_schedule_admission,
+                          uncached_copy)
 
 
 def make_controller(itu_id, offset=0.0):
@@ -149,6 +150,79 @@ def safe_mode_details(engine):
     """The detail of every safe_mode event the engine's controllers hold."""
     return [detail for ctrl in engine.controllers.values()
             for _, kind, detail in ctrl.events if kind == "safe_mode"]
+
+
+def two_itu_engine():
+    """One zone over X and Y, whose column L sets constraints only at Y
+    and column H only at X."""
+    def task(tid, itu, direction, label=None):
+        return ctgmod.CtgTask(tid, guard=label and ("c", label), itu=itu,
+                              direction=direction, t_ex=8.0, n=2.0)
+    ctg = ctgmod.Ctg((ctgmod.ConditionSite("c", thresholds=(5.0,)),),
+                     (task("A", "X", 1), task("B", "X", 2, "H"),
+                      task("C", "Y", 2), task("D", "Y", 1, "L")),
+                     (("A", "B"), ("C", "D")), clearance=5.0)
+    fg = FunctionGraph((FgNode("area", PerfDistribution.point(30.0), 10.0),))
+    return HierarchyEngine(
+        GlobalUnit("tcu", fg, 0, 60.0), {"area": AreaUnit("area", ("Z",))},
+        {"Z": ZoneUnit("Z", ctg, ctgmod.build_table(ctg), ("X", "Y"), ("L",),
+                       cycle=60.0)},
+        {"X": make_controller("X"), "Y": make_controller("Y", 10.0)})
+
+
+@st.composite
+def engine_steps(draw):
+    """A zone search, the two-area engine or a zone over two ITUs, and the
+    steps an epoch loop takes on it: scenario changes, function graphs
+    replaced as `attach` replaces them, new targets and deadlines,
+    signals shifted as an early switch shifts them, and reconciles."""
+    engine = draw(st.one_of(zone_searches(), st.builds(two_area_engine),
+                            st.builds(two_itu_engine)))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("scenario", "fg", "target", "deadline",
+                                     "offset", "reconcile", "reconcile")))
+        if kind == "offset":
+            steps.append((kind, draw(st.sampled_from(sorted(engine.controllers))),
+                          draw(st.sampled_from((0.0, 10.0, 45.0)))))
+        elif kind == "scenario":
+            zid = draw(st.sampled_from(sorted(engine.zones)))
+            steps.append((kind, zid, draw(st.sampled_from(
+                engine.zones[zid].table.scenarios))))
+        elif kind == "fg":
+            values = draw(st.lists(st.sampled_from((10.0, 20.0, 45.0)),
+                                   min_size=1, max_size=2, unique=True))
+            steps.append((kind, draw(st.sampled_from(sorted(engine.areas))),
+                          {v: 1.0 / len(values) for v in values},
+                          draw(st.sampled_from((0.5, 4.0, 12.0)))))
+        elif kind == "target":
+            steps.append((kind, draw(st.sampled_from((0, 4, 16, 1000)))))
+        elif kind == "deadline":
+            steps.append((kind, draw(st.sampled_from((20.0, 45.0, 60.0)))))
+        else:
+            steps.append((kind, float(len(steps))))
+    return engine, steps
+
+
+def take_step(engine, step):
+    """Apply one `engine_steps` step; a reconcile returns its report."""
+    kind, *args = step
+    if kind == "scenario":
+        engine.zones[args[0]].set_scenario(args[1])
+    elif kind == "fg":
+        aid, mass, capability = args
+        engine.top.fg = engine.top.fg.with_node(
+            FgNode(aid, PerfDistribution.from_dict(mass), capability))
+    elif kind == "target":
+        engine.top.target = args[0]
+    elif kind == "deadline":
+        engine.top.deadline = args[0]
+    elif kind == "offset":
+        ctrl = engine.controllers[args[0]]
+        engine.controllers[args[0]] = replace(ctrl, fsm=replace(ctrl.fsm, offset=args[1]))
+    else:
+        return engine.reconcile(at=args[0])
+    return None
 
 
 class TestTopology:
@@ -357,6 +431,28 @@ class TestReconcile:
         last = extra[:len(extra) // repeats] if repeats else []
         assert extra == last * repeats and engine.messages[n - len(last):] == last
 
+    @settings(max_examples=150, deadline=None)
+    @given(engine_steps())
+    @example((two_itu_engine(), [("scenario", "Z", ("H",)), ("reconcile", 0.0),
+                                 ("offset", "X", 45.0), ("reconcile", 1.0)]))
+    @example((two_area_engine(), [("target", 16), ("reconcile", 0.0),
+                                  ("fg", "a1", {10.0: 1.0}, 12.0), ("reconcile", 1.0)]))
+    @example((build_engine(skippable_chain(), ()), [("reconcile", 0.0)]))
+    def test_kept_results_match_uncached_engine(self, drawn):
+        # The engine keeps its goal allocation, its zones' constraints and
+        # its applied constraints between reconciles; the uncached engine
+        # computes each afresh.  Both see the same steps.
+        engine, steps = drawn
+        oracle = uncached_copy(engine)
+        for step in steps:
+            assert take_step(engine, step) == take_step(oracle, step)
+            assert engine.messages == oracle.messages
+            assert engine.controllers == oracle.controllers
+            assert engine.top.target == oracle.top.target
+            for zid, zone in engine.zones.items():
+                assert (zone.choice, zone.rejected) == (
+                    oracle.zones[zid].choice, oracle.zones[zid].rejected)
+
     def test_scenario_change_resets_preference(self):
         engine = build_engine(alternating_ctg(3), ("H",))
         engine.reconcile()
@@ -394,10 +490,10 @@ class TestZoneSearch:
         engine = build_engine(fallback_trap(), ("H",))
         zone = engine.zones["Z"]
         zone.choice = (("H",), True)
-        assert not engine._itu_feasible(zone, zone.schedule(("L",)))
+        assert not engine._itu_feasible(zone, ("L",), False)
         assert engine._recompute_zone(zone)
         assert zone.choice == (("L",), True)
-        assert engine._itu_feasible(zone, zone.active_schedule())
+        assert engine._itu_feasible(zone, *zone.active)
 
     @settings(max_examples=300, deadline=None)
     @given(zone_searches())
@@ -405,5 +501,5 @@ class TestZoneSearch:
         zone = engine.zones["Z"]
         if engine._recompute_zone(zone):
             assert zone.choice not in zone.rejected
-            assert engine._itu_feasible(zone, zone.active_schedule())
+            assert engine._itu_feasible(zone, *zone.active)
 
