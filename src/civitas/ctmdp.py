@@ -151,20 +151,22 @@ def from_schedule_tables(tables: list[ScheduleTable], shift_log: ShiftLog) -> Ct
     actions = shift_log.observed_actions() or ("default",)
     S, A = len(states), len(actions)
     sidx = {s: i for i, s in enumerate(states)}
+    if len(sidx) < S:
+        raise ValueError("two schedule tables of one zone give duplicate states")
 
     observed_dwell = [d for d in shift_log.dwell.values() if d > 0]
     mean_dwell = (sum(observed_dwell) / len(observed_dwell)) if observed_dwell else 1.0
 
     q = np.zeros((S, S, A))
+    aidx = {a: k for k, a in enumerate(actions)}
+    for (s, act, nxt), count in shift_log.shifts.items():
+        dwell = shift_log.dwell.get((s, act), 0.0)
+        if dwell > 0 and s in sidx and nxt in sidx:
+            q[sidx[s], sidx[nxt], aidx[act]] = count / dwell
     prior_pairs = []
     for i, state in enumerate(states):
         for a, action in enumerate(actions):
-            dwell = shift_log.dwell.get((state, action), 0.0)
-            if dwell > 0:
-                for (s, act, nxt), count in shift_log.shifts.items():
-                    if s == state and act == action and nxt in sidx:
-                        q[i, sidx[nxt], a] = count / dwell
-            elif S > 1:
+            if S > 1 and not shift_log.dwell.get((state, action), 0.0) > 0:
                 prior_pairs.append((state, action))
                 q[i, :, a] = 1.0 / (mean_dwell * (S - 1))
                 q[i, i, a] = 0.0
@@ -310,11 +312,11 @@ def model_to_csv(m: Ctmdp) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["kind", "i", "j", "a", "k", "value"])
-    for a, action in enumerate(m.actions):
-        for i, si in enumerate(m.states):
-            for j, sj in enumerate(m.states):
-                if i != j and m.q[i, j, a] != 0.0 and m.admissible[i, a]:
-                    w.writerow(["rate", si, sj, action, "", "%.9g" % m.q[i, j, a]])
+    rates = m.q.transpose(2, 0, 1)  # [a, i, j], so rows come action-major
+    listed = ((rates != 0.0) & ~np.eye(len(m.states), dtype=bool)
+              & m.admissible.T[:, :, None])
+    for a, i, j, rate in zip(*listed.nonzero(), rates[listed].tolist()):
+        w.writerow(["rate", m.states[i], m.states[j], m.actions[a], "", "%.9g" % rate])
     for k in range(m.k):
         for a, action in enumerate(m.actions):
             for i, si in enumerate(m.states):

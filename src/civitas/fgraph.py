@@ -143,6 +143,10 @@ def evaluate(fg: FunctionGraph) -> dict[str, tuple[PerfDistribution, float]]:
     is the product of its node probabilities taken left to right, and
     each sink value's mass adds the point probabilities in enumeration
     order, so every sum keeps the association of a point-by-point loop.
+    A block's sink values find their mass slots through one sort
+    (`np.unique`) and a slot lookup per distinct value.  Equal values
+    share a slot as dict keys would: completions are finite and never
+    -0.0, being +0.0 or a predecessor maximum plus a duration.
     """
     order = _toposort([n.id for n in fg.nodes], fg.arcs)
     if not order:
@@ -192,15 +196,15 @@ def evaluate(fg: FunctionGraph) -> dict[str, tuple[PerfDistribution, float]]:
         live = prob != 0.0
         prob = prob[live]
         for sink in sinks:
-            values = np.broadcast_to(completion[sink], sizes[split:]).ravel()[live].tolist()
+            values = np.broadcast_to(completion[sink], sizes[split:]).ravel()[live]
+            distinct, inverse = np.unique(values, return_inverse=True)
             index = slots[sink]
-            for v in dict.fromkeys(values):
-                index.setdefault(v, len(index))
+            table = np.array([index.setdefault(v, len(index)) for v in distinct.tolist()],
+                             dtype=np.intp)
             if len(index) > len(masses[sink]):
                 masses[sink] = np.concatenate(
                     [masses[sink], np.zeros(len(index) - len(masses[sink]))])
-            slot = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-            np.add.at(masses[sink], slot, prob)
+            np.add.at(masses[sink], table[inverse], prob)
     out = {}
     for sink in sinks:
         mass = dict(zip(slots[sink], masses[sink].tolist()))

@@ -226,7 +226,8 @@ def apply_timing_constraints(
 ) -> SignalFsm | InfeasibilityReport:
     """Rebalance Green/Red so every constraint's state holds at its deadline.
 
-    The sum of splits (the cycle) and the yellow dwell are preserved.  If
+    The sum of splits (the cycle, to an ulp) and the yellow dwell are
+    preserved, and the offset stays inside the new cycle.  If
     the current splits already satisfy everything, the fsm is returned
     unchanged.  Otherwise the Green/Red trade-off is swept for the current
     cycle anchor first, then for its two rotations (a rotation is the same
@@ -254,8 +255,11 @@ def apply_timing_constraints(
         if lo > hi:
             continue
         g = fsm.green if lo <= fsm.green <= hi else (lo + hi) / 2.0
-        return replace(fsm, anchor=CYCLIC_ORDER[first], green=g,
-                       red=fsm.cycle - fsm.yellow - g)
+        red = fsm.cycle - fsm.yellow - g
+        # The new splits may sum to an ulp below the old cycle; an offset
+        # in that last ulp wraps to the start of the new cycle.
+        return replace(fsm, anchor=CYCLIC_ORDER[first], green=g, red=red,
+                       offset=fsm.offset % (g + fsm.yellow + red))
 
     entries = tuple(
         ConstraintShortfall(c, _shortfall(fsm, c))

@@ -197,12 +197,17 @@ def solve(lp: LinearProgram, max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:
     # inverse times A that is zero everywhere shows the artificial's own
     # constraint row to be a combination of the others: drop that row.
     # "Zero" is relative to the column's largest entry in that product, as
-    # rounding noise grows with it.
+    # rounding noise grows with it.  Only non-basic columns may enter: a
+    # basic column's entry in another row is rounding noise, and pivoting
+    # it in would put the column in the basis twice.
     dropped = []
     for i in range(m):
         if basis.columns[i] < n_total:
             continue
-        for col in np.flatnonzero(np.abs(basis.inverse[i] @ A) > PIVOT_TOL):
+        entries = np.abs(basis.inverse[i] @ A) > PIVOT_TOL
+        columns = np.asarray(basis.columns)
+        entries[columns[columns < n_total]] = False
+        for col in np.flatnonzero(entries):
             d = basis.inverse @ A[:, col]
             if abs(d[i]) > PIVOT_TOL * max(1.0, np.abs(d).max()):
                 basis.pivot(i, int(col), d)

@@ -142,7 +142,9 @@ def probe_apply_timing_constraints(fsm: SignalFsm, constraints):
         if lo > hi:
             continue
         g = probe.green if lo <= probe.green <= hi else (lo + hi) / 2.0
-        return replace(probe, green=g, red=fsm.cycle - fsm.yellow - g)
+        red = fsm.cycle - fsm.yellow - g
+        return replace(probe, green=g, red=red,
+                       offset=fsm.offset % (g + fsm.yellow + red))
     entries = tuple(
         ConstraintShortfall(c, _shortfall(fsm, c))
         for c in constraints if not _satisfied(fsm, c)

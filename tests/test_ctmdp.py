@@ -136,6 +136,10 @@ class TestFromScheduleTables:
         m = from_schedule_tables([table, other], ShiftLog())
         assert len(m.states) == 16
 
+    def test_tables_of_one_zone_rejected(self, table):
+        with pytest.raises(ValueError, match="duplicate states"):
+            from_schedule_tables([table, table], ShiftLog())
+
     def test_rate_estimator_arithmetic(self, table):
         log = ShiftLog()
         a, b = "Z:(L,L,L)", "Z:(L,L,H)"

@@ -11,7 +11,9 @@ the bidirectional Dijkstra that routed `make_world`'s arrivals before
 its router on segment indices, the dense Bland tableau of the simplex,
 the per-row generator checks of `Ctmdp`, the entry-by-entry balance
 rows of `build_lp` and the simplex's pivot step on a list basis (these
-three in `tests/replay.py`), the per-scenario exclusion-pair rule of
+three in `tests/replay.py`), the scan of every logged shift per (state,
+action) pair of `from_schedule_tables` and the cell-by-cell rate rows of
+`model_to_csv`, the per-scenario exclusion-pair rule of
 the task graph's `resolve`, the list scheduler's rescan of every
 pending task, the `itertools.product` enumeration of
 `fgraph.evaluate`, the sampled per-point loop of
@@ -32,6 +34,7 @@ import importlib
 import importlib.util
 import io
 import itertools
+import json
 import math
 import os
 import re
@@ -44,7 +47,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import civitas
 from civitas import cli, fgraph, fuzzy, simplex
@@ -1423,23 +1426,28 @@ def perfbench_gen():
     return gen
 
 
-def ladder_models():
-    """The benchmark's CTMDP ladder (16x3, 32x2, 32x3, 64x2), generated by
-    `perfbench/gen.py` from `LADDER_SEED` as the `offline_plan` workload
-    generates it."""
+def ladder_inputs():
+    """The schedule table and shift log of each rung of the benchmark's
+    CTMDP ladder (16x3, 32x2, 32x3, 64x2), generated by `perfbench/gen.py`
+    from `LADDER_SEED` as the `offline_plan` workload generates them."""
     gen = perfbench_gen()
     rng = np.random.default_rng(gen.LADDER_SEED)
-    ctgs, models = {}, {}
+    tables, inputs = {}, {}
     for sites, actions in gen.CTMDP_LADDER:
-        if sites not in ctgs:
-            ctgs[sites] = ctgmod.build_table(ctgmod.load_ctg(gen.ctg_text(sites, rng)))
+        if sites not in tables:
+            tables[sites] = ctgmod.build_table(ctgmod.load_ctg(gen.ctg_text(sites, rng)))
         log = ctmdpmod.ShiftLog()
         for row in csv.DictReader(io.StringIO(gen.shift_log(sites, actions, rng))):
             log.record(row["state"], row["action"], float(row["dwell"]),
                        row["next"] or None)
-        models[f"{2 ** sites}x{actions}"] = ctmdpmod.from_schedule_tables(
-            [ctgs[sites]], log)
-    return models
+        inputs[f"{2 ** sites}x{actions}"] = (tables[sites], log)
+    return inputs
+
+
+def ladder_models():
+    """The CTMDPs of the benchmark's ladder."""
+    return {rung: ctmdpmod.from_schedule_tables([table], log)
+            for rung, (table, log) in ladder_inputs().items()}
 
 
 LADDER_MAX_PIVOTS = 500
@@ -1577,6 +1585,78 @@ def assert_same_solution(got, want):
         assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
+def scan_schedule_tables(tables, shift_log):
+    """`ctmdp.from_schedule_tables` scanning every logged shift for every
+    (state, action) pair."""
+    states, reward_of = [], []
+    for table in tables:
+        for scenario, sched in table.columns():
+            states.append(ctmdpmod.state_name(table.zone, scenario))
+            reward_of.append(sched.graph.total_n())
+    actions = shift_log.observed_actions() or ("default",)
+    S, A = len(states), len(actions)
+    sidx = {s: i for i, s in enumerate(states)}
+    observed_dwell = [d for d in shift_log.dwell.values() if d > 0]
+    mean_dwell = (sum(observed_dwell) / len(observed_dwell)) if observed_dwell else 1.0
+    q = np.zeros((S, S, A))
+    prior_pairs = []
+    for i, state in enumerate(states):
+        for a, action in enumerate(actions):
+            dwell = shift_log.dwell.get((state, action), 0.0)
+            if dwell > 0:
+                for (s, act, nxt), count in shift_log.shifts.items():
+                    if s == state and act == action and nxt in sidx:
+                        q[i, sidx[nxt], a] = count / dwell
+            elif S > 1:
+                prior_pairs.append((state, action))
+                q[i, :, a] = 1.0 / (mean_dwell * (S - 1))
+                q[i, i, a] = 0.0
+    rewards = np.tile(np.array(reward_of)[None, :, None], (1, 1, A))
+    return make_ctmdp(states, actions, q, rewards, prior_pairs=prior_pairs)
+
+
+def loop_model_csv(m):
+    """`ctmdp.model_to_csv` reading the rates cell by cell."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["kind", "i", "j", "a", "k", "value"])
+    for a, action in enumerate(m.actions):
+        for i, si in enumerate(m.states):
+            for j, sj in enumerate(m.states):
+                if i != j and m.q[i, j, a] != 0.0 and m.admissible[i, a]:
+                    w.writerow(["rate", si, sj, action, "", "%.9g" % m.q[i, j, a]])
+    for k in range(m.k):
+        for a, action in enumerate(m.actions):
+            for i, si in enumerate(m.states):
+                if m.admissible[i, a]:
+                    w.writerow(["reward", si, "", action, k, "%.9g" % m.rewards[k, i, a]])
+    for k, bound in enumerate(m.bounds, start=1):
+        w.writerow(["bound", "", "", "", k, "%.9g" % bound])
+    return buf.getvalue()
+
+
+def assert_same_model(got, want):
+    assert (got.states, got.actions, got.bounds, got.prior_pairs) == (
+        want.states, want.actions, want.bounds, want.prior_pairs)
+    for name in ("admissible", "q", "rewards"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def shift_logs(draw, states):
+    """Shift logs over `states` and two names outside them, with up to
+    four actions, zero and fractional dwells, self-shifts and rows
+    without a next state."""
+    names = list(states) + ["Z:(?)", "elsewhere"]
+    actions = ["default", "r0", "r1", "r2"][:draw(st.integers(1, 4))]
+    log = ctmdpmod.ShiftLog()
+    for _ in range(draw(st.integers(0, 40))):
+        log.record(draw(st.sampled_from(names)), draw(st.sampled_from(actions)),
+                   draw(st.sampled_from([0.0, 0.5, 1.0, 60.0, 1e-3, 7.25])),
+                   draw(st.sampled_from([None, *names])))
+    return log
+
+
 class TestCtmdpArrays:
     @settings(max_examples=300, deadline=None)
     @given(generators())
@@ -1607,6 +1687,38 @@ class TestCtmdpArrays:
     def ladder(self):
         return ladder_models()
 
+    @pytest.fixture(scope="class")
+    def twin_tables(self, twin_ctg_text):
+        table = ctgmod.build_table(ctgmod.load_ctg(twin_ctg_text))
+        return [table, replace(table, zone="Z2")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 2))
+    def test_rates_match_shift_scan(self, twin_tables, data, n_tables):
+        tables = twin_tables[:n_tables]
+        states = [ctmdpmod.state_name(t.zone, s) for t in tables for s in t.scenarios]
+        log = data.draw(shift_logs(states))
+        got = ctmdpmod.from_schedule_tables(tables, log)
+        assert_same_model(got, scan_schedule_tables(tables, log))
+        assert ctmdpmod.model_to_csv(got) == loop_model_csv(got)
+
+    @pytest.mark.parametrize("rung", ["16x3", "32x2", "32x3", "64x2"])
+    def test_ladder_models_match_loops(self, rung):
+        table, log = ladder_inputs()[rung]
+        got = ctmdpmod.from_schedule_tables([table], log)
+        assert_same_model(got, scan_schedule_tables([table], log))
+        assert ctmdpmod.model_to_csv(got) == loop_model_csv(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generators(), st.integers(1, 3))
+    def test_model_csv_matches_cell_loop(self, drawn, criteria):
+        S, A, admissible, q = drawn
+        q = np.where(q == 0.0, q, np.abs(q))  # a valid generator, -0.0 rates kept
+        rewards = np.arange(criteria * S * A, dtype=float).reshape(criteria, S, A) / 3
+        m = make_ctmdp(tuple(f"s{i}" for i in range(S)), tuple(f"a{a}" for a in range(A)),
+                       q, rewards, admissible, bounds=(0.5,) * (criteria - 1))
+        assert ctmdpmod.model_to_csv(m) == loop_model_csv(m)
+
     @pytest.mark.parametrize("rung", ["16x3", "32x2", "32x3", "64x2"])
     def test_ladder_solves_match_pivot_loop(self, ladder, rung):
         lp = build_lp(ladder[rung])
@@ -1618,6 +1730,12 @@ class TestCtmdpArrays:
                                st.integers(2, 9), st.integers(1, 3))),
            st.sampled_from([simplex.BLAND_AFTER, 0]),
            st.sampled_from([simplex.DEFAULT_MAX_ITERS, 2]))
+    # Dependent equality rows: rounding puts a basic column's entry in the
+    # artificial's row above PIVOT_TOL after phase 1.
+    @example(simplex.LinearProgram.build([-1.0, -1.0],
+                                         eq=[([-3.0, 1.0], 1.0), ([-6.0, 2.0], 2.0)],
+                                         ge=[([2.0, -5e-6], -1e-9)]),
+             0, simplex.DEFAULT_MAX_ITERS)
     def test_solves_match_pivot_loop(self, lp, bland_after, max_iters):
         with mock.patch.object(simplex, "BLAND_AFTER", bland_after), \
                 np.errstate(all="ignore"):
@@ -1908,6 +2026,19 @@ def dags(draw):
     return fgraph.FunctionGraph(tuple(draw(st.permutations(nodes))), arcs)
 
 
+def benchmark_graph(seed):
+    """The function graph of `perfbench/gen.py` at `seed`, drawn after the
+    schedule task graph as the offline_plan workload draws it."""
+    gen = perfbench_gen()
+    rng = np.random.default_rng(seed)
+    gen.ctg_text(gen.SCHEDULE_SITES, rng)
+    spec = json.loads(gen.function_graph(rng))
+    return fgraph.FunctionGraph(
+        tuple(fgraph.FgNode(n["id"], fgraph.PerfDistribution(tuple(map(tuple, n["points"]))),
+                            n["capability"]) for n in spec["nodes"]),
+        tuple(map(tuple, spec["arcs"])))
+
+
 class TestEvaluate:
     @settings(max_examples=200, deadline=None)
     @given(dags(), st.sampled_from([1, 2, 3, 7, fgraph.BLOCK_POINTS]))
@@ -1928,6 +2059,28 @@ class TestEvaluate:
             ("f0", "f1"), ("f0", "f2"), ("f1", "f3"), ("f2", "f3"),
             ("f0", "f4"), ("f3", "f5"), ("f4", "f5")))
         assert 5 ** 6 > fgraph.BLOCK_POINTS  # more than one block
+        assert outcome(fgraph.evaluate, fg) == outcome(product_evaluate, fg)
+
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_benchmark_graphs(self, seed):
+        # Drawn as the offline_plan workload draws its graph: 7 nodes of 5
+        # points, 78 125 joint points in 25 blocks, here with 4 sinks.
+        fg = benchmark_graph(seed)
+        assert [len(n.dist.points) for n in fg.nodes] == [5] * 7
+        assert 5 ** 5 <= fgraph.BLOCK_POINTS < 5 ** 6
+        assert len(fg.sinks()) == 4
+        assert outcome(fgraph.evaluate, fg) == outcome(product_evaluate, fg)
+
+    def test_benchmark_graph_with_zero_durations(self):
+        # A 0.0 duration at a source and at a join: completions of +0.0 and
+        # of a predecessor maximum unchanged share slots with their equals.
+        fg = benchmark_graph(3)
+        heads = [b for _, b in fg.arcs]
+        join = next(n.id for n in fg.nodes if heads.count(n.id) > 1)
+        for node_id in ("f0", join):
+            (_, p), *rest = fg.node(node_id).dist.points
+            fg = fg.with_node(replace(fg.node(node_id), dist=fgraph.PerfDistribution(
+                ((0.0, p), *rest))))
         assert outcome(fgraph.evaluate, fg) == outcome(product_evaluate, fg)
 
 

@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from civitas import fsm
 from civitas.fsm import (CYCLIC_ORDER, SignalFsm, SignalState, TimingConstraint,
@@ -146,6 +146,14 @@ def deadlines(draw, f):
     return max(t, 0.0)
 
 
+@st.composite
+def constrained_fsms(draw):
+    """A timed signal and one to five constraints on it."""
+    f = draw(timed_fsms())
+    return f, [TimingConstraint(draw(deadlines(f)), draw(st.sampled_from(CYCLIC_ORDER)))
+               for _ in range(draw(st.integers(1, 5)))]
+
+
 class TestGreenInterval:
     """The table-driven rule against the hand-written layouts it replaced."""
 
@@ -170,11 +178,14 @@ class TestGreenInterval:
         assert bits(got) == bits(layout_green_interval(f, c))
 
     @settings(max_examples=500)
-    @given(st.data(), timed_fsms(), st.integers(1, 5))
-    def test_apply_matches_the_probe_sweep(self, data, f, n):
-        cs = [TimingConstraint(data.draw(deadlines(f)),
-                               data.draw(st.sampled_from(CYCLIC_ORDER)))
-              for _ in range(n)]
+    @given(constrained_fsms())
+    # New splits an ulp short of the old cycle, under an offset in its last
+    # ulp: the offset wraps to the new cycle's start instead of raising.
+    @example((SignalFsm(88.6120341533936, 10.467464008416972, 79.68456080079329,
+                        offset=178.76405896260383),
+              [TimingConstraint(417.4726845806688, SignalState.RED)]))
+    def test_apply_matches_the_probe_sweep(self, drawn):
+        f, cs = drawn
         got, want = apply_timing_constraints(f, cs), probe_apply_timing_constraints(f, cs)
         if isinstance(want, SignalFsm):
             assert isinstance(got, SignalFsm) and got.anchor is want.anchor

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from civitas import simplex
 from civitas.simplex import LinearProgram, solve
 
 
@@ -83,6 +84,35 @@ class TestBasics:
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(0.5)
+
+    def test_basic_column_noise_does_not_enter_twice(self, monkeypatch):
+        # Row 2 = 2 * row 1.  Under Bland's rule phase 1 ends with an
+        # artificial basic in one of them, and rounding leaves a basic
+        # column's entry in that artificial's row above PIVOT_TOL.
+        # Pivoting that column in would put it in the basis twice.
+        lp = LinearProgram.build([-1.0, -1.0],
+                                 eq=[([-3.0, 1.0], 1.0), ([-6.0, 2.0], 2.0)],
+                                 ge=[([2.0, -5e-6], -1e-9)])
+        noise = []
+        optimize = simplex._optimize
+
+        def phase1_noise(basis, costs, iterations, max_iters):
+            out = optimize(basis, costs, iterations, max_iters)
+            if not noise:
+                n_total = basis.a.shape[1] - basis.a.shape[0]
+                real = basis.columns[basis.columns < n_total]
+                noise.extend(np.abs(basis.inverse[i] @ basis.a[:, real]).max()
+                             for i, col in enumerate(basis.columns) if col >= n_total)
+            return out
+
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+        monkeypatch.setattr(simplex, "_optimize", phase1_noise)
+        sol = solve(lp)
+        assert max(noise) > simplex.PIVOT_TOL
+        assert sol.status == "optimal"
+        # x1 = 1 + 3 x0 and the >= row binds: x0 = (5e-6 - 1e-9) / (2 - 1.5e-5)
+        assert sol.objective == pytest.approx(-1.0 - 4 * (5e-6 - 1e-9) / (2 - 1.5e-5),
+                                              rel=1e-12)
 
     def test_negative_rhs_rows(self):
         # x1 - x2 = -1, x1 + x2 = 3 -> x = (1, 2)
