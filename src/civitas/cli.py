@@ -526,7 +526,7 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
             raise sec.error("n", f"{n} samples do not fit in memory ({exc})") from exc
         return ("flexibility", "%.9g" % value,
                 f"name={sec.name};n={sec.get('n')};seed={sec.get('seed')}")
-    raise ParseError(f"unknown metrics section {sec.kind!r}")
+    raise ParseError(f"line {sec.line}: unknown metrics section {sec.kind!r}")
 
 
 def _metric_rows(text: str, base: str) -> list[tuple[str, str, str]]:

@@ -15,9 +15,9 @@ import bisect
 import heapq
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .fsm import TimingConstraint, admitting_state
 from .textfmt import ParseError, parse_sections
@@ -179,11 +179,18 @@ class Ctg:
                 raise ValueError(f"[task {b}] after: unknown tasks {sorted({a, b} - known)}")
         _toposort(ids, self.arcs)  # raises on cycles
 
+    @cached_property
+    def _site_index(self) -> dict[str, int]:
+        """Each site's position in `sites`, and so in a scenario."""
+        return {s.id: i for i, s in enumerate(self.sites)}
+
     def label_of(self, scenario: Scenario, site_id: str | None) -> str | None:
         if site_id is None:
             return None
-        idx = next(i for i, s in enumerate(self.sites) if s.id == site_id)
-        return scenario[idx]
+        index = self._site_index.get(site_id)
+        if index is None:
+            raise KeyError(f"no [site {site_id}] in the task graph of zone {self.zone!r}")
+        return scenario[index]
 
     @cached_property
     def gaps(self) -> tuple[tuple[str, str, float], ...]:
@@ -465,7 +472,8 @@ def load_ctg(text: str) -> Ctg:
             for pred in sec.get_list("after"):
                 arcs.append((pred, sec.name))
         else:
-            raise ParseError(f"unknown section kind {sec.kind!r} in ctg file")
+            raise ParseError(f"line {sec.line}: unknown section kind {sec.kind!r}"
+                             " in ctg file")
     return Ctg(tuple(sites), tuple(tasks), tuple(arcs), shared, zone, clearance)
 
 

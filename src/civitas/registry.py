@@ -178,7 +178,8 @@ def load_registry(text: str) -> DmRegistry:
             links.append((sec, _port(sec, "src"), _port(sec, "dst"),
                           sec.choice("role", LinkRole)))
         else:
-            raise ParseError(f"unknown section kind {sec.kind!r} in registry file")
+            raise ParseError(f"line {sec.line}: unknown section kind {sec.kind!r}"
+                             " in registry file")
     for sec, src, dst, role in links:
         with sec.context():
             reg.wire(src, dst, role)

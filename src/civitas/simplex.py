@@ -196,14 +196,18 @@ def solve(lp: LinearProgram, max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:
     # Drive remaining artificials out of the basis.  A row of the basis
     # inverse times A that is zero everywhere shows the artificial's own
     # constraint row to be a combination of the others: drop that row.
-    # "Zero" is relative to the column's largest entry in that product, as
-    # rounding noise grows with it.  Only non-basic columns may enter: a
-    # basic column's entry in another row is rounding noise, and pivoting
-    # it in would put the column in the basis twice.
+    # Each test reads a freshly factored inverse: eta updates after a tiny
+    # pivot leave noise in the inverse itself, which the product cannot
+    # tell from a real entry.  "Zero" is relative to the column's largest
+    # entry in that product, as rounding noise grows with it.  Only
+    # non-basic columns may enter: a basic column's entry in another row
+    # is rounding noise, and pivoting it in would put the column in the
+    # basis twice.
     dropped = []
     for i in range(m):
         if basis.columns[i] < n_total:
             continue
+        basis.refactor()
         entries = np.abs(basis.inverse[i] @ A) > PIVOT_TOL
         columns = np.asarray(basis.columns)
         entries[columns[columns < n_total]] = False

@@ -1,10 +1,14 @@
 """Structured-text configuration files.
 
 All on-disk inputs (networks, demand, task graphs, registries) share one
-human-readable grammar: an INI dialect whose section headers carry a kind
-and a name, e.g. ``[segment s1]``, followed by ``key = value`` lines.
-Lists are comma separated; ``#`` starts a comment, also after a value
-(where whitespace must precede it).
+human-readable line grammar: section headers carry a kind and a name,
+e.g. ``[segment s1]``, followed by ``key = value`` lines.  Lists are comma
+separated; ``#`` starts a comment, also after a value (where whitespace
+must precede it), and a line whose text starts with ``;`` is a comment.
+`parse_sections` reads a text in one pass over its lines and refuses,
+naming the line, what the grammar does not have: continuation lines
+(any indented line), text after a header's ``]``, repeated sections or
+keys, and lines before the first header.
 
 `Section`'s typed accessors are the one validation layer of that grammar:
 every value they reject, and every error raised inside `Section.context`,
@@ -15,10 +19,9 @@ Numbers are finite unless a loader asks for ``float`` explicitly;
 
 from __future__ import annotations
 
-import configparser
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
@@ -53,6 +56,7 @@ class Section:
     kind: str
     name: str
     values: dict[str, str]
+    line: int = field(default=0, compare=False)  # of the header, from 1
 
     @property
     def where(self) -> str:
@@ -154,19 +158,57 @@ class Section:
 
 
 def parse_sections(text: str) -> list[Section]:
-    """Split a config text into typed sections, preserving order."""
-    parser = configparser.ConfigParser(
-        delimiters=("=",), comment_prefixes=("#", ";"),
-        inline_comment_prefixes=("#",), strict=True, interpolation=None)
-    parser.optionxform = str  # keep key case
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ParseError(str(exc)) from exc
-    sections = []
-    for header in parser.sections():
-        parts = header.split(None, 1)
-        kind = parts[0]
-        name = parts[1].strip() if len(parts) > 1 else ""
-        sections.append(Section(kind, name, dict(parser[header])))
+    """Split a config text into typed sections, preserving order.
+
+    One pass over the lines, split at newlines only.  Blank and comment
+    lines are skipped, and the whitespace around a header, a key and a
+    value is dropped, a carriage return before the newline with it.  A
+    key is the text before the line's first ``=``, with its case kept.
+    """
+    sections: list[Section] = []
+    seen: dict[tuple[str, str], Section] = {}
+    values: dict[str, str] | None = None
+    where = ""
+    for number, line in enumerate(text.split("\n"), 1):
+        cut = line.find("#")
+        while cut > 0 and not line[cut - 1].isspace():
+            cut = line.find("#", cut + 1)
+        if cut >= 0:
+            line = line[:cut]
+        stripped = line.strip()
+        if not stripped or stripped[0] == ";":
+            continue
+        if line[0].isspace():
+            raise ParseError(f"line {number}: {where}indented line {stripped!r}"
+                             " (the grammar has no continuation lines)")
+        if stripped[0] == "[":
+            close = stripped.find("]")
+            if close < 0:
+                raise ParseError(f"line {number}: unclosed section header {stripped!r}")
+            if close < len(stripped) - 1:
+                raise ParseError(f"line {number}: text after ']' of {stripped[:close + 1]}:"
+                                 f" {stripped[close + 1:].lstrip()!r}")
+            parts = stripped[1:close].split(None, 1)
+            if not parts:
+                raise ParseError(f"line {number}: empty section header")
+            sec = Section(parts[0], parts[1].strip() if len(parts) > 1 else "", {},
+                          number)
+            first = seen.setdefault((sec.kind, sec.name), sec)
+            if first is not sec:
+                raise ParseError(f"line {number}: {sec.where} repeats the section"
+                                 f" of line {first.line}")
+            sections.append(sec)
+            values, where = sec.values, sec.where + " "
+            continue
+        if values is None:
+            raise ParseError(f"line {number}: {stripped!r} before the first"
+                             " [kind name] header")
+        key, equals, value = stripped.partition("=")
+        key = key.rstrip()
+        if not equals or not key:
+            raise ParseError(f"line {number}: {where}expected 'key = value',"
+                             f" got {stripped!r}")
+        if key in values:
+            raise ParseError(f"line {number}: {where}{key}: repeated key")
+        values[key] = value.strip()
     return sections

@@ -269,7 +269,7 @@ def load_network(text: str) -> StreetNetwork:
         elif sec.kind == "signal":
             signals.append(_load_signal(sec))
         else:
-            raise ParseError(f"unknown section kind {sec.kind!r}")
+            raise ParseError(f"line {sec.line}: unknown section kind {sec.kind!r}")
     return StreetNetwork(tuple(segments), tuple(intersections),
                          tuple(zones), tuple(signals))
 
@@ -324,7 +324,8 @@ def load_demand(text: str) -> DemandProfile:
     arrivals = []
     for sec in parse_sections(text):
         if sec.kind != "arrivals":
-            raise ParseError(f"unknown section kind {sec.kind!r} in demand file")
+            raise ParseError(f"line {sec.line}: unknown section kind {sec.kind!r}"
+                             " in demand file")
         windows = sec.items("windows", "start:end:rate", finite, float, finite)
         with sec.context("windows"):
             arrivals.append((sec.name, tuple(DemandWindow(*w) for w in windows)))

@@ -11,9 +11,12 @@ passes until convergence or the budget even when a pass changed nothing,
 and its push-down and run-children pass in their uncached form, which
 allocates goals, derives constraints and applies them afresh each time.
 The CTMDP's generator checks, the balance rows of its LP and the
-simplex's pivot step are kept as the per-row loops they were.
+simplex's pivot step are kept as the per-row loops they were.  The input
+files' sections are read by configparser, as `textfmt.parse_sections`
+once read them.
 """
 
+import configparser
 import copy
 from dataclasses import replace
 
@@ -31,6 +34,7 @@ from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                HierarchyEngine, ReconcileReport, TableBound,
                                ViolationMsg)
 from civitas import simplex
+from civitas.textfmt import ParseError, Section
 
 
 def check_constraints_by_replay(fsm: SignalFsm,
@@ -345,3 +349,25 @@ def list_optimize(basis, costs, iterations, max_iters):
         degenerate = degenerate + 1 if theta == 0.0 else 0
         basis.pivot(leaving, entering, d)
     return simplex.ITERATION_LIMIT, iterations
+
+
+def configparser_sections(text: str) -> list[Section]:
+    """`textfmt.parse_sections` through `configparser`.  It also accepts
+    what the line grammar does not have: a ``[DEFAULT]`` section merged
+    into every other, indented continuation lines, text after a header's
+    ``]``, and indented keys."""
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#", ";"),
+        inline_comment_prefixes=("#",), strict=True, interpolation=None)
+    parser.optionxform = str  # keep key case
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ParseError(str(exc)) from exc
+    sections = []
+    for header in parser.sections():
+        parts = header.split(None, 1)
+        kind = parts[0]
+        name = parts[1].strip() if len(parts) > 1 else ""
+        sections.append(Section(kind, name, dict(parser[header])))
+    return sections

@@ -276,6 +276,37 @@ def test_malformed_value_is_exit_one(tmp_path, data_dir, capsys, command, name,
     assert where in capsys.readouterr().err
 
 
+# Lines outside the line grammar, each in a shipped file: (command, file,
+# the first occurrence of `old` -> `new`, the number of the line at fault,
+# the message).  configparser read the first three; it refused the repeated
+# key too.
+REFUSED_LINES = [
+    ("schedule", "twin.ctg", "[ctg Z]", "[DEFAULT]\nclearance = 5\n[ctg Z]",
+     5, "unknown section kind 'DEFAULT' in ctg file"),
+    ("simulate", "twin.network", "turns = s2, s4", "turns = s2,\n    s4",
+     28, "[segment s1] indented line 's4'"),
+    ("simulate", "twin.network", "[segment s1]", "[segment s1] junk",
+     19, "text after ']' of [segment s1]: 'junk'"),
+    ("schedule", "twin.ctg", "labels = L, H", "labels = L, H\nlabels = L, H",
+     12, "[site c1] labels: repeated key"),
+]
+
+
+@pytest.mark.parametrize("command, name, old, new, number, message", REFUSED_LINES)
+def test_line_outside_the_grammar_names_file_and_line(tmp_path, data_dir, capsys, command,
+                                                      name, old, new, number, message):
+    bad = tmp_path / name
+    bad.write_text((data_dir / name).read_text().replace(old, new, 1))
+    out = str(tmp_path / "o")
+    if command == "schedule":
+        args = ["schedule", "--ctg", str(bad), "--out", out]
+    else:
+        args = sim_args(data_dir, out)
+        args[args.index("--network") + 1] = str(bad)
+    assert cli.main(args) == 1
+    assert f"{bad}: line {number}: {message}" in capsys.readouterr().err
+
+
 def test_vehicle_count_beyond_exact_doubles_is_exit_one(tmp_path, data_dir, capsys):
     # n = 1e308 once overflowed the area LP into a nan certificate that
     # passed, and the run exited 0 with capability 1e+308.

@@ -119,6 +119,11 @@ class TestResolve:
         assert resolve(c, ("H",)).task("T").duration == 7.0
         assert resolve(c, ("L",)).task("T").n == 2
 
+    def test_label_of_unknown_site_names_it(self):
+        with pytest.raises(KeyError, match=r"no \[site c9\] in the task graph of zone 'Z'"):
+            Ctg(SITES, (CtgTask("T", t_ex=1.0),), (), zone="Z").label_of(
+                ("L", "H", "L"), "c9")
+
 
 class TestSchedule:
     def test_exclusion_forces_serialization(self):

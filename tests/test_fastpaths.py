@@ -1453,6 +1453,14 @@ def ladder_models():
 LADDER_MAX_PIVOTS = 500
 
 
+def dependent_row_lp(c0):
+    """Maximize c0 x0 where row 2 = 2 * row 1 and phase 1 pivots on a
+    3.3e-10 entry (the LP that once raised `LinAlgError`)."""
+    return simplex.LinearProgram.build(
+        [c0, 0.0], eq=[([-3.0, 1.0], 1.0), ([-6.0, 2.0], 2.0)],
+        ge=[([0.0, 3.0], 0.0), ([2.0, -1e-9], -1e-11)])
+
+
 class TestSimplexSolve:
     @settings(max_examples=200, deadline=None)
     @given(dense_lps(quarters))
@@ -1736,6 +1744,10 @@ class TestCtmdpArrays:
                                          eq=[([-3.0, 1.0], 1.0), ([-6.0, 2.0], 2.0)],
                                          ge=[([2.0, -5e-6], -1e-9)]),
              0, simplex.DEFAULT_MAX_ITERS)
+    # Dependent equality rows behind a 3.3e-10 phase-1 pivot: the eta-updated
+    # inverse carries noise of about 1e-7 in the artificial's row.
+    @example(dependent_row_lp(2.0), simplex.BLAND_AFTER, simplex.DEFAULT_MAX_ITERS)
+    @example(dependent_row_lp(-2.0), simplex.BLAND_AFTER, simplex.DEFAULT_MAX_ITERS)
     def test_solves_match_pivot_loop(self, lp, bland_after, max_iters):
         with mock.patch.object(simplex, "BLAND_AFTER", bland_after), \
                 np.errstate(all="ignore"):

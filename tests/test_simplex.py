@@ -114,6 +114,26 @@ class TestBasics:
         assert sol.objective == pytest.approx(-1.0 - 4 * (5e-6 - 1e-9) / (2 - 1.5e-5),
                                               rel=1e-12)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_dependent_row_after_a_tiny_phase1_pivot(self, sign):
+        # Row 2 = 2 * row 1.  Phase 1 pivots on a 3.3e-10 entry, and the
+        # eta-updated inverse then carries noise of about 1e-7 in the
+        # dependent row's artificial; pivoting a surplus column in on that
+        # noise would leave a singular basis.
+        A_eq = np.array([[-3.0, 1.0], [-6.0, 2.0]])
+        b_eq = np.array([1.0, 2.0])
+        A_ge = np.array([[0.0, 3.0], [2.0, -1e-9]])
+        b_ge = np.array([0.0, -1e-11])
+        c = [2.0 * sign, 0.0]
+        sol = solve(LinearProgram.build(c, eq=list(zip(A_eq, b_eq)),
+                                        ge=list(zip(A_ge, b_ge))))
+        if sign > 0:  # x1 = 1 + 3 x0 lets x0 grow without bound
+            assert sol.status == "unbounded"
+            return
+        assert sol.status == "optimal"
+        oracle = brute_force_lp(c, A_eq, b_eq, A_ge, b_ge)
+        assert sol.objective == pytest.approx(oracle, abs=1e-7)
+
     def test_negative_rhs_rows(self):
         # x1 - x2 = -1, x1 + x2 = 3 -> x = (1, 2)
         lp = LinearProgram.build([1.0, 0.0],
