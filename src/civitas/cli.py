@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # each command imports the modules it runs
     from . import ctmdp as ctmdpmod
     from . import fsm as fsmmod
     from . import hierarchy as hiermod
-    from . import registry as regmod
     from . import world as worldmod
 
 logger = logging.getLogger("civitas")
@@ -74,7 +73,6 @@ class RunConfig:
     network: str
     demand: str
     ctg: str | None
-    registry: str | None
     horizon: float
     seed: int
     out: str
@@ -165,7 +163,7 @@ def load_simulation(cfg: RunConfig) -> tuple:
     demand = _load(cfg.demand, "demand", worldmod.load_demand)
     with _naming(f"network {cfg.network} with demand {cfg.demand}"):
         world = worldmod.make_world(net, demand, cfg.horizon, cfg.seed)
-    ctg = table = itus = registry = None
+    ctg = table = itus = None
     if cfg.mode == "hierarchical":
         from . import ctg as ctgmod
         ctg = _load(cfg.ctg, "ctg", ctgmod.load_ctg)
@@ -173,10 +171,7 @@ def load_simulation(cfg: RunConfig) -> tuple:
             itus = _zone_itus(net, ctg)
         with _naming(f"ctg {cfg.ctg}"):
             table = ctgmod.build_table(ctg)
-    if cfg.registry:
-        from .registry import load_registry
-        registry = _load(cfg.registry, "registry", load_registry)
-    return net, world, ctg, table, itus, registry
+    return net, world, ctg, table, itus
 
 
 class EpochLoop:
@@ -263,7 +258,7 @@ class EpochLoop:
 def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
     from . import world as worldmod
     os.makedirs(cfg.out, exist_ok=True)
-    net, world, ctg, table, itus, registry = inputs or load_simulation(cfg)
+    net, world, ctg, table, itus = inputs or load_simulation(cfg)
     controllers = _build_controllers(net)
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
     epochs = None
@@ -303,21 +298,16 @@ def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
             epochs.close(t)
             fsms = current_fsms()
 
-    summary = _write_artifacts(cfg, world, epochs, registry)
+    summary = _write_artifacts(cfg, world, epochs)
     logger.info("simulate: %s", summary)
     return summary
 
 
 def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
-                     epochs: EpochLoop | None,
-                     registry: regmod.DmRegistry | None) -> dict:
+                     epochs: EpochLoop | None) -> dict:
     """Write every artifact of a finished run into `cfg.out`; return the
     summary.  `epochs` is None in fixed mode."""
     from . import world as worldmod
-    if registry is not None:
-        from .registry import classification_report
-        _write(os.path.join(cfg.out, "interactions.csv"),
-               classification_report(registry))
     if epochs is not None:
         from . import fgraph as fgmod
         engine = epochs.engine
@@ -352,9 +342,8 @@ def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
 
 
 def cmd_simulate(args):
-    cfg = RunConfig(args.network, args.demand, args.ctg, args.registry,
-                    args.horizon, args.seed, args.out, args.mode, args.dt,
-                    args.target, args.deadline)
+    cfg = RunConfig(args.network, args.demand, args.ctg, args.horizon, args.seed,
+                    args.out, args.mode, args.dt, args.target, args.deadline)
     inputs = load_simulation(cfg)
     return lambda: run_simulation(cfg, inputs)
 
@@ -570,7 +559,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--network", required=True)
     sim.add_argument("--demand", required=True)
     sim.add_argument("--ctg")
-    sim.add_argument("--registry")
     sim.add_argument("--horizon", type=float, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)

@@ -398,8 +398,7 @@ def table_to_csv(table: ScheduleTable) -> str:
     return buf.getvalue()
 
 
-def derive_timing_constraints(sched: ZoneSchedule, itu_id: str,
-                              cycle: float | None = None
+def derive_timing_constraints(sched: ZoneSchedule, itu_id: str, cycle: float
                               ) -> tuple[TimingConstraint, ...]:
     """Signal deadlines that make the local controller admit this schedule.
 
@@ -407,7 +406,7 @@ def derive_timing_constraints(sched: ZoneSchedule, itu_id: str,
     one direction; each run anchors the admitting state at its start
     (preceding finish plus the adjacent idle gap) and just before its end.
     A schedule using a single direction needs no state change and yields
-    no constraints.
+    no constraints.  Constraint times are taken modulo the signal `cycle`.
     """
     crossing = sorted(
         (t for t in sched.graph.tasks
@@ -427,10 +426,8 @@ def derive_timing_constraints(sched: ZoneSchedule, itu_id: str,
     constraints = []
     for run in runs:
         state = admitting_state(run[0].direction)
-        start = sched.starts[run[0].id]
-        end = sched.finishes[run[-1].id]
-        if cycle is not None:
-            start, end = start % cycle, end % cycle
+        start = sched.starts[run[0].id] % cycle
+        end = sched.finishes[run[-1].id] % cycle
         constraints.append(TimingConstraint(start, state, label))
         anchor = max(start, end - RUN_END_BACKOFF)
         if anchor > start:

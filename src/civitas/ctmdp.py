@@ -190,12 +190,10 @@ def build_lp(m: Ctmdp) -> simplex.LinearProgram:
     eq_lhs = np.ones((len(m.states) + 1, len(states)))
     eq_lhs[:-1] = 0.0 - m.q[states, :, actions].T
     eq_rhs = np.append(np.zeros(len(m.states)), 1.0)
-    names = tuple(f"x[{m.states[i]},{m.actions[a]}]"
-                  for i, a in zip(states.tolist(), actions.tolist()))
     return simplex.LinearProgram(
         np.array(m.rewards[0, states, actions], dtype=float), eq_lhs, eq_rhs,
         np.array(m.rewards[1:, states, actions], dtype=float, order="C"),
-        np.array(m.bounds, dtype=float), names)
+        np.array(m.bounds, dtype=float))
 
 
 class SolutionInvariantError(RuntimeError):
@@ -328,7 +326,8 @@ def model_to_csv(m: Ctmdp) -> str:
 
 
 def model_from_csv(text: str) -> Ctmdp:
-    """A model from `model_to_csv` rows.
+    """A model from `model_to_csv` rows, at least one of them a rate or a
+    reward row.
 
     Criteria are numbered from 0 without gaps, and each bound names one
     beyond the objective.
@@ -388,6 +387,8 @@ def model_from_csv(text: str) -> Ctmdp:
             row_of[key] = n
         except ValueError as exc:
             raise ValueError(f"row {n}: {exc}") from exc
+    if not states:
+        raise ValueError("no rate or reward rows: the model has no states")
     criteria = sorted(first_reward_row)
     for expected, criterion in enumerate(criteria):
         if criterion != expected:

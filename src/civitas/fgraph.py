@@ -231,44 +231,28 @@ class AllocationInfeasible(RuntimeError):
     """The graph has no throughput capability to distribute goals over."""
 
 
-def distribute_goals(fg: FunctionGraph, target: int, deadline: float,
-                     overrides: dict[str, int] | None = None) -> GoalAllocation:
+def distribute_goals(fg: FunctionGraph, target: int, deadline: float) -> GoalAllocation:
     """Split the global goal into per-node goals proportional to capability.
 
     Targets use largest-remainder rounding so they always sum exactly to
     the global target; deadlines scale with each node's share of the
-    summed expected completion time.  `overrides` pins selected node
-    targets (manual out-of-the-order interventions) and distributes the
-    remainder over the other nodes.
+    summed expected completion time.
     """
     if target < 0 or deadline <= 0:
         raise ValueError("need target >= 0 and deadline > 0")
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - {n.id for n in fg.nodes}
-    if unknown:
-        raise ValueError(f"override for unknown nodes {sorted(unknown)}")
-    free = [n for n in fg.nodes if n.id not in overrides]
-    pinned = sum(overrides.values())
-    if pinned > target:
-        raise AllocationInfeasible(f"overrides ({pinned}) exceed the global target ({target})")
-    remaining = target - pinned
-    total_cap = sum(n.capability for n in free)
-    if free and total_cap <= 0 and remaining > 0:
-        raise AllocationInfeasible("zero total capability over unpinned nodes")
+    if fg.nodes and sum(n.capability for n in fg.nodes) <= 0 and target > 0:
+        raise AllocationInfeasible("zero total capability")
 
-    targets: dict[str, int] = dict(overrides)
-    if free:
-        shares = [Fraction(n.capability).limit_denominator(10**9) for n in free]
-        total = sum(shares) or Fraction(1)
-        exact = [Fraction(remaining) * s / total for s in shares]
-        floors = [int(e) for e in exact]
-        leftover = remaining - sum(floors)
-        order = sorted(range(len(free)),
-                       key=lambda i: (exact[i] - floors[i], -i), reverse=True)
-        for i in order[:leftover]:
-            floors[i] += 1
-        for node, t in zip(free, floors):
-            targets[node.id] = t
+    shares = [Fraction(n.capability).limit_denominator(10**9) for n in fg.nodes]
+    total = sum(shares) or Fraction(1)
+    exact = [Fraction(target) * s / total for s in shares]
+    floors = [int(e) for e in exact]
+    leftover = target - sum(floors)
+    order = sorted(range(len(fg.nodes)),
+                   key=lambda i: (exact[i] - floors[i], -i), reverse=True)
+    for i in order[:leftover]:
+        floors[i] += 1
+    targets = {node.id: t for node, t in zip(fg.nodes, floors)}
 
     exp_times = {n.id: n.dist.expectation() for n in fg.nodes}
     total_time = sum(exp_times.values())

@@ -44,7 +44,6 @@ class LinearProgram:
     eq_rhs: np.ndarray
     ge_lhs: np.ndarray
     ge_rhs: np.ndarray
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = len(self.objective)
@@ -56,11 +55,9 @@ class LinearProgram:
             raise ValueError("eq rhs length mismatch")
         if self.ge_lhs.shape[0] != len(self.ge_rhs):
             raise ValueError("ge rhs length mismatch")
-        if self.names and len(self.names) != n:
-            raise ValueError("names length mismatch")
 
     @classmethod
-    def build(cls, objective, eq=(), ge=(), names=()) -> "LinearProgram":
+    def build(cls, objective, eq=(), ge=()) -> "LinearProgram":
         """Assemble from (row, rhs) pair lists."""
         c = np.asarray(objective, dtype=float)
         n = len(c)
@@ -74,7 +71,7 @@ class LinearProgram:
 
         eq_lhs, eq_rhs = stack(list(eq))
         ge_lhs, ge_rhs = stack(list(ge))
-        return cls(c, eq_lhs, eq_rhs, ge_lhs, ge_rhs, tuple(names))
+        return cls(c, eq_lhs, eq_rhs, ge_lhs, ge_rhs)
 
 
 @dataclass

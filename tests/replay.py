@@ -291,8 +291,7 @@ def loop_build_lp(m) -> simplex.LinearProgram:
     eq.append((np.ones(n), 1.0))
     ge = [(np.array([m.rewards[k, i, a] for i, a in pairs]), m.bounds[k - 1])
           for k in range(1, m.k)]
-    names = tuple(f"x[{m.states[i]},{m.actions[a]}]" for i, a in pairs)
-    return simplex.LinearProgram.build(objective, eq=eq, ge=ge, names=names)
+    return simplex.LinearProgram.build(objective, eq=eq, ge=ge)
 
 
 class ListBasis:

@@ -374,7 +374,7 @@ class TestSimulate:
 
     def test_network_without_zones_is_one_implicit_zone(self, tmp_path, data_dir):
         # The twin's one zone holds every segment, and so both signals: the
-        # run is the same without it, interactions.csv of --registry included.
+        # run is the same without it.
         text = (data_dir / "twin.network").read_text()
         section = "[zone Z]\nmembers = s1, s2, s3, s4, s5, s6, s7, s8, s9\n"
         assert section in text
@@ -384,10 +384,10 @@ class TestSimulate:
             args = sim_args(data_dir, tmp_path / name, mode="hierarchical",
                             horizon="1800", seed="3")
             args[args.index("--network") + 1] = str(network)
-            assert cli.main([*args, "--registry", str(data_dir / "city.registry")]) == 0
+            assert cli.main(args) == 0
         names = sorted(p.name for p in (tmp_path / "zoned").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "bare").iterdir())
-        assert {"events.log", "interactions.csv", "function_graph.csv"} <= set(names)
+        assert {"events.log", "function_graph.csv"} <= set(names)
         for name in names:
             assert ((tmp_path / "zoned" / name).read_bytes()
                     == (tmp_path / "bare" / name).read_bytes()), name
@@ -522,12 +522,14 @@ class TestSimulate:
                for f in out.iterdir()}
         assert got == want
 
-    def test_registry_flag_emits_interaction_report(self, tmp_path, data_dir):
+    def test_registry_flag_is_unrecognized(self, tmp_path, data_dir, capsys):
+        # interactions.csv comes only from `classify --registry`
         out = tmp_path / "withreg"
         rc = cli.main(sim_args(data_dir, out)
                       + ["--registry", str(data_dir / "city.registry")])
-        assert rc == 0
-        assert (out / "interactions.csv").exists()
+        assert rc == 1
+        assert "unrecognized arguments: --registry" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSchedule:
@@ -741,6 +743,17 @@ class TestCtmdpCommand:
         assert rc == 1
         assert (f"model.csv: row 3: rate '{rate}' must be a finite number >= 0"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_model_without_rate_or_reward_rows_is_exit_one(self, tmp_path, capsys,
+                                                           body):
+        model_csv = tmp_path / "model.csv"
+        model_csv.write_text("kind,i,j,a,k,value\n" + body)
+        rc = cli.main(["ctmdp", "--model", str(model_csv),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"civitas: error: model {model_csv}: "), err
 
 
 class TestMetricsCommand:
@@ -1125,7 +1138,7 @@ def test_simulate_flags_build_or_name_the_flag(horizon, dt, deadline, seed, targ
     """Any numbers for `simulate`'s flags build a config or raise ConfigError
     naming a flag; the config is only built, no run starts."""
     try:
-        cfg = cli.RunConfig("n.network", "n.demand", "n.ctg", None, horizon, seed,
+        cfg = cli.RunConfig("n.network", "n.demand", "n.ctg", horizon, seed,
                             "out", mode, dt, target, deadline)
     except cli.ConfigError as exc:
         assert any(flag in str(exc) for flag in SIMULATE_FLAGS), str(exc)

@@ -227,7 +227,7 @@ class TestTimingConstraints:
         c = Ctg((), (CtgTask("A", itu="X", direction=1, t_ex=3.0),
                      CtgTask("B", itu="X", direction=1, t_ex=4.0)), ())
         sched = schedule(resolve(c, ()))
-        assert derive_timing_constraints(sched, "X") == ()
+        assert derive_timing_constraints(sched, "X", cycle=60.0) == ()
 
     def test_constrained_fsm_admits_schedule(self, table):
         fsms = {"A": fsmmod.SignalFsm(30, 5, 25, 0.0, fsmmod.SignalState.GREEN),

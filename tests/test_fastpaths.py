@@ -353,7 +353,7 @@ def _twin_hier_world(data_dir, tmp_dir):
 
     cfg = cli.RunConfig(str(data_dir / "twin.network"),
                         str(data_dir / "twin.demand"), str(data_dir / "twin.ctg"),
-                        None, 900.0, 17, str(tmp_dir), "hierarchical")
+                        900.0, 17, str(tmp_dir), "hierarchical")
     with mock.patch.object(w, "observe_cycle", checked):
         cli.run_simulation(cfg)
     assert len(seen) == 3 * 15
@@ -967,7 +967,7 @@ class TestClock:
 
         for dt in (0.1, 1 / 3, 0.7):
             cfg = cli.RunConfig(str(data_dir / "twin.network"),
-                                str(data_dir / "twin.demand"), None, None, 300.0, 2,
+                                str(data_dir / "twin.demand"), None, 300.0, 2,
                                 str(tmp_path / f"{dt:.3f}"), "fixed", dt)
             times.clear()
             ends.clear()
@@ -1074,7 +1074,7 @@ def dict_run_simulation(cfg, inputs=None):
     """`cli.run_simulation` with its tick loop as it was before `controls`
     became one dict filled in place; its epochs and artifacts are the CLI's."""
     os.makedirs(cfg.out, exist_ok=True)
-    net, world, ctg, table, itus, registry = inputs or cli.load_simulation(cfg)
+    net, world, ctg, table, itus = inputs or cli.load_simulation(cfg)
     controllers = cli._build_controllers(net)
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
     epochs = None
@@ -1091,7 +1091,7 @@ def dict_run_simulation(cfg, inputs=None):
         w.step(world, controls, cfg.dt)
         if epochs is not None and (k + 1) % epoch_every == 0:
             epochs.close(t)
-    return cli._write_artifacts(cfg, world, epochs, registry)
+    return cli._write_artifacts(cfg, world, epochs)
 
 
 def assert_same_artifacts(tmp_path, argv):
@@ -1689,7 +1689,6 @@ class TestCtmdpArrays:
             assert np.array_equal(np.signbit(getattr(got, name)),
                                   np.signbit(getattr(want, name))), name
             assert getattr(got, name).flags.c_contiguous, name
-        assert got.names == want.names
 
     @pytest.fixture(scope="class")
     def ladder(self):

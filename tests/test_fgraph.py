@@ -209,11 +209,6 @@ class TestDistributeGoals:
         with pytest.raises(AllocationInfeasible):
             distribute_goals(self.make_fg([0.0, 0.0]), 10, 60.0)
 
-    def test_manual_override_pins_node(self):
-        alloc = distribute_goals(self.make_fg([5.0, 5.0]), 100, 60.0,
-                                 overrides={"n0": 90})
-        assert alloc.target("n0") == 90 and alloc.target("n1") == 10
-
 
 class TestGraphCsv:
     def test_nodes_and_arcs_serialized(self):
