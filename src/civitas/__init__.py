@@ -40,7 +40,7 @@ _EXPORTS = {
               "observe_cycle", "check_zone_balance"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULES = frozenset((*_EXPORTS, "simplex", "textfmt", "cli"))
+_MODULES = frozenset((*_EXPORTS, "simplex", "streams", "textfmt", "cli"))
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"

@@ -92,7 +92,10 @@ class FunctionGraph:
         _toposort(ids, self.arcs, "node {}")
 
     def node(self, node_id: str) -> FgNode:
-        return next(n for n in self.nodes if n.id == node_id)
+        for n in self.nodes:
+            if n.id == node_id:
+                return n
+        raise KeyError(f"no node {node_id!r} in the function graph")
 
     def sinks(self) -> list[str]:
         with_out = {a for a, _ in self.arcs}

@@ -5,7 +5,9 @@ line until their signal admits them, the required headway has elapsed,
 and the downstream segment has room (a shared single-lane section holds
 at most one vehicle).  Arrivals are Poisson with piecewise-constant rates
 from seeded, per-entry split random streams, so runs are bit-reproducible
-given (network, demand, seed, controls).
+given (network, demand, seed, controls).  The streams are numpy's
+`SeedSequence` and PCG64 draws, transcribed in `streams`, so the world
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fsm import (DEFAULT_SPLITS, GREEN_MIN, RED_MIN, YELLOW_MIN,
                   ImplementationMode, IntersectionController, SignalFsm,
                   SignalState, skip_to_next_state)
 from .textfmt import ParseError, Section, finite, parse_sections
+
+if TYPE_CHECKING:
+    from .streams import Pcg64
 
 DEFAULT_HEADWAY = 2.0
 
@@ -397,7 +401,7 @@ class WorldState:
     arrivals: list[tuple[float, str, tuple[str, ...]]] = field(default_factory=list)
     arrival_idx: int = 0
     next_vid: int = 0
-    route_rng: np.random.Generator | None = None
+    route_rng: Pcg64 | None = None
     # Completed traversals per segment in completion order: when each
     # vehicle left the segment and how long it had been on it.  The last
     # completion is the segment's last crossing, the headway's origin.
@@ -538,13 +542,16 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     entry segment, each fed by its own stream split from the seed; routes
     are sampled at generation time (uniform over reachable exits, then the
     fastest path), so stepping the world consumes no randomness.
+
+    Raises ValueError when the horizon is not finite and a window with a
+    rate > 0 ends at inf: its arrivals would never end.
     """
+    from .streams import spawn
+
     world = WorldState(network, queues={s.id: [] for s in network.segments},
                        completed_at={s.id: array("d") for s in network.segments},
                        traversal_time={s.id: array("d") for s in network.segments})
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(len(network.entries()) + 1)
-    world.route_rng = np.random.default_rng(children[-1])
+    *entry_rngs, world.route_rng = spawn(seed, len(network.entries()) + 1)
     if demand is None or horizon <= 0:
         return world
 
@@ -553,7 +560,7 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     reachable_cache: dict[str, list[str]] = {}
     route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
 
-    def route_from(entry: str, rng: np.random.Generator) -> tuple[str, ...]:
+    def route_from(entry: str, rng: Pcg64) -> tuple[str, ...]:
         if entry not in reachable_cache:
             reachable_cache[entry] = router.reachable_exits(entry, exits)
         reachable = reachable_cache[entry]
@@ -570,12 +577,17 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     if unknown:
         raise TopologyError(f"[arrivals {unknown[0]}]: [segment {unknown[0]}] is not"
                             " an entry segment")
+    if not horizon < math.inf:  # inf or nan: only the windows' ends stop the draws
+        for entry, windows in demand.arrivals:
+            if any(w.rate > 0 and w.end == math.inf for w in windows):
+                raise ValueError(f"[arrivals {entry}] windows: a window with a rate > 0"
+                                 f" ends at inf and the horizon is {horizon}: its"
+                                 " arrivals would never end")
     pending: list[tuple[float, str, tuple[str, ...]]] = []
-    for idx, entry in enumerate(network.entries()):
+    for entry, rng in zip(network.entries(), entry_rngs):
         windows = demand_map.get(entry)
         if not windows:
             continue
-        rng = np.random.default_rng(children[idx])
         for w in windows:
             if w.rate <= 0:
                 continue

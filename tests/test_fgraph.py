@@ -114,6 +114,17 @@ class TestAttach:
             attach(fg, "area", bad, m, {})
 
 
+class TestNode:
+    def test_node_by_id(self):
+        a, b = FgNode("a", dist({1.0: 1.0})), FgNode("b", dist({2.0: 1.0}))
+        assert FunctionGraph((a, b), (("a", "b"),)).node("b") is b
+
+    def test_unknown_node_names_it(self):
+        fg = FunctionGraph((FgNode("a", dist({1.0: 1.0})),))
+        with pytest.raises(KeyError, match="no node 'zz' in the function graph"):
+            fg.node("zz")
+
+
 class TestEvaluate:
     def test_single_point_node(self):
         fg = FunctionGraph((FgNode("n", dist({10.0: 1.0})),))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from civitas import world as w
@@ -384,6 +386,23 @@ class TestDemand:
         demand = w.DemandProfile((("s2", (w.DemandWindow(0, 10, 1.0),)),))
         with pytest.raises(w.TopologyError):
             w.make_world(net, demand, horizon=10.0, seed=0)
+
+    def test_unbounded_window_under_infinite_horizon_rejected(self, twin_network_text):
+        net = w.load_network(twin_network_text)
+        demand = w.DemandProfile((("s1", (w.DemandWindow(0, 10, 1.0),
+                                          w.DemandWindow(10, math.inf, 0.5))),))
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"\[arrivals s1\] windows: a window with a"
+                                                 rf" rate > 0 ends at inf and the horizon"
+                                                 rf" is {horizon}: its arrivals would never end"):
+                w.make_world(net, demand, horizon=horizon, seed=0)
+
+    def test_infinite_horizon_with_bounded_windows_draws_to_their_end(self, twin_network_text):
+        net = w.load_network(twin_network_text)
+        demand = w.DemandProfile((("s1", (w.DemandWindow(0, 100, 0.1),
+                                          w.DemandWindow(100, math.inf, 0.0))),))
+        assert (w.make_world(net, demand, horizon=math.inf, seed=21).arrivals
+                == w.make_world(net, demand, horizon=100.0, seed=21).arrivals)
 
     def test_arrival_streams_independent_per_entry(self, twin_network_text):
         net = w.load_network(twin_network_text)
