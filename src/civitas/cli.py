@@ -109,15 +109,13 @@ class RunConfig:
 
 def _build_controllers(net: worldmod.StreetNetwork
                        ) -> dict[str, fsmmod.IntersectionController]:
-    from . import fsm as fsmmod
-    controllers = {}
-    for spec in net.signals:
-        controllers[spec.intersection] = fsmmod.IntersectionController(
-            spec.intersection, spec.fsm, spec.modes, early_switch=spec.early_switch)
+    """The network's `[signal]` controllers in declaration order, then a
+    default-timed one for every other signalized node."""
+    from .fsm import DEFAULT_SPLITS, IntersectionController, SignalFsm
+    controllers = {ctrl.id: ctrl for ctrl in net.signals}
     for node in net.signalized_nodes():
         if node not in controllers:
-            fsm = fsmmod.SignalFsm(*fsmmod.DEFAULT_SPLITS)
-            controllers[node] = fsmmod.IntersectionController(node, fsm)
+            controllers[node] = IntersectionController(node, SignalFsm(*DEFAULT_SPLITS))
     return controllers
 
 
@@ -140,7 +138,7 @@ def _zone_itus(net: worldmod.StreetNetwork, ctg: ctgmod.Ctg) -> tuple[str, ...]:
         members = zone.members
     itus = tuple(sorted({net.segment(m).to_node for m in members}
                         & set(net.signalized_nodes())))
-    modes = {spec.intersection: spec.modes for spec in net.signals}
+    modes = {ctrl.id: ctrl.modes for ctrl in net.signals}
     for itu in itus:
         if not modes.get(itu):
             where = f"[signal {itu}] modes" if itu in modes else f"[intersection {itu}]"
@@ -236,23 +234,21 @@ class EpochLoop:
         self._reconcile(t)
 
     def _reconcile(self, t: float) -> None:
-        """Reconcile at `t`, then log the engine's messages and the
-        controllers' events to the world."""
-        from .hierarchy import ConstraintMsg
+        """Reconcile at `t`, then log the engine's messages to the world."""
+        from .hierarchy import ConstraintMsg, ViolationMsg
         engine, log = self.engine, self.world.log
         self.reports.append((t, engine.reconcile(at=t)))
         for msg in engine.messages:
             if isinstance(msg, ConstraintMsg):
                 log("constraint", msg.issued_at, msg.source, msg.target,
                     _payload_desc(msg.payload))
-            else:
+            elif isinstance(msg, ViolationMsg):
                 log("violation", msg.occurred_at, msg.source, msg.target,
                     msg.quantity, msg.shortfall)
+            else:
+                log("safe_mode", msg.engaged_at, f"{msg.target} violation="
+                    f"reconcile {msg.why} at {msg.engaged_at}")
         engine.messages.clear()
-        for ctrl in engine.controllers.values():
-            for at, kind, detail in ctrl.events:
-                log(kind, at, detail)
-            ctrl.events.clear()
 
 
 def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:

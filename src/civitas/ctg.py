@@ -416,7 +416,6 @@ def derive_timing_constraints(sched: ZoneSchedule, itu_id: str, cycle: float
         return ()
     if len({t.direction for t in crossing}) < 2:
         return ()
-    label = scenario_name(sched.scenario)
     runs: list[list[ResolvedTask]] = []
     for t in crossing:
         if runs and runs[-1][-1].direction == t.direction:
@@ -428,10 +427,10 @@ def derive_timing_constraints(sched: ZoneSchedule, itu_id: str, cycle: float
         state = admitting_state(run[0].direction)
         start = sched.starts[run[0].id] % cycle
         end = sched.finishes[run[-1].id] % cycle
-        constraints.append(TimingConstraint(start, state, label))
+        constraints.append(TimingConstraint(start, state))
         anchor = max(start, end - RUN_END_BACKOFF)
         if anchor > start:
-            constraints.append(TimingConstraint(anchor, state, label))
+            constraints.append(TimingConstraint(anchor, state))
     return tuple(constraints)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 GREEN_MIN = 1.0
@@ -153,7 +153,6 @@ class TimingConstraint:
 
     deadline: float
     required_state: SignalState
-    scenario: str = ""
 
     def __post_init__(self):
         if self.deadline < 0:
@@ -282,25 +281,27 @@ class ImplementationMode:
             raise ValueError(f"mode {self.id}: latency and cost must be finite and >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntersectionController:
-    """A signal FSM plus its implementation modes and local event trail."""
+    """A signal FSM plus its implementation modes, whose ids are distinct."""
 
     id: str
     fsm: SignalFsm
     modes: tuple[ImplementationMode, ...] = ()
     active_mode: str = ""
-    events: list[tuple[float, str, str]] = field(default_factory=list)
     early_switch: bool = False  # optional lone-vehicle early switching, off by default
 
     def __post_init__(self):
         if self.modes:
-            safe = [m for m in self.modes if m.safe]
-            if len(safe) != 1:
+            ids = [m.id for m in self.modes]
+            repeated = next((i for i in ids if ids.count(i) > 1), None)
+            if repeated is not None:
+                raise ValueError(f"controller {self.id}: mode id {repeated!r} repeated")
+            if sum(m.safe for m in self.modes) != 1:
                 raise ValueError(f"controller {self.id}: exactly one safe mode required")
             if not self.active_mode:
-                self.active_mode = self.modes[0].id
-            if self.active_mode not in {m.id for m in self.modes}:
+                object.__setattr__(self, "active_mode", ids[0])
+            if self.active_mode not in ids:
                 raise ValueError(f"unknown active mode {self.active_mode!r}")
 
     @property
@@ -308,23 +309,18 @@ class IntersectionController:
         return next(m for m in self.modes if m.safe)
 
 
-def shortcut_to_safe(ctrl: IntersectionController, violation: object,
-                     at: float = 0.0) -> IntersectionController:
-    """Jump straight to the safe implementation mode, skipping intermediates.
+def shortcut_to_safe(ctrl: IntersectionController) -> IntersectionController:
+    """`ctrl` in its safe implementation mode, skipping intermediates.
 
-    Also applies the fixed fallback splits when the mode actually changes;
-    repeated violations are idempotent but every one is logged.
+    The fixed fallback splits apply when the mode actually changes; a
+    controller already in safe mode is returned as it is.
     """
-    safe = ctrl.safe_mode
-    events = list(ctrl.events)
-    events.append((at, "safe_mode", f"{ctrl.id} violation={violation}"))
-    if ctrl.active_mode == safe.id:
-        return replace(ctrl, events=events)
+    safe = ctrl.safe_mode.id
+    if ctrl.active_mode == safe:
+        return ctrl
     g, y, r = FALLBACK_SPLITS
-    fallback_cycle = g + y + r
-    fsm = replace(ctrl.fsm, green=g, yellow=y, red=r,
-                  offset=ctrl.fsm.offset % fallback_cycle)
-    return replace(ctrl, fsm=fsm, active_mode=safe.id, events=events)
+    fsm = replace(ctrl.fsm, green=g, yellow=y, red=r, offset=ctrl.fsm.offset % (g + y + r))
+    return replace(ctrl, fsm=fsm, active_mode=safe)
 
 
 def skip_to_next_state(fsm: SignalFsm, at: float) -> SignalFsm:

@@ -76,6 +76,16 @@ class ViolationMsg:
             raise ValueError("violations move exactly one level up")
 
 
+@dataclass(frozen=True)
+class SafeModeMsg:
+    """`target` degraded to its safe implementation mode at `engaged_at`
+    because the reconcile `why` ("stalled" or "budget exhausted")."""
+
+    target: str
+    why: str
+    engaged_at: float
+
+
 @dataclass
 class ZoneUnit:
     """Zone coordinator state inside the engine.
@@ -206,8 +216,8 @@ class HierarchyEngine:
                 if not controllers[itu].modes:
                     raise ValueError(f"ITU {itu!r} of zone {zid!r} has no safe mode")
 
-    def _send(self, msg: ConstraintMsg | ViolationMsg) -> ConstraintMsg | ViolationMsg:
-        """Log `msg` and return it."""
+    def _send(self, msg):
+        """Log `msg` on `messages`, the engine's one decision trail; return it."""
         self.messages.append(msg)
         return msg
 
@@ -333,8 +343,9 @@ class HierarchyEngine:
     def reconcile(self, at: float = 0.0) -> ReconcileReport:
         """Push down, run children, recompute; repeat while a recompute
         changes something, within the budget.  A loop that does not
-        converge engages safe mode, logged as stalled when it stopped
-        before its last pass and as out of budget otherwise."""
+        converge engages safe mode, one `SafeModeMsg` per intersection in
+        the order of `controllers`, as stalled when it stopped before its
+        last pass and as out of budget otherwise."""
         for pass_n in range(1, self.budget + 1):
             violations = self.run_children(self.push_down(at), at)
             if not violations:
@@ -354,10 +365,11 @@ class HierarchyEngine:
         # one of its intersections failed.
         failed = ({v.source for v in violations if v.source_level == LEVEL_ZONE}
                   | {v.target for v in violations if v.target_level == LEVEL_ZONE})
-        safe_engaged = sorted({itu for zid in failed for itu in self.zones[zid].itus})
+        engaged = {itu for zid in failed for itu in self.zones[zid].itus}
         why = "stalled" if pass_n < self.budget else "budget exhausted"
-        for itu in safe_engaged:
-            self.controllers[itu] = fsmmod.shortcut_to_safe(
-                self.controllers[itu], f"reconcile {why} at {at}", at)
+        for itu, ctrl in self.controllers.items():
+            if itu in engaged:
+                self.controllers[itu] = fsmmod.shortcut_to_safe(ctrl)
+                self._send(SafeModeMsg(itu, why, at))
         return ReconcileReport(False, pass_n, tuple(violations),
-                               tuple(safe_engaged))
+                               tuple(sorted(engaged)))

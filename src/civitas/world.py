@@ -90,16 +90,6 @@ class Intersection:
 
 
 @dataclass(frozen=True)
-class SignalSpec:
-    """Controller configuration embedded in the network file."""
-
-    intersection: str
-    fsm: SignalFsm
-    modes: tuple[ImplementationMode, ...] = ()
-    early_switch: bool = False
-
-
-@dataclass(frozen=True)
 class Zone:
     id: str
     members: frozenset[str]
@@ -110,7 +100,7 @@ class StreetNetwork:
     segments: tuple[RoadSegment, ...]
     intersections: tuple[Intersection, ...]
     zones: tuple[Zone, ...] = ()
-    signals: tuple[SignalSpec, ...] = ()
+    signals: tuple[IntersectionController, ...] = ()  # one per [signal], in order
 
     def __post_init__(self):
         if not self.segments:
@@ -128,10 +118,10 @@ class StreetNetwork:
             if s.to_node in signalized and s.approach not in (1, 2):
                 raise TopologyError(f"[segment {s.id}] approach: must be 1 or 2, it"
                                     f" feeds signalized [intersection {s.to_node}]")
-        for spec in self.signals:
-            if spec.intersection not in signalized:
-                raise TopologyError(f"[signal {spec.intersection}]: [intersection"
-                                    f" {spec.intersection}] is not signalized")
+        for ctrl in self.signals:
+            if ctrl.id not in signalized:
+                raise TopologyError(f"[signal {ctrl.id}]: [intersection"
+                                    f" {ctrl.id}] is not signalized")
         incoming = self.incoming()
         outgoing = self.outgoing()
         for s in self.segments:
@@ -256,7 +246,7 @@ def load_network(text: str) -> StreetNetwork:
     intersections: list[Intersection] = []
     segments: list[RoadSegment] = []
     zones: list[Zone] = []
-    signals: list[SignalSpec] = []
+    signals: list[IntersectionController] = []
     for sec in parse_sections(text):
         if sec.kind == "intersection":
             intersections.append(Intersection(sec.name, sec.get_bool("signalized")))
@@ -278,21 +268,22 @@ def load_network(text: str) -> StreetNetwork:
                          tuple(zones), tuple(signals))
 
 
-def _load_signal(sec: Section) -> SignalSpec:
+def _load_signal(sec: Section) -> IntersectionController:
     """A `[signal]` section as the controller it configures."""
     modes = sec.items("modes", "id:latency:cost", str, finite, finite)
     safe = sec.get("safe_mode")
     if modes and safe not in {m[0] for m in modes}:
         raise sec.error("safe_mode", "must name one mode")
-    with sec.context("modes"):
-        modes = tuple(ImplementationMode(*m, safe=m[0] == safe) for m in modes)
     splits = (sec.number(key, default, low=low) for key, default, low in zip(
         ("green", "yellow", "red"), DEFAULT_SPLITS, (GREEN_MIN, YELLOW_MIN, RED_MIN)))
     timing = (*splits, sec.number("offset", 0.0, low=0),
               sec.choice("anchor", SignalState, SignalState.GREEN))
     with sec.context("offset"):  # the one bound the accessors cannot check
         fsm = SignalFsm(*timing)
-    return SignalSpec(sec.name, fsm, modes, sec.get_bool("early_switch"))
+    with sec.context("modes"):  # finite costs, distinct ids, one of them safe
+        modes = tuple(ImplementationMode(*m, safe=m[0] == safe) for m in modes)
+        return IntersectionController(sec.name, fsm, modes,
+                                      early_switch=sec.get_bool("early_switch"))
 
 
 @dataclass(frozen=True)
@@ -544,7 +535,8 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     fastest path), so stepping the world consumes no randomness.
 
     Raises ValueError when the horizon is not finite and a window with a
-    rate > 0 ends at inf: its arrivals would never end.
+    rate > 0 ends at inf: its arrivals would never end; and when the
+    horizon is nan or below 0.  Horizon 0 draws no arrivals.
     """
     from .streams import spawn
 
@@ -552,7 +544,7 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
                        completed_at={s.id: array("d") for s in network.segments},
                        traversal_time={s.id: array("d") for s in network.segments})
     *entry_rngs, world.route_rng = spawn(seed, len(network.entries()) + 1)
-    if demand is None or horizon <= 0:
+    if demand is None or horizon == 0:
         return world
 
     router = _Router(network)
@@ -577,12 +569,14 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     if unknown:
         raise TopologyError(f"[arrivals {unknown[0]}]: [segment {unknown[0]}] is not"
                             " an entry segment")
-    if not horizon < math.inf:  # inf or nan: only the windows' ends stop the draws
+    if not horizon < math.inf:  # inf or nan: no window may run on without end
         for entry, windows in demand.arrivals:
             if any(w.rate > 0 and w.end == math.inf for w in windows):
                 raise ValueError(f"[arrivals {entry}] windows: a window with a rate > 0"
                                  f" ends at inf and the horizon is {horizon}: its"
                                  " arrivals would never end")
+    if not horizon >= 0:
+        raise ValueError(f"horizon {horizon} is not a number >= 0")
     pending: list[tuple[float, str, tuple[str, ...]]] = []
     for entry, rng in zip(network.entries(), entry_rngs):
         windows = demand_map.get(entry)

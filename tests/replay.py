@@ -31,8 +31,8 @@ from civitas.fsm import (_EDGE_EPS, CYCLIC_ORDER, GREEN_MIN, RED_MIN,
                          apply_timing_constraints, shortcut_to_safe)
 from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                LEVEL_ZONE, ConstraintMsg, GoalTarget,
-                               HierarchyEngine, ReconcileReport, TableBound,
-                               ViolationMsg)
+                               HierarchyEngine, ReconcileReport, SafeModeMsg,
+                               TableBound, ViolationMsg)
 from civitas import simplex
 from civitas.textfmt import ParseError, Section
 
@@ -159,7 +159,8 @@ def probe_apply_timing_constraints(fsm: SignalFsm, constraints):
 def budget_reconcile(engine: HierarchyEngine, at: float = 0.0) -> ReconcileReport:
     """`engine.reconcile` as a loop that only the budget ends: each pass
     pushes down, runs the children, recomputes the flagged zones and
-    shrinks the top's target by the summed throughput shortfall."""
+    shrinks the top's target by the summed throughput shortfall.  Safe
+    mode is recorded on the engine's messages, as out of budget."""
     for pass_n in range(1, engine.budget + 1):
         violations = engine.run_children(engine.push_down(at), at)
         if not violations:
@@ -176,11 +177,12 @@ def budget_reconcile(engine: HierarchyEngine, at: float = 0.0) -> ReconcileRepor
             engine.top.target = max(0, engine.top.target - int(round(total)))
     failed = ({v.source for v in violations if v.source_level == LEVEL_ZONE}
               | {v.target for v in violations if v.target_level == LEVEL_ZONE})
-    safe_engaged = sorted({itu for zid in failed for itu in engine.zones[zid].itus})
-    for itu in safe_engaged:
-        engine.controllers[itu] = shortcut_to_safe(
-            engine.controllers[itu], f"reconcile budget exhausted at {at}", at)
-    return ReconcileReport(False, engine.budget, tuple(violations), tuple(safe_engaged))
+    engaged = {itu for zid in failed for itu in engine.zones[zid].itus}
+    for itu, ctrl in engine.controllers.items():
+        if itu in engaged:
+            engine.controllers[itu] = shortcut_to_safe(ctrl)
+            engine.messages.append(SafeModeMsg(itu, "budget exhausted", at))
+    return ReconcileReport(False, engine.budget, tuple(violations), tuple(sorted(engaged)))
 
 
 class UncachedEngine(HierarchyEngine):

@@ -139,9 +139,9 @@ def test_criterion_6_fsm_contract(twin_ctg_text):
         modes = (fsmmod.ImplementationMode("fast", 0.01, 5.0),
                  fsmmod.ImplementationMode("safe", 1.0, 0.2, safe=True))
         ctrl = fsmmod.IntersectionController("A", f, modes, "fast")
-        hit = fsmmod.shortcut_to_safe(ctrl, "budget violation", at=12.0)
+        hit = fsmmod.shortcut_to_safe(ctrl)
         assert hit.active_mode == "safe"
-        again = fsmmod.shortcut_to_safe(hit, "budget violation", at=13.0)
+        again = fsmmod.shortcut_to_safe(hit)
         assert again.active_mode == "safe" and again.fsm == hit.fsm
 
 

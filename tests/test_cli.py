@@ -231,6 +231,11 @@ MALFORMED_VALUES = [
      "[signal A] modes"),
     ("simulate", "twin.network", "modes = fast:0.01:5", "modes = fast:-1:5",
      "[signal A] modes"),
+    # mode ids are distinct: a second safe or a second fast
+    ("simulate", "twin.network", "normal:0.1:1", "safe:0.1:1",
+     "[signal A] modes: controller A: mode id 'safe' repeated"),
+    ("simulate", "twin.network", "normal:0.1:1", "fast:0.1:1",
+     "[signal A] modes: controller A: mode id 'fast' repeated"),
     ("classify", "city.registry", "capabilities = throughput:30",
      "capabilities = throughput:nan", "[module itu_a] capabilities"),
     # a dead end that is no exit, and arrivals on a segment that is no entry
@@ -438,6 +443,34 @@ class TestSimulate:
                                    "33120dacec90c03e589d818a2bc997d3",
             "function_graph.csv": "573ed3bc51987b04c3ae27a47dc8e4f4"
                                   "2c04f587ded1820c8a02ff231bf0c1fc",
+        }
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in want}
+        assert got == want
+
+    def test_golden_swapped_signal_order(self, tmp_path, data_dir):
+        # [signal B] declared before [signal A], the zone over a 20 s
+        # deadline: every reconcile stalls, events.log lists the safe_mode
+        # lines in declaration order (B, then A) and reports.csv lists A;B
+        import hashlib
+        text = (data_dir / "twin.network").read_text()
+        a, b = text.index("[signal A]"), text.index("[signal B]")
+        swapped = tmp_path / "swapped.network"
+        swapped.write_text(text[:a] + text[b:] + "\n" + text[a:b])
+        out = tmp_path / "swapped"
+        args = sim_args(data_dir, out, mode="hierarchical", horizon="600",
+                        seed="1") + ["--deadline", "20"]
+        args[args.index("--network") + 1] = str(swapped)
+        assert cli.main(args) == 0
+        safe = [line.split("\t")[2] for line in (out / "events.log").read_text().splitlines()
+                if line.startswith("safe_mode\t")]
+        assert safe[:2] == ["B violation=reconcile stalled at 0.0",
+                            "A violation=reconcile stalled at 0.0"]
+        want = {
+            "events.log": "7f4959a3f76b7a95b6ba50aa8c7380e3"
+                          "088084d170e72ac97077b9212416b3c6",
+            "reports.csv": "f06d235b4791a76a6e8abcaa1ee7d5bb"
+                           "128aaa7d327c4a5250948e54d23c9ab0",
         }
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in want}

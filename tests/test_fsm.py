@@ -5,10 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from civitas import fsm
+from civitas.ctg import Ctg, CtgTask, build_table
+from civitas.fgraph import FgNode, FunctionGraph, PerfDistribution
 from civitas.fsm import (CYCLIC_ORDER, SignalFsm, SignalState, TimingConstraint,
                          ImplementationMode, IntersectionController,
                          InfeasibilityReport, apply_timing_constraints,
                          shortcut_to_safe)
+from civitas.hierarchy import (AreaUnit, ConstraintMsg, GlobalUnit, HierarchyEngine,
+                               SafeModeMsg, ViolationMsg, ZoneUnit)
 from tests.replay import (check_constraints_by_replay, layout_green_interval,
                           probe_apply_timing_constraints)
 
@@ -202,25 +206,51 @@ def make_controller(active="fast"):
     return IntersectionController("X", make_fsm(), modes, active)
 
 
+def stalled_engine(ctrl):
+    """An engine whose one zone alternates four runs at `ctrl` in its one
+    column: no signal serves that, so every reconcile stalls and engages
+    safe mode."""
+    tasks = tuple(CtgTask(f"P{k}", itu=ctrl.id, direction=1 + k % 2, t_ex=8.0, n=2.0)
+                  for k in range(4))
+    ctg = Ctg((), tasks, (("P0", "P1"), ("P1", "P2"), ("P2", "P3")), clearance=5.0)
+    fg = FunctionGraph((FgNode("area", PerfDistribution.point(30.0), 10.0),))
+    return HierarchyEngine(
+        GlobalUnit("tcu", fg, 0, 60.0), {"area": AreaUnit("area", ("Z",))},
+        {"Z": ZoneUnit("Z", ctg, build_table(ctg), (ctrl.id,), (), cycle=60.0)},
+        {ctrl.id: ctrl})
+
+
+def engagements(engine):
+    """The engine's trail without its constraint and violation messages."""
+    return [m for m in engine.messages
+            if not isinstance(m, (ConstraintMsg, ViolationMsg))]
+
+
 class TestShortcutToSafe:
     def test_jumps_straight_to_safe(self):
         ctrl = make_controller("fast")
-        out = shortcut_to_safe(ctrl, "budget", at=12.0)
-        assert out.active_mode == "safe"
-        assert out.events[-1][1] == "safe_mode"
+        assert shortcut_to_safe(ctrl).active_mode == "safe"
+        engine = stalled_engine(ctrl)
+        engine.reconcile(at=12.0)
+        assert engine.controllers["X"].active_mode == "safe"
+        assert engagements(engine) == [SafeModeMsg("X", "stalled", 12.0)]
 
     def test_fallback_splits_applied(self):
         ctrl = make_controller("fast")
-        out = shortcut_to_safe(ctrl, "budget")
+        out = shortcut_to_safe(ctrl)
         assert (out.fsm.green, out.fsm.yellow, out.fsm.red) == (30.0, 5.0, 25.0)
 
     def test_idempotent_but_logged(self):
-        ctrl = make_controller("fast")
-        once = shortcut_to_safe(ctrl, "v1", at=1.0)
-        twice = shortcut_to_safe(once, "v2", at=2.0)
-        assert twice.active_mode == "safe"
-        assert len(twice.events) == 2
-        assert twice.fsm == once.fsm
+        once = shortcut_to_safe(make_controller("fast"))
+        assert shortcut_to_safe(once) is once
+        # the engine records every engagement, the repeated one too
+        engine = stalled_engine(make_controller("fast"))
+        engine.reconcile(at=1.0)
+        first = engine.controllers["X"]
+        engine.reconcile(at=2.0)
+        assert engine.controllers["X"] == first and first.active_mode == "safe"
+        assert engagements(engine) == [SafeModeMsg("X", "stalled", 1.0),
+                                       SafeModeMsg("X", "stalled", 2.0)]
 
     def test_exactly_one_safe_mode_required(self):
         with pytest.raises(ValueError):
@@ -229,10 +259,10 @@ class TestShortcutToSafe:
                                     ImplementationMode("b", 1, 1)))
 
     def test_no_intermediate_modes_recorded(self):
-        ctrl = make_controller("fast")
-        out = shortcut_to_safe(ctrl, "budget", at=3.0)
-        modes_seen = [e for e in out.events if e[1] == "safe_mode"]
-        assert len(modes_seen) == 1
+        # from fast straight to safe: one record, none for normal
+        engine = stalled_engine(make_controller("fast"))
+        engine.reconcile(at=3.0)
+        assert engagements(engine) == [SafeModeMsg("X", "stalled", 3.0)]
 
 
 @st.composite

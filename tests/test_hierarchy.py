@@ -9,8 +9,8 @@ from civitas import fsm as fsmmod
 from civitas.fgraph import FgNode, FunctionGraph, PerfDistribution
 from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                LEVEL_ZONE, AreaUnit, ConstraintMsg,
-                               GlobalUnit, HierarchyEngine, ViolationMsg,
-                               ZoneUnit)
+                               GlobalUnit, HierarchyEngine, SafeModeMsg,
+                               ViolationMsg, ZoneUnit)
 from tests.replay import (budget_reconcile, check_schedule_admission,
                           uncached_copy)
 
@@ -146,10 +146,9 @@ def reconciles(draw):
     return engine
 
 
-def safe_mode_details(engine):
-    """The detail of every safe_mode event the engine's controllers hold."""
-    return [detail for ctrl in engine.controllers.values()
-            for _, kind, detail in ctrl.events if kind == "safe_mode"]
+def safe_modes(engine):
+    """The safe-mode engagements on the engine's trail."""
+    return [m for m in engine.messages if isinstance(m, SafeModeMsg)]
 
 
 def two_itu_engine():
@@ -345,7 +344,7 @@ class TestReconcile:
         assert report.unresolved
         assert "X" in report.safe_engaged
         assert engine.controllers["X"].active_mode == "safe"
-        assert safe_mode_details(engine) == ["X violation=reconcile stalled at 0.0"]
+        assert safe_modes(engine) == [SafeModeMsg("X", "stalled", 0.0)]
 
     def test_quiescence_after_convergence(self):
         engine = build_engine(alternating_ctg(3), ("H",))
@@ -399,8 +398,18 @@ class TestReconcile:
         report = engine.reconcile()
         assert not report.converged and report.passes == passes
         assert report.safe_engaged == ("W", "X", "Y")
-        assert safe_mode_details(engine) == [
-            f"{itu} violation=reconcile {why} at 0.0" for itu in ("W", "X", "Y")]
+        assert safe_modes(engine) == [SafeModeMsg(itu, why, 0.0) for itu in ("W", "X", "Y")]
+
+    def test_engagements_follow_the_controllers_order(self):
+        # the trail lists engagements as the controllers are declared; the
+        # report lists them sorted
+        engine = two_area_engine()
+        engine.controllers = {itu: engine.controllers[itu] for itu in ("Y", "X", "W")}
+        engine.top.target, engine.top.deadline = 1000, 20.0
+        report = engine.reconcile(at=7.5)
+        assert report.safe_engaged == ("W", "X", "Y")
+        assert [m.target for m in safe_modes(engine)] == ["Y", "X", "W"]
+        assert engine.messages[-3:] == safe_modes(engine)
 
     @settings(max_examples=200, deadline=None)
     @given(reconciles())
@@ -409,27 +418,26 @@ class TestReconcile:
         report, expected = engine.reconcile(), budget_reconcile(oracle)
         assert (report.converged, report.unresolved, report.safe_engaged) == (
             expected.converged, expected.unresolved, expected.safe_engaged)
-        # the oracle always says "budget exhausted"; the loop says "stalled"
-        # when it stopped before its last pass
+        # Both trails end with one engagement per engaged ITU, in the
+        # controllers' order.  The oracle always says "budget exhausted";
+        # the loop says "stalled" when it stopped before its last pass.
         why = "stalled" if report.passes < engine.budget else "budget exhausted"
-        details = safe_mode_details(engine)
-        assert len(details) == len(report.safe_engaged)
-        assert all(f" violation=reconcile {why} at " in d for d in details)
-        masked = {itu: replace(ctrl, events=[
-            (at, kind, detail.replace(f"reconcile {why} at", "reconcile budget exhausted at"))
-            for at, kind, detail in ctrl.events])
-            for itu, ctrl in engine.controllers.items()}
-        assert masked == oracle.controllers
+        engaged = [SafeModeMsg(itu, why, 0.0) for itu in engine.controllers
+                   if itu in report.safe_engaged]
+        n, k = len(engine.messages) - len(engaged), len(oracle.messages) - len(engaged)
+        assert engine.messages[n:] == engaged
+        assert oracle.messages[k:] == [replace(m, why="budget exhausted") for m in engaged]
+        assert engine.controllers == oracle.controllers
         assert engine.top.target == oracle.top.target
         for zid, zone in engine.zones.items():
             assert (zone.choice, zone.rejected) == (
                 oracle.zones[zid].choice, oracle.zones[zid].rejected)
         # the oracle's passes beyond the loop's repeat the loop's last pass
-        n, repeats = len(engine.messages), expected.passes - report.passes
-        assert oracle.messages[:n] == engine.messages and repeats >= 0
-        extra = oracle.messages[n:]
+        trail, repeats = engine.messages[:n], expected.passes - report.passes
+        assert oracle.messages[:n] == trail and repeats >= 0
+        extra = oracle.messages[n:k]
         last = extra[:len(extra) // repeats] if repeats else []
-        assert extra == last * repeats and engine.messages[n - len(last):] == last
+        assert extra == last * repeats and trail[n - len(last):] == last
 
     @settings(max_examples=150, deadline=None)
     @given(engine_steps())

@@ -397,6 +397,21 @@ class TestDemand:
                                                  rf" is {horizon}: its arrivals would never end"):
                 w.make_world(net, demand, horizon=horizon, seed=0)
 
+    def test_nan_or_negative_horizon_rejected_before_any_draw(self, twin_network_text,
+                                                             monkeypatch):
+        # min(100, nan) is 100, and a negative horizon would stop every draw
+        from civitas import streams
+        net = w.load_network(twin_network_text)
+        demand = w.DemandProfile((("s1", (w.DemandWindow(0, 100, 0.1),)),))
+        assert w.make_world(net, demand, horizon=0.0, seed=1).arrivals == []
+
+        def no_draw(self, scale):
+            raise AssertionError("drew an arrival")
+        monkeypatch.setattr(streams.Pcg64, "exponential", no_draw)
+        for horizon in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match=rf"horizon {horizon} is not a number >= 0"):
+                w.make_world(net, demand, horizon=horizon, seed=1)
+
     def test_infinite_horizon_with_bounded_windows_draws_to_their_end(self, twin_network_text):
         net = w.load_network(twin_network_text)
         demand = w.DemandProfile((("s1", (w.DemandWindow(0, 100, 0.1),
