@@ -503,12 +503,10 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
         box = {name: (low, high) for name, low, high in
                sec.items("attrs", "name:low:high", str, finite, finite)}
         pred = _parse_rule(sec, box)
-        n = sec.get_int("n", 10000)
-        try:
-            value = metricsmod.flexibility(pred, metricsmod.SpecBox.from_dict(box),
-                                           n, sec.get_int("seed", 0))
-        except MemoryError as exc:
-            raise sec.error("n", f"{n} samples do not fit in memory ({exc})") from exc
+        with sec.context("attrs"):
+            spec = metricsmod.SpecBox.from_dict(box)
+        value = metricsmod.flexibility(pred, spec, sec.get_int("n", 10000),
+                                       sec.get_int("seed", 0, low=0))
         return ("flexibility", "%.9g" % value,
                 f"name={sec.name};n={sec.get('n')};seed={sec.get('seed')}")
     raise ParseError(f"line {sec.line}: unknown metrics section {sec.kind!r}")

@@ -292,8 +292,8 @@ class IntersectionController:
     early_switch: bool = False  # optional lone-vehicle early switching, off by default
 
     def __post_init__(self):
-        if self.modes:
-            ids = [m.id for m in self.modes]
+        ids = [m.id for m in self.modes]
+        if ids:
             repeated = next((i for i in ids if ids.count(i) > 1), None)
             if repeated is not None:
                 raise ValueError(f"controller {self.id}: mode id {repeated!r} repeated")
@@ -301,8 +301,8 @@ class IntersectionController:
                 raise ValueError(f"controller {self.id}: exactly one safe mode required")
             if not self.active_mode:
                 object.__setattr__(self, "active_mode", ids[0])
-            if self.active_mode not in ids:
-                raise ValueError(f"unknown active mode {self.active_mode!r}")
+        if self.active_mode and self.active_mode not in ids:
+            raise ValueError(f"unknown active mode {self.active_mode!r}")
 
     @property
     def safe_mode(self) -> ImplementationMode:

@@ -14,6 +14,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import streams
+
+
+# Samples drawn, tested and counted at a time: memory is O(block), not O(n).
+FLEXIBILITY_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SpecBox:
@@ -22,9 +28,13 @@ class SpecBox:
     ranges: tuple[tuple[str, float, float], ...]  # (attribute, low, high)
 
     def __post_init__(self):
+        if not self.ranges:
+            raise ValueError("need at least one attribute")
         for name, lo, hi in self.ranges:
             if not lo < hi:
                 raise ValueError(f"attribute {name!r}: need low < high")
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValueError(f"attribute {name!r}: high - low is not finite")
 
     @classmethod
     def from_dict(cls, d: Mapping[str, tuple[float, float]]) -> "SpecBox":
@@ -35,19 +45,25 @@ def flexibility(feasible: Callable[[Mapping[str, np.ndarray]], np.ndarray | bool
                 box: SpecBox, n: int, seed: int) -> float:
     """Monte Carlo share of the requirement box the predicate accepts.
 
-    `feasible` is called once, on the columns of the n samples: a map from
-    each attribute to its n sampled values.  It returns one truth value
-    per sample, or a single one that holds for all of them.
+    The samples are those of `numpy.random.default_rng(seed).uniform(lows,
+    highs, size=(n, attributes))`, drawn from `civitas.streams`
+    `FLEXIBILITY_BLOCK_ROWS` rows at a time.  `feasible` is called once per
+    block, on its columns: a map from each attribute to the block's sampled
+    values.  It returns one truth value per sample, or a single one that
+    holds for all of them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
     names = [r[0] for r in box.ranges]
-    lows = np.array([r[1] for r in box.ranges])
-    highs = np.array([r[2] for r in box.ranges])
-    samples = rng.uniform(lows, highs, size=(n, len(names)))
-    accepted = feasible({name: samples[:, j] for j, name in enumerate(names)})
-    return np.count_nonzero(np.broadcast_to(accepted, (n,))) / n
+    lows = np.array([r[1] for r in box.ranges], dtype=float)
+    widths = np.array([r[2] for r in box.ranges], dtype=float) - lows
+    d = len(names)
+    hits = 0
+    for u in streams.default_rng(seed).doubles(n * d, FLEXIBILITY_BLOCK_ROWS * d):
+        samples = lows + widths * u.reshape(-1, d)
+        accepted = feasible({name: samples[:, j] for j, name in enumerate(names)})
+        hits += np.count_nonzero(np.broadcast_to(accepted, (len(samples),)))
+    return hits / n
 
 
 def scalability(p1: float, cost1: float, p2: float, cost2: float) -> float:

@@ -1,15 +1,18 @@
-"""numpy's seeded PCG64 streams and the two draws `make_world` takes from them.
+"""numpy's seeded PCG64 streams and the draws civitas takes from them.
 
 `spawn(seed, n)` gives the generators of
-`[numpy.random.default_rng(c) for c in SeedSequence(seed).spawn(n)]`, and
+`[numpy.random.default_rng(c) for c in SeedSequence(seed).spawn(n)]` and
+`default_rng(seed)` that of `numpy.random.default_rng(seed)`.
 `Pcg64.exponential` and `Pcg64.integers` draw what numpy's
 `Generator.exponential(scale)` and `Generator.integers(n)` draw, so a
-world's arrivals and routes need no `numpy.random`.  The transcription
-covers `SeedSequence`'s entropy pool and `generate_state`, PCG64 (O'Neill
-2014: a 128-bit LCG with the XSL-RR output) with its buffered 32-bit half,
-numpy's 256-layer ziggurat for the exponential and Lemire's bounded draw.
-numpy is the oracle of its tests, which compare every draw and the state
-after it.
+world's arrivals and routes need no `numpy.random`; `Pcg64.doubles`
+yields the uniform doubles of `Generator.random(n)` in blocks of numpy
+arrays, from which `metrics.flexibility` scales its samples and calls
+its predicate once per block.  The transcription covers `SeedSequence`'s
+entropy pool and `generate_state`, PCG64 (O'Neill 2014: a 128-bit LCG
+with the XSL-RR output) with its buffered 32-bit half, numpy's 256-layer
+ziggurat for the exponential and Lemire's bounded draw.  numpy is the
+oracle of its tests, which compare every draw and the state after it.
 """
 
 from __future__ import annotations
@@ -75,17 +78,62 @@ def _seed_words(entropy: list[int]) -> list[int]:
     return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def spawn(seed: int, n: int) -> list[Pcg64]:
-    """The generators of `default_rng(c) for c in SeedSequence(seed).spawn(n)`."""
+def _seeded(entropy: list[int]) -> Pcg64:
+    w = _seed_words(entropy)
+    return Pcg64.seeded(w[0] << 64 | w[1], w[2] << 64 | w[3])
+
+
+def _seed_entropy(seed: int) -> list[int]:
     if seed < 0:
         raise ValueError(f"seed must be an int >= 0, got {seed}")
-    run = _words(seed)
+    return _words(seed)
+
+
+def default_rng(seed: int) -> Pcg64:
+    """The generator of `numpy.random.default_rng(seed)`."""
+    return _seeded(_seed_entropy(seed))
+
+
+def spawn(seed: int, n: int) -> list[Pcg64]:
+    """The generators of `default_rng(c) for c in SeedSequence(seed).spawn(n)`."""
+    run = _seed_entropy(seed)
     run += [0] * (_POOL_SIZE - len(run))  # a spawn key pads the seed to the pool
-    gens = []
-    for i in range(n):
-        w = _seed_words(run + _words(i))
-        gens.append(Pcg64.seeded(w[0] << 64 | w[1], w[2] << 64 | w[3]))
-    return gens
+    return [_seeded(run + _words(i)) for i in range(n)]
+
+
+def _jump(steps: int, inc: int) -> tuple[int, int]:
+    """(a, c) such that `steps` LCG steps map a state s to a*s + c."""
+    a, c = 1, 0
+    mult = PCG_MULT
+    while steps:
+        if steps & 1:
+            a, c = a * mult & _MASK128, (c * mult + inc) & _MASK128
+        mult, inc = mult * mult & _MASK128, (inc * mult + inc) & _MASK128
+        steps >>= 1
+    return a, c
+
+
+def _affine(a: int, c: int):
+    """The map s -> a*s + c mod 2**128 on arrays of states as uint64 (hi, lo).
+
+    uint64 products wrap, which gives every term but the carry of lo times
+    a's low word into the high word; that carry is summed from 32-bit limbs.
+    """
+    import numpy as np
+    u64 = np.uint64
+    a_hi, a_lo, c_hi, c_lo = u64(a >> 64), u64(a & _MASK64), u64(c >> 64), u64(c & _MASK64)
+    m0, m1, m32, k32 = u64(a & _MASK32), u64(a >> 32 & _MASK32), u64(_MASK32), u64(32)
+
+    def apply(hi, lo):
+        l0, l1 = lo & m32, lo >> k32
+        cross0, cross1 = l0 * m1, l1 * m0
+        carry = (l0 * m0 >> k32) + (cross0 & m32) + (cross1 & m32) >> k32
+        new_hi = l1 * m1 + (cross0 >> k32) + (cross1 >> k32) + carry
+        new_hi += hi * a_lo + lo * a_hi + c_hi
+        new_lo = lo * a_lo + c_lo
+        new_hi += new_lo < c_lo  # the carry of the low words' sum
+        return new_hi, new_lo
+    return apply
 
 
 class Pcg64:
@@ -131,6 +179,44 @@ class Pcg64:
 
     def next_double(self) -> float:
         return (self.next_uint64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def doubles(self, n: int, block: int):
+        """`n` calls of `next_double` as float64 arrays of `block` values.
+
+        Yields the values in order, the last array holding the remainder,
+        and leaves `lcg` where those calls would, block by block.  The
+        first block's LCG states are built by doubling: the states so far,
+        advanced by their count with one affine jump.  Each later block is
+        the one before advanced `block` steps by the jump
+        s -> a**block * s + c * (a**block - 1) / (a - 1) mod 2**128 (Brown
+        1994).  The 128-bit states are uint64 (hi, lo) pairs; outputs are
+        XSL-RR, then `(x >> 11) * 2**-53` as `next_double` takes them.
+        numpy is imported here, so the scalar draws run without it.
+        """
+        import numpy as np
+        if block < 1:
+            raise ValueError(f"doubles: block must be >= 1, got {block}")
+        if n < 1:
+            return
+        first = (self.lcg * PCG_MULT + self.inc) & _MASK128
+        hi = np.array([first >> 64], dtype=np.uint64)
+        lo = np.array([first & _MASK64], dtype=np.uint64)
+        size = min(n, block)
+        while len(lo) < size:
+            jumped = _affine(*_jump(len(lo), self.inc))(hi, lo)
+            hi, lo = np.concatenate((hi, jumped[0])), np.concatenate((lo, jumped[1]))
+        hi, lo = hi[:size], lo[:size]
+        step = _affine(*_jump(block, self.inc))
+        while True:
+            self.lcg = int(hi[-1]) << 64 | int(lo[-1])
+            x = hi ^ lo
+            rot = hi >> 58
+            x = x >> rot | x << ((64 - rot) & 63)
+            yield (x >> 11) * (1.0 / 9007199254740992.0)
+            n -= len(lo)
+            if not n:
+                return
+            hi, lo = step(hi[:n], lo[:n])
 
     def exponential(self, scale: float) -> float:
         """`Generator.exponential(scale)`: numpy's ziggurat, scaled.

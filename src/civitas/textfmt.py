@@ -103,12 +103,14 @@ class Section:
                                   f" {low:g}, got {value:g}")
         return value
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
+    def get_int(self, key: str, default: int | None = None, *,
+                low: int | None = None) -> int | None:
         raw = self.values.get(key)
         if raw is None:
             return default
         with self.context(key):
-            return integer(raw)
+            value = integer(raw)
+        return self._at_least(key, value, low, False)
 
     def require_int(self, key: str) -> int:
         self.require(key)

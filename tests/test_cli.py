@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -874,13 +875,20 @@ class TestMetricsJobErrors:
          "[flexibility f] rule: must be a finite number, got 'nan'"),
         ("[flexibility f]\nattrs = a:0:inf\nrule = a <= 1\n",
          "[flexibility f] attrs: must be a finite number, got 'inf'"),
+        ("[flexibility f]\nattrs = a:-1e308:1e308\nrule = a <= 1\n",
+         "[flexibility f] attrs: attribute 'a': high - low is not finite"),
+        ("[flexibility f]\nattrs = a:1:0\nrule = a <= 1\n",
+         "[flexibility f] attrs: attribute 'a': need low < high"),
+        ("[flexibility f]\nattrs = a:0:1\nrule = a <= 1\nseed = -1\n",
+         "[flexibility f] seed: must be >= 0, got -1"),
     ])
+    @pytest.mark.filterwarnings("error")  # numpy warned on an overflowing range
     def test_bad_value_is_exit_one(self, tmp_path, capsys, section, where):
         job = tmp_path / "job.metrics"
         job.write_text(section)
         rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert where in capsys.readouterr().err
+        assert f"civitas: error: metrics job {job}: {where}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data, where", [
         ("estimated,actual\n10,x\n",
@@ -896,20 +904,20 @@ class TestMetricsJobErrors:
         assert rc == 1
         assert where in capsys.readouterr().err
 
-    def test_unallocatable_samples_name_the_key(self, tmp_path, capsys):
+    def test_samples_are_drawn_in_bounded_memory(self, tmp_path):
+        from civitas import metrics  # noqa: F401  imported before tracing starts
         job = tmp_path / "job.metrics"
-        job.write_text("[flexibility f]\nattrs = a:0:1, b:0:1\nrule = a <= 1\n"
-                       "n = 100000000000\n")
-        # The draw numpy would refuse; nothing is allocated.
-        rng = mock.Mock()
-        rng.uniform.side_effect = MemoryError("Unable to allocate 1.46 TiB")
-        with mock.patch.object(np.random, "default_rng", return_value=rng):
+        job.write_text("[flexibility f]\nattrs = a:0:1, b:0:1, c:0:1\nrule = a <= 0.5\n"
+                       "n = 1000000\n")
+        tracemalloc.start()
+        try:
             rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert rng.uniform.call_args.kwargs["size"] == (100000000000, 2)
-        assert (f"metrics job {job}: [flexibility f] n: 100000000000 samples do not"
-                " fit in memory (Unable to allocate 1.46 TiB)" in capsys.readouterr().err)
-
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        # One draw of all samples would hold 10**6 x 3 doubles, 24 MB.
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("limit, where", [
         ("nan", "[predictability p] limit: must be a finite number, got 'nan'"),

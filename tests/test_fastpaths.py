@@ -679,9 +679,12 @@ OFFLINE = ("civitas.fuzzy", "civitas.metrics", "civitas.registry")
      OFFLINE + ("numpy.random",)),
     ("schedule --ctg {data}/twin.ctg --out {out}", ("numpy",)),
     ("classify --registry {data}/city.registry --out {out}", ("numpy",)),
-], ids=["simulate-fixed", "simulate-hierarchical", "schedule", "classify"])
+    ("metrics --job {job} --out {out}", ("numpy.random",)),
+], ids=["simulate-fixed", "simulate-hierarchical", "schedule", "classify", "metrics"])
 def test_command_loads_only_its_modules(data_dir, tmp_path, argv, absent):
-    argv = argv.format(data=data_dir, out=tmp_path / "out").split()
+    job = tmp_path / "flexibility.job"
+    job.write_text("[flexibility box]\nattrs = a:0:1, b:0:2\nrule = a <= 0.4\nn = 100000\n")
+    argv = argv.format(data=data_dir, out=tmp_path / "out", job=job).split()
     done = fresh_python(
         f"import sys\nfrom civitas import cli\nassert cli.main({argv!r}) == 0\n"
         f"print(sorted(set({list(absent)!r}) & set(sys.modules)))")
@@ -2241,8 +2244,9 @@ class TestSurfaceCsv:
 
 # ---------------------------------------------------------------- metrics
 #
-# `flexibility` calls its predicate once, on the sample columns; it used
-# to call it on a dict per sample.
+# `flexibility` calls its predicate once per block of samples, on the
+# block's columns; it used to call it on a dict per sample, and then once
+# on the columns of all n samples drawn by numpy in one `uniform` call.
 
 def loop_flexibility(feasible, box, n, seed):
     """The Monte Carlo share, one predicate call per sampled row."""
@@ -2256,6 +2260,17 @@ def loop_flexibility(feasible, box, n, seed):
         if feasible(dict(zip(names, row))):
             hits += 1
     return hits / n
+
+
+def numpy_flexibility(feasible, box, n, seed):
+    """The Monte Carlo share of one `uniform` draw from numpy, one predicate call."""
+    rng = np.random.default_rng(seed)
+    names = [r[0] for r in box.ranges]
+    lows = np.array([r[1] for r in box.ranges])
+    highs = np.array([r[2] for r in box.ranges])
+    samples = rng.uniform(lows, highs, size=(n, len(names)))
+    accepted = feasible({name: samples[:, j] for j, name in enumerate(names)})
+    return np.count_nonzero(np.broadcast_to(accepted, (n,))) / n
 
 
 @st.composite
@@ -2302,6 +2317,29 @@ class TestFlexibility:
         feasible = data.draw(predicates(box))
         assert (metricsmod.flexibility(feasible, box, n, seed)
                 == loop_flexibility(feasible, box, n, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 64))
+    def test_matches_one_numpy_draw(self, data, seed):
+        rows = metricsmod.FLEXIBILITY_BLOCK_ROWS
+        n = data.draw(st.one_of(st.integers(1, 3 * rows + 1),
+                                st.sampled_from([rows - 1, rows, rows + 1, 2 * rows])))
+        box = data.draw(spec_boxes())
+        feasible = data.draw(predicates(box))
+        assert (metricsmod.flexibility(feasible, box, n, seed)
+                == numpy_flexibility(feasible, box, n, seed))
+
+    def test_predicate_called_once_per_block(self):
+        rows = metricsmod.FLEXIBILITY_BLOCK_ROWS
+        box = metricsmod.SpecBox.from_dict({"a": (0.0, 1.0), "b": (-1.0, 1.0)})
+        sizes = []
+
+        def feasible(pt):
+            sizes.append((len(pt["a"]), len(pt["b"])))
+            return pt["a"] < 0.5
+
+        metricsmod.flexibility(feasible, box, 2 * rows + 5, 3)
+        assert sizes == [(rows, rows), (rows, rows), (5, 5)]
 
     def test_benchmark_job(self):
         gen = perfbench_gen()

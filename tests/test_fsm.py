@@ -258,6 +258,12 @@ class TestShortcutToSafe:
                                    (ImplementationMode("a", 1, 1),
                                     ImplementationMode("b", 1, 1)))
 
+    @pytest.mark.parametrize("modes", [(), (ImplementationMode("safe", 1, 1, safe=True),)])
+    def test_active_mode_must_be_a_mode(self, modes):
+        with pytest.raises(ValueError, match="unknown active mode 'turbo'"):
+            IntersectionController("X", SignalFsm(30, 5, 25), modes, "turbo")
+        assert IntersectionController("X", SignalFsm(30, 5, 25), ()).active_mode == ""
+
     def test_no_intermediate_modes_recorded(self):
         # from fast straight to safe: one record, none for normal
         engine = stalled_engine(make_controller("fast"))

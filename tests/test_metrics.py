@@ -32,6 +32,18 @@ class TestFlexibility:
         with pytest.raises(ValueError):
             SpecBox.from_dict({"x": (1.0, 1.0)})
 
+    @pytest.mark.parametrize("ranges, message", [
+        ({}, "need at least one attribute"),
+        ({"x": (-1e308, 1e308)}, "attribute 'x': high - low is not finite"),
+    ])
+    def test_box_without_finite_volume_rejected(self, ranges, message):
+        with pytest.raises(ValueError, match=message):
+            SpecBox.from_dict(ranges)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an int >= 0, got -1"):
+            flexibility(lambda p: True, BOX2, n=10, seed=-1)
+
 
 class TestScalability:
     def test_identity_case(self):

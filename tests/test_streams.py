@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from civitas import streams
+from civitas.metrics import FLEXIBILITY_BLOCK_ROWS
 from civitas.streams import PCG_MULT, Pcg64
 
 MASK64 = (1 << 64) - 1
@@ -95,6 +96,68 @@ def test_integers_out_of_range_rejected(n):
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed must be an int >= 0"):
         streams.spawn(-1, 1)
+    with pytest.raises(ValueError, match="seed must be an int >= 0, got -1"):
+        streams.default_rng(-1)
+
+
+# ------------------------------------------------------------ block draws
+
+FLEX_BLOCK = FLEXIBILITY_BLOCK_ROWS * 3  # what `flexibility` draws for three attributes
+BLOCK_SEEDS = [0, 2**32, 2**64 + 1, 10**30, 2**128 + 12345]
+
+
+def assert_doubles_match_numpy(seed, n, block):
+    ours, theirs = streams.default_rng(seed), np.random.default_rng(seed)
+    got = list(ours.doubles(n, block))
+    assert [len(a) for a in got] == [min(block, n - i) for i in range(0, n, block)]
+    want = theirs.random(n)
+    assert np.concatenate(got or [np.empty(0)]).tobytes() == want.tobytes()
+    assert ours.state == theirs.bit_generator.state
+
+
+@settings(max_examples=150)
+@given(seeds)
+@example(2**128 + 12345)
+def test_default_rng_matches_numpy(seed):
+    assert streams.default_rng(seed).state == np.random.default_rng(seed).bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 3, FLEX_BLOCK])
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_doubles_match_numpy_around_a_block(seed, block):
+    for n in sorted({1, block - 1, block, block + 1}):
+        assert_doubles_match_numpy(seed, n, block)
+
+
+@pytest.mark.parametrize("seed, block", [(0, 3)] + [(s, FLEX_BLOCK) for s in BLOCK_SEEDS])
+def test_doubles_match_numpy_over_many_blocks(seed, block):
+    assert_doubles_match_numpy(seed, 300_000, block)
+
+
+@settings(max_examples=150)
+@given(seeds, st.integers(0, 300), st.integers(1, 70), st.booleans())
+def test_doubles_match_the_scalar_loop(seed, n, block, buffered):
+    ours = streams.default_rng(seed)
+    if buffered:
+        ours.integers(3)  # leaves a 32-bit half, which doubles neither reads nor drops
+    loop = copy.deepcopy(ours)
+    got = np.concatenate([np.empty(0), *ours.doubles(n, block)])
+    want = [loop.next_double() for _ in range(n)]
+    assert got.dtype == np.float64 and [bits(x) for x in got] == [bits(x) for x in want]
+    assert ours.state == loop.state
+
+
+def test_doubles_state_follows_each_block():
+    gen = streams.default_rng(5)
+    loop = copy.deepcopy(gen)
+    for values in gen.doubles(10, 4):
+        assert list(values) == [loop.next_double() for _ in values]
+        assert gen.state == loop.state
+
+
+def test_doubles_block_below_one_rejected():
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        next(streams.default_rng(0).doubles(5, 0))
 
 
 def test_copy_continues_the_stream():

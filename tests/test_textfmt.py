@@ -45,6 +45,10 @@ class TestNumber:
             section(k="2.5").get_int("k")
         with pytest.raises(ValueError):
             integer("1e3")
+        assert section(k="0").get_int("k", low=0) == 0
+        assert section().get_int("k", 5, low=0) == 5
+        with pytest.raises(ParseError, match=r"\[task T\] k: must be >= 0, got -1$"):
+            section(k="-1").get_int("k", low=0)
 
 
 class TestChoiceAndLists:
