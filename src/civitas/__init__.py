@@ -27,8 +27,7 @@ _EXPORTS = {
     "fgraph": ("PerfDistribution", "FunctionGraph", "FgNode", "GoalAllocation",
                "attach", "evaluate", "distribute_goals"),
     "fuzzy": ("FuzzyParams", "ParamRow", "RuleBase", "DEFAULT_RULES",
-              "fuzzify", "infer", "defuzzify_centroid", "control", "surface",
-              "lcu_update"),
+              "fuzzify", "control", "surface", "lcu_update"),
     "hierarchy": ("HierarchyEngine", "ConstraintMsg", "ViolationMsg",
                   "ReconcileReport"),
     "metrics": ("SpecBox", "EffortField", "CurvePair", "flexibility",
@@ -37,7 +36,7 @@ _EXPORTS = {
                  "InteractionKind", "load_registry"),
     "world": ("StreetNetwork", "RoadSegment", "WorldState", "DemandProfile",
               "load_network", "load_demand", "make_world", "step",
-              "observe_cycle", "check_zone_balance"),
+              "observe_cycle"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = frozenset((*_EXPORTS, "simplex", "streams", "textfmt", "cli"))

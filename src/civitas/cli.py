@@ -251,10 +251,12 @@ class EpochLoop:
         engine.messages.clear()
 
 
-def run_simulation(cfg: RunConfig, inputs: tuple | None = None) -> dict:
+def run_simulation(cfg: RunConfig, inputs: tuple) -> dict:
+    """The run phase of `simulate`: step the world `load_simulation` built
+    (`inputs`) to the horizon and write the artifacts into `cfg.out`, which
+    must exist."""
     from . import world as worldmod
-    os.makedirs(cfg.out, exist_ok=True)
-    net, world, ctg, table, itus = inputs or load_simulation(cfg)
+    net, world, ctg, table, itus = inputs
     controllers = _build_controllers(net)
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
     epochs = None
@@ -505,10 +507,9 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
         pred = _parse_rule(sec, box)
         with sec.context("attrs"):
             spec = metricsmod.SpecBox.from_dict(box)
-        value = metricsmod.flexibility(pred, spec, sec.get_int("n", 10000),
-                                       sec.get_int("seed", 0, low=0))
-        return ("flexibility", "%.9g" % value,
-                f"name={sec.name};n={sec.get('n')};seed={sec.get('seed')}")
+        n, seed = sec.get_int("n", 10000), sec.get_int("seed", 0, low=0)
+        value = metricsmod.flexibility(pred, spec, n, seed)
+        return ("flexibility", "%.9g" % value, f"name={sec.name};n={n};seed={seed}")
     raise ParseError(f"line {sec.line}: unknown metrics section {sec.kind!r}")
 
 

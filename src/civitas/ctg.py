@@ -234,9 +234,6 @@ class ResolvedGraph:
     arcs: tuple[tuple[str, str], ...]
     gaps: tuple[tuple[str, str, float], ...]  # (task, task, dead time)
 
-    def task(self, task_id: str) -> ResolvedTask:
-        return next(t for t in self.tasks if t.id == task_id)
-
     def total_n(self) -> float:
         return sum(t.n for t in self.tasks if not t.dummy)
 

@@ -60,9 +60,6 @@ class PerfDistribution:
     def point(cls, value: float) -> "PerfDistribution":
         return cls(((value, 1.0),))
 
-    def as_dict(self) -> dict[float, float]:
-        return dict(self.points)
-
     def expectation(self) -> float:
         return sum(v * p for v, p in self.points)
 

@@ -95,6 +95,11 @@ class SignalFsm:
 
     @cached_property
     def _layout(self) -> tuple[tuple[SignalState, float, float], ...]:
+        """(state, start, end) regions covering one cycle from the anchor.
+
+        Built once per instance: the dataclass is frozen, so the splits
+        and the anchor never change under the cached regions.
+        """
         start_idx = CYCLIC_ORDER.index(self.anchor)
         regions = []
         t = 0.0
@@ -103,14 +108,6 @@ class SignalFsm:
             regions.append((state, t, t + self.split(state)))
             t += self.split(state)
         return tuple(regions)
-
-    def layout(self) -> tuple[tuple[SignalState, float, float], ...]:
-        """(state, start, end) regions covering one cycle from the anchor.
-
-        Built once per instance: the dataclass is frozen, so the splits
-        and the anchor never change under the cached regions.
-        """
-        return self._layout
 
     def region(self, state: SignalState) -> tuple[float, float]:
         """(start, end) of `state`'s region in the cached layout."""

@@ -113,91 +113,27 @@ def membership_grid(row: ParamRow, grid: np.ndarray) -> dict[str, np.ndarray]:
     return {"S": mu_s, "M": np.clip(mu_m, 0.0, 1.0), "B": mu_b}
 
 
-def output_terms(row: ParamRow, grid: np.ndarray) -> dict[str, np.ndarray]:
-    """Command-side term prototypes: singletons at 0, m and M.
-
-    Clipping a membership function at the rule activation level shifts
-    the centroid of any asymmetric shape, which would put small humps
-    into the control surface wherever neighbouring rules share an output
-    label.  Singleton prototypes keep every clipped centroid pinned, so
-    the rule table's monotone trend survives centroid defuzzification.
-    """
-    centers = {"S": 0.0, "M": row.m, "B": row.M}
-    step = grid[1] - grid[0]
-    out = {}
-    for label, c in centers.items():
-        arr = np.zeros_like(grid)
-        arr[int(round(c / step))] = 1.0
-        out[label] = arr
-    return out
-
-
-@dataclass(frozen=True)
-class FuzzyOutputSet:
-    """Aggregated output membership sampled on the command universe."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.grid.shape != self.values.shape:
-            raise ValueError("grid/values shape mismatch")
-        if np.any(self.values < 0) or np.any(self.values > 1):
-            raise ValueError("output set values outside [0, 1]")
-
-
-def rule_activations(deg_i: MembershipDegrees, deg_d: MembershipDegrees,
-                     rules: RuleBase) -> list[tuple[str, str, str, float]]:
-    """(i label, d label, u label, min-activation) for all nine rules."""
-    out = []
-    for i_label in ("B", "M", "S"):
-        for d_label in ("S", "M", "B"):
-            w = min(deg_i[i_label], deg_d[d_label])
-            out.append((i_label, d_label, rules.output_label(i_label, d_label), w))
-    return out
-
-
-def infer(deg_i: MembershipDegrees, deg_d: MembershipDegrees,
-          rules: RuleBase, u_row: ParamRow,
-          resolution: int = OUTPUT_RESOLUTION) -> FuzzyOutputSet:
-    """Max-min compositional inference over the rule base.
-
-    Each rule fires with the min of its antecedent degrees; the output set
-    is the pointwise max over rules of the fired output membership clipped
-    at the activation level.
-    """
-    grid = np.linspace(0.0, u_row.MI, resolution)
-    mus = output_terms(u_row, grid)
-    agg = np.zeros_like(grid)
-    for _, _, u_label, w in rule_activations(deg_i, deg_d, rules):
-        if w > 0:
-            np.maximum(agg, np.minimum(w, mus[u_label]), out=agg)
-    return FuzzyOutputSet(grid, agg)
-
-
-def defuzzify_centroid(out: FuzzyOutputSet) -> float:
-    """Centre of mass of the output set; midpoint for the all-zero set."""
-    total = float(np.sum(out.values))
-    if total == 0.0:
-        return float(out.grid[-1]) / 2.0
-    return float(np.sum(out.grid * out.values) / total)
-
-
 def _commands(deg_i, deg_d, rules: RuleBase, u_row: ParamRow,
               resolution: int) -> np.ndarray:
     """Centroid command for each pair of input degrees, like `control`.
 
     `deg_i[label]` and `deg_d[label]` are degrees (`MembershipDegrees`, or
-    dicts of arrays that broadcast against each other).  Every output term
-    is a singleton, so a pair's aggregated output set is zero except at
-    the spike samples, and its centroid is the weighted mean of those
-    (at most three) sample points.  A spike's weight is the max activation
-    of the rules whose output label snaps onto it: labels whose singletons
-    round to the same sample merge by max, as in the sampled set.
+    dicts of arrays that broadcast against each other).  The output terms
+    S, M and B are singletons at 0, m and M, each on the nearest of
+    `resolution` samples of [0, MI]: a clipped asymmetric shape would
+    shift its centroid with the activation level and put humps into the
+    surface where neighbouring rules share a label.  A pair's aggregated
+    output set is therefore zero except at the spike samples, and its
+    centroid is the weighted mean of those (at most three) sample points.
+    A spike's weight is the max activation of the rules whose output label
+    snaps onto it: labels whose singletons round to the same sample merge
+    by max, as in the sampled set.  (`tests/replay.py` keeps the sampled
+    max-min inference and centroid as the oracle.)
     """
     grid = np.linspace(0.0, u_row.MI, resolution)
-    spike = {label: int(np.flatnonzero(mu)[0])
-             for label, mu in output_terms(u_row, grid).items()}
+    step = grid[1] - grid[0]
+    spike = {label: int(round(c / step))
+             for label, c in (("S", 0.0), ("M", u_row.m), ("B", u_row.M))}
     weights = {}
     for i_label in ("B", "M", "S"):
         for d_label in ("S", "M", "B"):
@@ -214,10 +150,8 @@ def _commands(deg_i, deg_d, rules: RuleBase, u_row: ParamRow,
 def control(i: float, d: float, params: FuzzyParams,
             rules: RuleBase = DEFAULT_RULES,
             resolution: int = OUTPUT_RESOLUTION) -> float:
-    """Crisp command for crisp inputs: fuzzify, infer, defuzzify.
-
-    Gives exactly `defuzzify_centroid(infer(...))` of the fuzzified inputs.
-    """
+    """Crisp command for crisp inputs: fuzzify, max-min inference over the
+    rule base, centroid of the aggregated output set."""
     deg_i = fuzzify(i, params.i)
     deg_d = fuzzify(d, params.d)
     return float(_commands(deg_i, deg_d, rules, params.u, resolution))

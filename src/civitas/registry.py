@@ -104,9 +104,6 @@ class DmRegistry:
             raise KeyError(f"unknown module {module_id!r}")
         return self._modules[module_id]
 
-    def modules(self) -> list[DmModule]:
-        return list(self._modules.values())
-
     def classify(self, src_id: str, dst_id: str, role: LinkRole) -> InteractionKind:
         """Interaction kind of a src-output -> dst-input link."""
         src, dst = self.module(src_id), self.module(dst_id)

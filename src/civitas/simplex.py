@@ -56,23 +56,6 @@ class LinearProgram:
         if self.ge_lhs.shape[0] != len(self.ge_rhs):
             raise ValueError("ge rhs length mismatch")
 
-    @classmethod
-    def build(cls, objective, eq=(), ge=()) -> "LinearProgram":
-        """Assemble from (row, rhs) pair lists."""
-        c = np.asarray(objective, dtype=float)
-        n = len(c)
-
-        def stack(rows):
-            if not rows:
-                return np.zeros((0, n)), np.zeros(0)
-            lhs = np.array([np.asarray(r, dtype=float) for r, _ in rows])
-            rhs = np.array([float(b) for _, b in rows])
-            return lhs, rhs
-
-        eq_lhs, eq_rhs = stack(list(eq))
-        ge_lhs, ge_rhs = stack(list(ge))
-        return cls(c, eq_lhs, eq_rhs, ge_lhs, ge_rhs)
-
 
 @dataclass
 class LpSolution:

@@ -156,12 +156,6 @@ class Pcg64:
         gen.next_uint64()
         return gen
 
-    @property
-    def state(self) -> dict:
-        """The state as `numpy.random.PCG64().state` spells it."""
-        return {"bit_generator": "PCG64", "state": {"state": self.lcg, "inc": self.inc},
-                "has_uint32": int(self.has_uint32), "uinteger": self.uinteger}
-
     def next_uint64(self) -> int:
         s = self.lcg = (self.lcg * PCG_MULT + self.inc) & _MASK128
         x = (s >> 64 ^ s) & _MASK64

@@ -181,12 +181,6 @@ class StreetNetwork:
             raise KeyError(f"unknown segment {seg_id!r}")
         return seg
 
-    def zone(self, zone_id: str) -> Zone:
-        z = next((z for z in self.zones if z.id == zone_id), None)
-        if z is None:
-            raise KeyError(f"unknown zone {zone_id!r}")
-        return z
-
     @cached_property
     def _incident(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
         """(segments into, segments out of) each intersection, in declaration order."""
@@ -596,21 +590,6 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     return world
 
 
-def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
-    """Drop vehicles onto segments at time zero (closed-network studies)."""
-    for seg_id, count in placements:
-        seg = world.network.segment(seg_id)
-        for _ in range(count):
-            if len(world.queues[seg_id]) >= seg.occupancy_limit:
-                raise ValueError(f"segment {seg_id} over occupancy limit")
-            v = Vehicle(world.next_vid, (), 0, 0.0, seg.travel_time)
-            world.next_vid += 1
-            world.queues[seg_id].append(v)
-            world.entered += 1
-            world.log("arrive", 0.0, v.vid, seg_id)
-    world.agenda = None  # the next step checks every head
-
-
 def step_units(dt: float) -> int:
     """A step of dt seconds as a whole number of clock units, at least one.
 
@@ -830,22 +809,6 @@ def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> 
     n = len(durations)
     t_ex = (sum(durations) / n) if n else None
     return Observation(site, n, t_ex, window)
-
-
-def check_zone_balance(world: WorldState, zone_id: str) -> int:
-    """The zone's vehicle count by the event log minus the vehicles on its
-    members' queues at `world.clock`: 0 when the log and the queues agree."""
-    members = world.network.zone(zone_id).members
-    logged = 0
-    for ev in world.events:
-        kind = ev[0]
-        if kind == "arrive":
-            logged += ev[3] in members
-        elif kind == "depart":
-            logged -= ev[3] in members
-        elif kind == "move":
-            logged += (ev[4] in members) - (ev[3] in members)
-    return logged - sum(len(world.queues[m]) for m in members)
 
 
 def format_event(ev: tuple) -> str:

@@ -1,5 +1,6 @@
-"""Oracles for the timing code of `civitas.fsm`, the reconcile loop and
-the area CTMDP's arrays.
+"""Oracles for the timing code of `civitas.fsm`, the reconcile loop,
+the area CTMDP's arrays and the lighting controller, and the helpers
+that only tests use.
 
 Two independent checkers step through time instead of reasoning about
 the cycle's regions: sampled replays of a signal against its deadlines
@@ -14,14 +15,23 @@ The CTMDP's generator checks, the balance rows of its LP and the
 simplex's pivot step are kept as the per-row loops they were.  The input
 files' sections are read by configparser, as `textfmt.parse_sections`
 once read them.
+
+The lighting controller's max-min inference and centroid are kept in
+their sampled form: the output set is built on the whole command grid
+and its centre of mass summed, which `fuzzy.control` and `fuzzy.surface`
+must match to the last bits.  A zone's vehicle count by the event log
+is checked against its queues, a closed network is seeded with
+vehicles, an LP is assembled from (row, rhs) pairs, and a PCG64 stream's
+state is spelled as numpy spells it.
 """
 
 import configparser
 import copy
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from civitas import fuzzy
 from civitas.ctg import RUN_END_BACKOFF, ZoneSchedule, derive_timing_constraints
 from civitas.ctmdp import GENERATOR_TOL
 from civitas.fgraph import distribute_goals
@@ -34,7 +44,9 @@ from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                HierarchyEngine, ReconcileReport, SafeModeMsg,
                                TableBound, ViolationMsg)
 from civitas import simplex
+from civitas.streams import Pcg64
 from civitas.textfmt import ParseError, Section
+from civitas.world import Vehicle, WorldState
 
 
 def check_constraints_by_replay(fsm: SignalFsm,
@@ -293,7 +305,7 @@ def loop_build_lp(m) -> simplex.LinearProgram:
     eq.append((np.ones(n), 1.0))
     ge = [(np.array([m.rewards[k, i, a] for i, a in pairs]), m.bounds[k - 1])
           for k in range(1, m.k)]
-    return simplex.LinearProgram.build(objective, eq=eq, ge=ge)
+    return linear_program(objective, eq=eq, ge=ge)
 
 
 class ListBasis:
@@ -372,3 +384,124 @@ def configparser_sections(text: str) -> list[Section]:
         name = parts[1].strip() if len(parts) > 1 else ""
         sections.append(Section(kind, name, dict(parser[header])))
     return sections
+
+
+def output_terms(row: fuzzy.ParamRow, grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Command-side term prototypes sampled on `grid`: a singleton at 0, m
+    and M each, on the sample nearest it."""
+    centers = {"S": 0.0, "M": row.m, "B": row.M}
+    step = grid[1] - grid[0]
+    out = {}
+    for label, c in centers.items():
+        arr = np.zeros_like(grid)
+        arr[int(round(c / step))] = 1.0
+        out[label] = arr
+    return out
+
+
+@dataclass(frozen=True)
+class FuzzyOutputSet:
+    """Aggregated output membership sampled on the command universe."""
+
+    grid: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.grid.shape != self.values.shape:
+            raise ValueError("grid/values shape mismatch")
+        if np.any(self.values < 0) or np.any(self.values > 1):
+            raise ValueError("output set values outside [0, 1]")
+
+
+def rule_activations(deg_i: fuzzy.MembershipDegrees, deg_d: fuzzy.MembershipDegrees,
+                     rules: fuzzy.RuleBase) -> list[tuple[str, str, str, float]]:
+    """(i label, d label, u label, min-activation) for all nine rules."""
+    out = []
+    for i_label in ("B", "M", "S"):
+        for d_label in ("S", "M", "B"):
+            w = min(deg_i[i_label], deg_d[d_label])
+            out.append((i_label, d_label, rules.output_label(i_label, d_label), w))
+    return out
+
+
+def infer(deg_i: fuzzy.MembershipDegrees, deg_d: fuzzy.MembershipDegrees,
+          rules: fuzzy.RuleBase, u_row: fuzzy.ParamRow,
+          resolution: int = fuzzy.OUTPUT_RESOLUTION) -> FuzzyOutputSet:
+    """Max-min compositional inference over the rule base.
+
+    Each rule fires with the min of its antecedent degrees; the output set
+    is the pointwise max over rules of the fired output membership clipped
+    at the activation level.
+    """
+    grid = np.linspace(0.0, u_row.MI, resolution)
+    mus = output_terms(u_row, grid)
+    agg = np.zeros_like(grid)
+    for _, _, u_label, w in rule_activations(deg_i, deg_d, rules):
+        if w > 0:
+            np.maximum(agg, np.minimum(w, mus[u_label]), out=agg)
+    return FuzzyOutputSet(grid, agg)
+
+
+def defuzzify_centroid(out: FuzzyOutputSet) -> float:
+    """Centre of mass of the output set; midpoint for the all-zero set."""
+    total = float(np.sum(out.values))
+    if total == 0.0:
+        return float(out.grid[-1]) / 2.0
+    return float(np.sum(out.grid * out.values) / total)
+
+
+def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
+    """Drop vehicles onto segments at time zero (closed-network studies)."""
+    for seg_id, count in placements:
+        seg = world.network.segment(seg_id)
+        for _ in range(count):
+            if len(world.queues[seg_id]) >= seg.occupancy_limit:
+                raise ValueError(f"segment {seg_id} over occupancy limit")
+            v = Vehicle(world.next_vid, (), 0, 0.0, seg.travel_time)
+            world.next_vid += 1
+            world.queues[seg_id].append(v)
+            world.entered += 1
+            world.log("arrive", 0.0, v.vid, seg_id)
+    world.agenda = None  # the next step checks every head
+
+
+def check_zone_balance(world: WorldState, zone_id: str) -> int:
+    """The zone's vehicle count by the event log minus the vehicles on its
+    members' queues at `world.clock`: 0 when the log and the queues agree."""
+    zone = next((z for z in world.network.zones if z.id == zone_id), None)
+    if zone is None:
+        raise KeyError(f"unknown zone {zone_id!r}")
+    members = zone.members
+    logged = 0
+    for ev in world.events:
+        kind = ev[0]
+        if kind == "arrive":
+            logged += ev[3] in members
+        elif kind == "depart":
+            logged -= ev[3] in members
+        elif kind == "move":
+            logged += (ev[4] in members) - (ev[3] in members)
+    return logged - sum(len(world.queues[m]) for m in members)
+
+
+def linear_program(objective, eq=(), ge=()) -> simplex.LinearProgram:
+    """A `LinearProgram` assembled from (row, rhs) pair lists."""
+    c = np.asarray(objective, dtype=float)
+    n = len(c)
+
+    def stack(rows):
+        if not rows:
+            return np.zeros((0, n)), np.zeros(0)
+        lhs = np.array([np.asarray(r, dtype=float) for r, _ in rows])
+        rhs = np.array([float(b) for _, b in rows])
+        return lhs, rhs
+
+    eq_lhs, eq_rhs = stack(list(eq))
+    ge_lhs, ge_rhs = stack(list(ge))
+    return simplex.LinearProgram(c, eq_lhs, eq_rhs, ge_lhs, ge_rhs)
+
+
+def pcg_state(gen: Pcg64) -> dict:
+    """The state of `gen` as `numpy.random.PCG64().state` spells it."""
+    return {"bit_generator": "PCG64", "state": {"state": gen.lcg, "inc": gen.inc},
+            "has_uint32": int(gen.has_uint32), "uinteger": gen.uinteger}

@@ -19,7 +19,8 @@ from civitas import registry as regmod
 from civitas import world as w
 from tests.test_ctg import brute_force_makespan, random_instance
 from tests.test_ctmdp import best_deterministic_policy, random_model
-from tests.replay import check_constraints_by_replay
+from tests.replay import (check_constraints_by_replay, check_zone_balance,
+                          rule_activations, seed_vehicles)
 
 MONOTONE_SLACK = 0.01
 
@@ -108,7 +109,7 @@ def test_criterion_5_rule_table_fidelity():
         pure = {"S": 0.0, "M": 0.5, "B": 1.0}
         for i_label, i_val in pure.items():
             for d_label, d_val in pure.items():
-                acts = fuzzy.rule_activations(
+                acts = rule_activations(
                     fuzzy.fuzzify(i_val, row), fuzzy.fuzzify(d_val, row),
                     fuzzy.DEFAULT_RULES)
                 hot = [(i, d, w) for i, d, _, w in acts if w > 0]
@@ -183,11 +184,11 @@ members = r2, r3
 """
         net = w.load_network(text)
         world = w.make_world(net, None, 0, seed=7)
-        w.seed_vehicles(world, [("r1", 6), ("r3", 4)])
+        seed_vehicles(world, [("r1", 6), ("r3", 4)])
         for _ in range(20):  # 500 s windows
             for _ in range(5000):
                 w.step(world, {}, 0.1)
-            assert w.check_zone_balance(world, "inner") == 0
+            assert check_zone_balance(world, "inner") == 0
         assert world.vehicle_count() == 10
 
         occupancy = 0

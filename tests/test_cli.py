@@ -837,6 +837,19 @@ seed = 3
         assert float(rows["autonomy"]["value"]) == pytest.approx(2.5, abs=1e-9)
         assert float(rows["predictability"]["value"]) == 2.0
         assert abs(float(rows["flexibility"]["value"]) - 0.5) < 0.02
+        assert rows["flexibility"]["parameters"] == "name=demo;n=20000;seed=3"
+
+    def test_flexibility_row_names_the_defaults_it_ran(self, tmp_path):
+        job = tmp_path / "job.metrics"
+        job.write_text("[flexibility f]\nattrs = a:0:1\nrule = a <= 0.5\n")
+        assert cli.main(["metrics", "--job", str(job), "--out", str(tmp_path)]) == 0
+        explicit = tmp_path / "explicit.metrics"
+        explicit.write_text(job.read_text() + "n = 10000\nseed = 0\n")
+        assert cli.main(["metrics", "--job", str(explicit),
+                         "--out", str(tmp_path / "explicit")]) == 0
+        row = (tmp_path / "metrics.csv").read_text().splitlines()[1]
+        assert row.endswith(",name=f;n=10000;seed=0")
+        assert row == (tmp_path / "explicit" / "metrics.csv").read_text().splitlines()[1]
 
 
 class TestMetricsJobErrors:

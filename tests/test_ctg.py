@@ -116,8 +116,9 @@ class TestResolve:
     def test_per_scenario_attributes_selected(self):
         c = Ctg(SITES[:1], (CtgTask("T", site="c1", n={"L": 2, "H": 8},
                                     t_ex={"L": 3.0, "H": 7.0}),), ())
-        assert resolve(c, ("H",)).task("T").duration == 7.0
-        assert resolve(c, ("L",)).task("T").n == 2
+        (high,) = resolve(c, ("H",)).tasks
+        (low,) = resolve(c, ("L",)).tasks
+        assert (high.id, high.duration, low.id, low.n) == ("T", 7.0, "T", 2)
 
     def test_label_of_unknown_site_names_it(self):
         with pytest.raises(KeyError, match=r"no \[site c9\] in the task graph of zone 'Z'"):

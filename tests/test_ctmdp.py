@@ -13,6 +13,7 @@ from civitas.ctmdp import (DUALITY_TOL, CtmdpSolution, ShiftLog,
                            extract_policy, from_schedule_tables, make_ctmdp,
                            model_from_csv, model_to_csv, solution_to_csv,
                            solve_model)
+from tests.replay import linear_program
 
 
 def random_model(rng, S, A, restrict=True):
@@ -275,7 +276,7 @@ class TestOptimalityCheck:
                 solve_model(m)
 
     # max x1 subject to x1 + x2 = 1: optimum x = (1, 0), y = 1, r = (0, -1).
-    LP = simplex.LinearProgram.build([1.0, 0.0], eq=[([1.0, 1.0], 1.0)])
+    LP = linear_program([1.0, 0.0], eq=[([1.0, 1.0], 1.0)])
 
     def test_accepts_the_optimum(self):
         sol = simplex.solve(self.LP)
@@ -304,7 +305,7 @@ class TestOptimalityCheck:
     def test_prices_overflowing_to_nan_fail(self):
         # Finite multipliers whose prices overflow to inf - inf: the nan they
         # give would pass a `value > tol` test.
-        lp = simplex.LinearProgram.build([1.0, 0.0], eq=[([2.0, 2.0], 2.0)] * 2)
+        lp = linear_program([1.0, 0.0], eq=[([2.0, 2.0], 2.0)] * 2)
         sol = simplex.LpSolution(simplex.OPTIMAL, x=np.array([1.0, 0.0]),
                                  objective=1.0, duals=np.array([1e308, -1e308]),
                                  dual_objective=1.0,
@@ -315,7 +316,7 @@ class TestOptimalityCheck:
 
     def test_surplus_columns_are_priced(self):
         # max -x subject to x >= 1: the surplus column's reduced cost is y.
-        lp = simplex.LinearProgram.build([-1.0], ge=[([1.0], 1.0)])
+        lp = linear_program([-1.0], ge=[([1.0], 1.0)])
         sol = simplex.solve(lp)
         assert sol.reduced_costs == pytest.approx([0.0, -1.0])
         wrong_sign = replace(sol, duals=-sol.duals,

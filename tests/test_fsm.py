@@ -142,7 +142,7 @@ def deadlines(draw, f):
     region end, yellow, cycle - yellow or 0, some cycles on."""
     if draw(st.booleans()):
         return draw(st.floats(0.0, 10 * f.cycle))
-    marks = [b for _, _, b in f.layout()] + [0.0, f.yellow, f.cycle - f.yellow]
+    marks = [b for _, _, b in f._layout] + [0.0, f.yellow, f.cycle - f.yellow]
     t = f.offset + draw(st.integers(0, 5)) * f.cycle + draw(st.sampled_from(marks))
     ulps = draw(st.integers(-4, 4))
     for _ in range(abs(ulps)):

@@ -4,9 +4,10 @@ from hypothesis import given, strategies as st
 
 from civitas import fuzzy
 from civitas.fuzzy import (DEFAULT_RULES, FuzzyParams, LampFeedback, ParamRow,
-                           control, defuzzify_centroid, fuzzify, infer,
-                           lcu_update, membership_grid, rule_activations,
+                           control, fuzzify, lcu_update, membership_grid,
                            surface)
+from tests.replay import (FuzzyOutputSet, defuzzify_centroid, infer,
+                          rule_activations)
 
 ROW = ParamRow(0.5, 1.0, 1.2)
 PARAMS = FuzzyParams.uniform(0.5, 1.0, 1.2)
@@ -100,12 +101,12 @@ class TestDefuzzify:
     def test_symmetric_triangle_centroid(self):
         grid = np.linspace(0.0, 1.0, 1001)
         tri = np.maximum(0.0, 1.0 - np.abs(grid - 0.5) / 0.2)
-        out = fuzzy.FuzzyOutputSet(grid, tri)
+        out = FuzzyOutputSet(grid, tri)
         assert defuzzify_centroid(out) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_set_returns_universe_midpoint(self):
         grid = np.linspace(0.0, 1.2, 1201)
-        out = fuzzy.FuzzyOutputSet(grid, np.zeros_like(grid))
+        out = FuzzyOutputSet(grid, np.zeros_like(grid))
         assert defuzzify_centroid(out) == pytest.approx(0.6, abs=1e-12)
 
     def test_shoulder_ramp_against_fine_grid_oracle(self):
@@ -114,8 +115,8 @@ class TestDefuzzify:
         fine = np.linspace(0.0, 1.2, 12001)
         ramp_c = membership_grid(ROW, coarse)["S"]
         ramp_f = membership_grid(ROW, fine)["S"]
-        got = defuzzify_centroid(fuzzy.FuzzyOutputSet(coarse, ramp_c))
-        oracle = defuzzify_centroid(fuzzy.FuzzyOutputSet(fine, ramp_f))
+        got = defuzzify_centroid(FuzzyOutputSet(coarse, ramp_c))
+        oracle = defuzzify_centroid(FuzzyOutputSet(fine, ramp_f))
         assert got == pytest.approx(oracle, abs=1e-3)
 
 

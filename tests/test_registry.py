@@ -29,7 +29,7 @@ class TestRegister:
         reg = DmRegistry()
         reg.register(module("a", 1))
         reg.register(module("b", 2))
-        assert {m.id for m in reg.modules()} == {"a", "b"}
+        assert {m.id for m in reg._modules.values()} == {"a", "b"}
 
     def test_duplicate_port_names_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from civitas import simplex
 from civitas.simplex import LinearProgram, solve
+from tests.replay import linear_program
 
 
 def brute_force_lp(c, A_eq, b_eq, A_ge, b_ge):
@@ -43,29 +44,29 @@ def brute_force_lp(c, A_eq, b_eq, A_ge, b_ge):
 
 class TestBasics:
     def test_textbook_corner(self):
-        lp = LinearProgram.build([1.0, 2.0], eq=[([1.0, 1.0], 1.0)])
+        lp = linear_program([1.0, 2.0], eq=[([1.0, 1.0], 1.0)])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-12)
         assert sol.x == pytest.approx([0.0, 1.0])
 
     def test_infeasible_detected(self):
-        lp = LinearProgram.build([1.0], eq=[([1.0], 1.0)], ge=[([1.0], 2.0)])
+        lp = linear_program([1.0], eq=[([1.0], 1.0)], ge=[([1.0], 2.0)])
         assert solve(lp).status == "infeasible"
 
     def test_unbounded_detected(self):
-        lp = LinearProgram.build([1.0, 0.0], ge=[([1.0, -1.0], 0.0)])
+        lp = linear_program([1.0, 0.0], ge=[([1.0, -1.0], 0.0)])
         assert solve(lp).status == "unbounded"
 
     def test_iteration_budget_is_explicit(self):
-        lp = LinearProgram.build([1.0, 2.0, 3.0],
-                                 eq=[([1.0, 1.0, 1.0], 1.0)],
-                                 ge=[([1.0, 0.0, 0.0], 0.1)])
+        lp = linear_program([1.0, 2.0, 3.0],
+                            eq=[([1.0, 1.0, 1.0], 1.0)],
+                            ge=[([1.0, 0.0, 0.0], 0.1)])
         assert solve(lp, max_iters=1).status == "iteration_limit"
 
     def test_redundant_rows_handled(self):
-        lp = LinearProgram.build([1.0, 1.0],
-                                 eq=[([1.0, 1.0], 1.0), ([2.0, 2.0], 2.0)])
+        lp = linear_program([1.0, 1.0],
+                            eq=[([1.0, 1.0], 1.0), ([2.0, 2.0], 2.0)])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
@@ -74,7 +75,7 @@ class TestBasics:
         # Row 3 = row 1 - 2 * row 2.  Phase 1 pivots on the 1e-6 entry, so
         # the redundant row's entries carry rounding noise of about 1e-10;
         # pivoting on that noise would leave a singular basis.
-        lp = LinearProgram.build(
+        lp = linear_program(
             [0.0] * 6,
             eq=[([-1.0, 0.0, 1.0, 3.0, 0.0, 0.0], 0.0),
                 ([2.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0),
@@ -90,9 +91,9 @@ class TestBasics:
         # artificial basic in one of them, and rounding leaves a basic
         # column's entry in that artificial's row above PIVOT_TOL.
         # Pivoting that column in would put it in the basis twice.
-        lp = LinearProgram.build([-1.0, -1.0],
-                                 eq=[([-3.0, 1.0], 1.0), ([-6.0, 2.0], 2.0)],
-                                 ge=[([2.0, -5e-6], -1e-9)])
+        lp = linear_program([-1.0, -1.0],
+                            eq=[([-3.0, 1.0], 1.0), ([-6.0, 2.0], 2.0)],
+                            ge=[([2.0, -5e-6], -1e-9)])
         noise = []
         optimize = simplex._optimize
 
@@ -125,8 +126,8 @@ class TestBasics:
         A_ge = np.array([[0.0, 3.0], [2.0, -1e-9]])
         b_ge = np.array([0.0, -1e-11])
         c = [2.0 * sign, 0.0]
-        sol = solve(LinearProgram.build(c, eq=list(zip(A_eq, b_eq)),
-                                        ge=list(zip(A_ge, b_ge))))
+        sol = solve(linear_program(c, eq=list(zip(A_eq, b_eq)),
+                                   ge=list(zip(A_ge, b_ge))))
         if sign > 0:  # x1 = 1 + 3 x0 lets x0 grow without bound
             assert sol.status == "unbounded"
             return
@@ -136,8 +137,8 @@ class TestBasics:
 
     def test_negative_rhs_rows(self):
         # x1 - x2 = -1, x1 + x2 = 3 -> x = (1, 2)
-        lp = LinearProgram.build([1.0, 0.0],
-                                 eq=[([1.0, -1.0], -1.0), ([1.0, 1.0], 3.0)])
+        lp = linear_program([1.0, 0.0],
+                            eq=[([1.0, -1.0], -1.0), ([1.0, 1.0], 3.0)])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([1.0, 2.0])
@@ -153,7 +154,7 @@ class TestRandomAgainstVertexOracle:
             x_feas = rng.uniform(0.1, 1.0, size=n)
             b = A @ x_feas  # feasible by construction, bounded (A > 0)
             c = rng.uniform(-1.0, 2.0, size=n)
-            lp = LinearProgram.build(c, eq=list(zip(A, b)))
+            lp = linear_program(c, eq=list(zip(A, b)))
             sol = solve(lp)
             assert sol.status == "optimal"
             oracle = brute_force_lp(c, A, b, np.zeros((0, n)), np.zeros(0))
@@ -171,8 +172,8 @@ class TestRandomAgainstVertexOracle:
             A_ge = rng.uniform(0.1, 1.0, size=(1, n))
             b_ge = (A_ge @ x_feas) * 0.5
             c = rng.uniform(-1.0, 1.0, size=n)
-            lp = LinearProgram.build(c, eq=list(zip(A_eq, b_eq)),
-                                     ge=list(zip(A_ge, b_ge)))
+            lp = linear_program(c, eq=list(zip(A_eq, b_eq)),
+                                ge=list(zip(A_ge, b_ge)))
             sol = solve(lp)
             assert sol.status == "optimal"
             oracle = brute_force_lp(c, A_eq, b_eq, A_ge, b_ge)
@@ -187,7 +188,7 @@ class TestDuality:
             A = rng.uniform(0.1, 2.0, size=(m, n))
             b = A @ rng.uniform(0.1, 1.0, size=n)
             c = rng.uniform(-1.0, 2.0, size=n)
-            sol = solve(LinearProgram.build(c, eq=list(zip(A, b))))
+            sol = solve(linear_program(c, eq=list(zip(A, b))))
             assert sol.status == "optimal"
             assert sol.duality_gap is not None
             assert sol.duality_gap <= 1e-8
@@ -199,7 +200,7 @@ class TestDuality:
             A = rng.uniform(0.1, 2.0, size=(2, n))
             b = A @ rng.uniform(0.1, 1.0, size=n)
             c = rng.uniform(-1.0, 2.0, size=n)
-            sol = solve(LinearProgram.build(c, eq=list(zip(A, b))))
+            sol = solve(linear_program(c, eq=list(zip(A, b))))
             assert np.all(sol.x >= -1e-9)
 
 

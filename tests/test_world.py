@@ -5,6 +5,7 @@ import pytest
 from civitas import world as w
 from civitas.fsm import SignalState
 from civitas.textfmt import ParseError
+from tests.replay import check_zone_balance, seed_vehicles
 
 RING = """
 [intersection n1]
@@ -64,7 +65,7 @@ exit = true
 def run_ring(steps=1000, vehicles=((("r1", 4), ("r3", 3)))):
     net = w.load_network(RING)
     world = w.make_world(net, None, 0, seed=7)
-    w.seed_vehicles(world, list(vehicles))
+    seed_vehicles(world, list(vehicles))
     for _ in range(steps):
         w.step(world, {}, 0.1)
     return world
@@ -162,7 +163,7 @@ class TestStep:
     def test_single_vehicle_free_flow_timing(self):
         net = w.load_network(LINE)
         world = w.make_world(net, None, 0, 1)
-        w.seed_vehicles(world, [("x", 1)])
+        seed_vehicles(world, [("x", 1)])
         for _ in range(200):
             w.step(world, {}, 0.1)
         moves = [e for e in world.events if e[0] == "move"]
@@ -187,7 +188,7 @@ class TestStep:
         text = LINE.replace("capacity = 5\nexit = true", "capacity = 1\nexit = true")
         net = w.load_network(text)
         world = w.make_world(net, None, 0, 1)
-        w.seed_vehicles(world, [("x", 2)])
+        seed_vehicles(world, [("x", 2)])
         for _ in range(120):
             w.step(world, {}, 0.1)
         assert world.vehicle_count() + world.exited == 2
@@ -216,7 +217,7 @@ exit = true
 """
         net = w.load_network(text)
         world = w.make_world(net, None, 0, 1)
-        w.seed_vehicles(world, [("x", 1)])
+        seed_vehicles(world, [("x", 1)])
         for _ in range(300):
             w.step(world, {"b": SignalState.GREEN}, 0.1)  # green admits dir 2 only
         assert not [e for e in world.events if e[0] == "move"]
@@ -287,7 +288,7 @@ class TestObserveCycle:
     def test_single_free_flow_traversal(self):
         net = w.load_network(LINE)
         world = w.make_world(net, None, 0, 1)
-        w.seed_vehicles(world, [("x", 1)])
+        seed_vehicles(world, [("x", 1)])
         for _ in range(200):
             w.step(world, {}, 0.1)
         obs = w.observe_cycle(world, "x", (0.0, 20.0))
@@ -325,25 +326,25 @@ class TestZoneBalance:
         for _ in range(9):
             for _ in range(500):
                 w.step(world, {}, 0.1)
-            assert w.check_zone_balance(world, "inner") == 0
+            assert check_zone_balance(world, "inner") == 0
 
     def test_corrupted_log_is_caught(self):
         world = run_ring(steps=5000, vehicles=[("r1", 6), ("r3", 4)])
-        assert w.check_zone_balance(world, "inner") == 0
+        assert check_zone_balance(world, "inner") == 0
         entries = sum(1 for ev in world.events if ev[0] == "move" and ev[4] == "r2")
         assert entries > 0
         lost = world.copy()
         lost.events = [ev for ev in world.events
                        if not (ev[0] == "move" and ev[4] == "r2")]
-        assert w.check_zone_balance(lost, "inner") == -entries
+        assert check_zone_balance(lost, "inner") == -entries
         invented = world.copy()
         invented.events += [("depart", world.clock, 1000 + k, "r3") for k in range(7)]
-        assert w.check_zone_balance(invented, "inner") == -7
+        assert check_zone_balance(invented, "inner") == -7
 
     def test_unknown_zone_rejected(self):
         world = run_ring(steps=10)
         with pytest.raises(KeyError):
-            w.check_zone_balance(world, "ghost")
+            check_zone_balance(world, "ghost")
 
     def test_open_network_balance(self, twin_network_text, twin_demand_text):
         net = w.load_network(twin_network_text)
@@ -355,7 +356,7 @@ class TestZoneBalance:
                      SignalState.YELLOW if (t % 60) < 35 else SignalState.RED)
             w.step(world, {"A": state, "B": state}, 0.1)
             if (k + 1) % 600 == 0:
-                assert w.check_zone_balance(world, "Z") == 0
+                assert check_zone_balance(world, "Z") == 0
         assert world.entered > 0 and world.vehicle_count() > 0
 
     def test_counters_cross_check_event_log(self, twin_network_text,
