@@ -64,7 +64,7 @@ def _load(path: str, what: str, parse):
 
 def _write(path: str, content: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(content)
 
 

@@ -78,9 +78,9 @@ class SignalFsm:
     anchor: SignalState = SignalState.GREEN
 
     def __post_init__(self):
-        for name in ("green", "yellow", "red"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} split must be a finite number > 0")
+        for name, low in (("green", GREEN_MIN), ("yellow", YELLOW_MIN), ("red", RED_MIN)):
+            if not low <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} split must be a finite number >= {low:g}")
         if not 0 <= self.offset < self.cycle:
             raise ValueError(f"offset {self.offset} outside [0, {self.cycle})")
 

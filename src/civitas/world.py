@@ -379,7 +379,9 @@ class WorldState:
     clock: float = 0.0  # clock_units / CLOCK_UNITS_PER_S, the time artifacts read
     clock_units: int = 0
     queues: dict[str, list[Vehicle]] = field(default_factory=dict)
-    events: list[tuple] = field(default_factory=list)
+    # The bytes of `events.log`: one UTF-8 line per event, formatted when
+    # it happens, so the run holds no object per past event.
+    events: bytearray = field(default_factory=bytearray)
     entered: int = 0
     exited: int = 0
     dropped: int = 0
@@ -402,7 +404,7 @@ class WorldState:
         return sum(len(q) for q in self.queues.values())
 
     def log(self, *record) -> None:
-        self.events.append(tuple(record))
+        self.events += (format_event(record) + "\n").encode()
 
 
 class _Router:
@@ -667,7 +669,9 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
                 raise ValueError(f"controls missing signalized intersection {node}")
     world.clock_units, world.clock = units, now
     position, armed = network._position, agenda.armed
-    segment, log = network._segment_index, world.events.append
+    # `format_event`'s lines for the four kinds logged here, one literal
+    # format each: times are floats, vehicle ids ints, segment ids strs.
+    segment, log = network._segment_index, world.events.extend
 
     while (world.arrival_idx < len(world.arrivals)
            and world.arrivals[world.arrival_idx][0] <= now):
@@ -677,7 +681,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         queue = queues[seg_id]
         if len(queue) >= seg.occupancy_limit:
             world.dropped += 1
-            log(("drop", at, seg_id))
+            log(("drop\t%.9g\t%s\n" % (at, seg_id)).encode())
             continue
         if not queue:
             armed.add(position[seg_id])
@@ -685,7 +689,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         world.next_vid += 1
         queue.append(v)
         world.entered += 1
-        log(("arrive", at, v.vid, seg_id))
+        log(("arrive\t%.9g\t%d\t%s\n" % (at, v.vid, seg_id)).encode())
 
     if controls_changed:
         before = agenda.controls or {}
@@ -742,14 +746,14 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
         world.traversal_time[seg.id].append(now - v.entered_at)
         if nxt_id is None:
             world.exited += 1
-            log(("depart", now, v.vid, seg.id))
+            log(("depart\t%.9g\t%d\t%s\n" % (now, v.vid, seg.id)).encode())
         else:
             v.leg += 1
             v.pending_next = None
             v.entered_at = now
             v.ready_at = now + nxt.travel_time
             queues[nxt_id].append(v)
-            log(("move", now, v.vid, seg.id, nxt_id))
+            log(("move\t%.9g\t%d\t%s\t%s\n" % (now, v.vid, seg.id, nxt_id)).encode())
         woken = room.pop(i, [])
         if nxt_id is not None and nxt_id != seg.id and len(queues[nxt_id]) == 1:
             woken.append(position[nxt_id])  # a new head downstream
@@ -822,7 +826,7 @@ def format_event(ev: tuple) -> str:
     return "\t".join(parts)
 
 
-def write_event_log(events: list[tuple], path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for ev in events:
-            fh.write(format_event(ev) + "\n")
+def write_event_log(events: bytearray, path: str) -> None:
+    """Write `WorldState.events`, the log's UTF-8 bytes, to `path` as they are."""
+    with open(path, "wb") as fh:
+        fh.write(events)

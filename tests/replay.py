@@ -19,8 +19,10 @@ once read them.
 The lighting controller's max-min inference and centroid are kept in
 their sampled form: the output set is built on the whole command grid
 and its centre of mass summed, which `fuzzy.control` and `fuzzy.surface`
-must match to the last bits.  A zone's vehicle count by the event log
-is checked against its queues, a closed network is seeded with
+must match to the last bits.  The event log's bytes are read back into
+records, with the exact times of `world.step`'s from the world's own
+records where a check compares times.  A zone's vehicle count by the
+event log is checked against its queues, a closed network is seeded with
 vehicles, an LP is assembled from (row, rhs) pairs, and a PCG64 stream's
 state is spelled as numpy spells it.
 """
@@ -465,6 +467,53 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
     world.agenda = None  # the next step checks every head
 
 
+def events(world: WorldState) -> list[tuple]:
+    """`world.events` read back into records: the kind, the time as the
+    float its text spells, then the other fields as text, save the vehicle
+    id of an `arrive`, `move` or `depart` record, which is an int."""
+    records = []
+    for line in world.events.decode().split("\n")[:-1]:
+        kind, at, *rest = line.split("\t")
+        if kind in ("arrive", "move", "depart"):
+            rest[0] = int(rest[0])
+        records.append((kind, float(at), *rest))
+    return records
+
+
+def exact_events(world: WorldState) -> list[tuple]:
+    """`events(world)` with each of `world.step`'s records at the exact time
+    the world used, which the log's 9 digits may round.
+
+    An `arrive` or `drop` record takes the time of the next of
+    `world.arrivals`, a `move` or `depart` the next completion in
+    `world.completed_at` of the segment it left.  The `arrive` records of
+    vehicles seeded before the first step, one for each beyond the
+    arrivals taken, keep the time their text spells.  Asserts that each
+    exact time prints as the log's text and that an arrival joins the
+    segment it was drawn for.
+    """
+    records = events(world)
+    seeded = sum(r[0] in ("arrive", "drop") for r in records) - world.arrival_idx
+    crossed = dict.fromkeys(world.completed_at, 0)
+    taken = 0
+    out = []
+    for record in records:
+        kind, at = record[0], record[1]
+        if kind in ("arrive", "drop") and seeded > 0:
+            seeded -= 1
+        elif kind in ("arrive", "drop"):
+            at, seg_id, _ = world.arrivals[taken]
+            taken += 1
+            assert seg_id == record[-1], (record, seg_id)
+        elif kind in ("move", "depart"):
+            seg_id = record[3]
+            at = world.completed_at[seg_id][crossed[seg_id]]
+            crossed[seg_id] += 1
+        assert float("%.9g" % at) == record[1], (record, at)
+        out.append((kind, at, *record[2:]))
+    return out
+
+
 def check_zone_balance(world: WorldState, zone_id: str) -> int:
     """The zone's vehicle count by the event log minus the vehicles on its
     members' queues at `world.clock`: 0 when the log and the queues agree."""
@@ -473,7 +522,7 @@ def check_zone_balance(world: WorldState, zone_id: str) -> int:
         raise KeyError(f"unknown zone {zone_id!r}")
     members = zone.members
     logged = 0
-    for ev in world.events:
+    for ev in events(world):
         kind = ev[0]
         if kind == "arrive":
             logged += ev[3] in members

@@ -20,7 +20,7 @@ from civitas import world as w
 from tests.test_ctg import brute_force_makespan, random_instance
 from tests.test_ctmdp import best_deterministic_policy, random_model
 from tests.replay import (check_constraints_by_replay, check_zone_balance,
-                          rule_activations, seed_vehicles)
+                          events, rule_activations, seed_vehicles)
 
 MONOTONE_SLACK = 0.01
 
@@ -192,7 +192,7 @@ members = r2, r3
         assert world.vehicle_count() == 10
 
         occupancy = 0
-        for ev in world.events:
+        for ev in events(world):
             if ev[0] == "move":
                 if ev[4] == "r2":
                     occupancy += 1

@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -377,6 +380,31 @@ class TestSimulate:
             assert "2" in {row["passes"] for row in csv.DictReader(fh)}
         lines = (out / "events.log").read_text().splitlines()
         assert any(line.startswith("violation\t") for line in lines)
+
+    def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path, data_dir):
+        # Segment s1 renamed s1é: events.log and schedule_table.csv name it.
+        # Under the C locale, with neither coercion nor UTF-8 mode, the
+        # run writes the bytes an in-process run writes.
+        for name in ("twin.network", "twin.demand", "twin.ctg"):
+            text = re.sub(r"\bs1\b", "s1é", (data_dir / name).read_text(encoding="utf-8"))
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        args = sim_args(tmp_path, tmp_path / "here", mode="hierarchical", horizon="60")
+        assert cli.main(args) == 0
+        args[args.index("--out") + 1] = str(tmp_path / "c")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "civitas.cli", *args], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for name in ("events.log", "schedule_table.csv"):
+            raw = (tmp_path / "c" / name).read_bytes()
+            assert "s1é" in raw.decode("utf-8"), name
+        names = sorted(p.name for p in (tmp_path / "here").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "c").iterdir())
+        for name in names:
+            assert ((tmp_path / "c" / name).read_bytes()
+                    == (tmp_path / "here" / name).read_bytes()), name
 
     def test_network_without_zones_is_one_implicit_zone(self, tmp_path, data_dir):
         # The twin's one zone holds every segment, and so both signals: the

@@ -89,7 +89,7 @@ def recount_observe(world, site, window):
     t0, t1 = window
     entered_at = {}
     durations = []
-    for ev in world.events:
+    for ev in replay.exact_events(world):
         kind, at = ev[0], ev[1]
         if kind == "arrive" and ev[3] == site:
             entered_at[ev[2]] = at
@@ -267,12 +267,14 @@ class DictRouter:
 
 # ------------------------------------------------------------- state_at
 
-splits = st.floats(0.1, 120.0, allow_nan=False)
+# Each split from its minimum up: `SignalFsm` refuses a shorter one.
+splits = tuple(st.floats(low, 120.0, allow_nan=False)
+               for low in (fsmmod.GREEN_MIN, fsmmod.YELLOW_MIN, fsmmod.RED_MIN))
 
 
 @st.composite
 def fsms(draw):
-    green, yellow, red = draw(splits), draw(splits), draw(splits)
+    green, yellow, red = (draw(split) for split in splits)
     cycle = green + yellow + red
     offset = draw(st.floats(0.0, 1.0, exclude_max=True)) * cycle
     if offset >= cycle:
@@ -372,7 +374,7 @@ def stepped(data_dir, tmp_path_factory):
 def windows(draw, world):
     """A window whose ends are random times or exact completion instants."""
     site = draw(st.sampled_from([s.id for s in world.network.segments]))
-    instants = sorted({ev[1] for ev in world.events})
+    instants = sorted({t for times in world.completed_at.values() for t in times})
     end = st.one_of(st.floats(-1.0, world.clock + 1.0, allow_nan=False),
                     st.sampled_from(instants))
     return site, (draw(end), draw(end))
@@ -1035,7 +1037,8 @@ def line_world(arrivals=()):
 
 
 def crossings(world):
-    return [(ev[1], ev[0]) for ev in world.events if ev[0] in ("move", "depart")]
+    return [(ev[1], ev[0]) for ev in replay.exact_events(world)
+            if ev[0] in ("move", "depart")]
 
 
 RED, GREEN = SignalState.RED, SignalState.GREEN  # RED admits approach 1
@@ -1048,8 +1051,8 @@ class TestIdleStep:
         at = [times[2], times[3], times[8]]
         world = line_world(at)
         run_side_by_side(world, dt, 40, lambda k: {"x": RED})
-        arrived = [ev[1] for ev in world.events if ev[0] == "arrive"]
-        assert arrived == at
+        arrived = [ev[1] for ev in replay.events(world) if ev[0] == "arrive"]
+        assert arrived == [float("%.9g" % t) for t in at]
 
     def test_arrival_joins_in_its_own_tick(self):
         world = line_world([0.5])

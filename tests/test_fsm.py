@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from civitas import fsm
 from civitas.ctg import Ctg, CtgTask, build_table
@@ -125,13 +125,16 @@ def bits(values):
     return tuple(float(v).hex() for v in values)
 
 
-split_times = st.floats(0.1, 120.0, allow_nan=False)
+# Each split from its minimum up: `SignalFsm` refuses a shorter one.
+green_times, yellow_times, red_times = (
+    st.floats(low, 120.0, allow_nan=False)
+    for low in (fsm.GREEN_MIN, fsm.YELLOW_MIN, fsm.RED_MIN))
 
 
 @st.composite
 def timed_fsms(draw):
     cycle_share = draw(st.floats(0.0, 1.0, exclude_max=True))
-    f = SignalFsm(draw(split_times), draw(split_times), draw(split_times),
+    f = SignalFsm(draw(green_times), draw(yellow_times), draw(red_times),
                   anchor=draw(st.sampled_from(CYCLIC_ORDER)))
     return replace(f, offset=min(cycle_share * f.cycle, math.nextafter(f.cycle, 0)))
 
@@ -170,7 +173,7 @@ class TestGreenInterval:
                                   f.phase_position(c.deadline))
         assert bits(got) == bits(layout_green_interval(f, c))
 
-    @given(split_times, split_times, split_times, st.sampled_from(CYCLIC_ORDER),
+    @given(green_times, yellow_times, red_times, st.sampled_from(CYCLIC_ORDER),
            st.sampled_from(CYCLIC_ORDER))
     def test_matches_the_layouts_at_the_cycle_itself(self, g, y, r, anchor, state):
         # an offset below half an ulp of the cycle puts deadline 0 at phase cycle
@@ -197,6 +200,31 @@ class TestGreenInterval:
                     == bits((want.green, want.yellow, want.red, want.offset)))
         else:
             assert got == want
+
+
+class TestSplitMinimums:
+    @pytest.mark.parametrize("name, low", [("green", fsm.GREEN_MIN),
+                                           ("yellow", fsm.YELLOW_MIN),
+                                           ("red", fsm.RED_MIN)])
+    def test_split_minimums_enforced(self, name, low):
+        assert getattr(make_fsm(**{name: low}), name) == low
+        for short in (math.nextafter(low, 0.0), 1e-300):
+            with pytest.raises(ValueError, match=f"{name} split must be a finite"
+                                                 f" number >= {low:g}"):
+                make_fsm(**{name: short})
+
+    @given(green_times, yellow_times, st.floats(fsm.RED_MIN + 1e-6, 120.0))
+    def test_green_at_its_bound_leaves_red_at_its_minimum(self, green, yellow, red):
+        """A deadline that takes all the green there is puts g at
+        hi = (cycle - yellow) - RED_MIN: red = (cycle - yellow) - g is
+        then RED_MIN exactly, and the rebalanced signal builds."""
+        f = SignalFsm(green, yellow, red)
+        hi = f.cycle - f.yellow - fsm.RED_MIN
+        deadline = hi - fsm._EDGE_EPS  # the green region must reach past it
+        assume(deadline + fsm._EDGE_EPS == hi)
+        out = apply_timing_constraints(f, [TimingConstraint(deadline, SignalState.GREEN)])
+        assert isinstance(out, SignalFsm) and out.anchor is SignalState.GREEN
+        assert (out.green, out.yellow, out.red) == (hi, f.yellow, fsm.RED_MIN)
 
 
 def make_controller(active="fast"):
@@ -273,7 +301,7 @@ class TestShortcutToSafe:
 
 @st.composite
 def signals(draw):
-    green, yellow, red = (draw(st.floats(0.1, 120.0)) for _ in range(3))
+    green, yellow, red = draw(green_times), draw(yellow_times), draw(red_times)
     cycle = green + yellow + red
     offset = draw(st.floats(0.0, 1.0, exclude_max=True)) * cycle
     return SignalFsm(green, yellow, red, offset if offset < cycle else 0.0,

@@ -1,11 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from civitas import world as w
 from civitas.fsm import SignalState
 from civitas.textfmt import ParseError
-from tests.replay import check_zone_balance, seed_vehicles
+from tests.replay import check_zone_balance, events, exact_events, seed_vehicles
 
 RING = """
 [intersection n1]
@@ -166,22 +167,22 @@ class TestStep:
         seed_vehicles(world, [("x", 1)])
         for _ in range(200):
             w.step(world, {}, 0.1)
-        moves = [e for e in world.events if e[0] == "move"]
+        moves = [e for e in exact_events(world) if e[0] == "move"]
         assert moves == [("move", 10.0, 0, "x", "y")]
-        departs = [e for e in world.events if e[0] == "depart"]
+        departs = [e for e in exact_events(world) if e[0] == "depart"]
         assert departs[0][1] == 15.0  # 5 s on the 50 m segment
 
     def test_shared_segment_never_co_resident(self):
         world = run_ring(steps=2000, vehicles=[("r1", 6), ("r4", 4)])
         occupancy = 0
-        for ev in world.events:
+        for ev in events(world):
             if ev[0] == "move":
                 if ev[4] == "r2":
                     occupancy += 1
                 if ev[3] == "r2":
                     occupancy -= 1
                 assert 0 <= occupancy <= 1
-        assert any(ev[0] == "move" and ev[4] == "r2" for ev in world.events)
+        assert any(ev[0] == "move" and ev[4] == "r2" for ev in events(world))
 
     def test_blocked_vehicles_wait_without_loss(self):
         # capacity-1 downstream: the second vehicle waits indefinitely
@@ -220,10 +221,10 @@ exit = true
         seed_vehicles(world, [("x", 1)])
         for _ in range(300):
             w.step(world, {"b": SignalState.GREEN}, 0.1)  # green admits dir 2 only
-        assert not [e for e in world.events if e[0] == "move"]
+        assert not [e for e in events(world) if e[0] == "move"]
         for _ in range(10):
             w.step(world, {"b": SignalState.RED}, 0.1)
-        assert [e for e in world.events if e[0] == "move"]
+        assert [e for e in events(world) if e[0] == "move"]
 
     def test_controls_must_cover_signalized_nodes(self, twin_network_text):
         net = w.load_network(twin_network_text)
@@ -239,7 +240,7 @@ exit = true
         for _ in range(1000):
             w.step(world, controls, 0.1)
         assert world.dropped > 0
-        assert world.dropped == sum(1 for e in world.events if e[0] == "drop")
+        assert world.dropped == sum(1 for e in events(world) if e[0] == "drop")
 
     def test_determinism_bit_identical_logs(self, twin_network_text, twin_demand_text):
         net = w.load_network(twin_network_text)
@@ -252,7 +253,7 @@ exit = true
                 state = (SignalState.GREEN if (t % 60) < 30 else
                          SignalState.YELLOW if (t % 60) < 35 else SignalState.RED)
                 w.step(world, {"A": state, "B": state}, 0.1)
-            logs.append("\n".join(w.format_event(e) for e in world.events))
+            logs.append(bytes(world.events))
         assert logs[0] == logs[1]
 
     @pytest.mark.parametrize("dt", [1e-11, 4e-11, 0.0, -0.1, float("nan"), float("inf"),
@@ -302,7 +303,7 @@ class TestObserveCycle:
         # independent recount directly over raw events
         entered = {}
         durations = []
-        for ev in world.events:
+        for ev in exact_events(world):
             if ev[0] == "move" and ev[4] == "r2":
                 entered[ev[2]] = ev[1]
             elif ev[0] == "move" and ev[3] == "r2":
@@ -331,14 +332,16 @@ class TestZoneBalance:
     def test_corrupted_log_is_caught(self):
         world = run_ring(steps=5000, vehicles=[("r1", 6), ("r3", 4)])
         assert check_zone_balance(world, "inner") == 0
-        entries = sum(1 for ev in world.events if ev[0] == "move" and ev[4] == "r2")
+        entries = sum(1 for ev in events(world) if ev[0] == "move" and ev[4] == "r2")
         assert entries > 0
         lost = world.copy()
-        lost.events = [ev for ev in world.events
-                       if not (ev[0] == "move" and ev[4] == "r2")]
+        lost.events = bytearray(b"".join(
+            line for line in world.events.splitlines(keepends=True)
+            if not (line.startswith(b"move\t") and line.endswith(b"\tr2\n"))))
         assert check_zone_balance(lost, "inner") == -entries
         invented = world.copy()
-        invented.events += [("depart", world.clock, 1000 + k, "r3") for k in range(7)]
+        for k in range(7):
+            invented.log("depart", world.clock, 1000 + k, "r3")
         assert check_zone_balance(invented, "inner") == -7
 
     def test_unknown_zone_rejected(self):
@@ -366,8 +369,8 @@ class TestZoneBalance:
         world = w.make_world(net, demand, horizon=200.0, seed=9)
         for _ in range(2000):
             w.step(world, {"A": SignalState.RED, "B": SignalState.RED}, 0.1)
-        arrives = sum(1 for e in world.events if e[0] == "arrive")
-        departs = sum(1 for e in world.events if e[0] == "depart")
+        arrives = sum(1 for e in events(world) if e[0] == "arrive")
+        departs = sum(1 for e in events(world) if e[0] == "depart")
         assert world.entered == arrives
         assert world.exited == departs
 
@@ -432,13 +435,89 @@ class TestDemand:
         assert s1_times_1 == s1_times_2  # split streams do not interfere
 
 
+# Times the log's 9 digits round: thirds, and times of 1e9 s and more.
+log_times = st.one_of(st.integers(1, 3 * 10**6).map(lambda k: k / 3),
+                      st.floats(1e9, 1e12), st.floats(1e-9, 1e9))
+# Ids of any printable characters, non-ASCII ones included.
+log_ids = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")),
+                  min_size=1, max_size=5)
+
+
+@st.composite
+def logged_steps(draw):
+    """Two segment ids, the first one's capacity, arrival times and the
+    time the step ends, which no arrival is after."""
+    a, b = draw(st.lists(log_ids, min_size=2, max_size=2, unique=True))
+    times = sorted(draw(st.lists(log_times, min_size=1, max_size=6)))
+    return a, b, draw(st.integers(1, 4)), times[:-1], times[-1]
+
+
 class TestEventLog:
     def test_nine_significant_digits(self):
         line = w.format_event(("move", 12.3456789123, 7, "a", "b"))
         assert line.split("\t")[1] == "12.3456789"
 
     def test_lf_endings(self, tmp_path):
+        world = run_ring(steps=600)
         path = tmp_path / "events.log"
-        w.write_event_log([("arrive", 1.0, 0, "s")], str(path))
+        w.write_event_log(world.events, str(path))
         raw = path.read_bytes()
         assert raw.endswith(b"\n") and b"\r" not in raw
+
+    @given(log_ids, log_ids, st.lists(log_times, max_size=4))
+    @example("s1é", "ß→", [1e9, 1 / 3])
+    def test_writes_the_events_verbatim(self, tmp_path_factory, a, b, times):
+        world = w.make_world(w.load_network(LINE), None, 0, 1)
+        seed_vehicles(world, [("x", 2)])
+        for at in times:
+            world.log("early_switch", at, a)
+            world.log("violation", at, a, b, "t_area", at / 7)
+        for _ in range(200):
+            w.step(world, {}, 0.1)
+        path = tmp_path_factory.mktemp("log") / "events.log"
+        w.write_event_log(world.events, str(path))
+        assert path.read_bytes() == bytes(world.events)
+
+    @given(st.sampled_from(("early_switch", "constraint", "violation", "safe_mode")),
+           log_times, st.lists(st.one_of(log_ids, log_times, st.integers()), max_size=4))
+    @example("safe_mode", 2e9 / 3, ["Bé violation=reconcile stalled at 666666666.667"])
+    def test_log_appends_the_formatted_line(self, kind, at, fields):
+        world = w.make_world(w.load_network(LINE), None, 0, 1)
+        world.log("early_switch", 1.0, "x")
+        before = bytes(world.events)
+        world.log(kind, at, *fields)
+        record = (kind, at, *fields)
+        assert world.events == before + (w.format_event(record) + "\n").encode("utf-8")
+
+    @settings(max_examples=200)
+    @given(logged_steps())
+    @example(("s1é", "ß→", 1, [2e9 / 3, 1e9 + 1 / 3], 1e9 + 2 / 3))
+    def test_step_appends_the_formatted_lines(self, drawn):
+        """Arrivals that join or are dropped, a move and a departure, all in
+        one step: each appends `format_event`'s line for its record."""
+        a, b, capacity, arrivals, last = drawn
+        net = w.StreetNetwork(
+            (w.RoadSegment(a, "n0", "n1", 10.0, 10.0, capacity, entry=True),
+             w.RoadSegment(b, "n1", "n2", 10.0, 10.0, 5, exit=True)),
+            tuple(w.Intersection(f"n{i}") for i in range(3)))
+        world = w.make_world(net, None, 0, 1)
+        world.queues[a].append(w.Vehicle(0, (a, b), 0, 0.0, 0.0))
+        world.queues[b].append(w.Vehicle(1, (b,), 0, 0.0, 0.0))
+        world.next_vid = world.entered = 2
+        units = round(last * w.CLOCK_UNITS_PER_S)
+        dt_units = min(units, 10**9)
+        world.clock_units = units - dt_units
+        world.arrivals = [(at, a, (a, b)) for at in arrivals
+                          if at <= units / w.CLOCK_UNITS_PER_S]
+        before = bytes(world.events)
+        w.step(world, {}, dt_units / w.CLOCK_UNITS_PER_S)
+        now, queued, vid, records = world.clock, 1, 2, []
+        for at, _, _ in world.arrivals:
+            if queued < capacity:
+                records.append(("arrive", at, vid, a))
+                queued, vid = queued + 1, vid + 1
+            else:
+                records.append(("drop", at, a))
+        records += [("move", now, 0, a, b), ("depart", now, 1, b)]
+        assert world.events == before + b"".join(
+            (w.format_event(r) + "\n").encode("utf-8") for r in records)
