@@ -3,9 +3,9 @@
 Every command reads structured-text inputs, writes CSV and event-log
 artifacts into the output directory, and is byte-reproducible given the
 same inputs and seed.  A command runs in two phases: reading and building
-its inputs (flags, files, the world with its arrivals, the schedule table),
-then the run.  Any error in the first phase exits 1, any error in the
-second exits 2, and success exits 0.
+its inputs (flags, files, the world with each entry's first arrival, the
+schedule table), then the run.  Any error in the first phase exits 1,
+any error in the second exits 2, and success exits 0.
 """
 
 from __future__ import annotations
@@ -205,6 +205,7 @@ class EpochLoop:
         self.shift_log = ctmdpmod.ShiftLog()
         self.state: str | None = None  # the CTMDP state of the last epoch
         self.count = 0
+        # the reconciles since `reports.csv` was last written
         self.reports: list[tuple[float, hiermod.ReconcileReport]] = []
         self._reconcile(0.0)
 
@@ -253,8 +254,15 @@ class EpochLoop:
 
 def run_simulation(cfg: RunConfig, inputs: tuple) -> dict:
     """The run phase of `simulate`: step the world `load_simulation` built
-    (`inputs`) to the horizon and write the artifacts into `cfg.out`, which
-    must exist."""
+    (`inputs`) to the horizon, writing the artifacts into `cfg.out`, which
+    must exist.
+
+    `events.log` and `reports.csv` are made when the loop starts and grow
+    once per epoch (one per cycle, in either mode): the epoch's log lines
+    and reconcile reports are written and dropped from memory, and so are
+    the crossings older than a cycle before it, which no later observation
+    reads.  What the run holds does not grow with the horizon.  A run that
+    fails has written the epochs it finished."""
     from . import world as worldmod
     net, world, ctg, table, itus = inputs
     controllers = _build_controllers(net)
@@ -276,35 +284,68 @@ def run_simulation(cfg: RunConfig, inputs: tuple) -> dict:
     def current_fsms():
         return [(node, ctrl.fsm) for node, ctrl in controllers.items()]
     fsms = current_fsms()
-    countdown = epoch_every  # ticks left to the next epoch (hierarchical mode)
-    for t in worldmod.tick_times(cfg.dt, ticks):
-        for node in early:
-            ctrl = controllers[node]
-            switched = worldmod.early_switch(world, ctrl, t)
-            if switched is not ctrl:
-                controllers[node] = switched
-                fsms = current_fsms()
-        for node, fsm in fsms:
-            controls[node] = fsm.state_at(t)
-        # looked up on the module every tick: the benchmark's set-up probe
-        # replaces `world.step` and restores it on its first call
-        worldmod.step(world, controls, cfg.dt)
+    countdown = epoch_every  # ticks left to the next epoch
+    with _epoch_files(cfg) as (log, reports):
+        for t in worldmod.tick_times(cfg.dt, ticks):
+            for node in early:
+                ctrl = controllers[node]
+                switched = worldmod.early_switch(world, ctrl, t)
+                if switched is not ctrl:
+                    controllers[node] = switched
+                    fsms = current_fsms()
+            for node, fsm in fsms:
+                controls[node] = fsm.state_at(t)
+            # looked up on the module every tick: the benchmark's set-up probe
+            # replaces `world.step` and restores it on its first call
+            worldmod.step(world, controls, cfg.dt)
 
-        countdown -= 1
-        if countdown == 0 and epochs is not None:
-            countdown = epoch_every
-            epochs.close(t)
-            fsms = current_fsms()
+            countdown -= 1
+            if countdown == 0:
+                countdown = epoch_every
+                if epochs is not None:
+                    epochs.close(t)
+                    fsms = current_fsms()
+                _write_epoch(log, reports, world, epochs)
+                worldmod.forget_crossings(world, t - cycle)
 
     summary = _write_artifacts(cfg, world, epochs)
     logger.info("simulate: %s", summary)
     return summary
 
 
+@contextmanager
+def _epoch_files(cfg: RunConfig):
+    """`events.log` and the header of `reports.csv`, made in `cfg.out` and
+    open for the epochs to append to; closing them writes what is buffered."""
+    with (open(os.path.join(cfg.out, "events.log"), "wb") as log,
+          open(os.path.join(cfg.out, "reports.csv"), "wb") as reports):
+        reports.write(b"time,converged,passes,unresolved,safe_engaged\n")
+        yield log, reports
+
+
+def _write_epoch(log, reports, world: worldmod.WorldState,
+                 epochs: EpochLoop | None) -> None:
+    """Write the log lines and reconcile reports since the last epoch to
+    the open `log` and `reports`, and drop them from memory."""
+    log.write(world.events)
+    world.events.clear()
+    if epochs is not None:
+        reports.write(_report_rows(epochs.reports))
+        epochs.reports.clear()
+
+
+def _report_rows(reports: list) -> bytes:
+    """The `reports.csv` rows of (time, reconcile report) pairs, as UTF-8."""
+    return "".join("%.9g,%s,%d,%d,%s\n" % (
+        at, report.converged, report.passes, len(report.unresolved),
+        ";".join(report.safe_engaged)) for at, report in reports).encode()
+
+
 def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
                      epochs: EpochLoop | None) -> dict:
-    """Write every artifact of a finished run into `cfg.out`; return the
-    summary.  `epochs` is None in fixed mode."""
+    """Finish the artifacts of a run whose `_epoch_files` are in `cfg.out`:
+    append the log lines and reports not yet written, and write the rest.
+    Return the summary.  `epochs` is None in fixed mode."""
     from . import world as worldmod
     if epochs is not None:
         from . import fgraph as fgmod
@@ -326,13 +367,9 @@ def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
     w.writerow([summary[k] for k in summary])
     _write(os.path.join(cfg.out, "summary.csv"), buf.getvalue())
 
-    lines = ["time,converged,passes,unresolved,safe_engaged"]
-    for at, report in epochs.reports if epochs else ():
-        lines.append("%.9g,%s,%d,%d,%s" % (
-            at, report.converged, report.passes, len(report.unresolved),
-            ";".join(report.safe_engaged)))
-    _write(os.path.join(cfg.out, "reports.csv"), "\n".join(lines) + "\n")
     if epochs is not None:
+        with open(os.path.join(cfg.out, "reports.csv"), "ab") as fh:
+            fh.write(_report_rows(epochs.reports))
         from .ctg import table_to_csv
         _write(os.path.join(cfg.out, "schedule_table.csv"),
                table_to_csv(epochs.table))
@@ -468,7 +505,7 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
                 f"name={sec.name};p1={sec.get('p1')};p2={sec.get('p2')}")
     if sec.kind == "efficiency":
         path = os.path.join(base, sec.require("file"))
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        data = np.genfromtxt(path, delimiter=",", names=True, encoding="utf-8")
         curves = metricsmod.CurvePair(np.atleast_1d(data["p"]),
                                       np.atleast_1d(data["adaptive"]),
                                       np.atleast_1d(data["single"]))
@@ -477,7 +514,7 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
     if sec.kind == "predictability":
         limit = sec.number("limit", 0.0, low=0)
         path = os.path.join(base, sec.require("file"))
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if not {"estimated", "actual"} <= set(reader.fieldnames or ()):
                 raise sec.error("file", f"{path} needs columns estimated and actual")

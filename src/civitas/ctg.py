@@ -476,23 +476,43 @@ class RunningMedianThreshold:
     The configured threshold seeds the history so early cycles behave as
     authored; every observed per-cycle count then shifts the boundary
     toward the running median of the site's own traffic.  The history is
-    kept sorted, so the median is read from its middle.
+    kept as its distinct values, sorted, each with how often it was seen,
+    so it grows with the counts a site shows, not with the epochs run; the
+    median is read by walking those tallies to the middle.
     """
 
     def __init__(self, site: ConditionSite):
         self.site = site
-        self.history: list[float] = [site.thresholds[0]]
+        self.values: list[float] = [site.thresholds[0]]
+        self.tallies: list[int] = [1]
+        self.size = 1
+
+    def _nth(self, i: int) -> float:
+        """The history's i-th smallest value, counting from 0."""
+        for value, tally in zip(self.values, self.tallies):
+            i -= tally
+            if i < 0:
+                return value
+        raise IndexError("median index past the history")
 
     @property
     def threshold(self) -> float:
-        h = self.history
-        mid = len(h) // 2
-        return h[mid] if len(h) % 2 else (h[mid - 1] + h[mid]) / 2
+        mid = self.size // 2
+        if self.size % 2:
+            return self._nth(mid)
+        return (self._nth(mid - 1) + self._nth(mid)) / 2
 
     def observe(self, n: float) -> str:
         if len(self.site.labels) == 2:
             label = self.site.labels[0] if n <= self.threshold else self.site.labels[1]
         else:
             label = self.site.label_for(n)  # multi-label sites keep static bounds
-        bisect.insort(self.history, float(n))
+        n = float(n)
+        k = bisect.bisect_left(self.values, n)
+        if k < len(self.values) and self.values[k] == n:
+            self.tallies[k] += 1
+        else:
+            self.values.insert(k, n)
+            self.tallies.insert(k, 1)
+        self.size += 1
         return label

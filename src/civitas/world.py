@@ -373,6 +373,84 @@ class _Agenda:
     due: float = -math.inf
 
 
+class _Routes:
+    """Each arrival's route, drawn from its entry's stream: a uniform pick
+    among the exits the entry reaches, then the fastest path there.  Both
+    are searched once per entry and per (entry, exit) pair."""
+
+    def __init__(self, network: StreetNetwork):
+        self.router = _Router(network)
+        self.exits = network.exits()
+        self.reachable: dict[str, list[str]] = {}
+        self.paths: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    def draw(self, entry: str, rng: Pcg64) -> tuple[str, ...]:
+        reachable = self.reachable.get(entry)
+        if reachable is None:
+            reachable = self.reachable[entry] = self.router.reachable_exits(
+                entry, self.exits)
+        if not reachable:
+            raise TopologyError(f"[segment {entry}] entry: no exit is reachable from it")
+        key = (entry, reachable[int(rng.integers(len(reachable)))])
+        path = self.paths.get(key)
+        if path is None:
+            path = self.paths[key] = self.router.route(*key)
+        return path
+
+
+@dataclass
+class _EntryStream:
+    """One entry's Poisson arrivals: its random stream, its windows, the
+    time the next draw counts from (the entry's last arrival, or the
+    start of the window it falls in) and that window's index."""
+
+    entry: str
+    rng: Pcg64
+    windows: tuple[DemandWindow, ...]
+    last: float
+    window: int = 0
+
+
+@dataclass
+class Arrivals:
+    """The arrivals still to come, each drawn when the one before it is taken.
+
+    `next` is a heap of (time, entry, route): each entry's next arrival
+    before the horizon, at most one per entry.  `take` pops the first and
+    draws that entry's next one, time then route, from the entry's
+    stream.  An entry's windows tile and its times only grow, so the heap
+    gives the arrivals in the (time, entry) order of drawing them all up
+    front and sorting, with the same draws (`tests/replay.py` keeps that
+    draw as the oracle).
+    """
+
+    horizon: float = 0.0
+    streams: dict[str, _EntryStream] = field(default_factory=dict)
+    routes: _Routes | None = None
+    next: list[tuple[float, str, tuple[str, ...]]] = field(default_factory=list)
+
+    def take(self) -> tuple[float, str, tuple[str, ...]]:
+        record = heappop(self.next)
+        self.draw(self.streams[record[1]])
+        return record
+
+    def draw(self, stream: _EntryStream) -> None:
+        """Push `stream`'s next arrival, if it has one before the horizon."""
+        windows, rng = stream.windows, stream.rng
+        while stream.window < len(windows):
+            w = windows[stream.window]
+            if w.rate > 0:
+                t = stream.last + rng.exponential(1.0 / w.rate)
+                if t < min(w.end, self.horizon):
+                    stream.last = t
+                    route = self.routes.draw(stream.entry, rng)
+                    heappush(self.next, (t, stream.entry, route))
+                    return
+            stream.window += 1
+            if stream.window < len(windows):
+                stream.last = windows[stream.window].start
+
+
 @dataclass
 class WorldState:
     network: StreetNetwork
@@ -385,15 +463,17 @@ class WorldState:
     entered: int = 0
     exited: int = 0
     dropped: int = 0
-    arrivals: list[tuple[float, str, tuple[str, ...]]] = field(default_factory=list)
-    arrival_idx: int = 0
+    arrivals: Arrivals = field(default_factory=Arrivals)
     next_vid: int = 0
     route_rng: Pcg64 | None = None
     # Completed traversals per segment in completion order: when each
     # vehicle left the segment and how long it had been on it.  The last
     # completion is the segment's last crossing, the headway's origin.
+    # `forget_crossings` drops those at or before `crossings_after`, but
+    # each segment's last.
     completed_at: dict[str, array] = field(default_factory=dict)
     traversal_time: dict[str, array] = field(default_factory=dict)
+    crossings_after: float = -math.inf
     # Built by the first `step`, which checks every head; None re-arms all.
     agenda: _Agenda | None = field(default=None, repr=False, compare=False)
 
@@ -523,12 +603,16 @@ class _Router:
 
 def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
                horizon: float = 0.0, seed: int = 0) -> WorldState:
-    """Build a world with all randomness drawn up front.
+    """Build a world whose arrivals are drawn as they come due.
 
     Arrival instants follow a piecewise-constant-rate Poisson process per
-    entry segment, each fed by its own stream split from the seed; routes
-    are sampled at generation time (uniform over reachable exits, then the
-    fastest path), so stepping the world consumes no randomness.
+    entry segment, each fed by its own stream split from the seed; each
+    arrival's route is drawn from the same stream right after its time
+    (uniform over reachable exits, then the fastest path).  Each entry's
+    first arrival is drawn here, so an entry that reaches no exit raises
+    TopologyError now; `step` draws an entry's next arrival when it takes
+    the one before (`Arrivals`).  A vehicle without a route draws each
+    turn from the world's own stream.
 
     Raises ValueError when the horizon is not finite and a window with a
     rate > 0 ends at inf: its arrivals would never end; and when the
@@ -543,23 +627,6 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     if demand is None or horizon == 0:
         return world
 
-    router = _Router(network)
-    exits = network.exits()
-    reachable_cache: dict[str, list[str]] = {}
-    route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    def route_from(entry: str, rng: Pcg64) -> tuple[str, ...]:
-        if entry not in reachable_cache:
-            reachable_cache[entry] = router.reachable_exits(entry, exits)
-        reachable = reachable_cache[entry]
-        if not reachable:
-            raise TopologyError(f"[segment {entry}] entry: no exit is reachable from it")
-        target = reachable[int(rng.integers(len(reachable)))]
-        key = (entry, target)
-        if key not in route_cache:
-            route_cache[key] = router.route(entry, target)
-        return route_cache[key]
-
     demand_map = dict(demand.arrivals)
     unknown = sorted(set(demand_map) - set(network.entries()))
     if unknown:
@@ -573,22 +640,13 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
                                  " arrivals would never end")
     if not horizon >= 0:
         raise ValueError(f"horizon {horizon} is not a number >= 0")
-    pending: list[tuple[float, str, tuple[str, ...]]] = []
+    arrivals = world.arrivals = Arrivals(horizon, routes=_Routes(network))
     for entry, rng in zip(network.entries(), entry_rngs):
         windows = demand_map.get(entry)
-        if not windows:
-            continue
-        for w in windows:
-            if w.rate <= 0:
-                continue
-            t = w.start
-            while True:
-                t += rng.exponential(1.0 / w.rate)
-                if t >= min(w.end, horizon):
-                    break
-                pending.append((t, entry, route_from(entry, rng)))
-    pending.sort(key=lambda rec: (rec[0], rec[1]))
-    world.arrivals = pending
+        if windows:
+            stream = arrivals.streams[entry] = _EntryStream(entry, rng, windows,
+                                                            windows[0].start)
+            arrivals.draw(stream)
     return world
 
 
@@ -633,7 +691,8 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
     """Advance the world by dt seconds under the given signal states.
 
     Arrivals due in the interval join their entry queue (or are dropped
-    and counted when it is full); then each segment's head vehicle crosses
+    and counted when it is full), and each one taken draws its entry's
+    next (`Arrivals.take`); then each segment's head vehicle crosses
     if it is ready, the signal admits its approach, the headway since the
     last crossing has elapsed and the downstream segment has room.
     Blocked vehicles simply wait.  Mutates and returns `world`.
@@ -673,10 +732,10 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
     # format each: times are floats, vehicle ids ints, segment ids strs.
     segment, log = network._segment_index, world.events.extend
 
-    while (world.arrival_idx < len(world.arrivals)
-           and world.arrivals[world.arrival_idx][0] <= now):
-        at, seg_id, route = world.arrivals[world.arrival_idx]
-        world.arrival_idx += 1
+    arrivals = world.arrivals
+    pending = arrivals.next
+    while pending and pending[0][0] <= now:
+        at, seg_id, route = arrivals.take()
         seg = segment[seg_id]
         queue = queues[seg_id]
         if len(queue) >= seg.occupancy_limit:
@@ -772,8 +831,9 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
 def _next_due(world: WorldState, timers: list[tuple[float, int]]) -> float:
     """The time of the next arrival or timer, whichever is first."""
     due = timers[0][0] if timers else math.inf
-    if world.arrival_idx < len(world.arrivals):
-        due = min(due, world.arrivals[world.arrival_idx][0])
+    pending = world.arrivals.next
+    if pending:
+        due = min(due, pending[0][0])
     return due
 
 
@@ -803,16 +863,35 @@ def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> 
     """Completed traversals of `site` within (t0, t1] and their mean time.
 
     Reads the per-segment completion records `step` keeps; their times
-    never decrease, so the window is two bisections.
+    never decrease, so the window is two bisections.  Raises ValueError
+    for a window that starts before `world.crossings_after`, whose
+    crossings `forget_crossings` may have dropped.
     """
     t0, t1 = window
     world.network.segment(site)  # validate id
+    if t0 < world.crossings_after:
+        raise ValueError(f"window ({t0:g}, {t1:g}] of {site} starts before"
+                         f" {world.crossings_after:g}: crossings up to then"
+                         " are no longer kept")
     times = world.completed_at[site]
     lo, hi = bisect_right(times, t0), bisect_right(times, t1)
     durations = world.traversal_time[site][lo:hi]
     n = len(durations)
     t_ex = (sum(durations) / n) if n else None
     return Observation(site, n, t_ex, window)
+
+
+def forget_crossings(world: WorldState, upto: float) -> None:
+    """Drop each segment's completion records at or before `upto`, but its
+    last, the headway's origin.  `observe_cycle` refuses a window that
+    starts before `upto` from then on."""
+    traversal_time = world.traversal_time
+    for site, times in world.completed_at.items():
+        k = min(bisect_right(times, upto), len(times) - 1)
+        if k > 0:
+            del times[:k]
+            del traversal_time[site][:k]
+    world.crossings_after = max(world.crossings_after, upto)
 
 
 def format_event(ev: tuple) -> str:
@@ -827,6 +906,7 @@ def format_event(ev: tuple) -> str:
 
 
 def write_event_log(events: bytearray, path: str) -> None:
-    """Write `WorldState.events`, the log's UTF-8 bytes, to `path` as they are."""
-    with open(path, "wb") as fh:
+    """Append `WorldState.events`, the log's UTF-8 bytes, to the file at
+    `path` as they are; the file is made if it does not exist."""
+    with open(path, "ab") as fh:
         fh.write(events)

@@ -19,17 +19,21 @@ once read them.
 The lighting controller's max-min inference and centroid are kept in
 their sampled form: the output set is built on the whole command grid
 and its centre of mass summed, which `fuzzy.control` and `fuzzy.surface`
-must match to the last bits.  The event log's bytes are read back into
-records, with the exact times of `world.step`'s from the world's own
-records where a check compares times.  A zone's vehicle count by the
-event log is checked against its queues, a closed network is seeded with
-vehicles, an LP is assembled from (row, rhs) pairs, and a PCG64 stream's
-state is spelled as numpy spells it.
+must match to the last bits.  A world's arrivals are kept as
+`make_world` drew them before it drew each when it came due: all of
+them up front, sorted by time and entry.  The event log's bytes are
+read back into records, with the exact times of `world.step`'s from
+the world's own records and its arrivals where a check compares times.
+A zone's vehicle count by the event log is checked against its queues,
+a closed network is seeded with vehicles, an LP is assembled from
+(row, rhs) pairs, and a PCG64 stream's state is spelled as numpy
+spells it.
 """
 
 import configparser
 import copy
 from dataclasses import dataclass, replace
+from heapq import heappop
 
 import numpy as np
 
@@ -46,9 +50,9 @@ from civitas.hierarchy import (LEVEL_AREA, LEVEL_GLOBAL, LEVEL_INTERSECTION,
                                HierarchyEngine, ReconcileReport, SafeModeMsg,
                                TableBound, ViolationMsg)
 from civitas import simplex
-from civitas.streams import Pcg64
+from civitas.streams import Pcg64, spawn
 from civitas.textfmt import ParseError, Section
-from civitas.world import Vehicle, WorldState
+from civitas.world import TopologyError, Vehicle, WorldState, _Router
 
 
 def check_constraints_by_replay(fsm: SignalFsm,
@@ -467,6 +471,70 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
     world.agenda = None  # the next step checks every head
 
 
+def eager_arrivals(network, demand, horizon: float, seed: int,
+                   router_class=_Router) -> list[tuple[float, str, tuple[str, ...]]]:
+    """Every arrival of `make_world(network, demand, horizon, seed)`, drawn
+    up front and sorted by (time, entry), with routes from
+    `router_class(network)`: how `make_world` drew them before `Arrivals`
+    drew each when it came due.  The inputs must be ones `make_world`
+    accepts."""
+    entry_rngs = spawn(seed, len(network.entries()) + 1)[:-1]
+    if demand is None or horizon == 0:
+        return []
+    router = router_class(network)
+    exits = network.exits()
+    reachable_cache: dict = {}
+    route_cache: dict = {}
+
+    def route_from(entry, rng):
+        if entry not in reachable_cache:
+            reachable_cache[entry] = router.reachable_exits(entry, exits)
+        reachable = reachable_cache[entry]
+        if not reachable:
+            raise TopologyError(f"[segment {entry}] entry: no exit is reachable from it")
+        target = reachable[int(rng.integers(len(reachable)))]
+        key = (entry, target)
+        if key not in route_cache:
+            route_cache[key] = router.route(entry, target)
+        return route_cache[key]
+
+    demand_map = dict(demand.arrivals)
+    pending = []
+    for entry, rng in zip(network.entries(), entry_rngs):
+        for w in demand_map.get(entry, ()):
+            if w.rate <= 0:
+                continue
+            t = w.start
+            while True:
+                t += rng.exponential(1.0 / w.rate)
+                if t >= min(w.end, horizon):
+                    break
+                pending.append((t, entry, route_from(entry, rng)))
+    pending.sort(key=lambda rec: (rec[0], rec[1]))
+    return pending
+
+
+class ListArrivals:
+    """Given (time, entry, route) records as a world's arrivals: `world.step`
+    takes them in order as it takes `world.Arrivals`', drawing nothing."""
+
+    def __init__(self, records):
+        self.records = sorted(records)
+        self.next = list(self.records)  # a sorted list is a heap
+
+    def take(self):
+        return heappop(self.next)
+
+
+def drain(arrivals, limit: int = 10**6) -> list[tuple[float, str, tuple[str, ...]]]:
+    """Take every arrival still to come from a world's `arrivals`, in order,
+    but no more than `limit`."""
+    taken = []
+    while arrivals.next and len(taken) < limit:
+        taken.append(arrivals.take())
+    return taken
+
+
 def events(world: WorldState) -> list[tuple]:
     """`world.events` read back into records: the kind, the time as the
     float its text spells, then the other fields as text, save the vehicle
@@ -480,30 +548,32 @@ def events(world: WorldState) -> list[tuple]:
     return records
 
 
-def exact_events(world: WorldState) -> list[tuple]:
+def exact_events(world: WorldState, arrivals) -> list[tuple]:
     """`events(world)` with each of `world.step`'s records at the exact time
     the world used, which the log's 9 digits may round.
 
-    An `arrive` or `drop` record takes the time of the next of
-    `world.arrivals`, a `move` or `depart` the next completion in
-    `world.completed_at` of the segment it left.  The `arrive` records of
-    vehicles seeded before the first step, one for each beyond the
-    arrivals taken, keep the time their text spells.  Asserts that each
-    exact time prints as the log's text and that an arrival joins the
-    segment it was drawn for.
+    `arrivals` are the world's (time, entry, route) arrivals in the order
+    it takes them (`eager_arrivals` of its inputs, or `ListArrivals`'
+    records); it has taken those due by its clock.  An `arrive` or `drop`
+    record takes the time of the next of them, a `move` or `depart` the
+    next completion in `world.completed_at` of the segment it left.  The
+    `arrive` records of vehicles seeded before the first step, one for
+    each beyond the arrivals taken, keep the time their text spells.
+    Asserts that each exact time prints as the log's text and that an
+    arrival joins the segment it was drawn for.
     """
     records = events(world)
-    seeded = sum(r[0] in ("arrive", "drop") for r in records) - world.arrival_idx
+    taken = [a for a in arrivals if a[0] <= world.clock]
+    seeded = sum(r[0] in ("arrive", "drop") for r in records) - len(taken)
+    taken = iter(taken)
     crossed = dict.fromkeys(world.completed_at, 0)
-    taken = 0
     out = []
     for record in records:
         kind, at = record[0], record[1]
         if kind in ("arrive", "drop") and seeded > 0:
             seeded -= 1
         elif kind in ("arrive", "drop"):
-            at, seg_id, _ = world.arrivals[taken]
-            taken += 1
+            at, seg_id, _ = next(taken)
             assert seg_id == record[-1], (record, seg_id)
         elif kind in ("move", "depart"):
             seg_id = record[3]

@@ -867,6 +867,27 @@ seed = 3
         assert abs(float(rows["flexibility"]["value"]) - 0.5) < 0.02
         assert rows["flexibility"]["parameters"] == "name=demo;n=20000;seed=3"
 
+    def test_data_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # A `café` cell in each CSV a job reads: under the C locale, with
+        # neither coercion nor UTF-8 mode, the job writes the bytes it
+        # writes under a UTF-8 locale.
+        (tmp_path / "curves.csv").write_text(
+            "p,adaptive,single,label\n0,0,0,café\n1,1,0,café\n", encoding="utf-8")
+        (tmp_path / "pairs.csv").write_text(
+            "estimated,actual,label\n10,12,café\n", encoding="utf-8")
+        job = tmp_path / "job.metrics"
+        job.write_text(self.JOB)
+        assert cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "here")]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "civitas.cli", "metrics", "--job",
+                               str(job), "--out", str(tmp_path / "c")], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert ((tmp_path / "c" / "metrics.csv").read_bytes()
+                == (tmp_path / "here" / "metrics.csv").read_bytes())
+
     def test_flexibility_row_names_the_defaults_it_ran(self, tmp_path):
         job = tmp_path / "job.metrics"
         job.write_text("[flexibility f]\nattrs = a:0:1\nrule = a <= 0.5\n")
@@ -1066,7 +1087,88 @@ class TestDefaultTiming:
         assert controllers["A"].modes and not controllers["B"].modes
 
 
+# The twin_hier_4h benchmark's demand: one window over the whole horizon.
+TWIN_RATES = {"s1": 0.15, "s3": 0.04, "s5": 0.03, "s6": 0.05, "s8": 0.03}
+
+
+class TestBoundedState:
+    """What a run holds does not grow with its horizon: at each epoch's end
+    and at the run's, at most one pending arrival per entry, the log lines
+    since the last epoch and, per segment, the crossings after one cycle
+    before the last epoch, or else its last."""
+
+    @pytest.mark.parametrize("horizon", [3600, 14400])
+    def test_twin_hierarchical(self, tmp_path, data_dir, horizon):
+        demand = tmp_path / "twin.demand"
+        demand.write_text("".join(f"[arrivals {seg}]\nwindows = 0:{horizon}:{rate}\n"
+                                  for seg, rate in TWIN_RATES.items()))
+        cfg = cli.RunConfig(str(data_dir / "twin.network"), str(demand),
+                            str(data_dir / "twin.ctg"), float(horizon), 5,
+                            str(tmp_path / "out"), "hierarchical")
+        os.makedirs(cfg.out)
+        net, world, *_ = inputs = cli.load_simulation(cfg)
+        write, forget = cli._write_epoch, worldmod.forget_crossings
+        written, boundaries = [], []
+
+        def check_pending():
+            pending = world.arrivals.next
+            assert len({entry for _, entry, _ in pending}) == len(pending)
+            assert len(pending) <= len(net.entries())
+
+        def check_crossings(upto):
+            for times in world.completed_at.values():
+                assert len(times) <= 1 or times[0] > upto
+
+        def write_epoch(log, reports, written_world, epochs):
+            assert written_world is world
+            check_pending()
+            written.append(bytes(world.events))
+            write(log, reports, world, epochs)
+            assert not world.events and not epochs.reports
+
+        def forget_crossings(forgetful_world, upto):
+            forget(forgetful_world, upto)
+            boundaries.append(upto)
+            check_crossings(upto)
+
+        with (mock.patch.object(cli, "_write_epoch", write_epoch),
+              mock.patch.object(worldmod, "forget_crossings", forget_crossings)):
+            cli.run_simulation(cfg, inputs)
+        assert len(written) == len(boundaries) == horizon // 60
+        check_pending()
+        check_crossings(boundaries[-1])
+        # each epoch held exactly its own lines, and the run's end the rest
+        log = (tmp_path / "out" / "events.log").read_bytes()
+        assert log == b"".join(written) + world.events
+        rows = (tmp_path / "out" / "reports.csv").read_text().splitlines()
+        assert rows[0] == "time,converged,passes,unresolved,safe_engaged"
+        assert len(rows) == 1 + 1 + horizon // 60
+
+
 class TestRuntimeFailure:
+    def test_failure_in_third_epoch_keeps_the_first_two(self, tmp_path, data_dir):
+        # The twin's cycle is 60 s: a run over 120 s writes the same first
+        # two epochs and ends there.
+        assert cli.main(sim_args(data_dir, tmp_path / "two", "hierarchical", "120")) == 0
+        close, closed = cli.EpochLoop.close, []
+
+        def failing(epochs, t):
+            closed.append(t)
+            if len(closed) == 3:
+                raise RuntimeError("the third epoch fails")
+            close(epochs, t)
+        with mock.patch.object(cli.EpochLoop, "close", failing):
+            assert cli.main(sim_args(data_dir, tmp_path / "run", "hierarchical", "300")) == 2
+        assert closed == [60.0, 120.0, 180.0]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "events.log", "reports.csv"]
+        for name in ("events.log", "reports.csv"):
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "two" / name).read_bytes()), name
+        assert [row.split(",", 1)[0] for row in
+                (tmp_path / "run" / "reports.csv").read_text().splitlines()] == [
+            "time", "0", "60", "120"]
+
     def test_unsolvable_model_is_exit_two(self, tmp_path):
         q = np.zeros((2, 2, 1))
         q[0, 1, 0] = 1.0

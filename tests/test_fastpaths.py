@@ -28,6 +28,7 @@ revised simplex takes other pivots than the tableau, so the two are
 compared by status and objective; HiGHS is a second oracle.
 """
 
+import bisect
 import csv
 import heapq
 import importlib
@@ -84,12 +85,13 @@ def scan_state_at(fsm, t):
     return scan_layout(fsm)[-1][0]
 
 
-def recount_observe(world, site, window):
-    """(N, mean traversal time) of `site` in (t0, t1] from the event log."""
+def recount_observe(world, arrivals, site, window):
+    """(N, mean traversal time) of `site` in (t0, t1] from the event log of
+    `world`, whose arrivals are `arrivals` (see `replay.exact_events`)."""
     t0, t1 = window
     entered_at = {}
     durations = []
-    for ev in replay.exact_events(world):
+    for ev in replay.exact_events(world, arrivals):
         kind, at = ev[0], ev[1]
         if kind == "arrive" and ev[3] == site:
             entered_at[ev[2]] = at
@@ -121,10 +123,8 @@ def scan_step(world, controls, dt):
     now = round(world.clock + dt, 10)
     world.clock = now
 
-    while (world.arrival_idx < len(world.arrivals)
-           and world.arrivals[world.arrival_idx][0] <= now):
-        at, seg_id, route = world.arrivals[world.arrival_idx]
-        world.arrival_idx += 1
+    while world.arrivals.next and world.arrivals.next[0][0] <= now:
+        at, seg_id, route = world.arrivals.take()
         seg = world.network.segment(seg_id)
         if len(world.queues[seg_id]) >= seg.occupancy_limit:
             world.dropped += 1
@@ -328,7 +328,7 @@ def _ring_world():
     replay.seed_vehicles(world, [("r1", 6), ("r3", 4), ("r4", 2)])
     for _ in range(4000):
         w.step(world, {}, 0.1)
-    return world
+    return world, []
 
 
 def _twin_fixed_world(data_dir):
@@ -339,17 +339,21 @@ def _twin_fixed_world(data_dir):
     for k in range(9000):
         t = round((k + 1) * 0.1, 10)
         w.step(world, {n: c.fsm.state_at(t) for n, c in controllers.items()}, 0.1)
-    return world
+    return world, replay.eager_arrivals(net, demand, 900.0, 5)
 
 
 def _twin_hier_world(data_dir, tmp_dir):
-    """Run the hierarchical loop, checking every observation it makes."""
+    """Run the hierarchical loop, checking every observation it makes.  The
+    loop is the per-tick oracle's, which keeps the whole log in memory."""
     seen = []
     observe = w.observe_cycle
+    net = w.load_network((data_dir / "twin.network").read_text())
+    demand = w.load_demand((data_dir / "twin.demand").read_text())
+    arrivals = replay.eager_arrivals(net, demand, 900.0, 17)
 
     def checked(world, site, window):
         obs = observe(world, site, window)
-        assert (obs.n, obs.t_ex) == recount_observe(world, site, window)
+        assert (obs.n, obs.t_ex) == recount_observe(world, arrivals, site, window)
         seen.append(world)
         return obs
 
@@ -358,9 +362,9 @@ def _twin_hier_world(data_dir, tmp_dir):
                         900.0, 17, str(tmp_dir), "hierarchical")
     inputs = cli.load_simulation(cfg)
     with mock.patch.object(w, "observe_cycle", checked):
-        cli.run_simulation(cfg, inputs)
+        dict_run_simulation(cfg, inputs)
     assert len(seen) == 3 * 15
-    return seen[-1]
+    return seen[-1], arrivals
 
 
 @pytest.fixture(scope="module")
@@ -383,30 +387,30 @@ def windows(draw, world):
 class TestObserveCycle:
     @pytest.mark.parametrize("name", ["ring", "twin_fixed", "twin_hier"])
     def test_every_site_every_cycle(self, stepped, name):
-        world = stepped[name]
+        world, arrivals = stepped[name]
         for seg in world.network.segments:
             for k in range(int(world.clock // 60.0) + 1):
                 window = (k * 60.0, (k + 1) * 60.0)
                 obs = w.observe_cycle(world, seg.id, window)
-                assert (obs.n, obs.t_ex) == recount_observe(world, seg.id, window)
+                assert (obs.n, obs.t_ex) == recount_observe(world, arrivals, seg.id, window)
 
     @pytest.mark.parametrize("name", ["ring", "twin_fixed", "twin_hier"])
     @settings(max_examples=60)
     @given(data=st.data())
     def test_random_windows(self, stepped, name, data):
-        world = stepped[name]
+        world, arrivals = stepped[name]
         site, window = data.draw(windows(world))
         obs = w.observe_cycle(world, site, window)
-        assert (obs.n, obs.t_ex) == recount_observe(world, site, window)
+        assert (obs.n, obs.t_ex) == recount_observe(world, arrivals, site, window)
 
     def test_records_survive_copy(self, stepped):
-        world = stepped["ring"].copy()
+        world = stepped["ring"][0].copy()
         for _ in range(500):
             w.step(world, {}, 0.1)
         window = (world.clock - 60.0, world.clock)
         for seg in world.network.segments:
             obs = w.observe_cycle(world, seg.id, window)
-            assert (obs.n, obs.t_ex) == recount_observe(world, seg.id, window)
+            assert (obs.n, obs.t_ex) == recount_observe(world, [], seg.id, window)
 
 
 # ------------------------------------------- connectivity, reachability, routes
@@ -508,8 +512,7 @@ def demand_on(net, rate, horizon):
 
 
 def dict_routed_arrivals(net, demand, horizon, seed):
-    with mock.patch.object(w, "_Router", DictRouter):
-        return w.make_world(net, demand, horizon, seed).arrivals
+    return replay.eager_arrivals(net, demand, horizon, seed, DictRouter)
 
 
 class TestReachableExits:
@@ -589,20 +592,108 @@ class TestShortestRoute:
 
 
 class TestMakeWorldRoutes:
-    """`make_world` draws the same arrivals as with the dict transcription."""
+    """A world's arrivals are the eager draw's routed by the dict transcription."""
 
     def test_grid8(self):
         net = grid(8)
         demand = demand_on(net, 0.05, 600.0)
         want = dict_routed_arrivals(net, demand, 600.0, 5)
-        assert len(want) > 500 and w.make_world(net, demand, 600.0, 5).arrivals == want
+        assert len(want) > 500
+        assert replay.drain(w.make_world(net, demand, 600.0, 5).arrivals) == want
 
     @settings(max_examples=100)
     @given(networks(), st.sampled_from((0.05, 0.3, 1.0)), st.integers(0, 999))
     def test_hypothesis_networks(self, net, rate, seed):
         demand = demand_on(net, rate, 120.0)
-        assert (w.make_world(net, demand, 120.0, seed).arrivals
+        assert (replay.drain(w.make_world(net, demand, 120.0, seed).arrivals)
                 == dict_routed_arrivals(net, demand, 120.0, seed))
+
+
+# Rates of 0 leave a window without arrivals; the others give from about
+# one arrival per window to hundreds.
+RATES = (0.0, 0.0, 0.01, 0.2, 1.5)
+
+
+@st.composite
+def tiled_demands(draw, net):
+    """A demand on some of `net`'s entries, each with up to four windows that
+    tile from a start >= 0 (rates of 0 among them, the last maybe ending at
+    inf), and a horizon that may cut a window, end after every window or,
+    when no window with arrivals runs on without end, be inf."""
+    arrivals = []
+    for entry in draw(st.lists(st.sampled_from(net.entries()), min_size=1,
+                               max_size=len(net.entries()), unique=True)):
+        ends = sorted(draw(st.lists(st.floats(0.0, 400.0), min_size=2, max_size=5,
+                                    unique=True)))
+        if draw(st.booleans()):
+            ends[-1] = math.inf
+        arrivals.append((entry, tuple(
+            w.DemandWindow(a, b, draw(st.sampled_from(RATES)))
+            for a, b in zip(ends, ends[1:]))))
+    demand = w.DemandProfile(tuple(arrivals))
+    endless = any(win.rate > 0 and win.end == math.inf
+                  for _, windows in arrivals for win in windows)
+    horizon = draw(st.one_of(st.floats(1e-3, 450.0),
+                             st.just(400.0 if endless else math.inf)))
+    return demand, horizon
+
+
+class TestArrivalsDrawnWhenDue:
+    """A world's arrivals, each drawn when the one before it from its entry
+    is taken, are the ones `make_world` drew up front and sorted
+    (`replay.eager_arrivals`): the same times, routes and order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 2**63))
+    def test_taken_in_turn_they_are_the_eager_draw(self, data, seed):
+        net = grid(2)
+        demand, horizon = data.draw(tiled_demands(net))
+        world = w.make_world(net, demand, horizon, seed)
+        want = replay.eager_arrivals(net, demand, horizon, seed)
+        assert replay.drain(world.arrivals, len(want) + 1) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 2**63), st.sampled_from((0.1, 0.25, 1 / 3, 2.0)))
+    def test_a_stepped_world_takes_each_in_its_tick(self, data, seed, dt):
+        net = grid(2)
+        demand, horizon = data.draw(tiled_demands(net))
+        world = w.make_world(net, demand, horizon, seed)
+        want = replay.eager_arrivals(net, demand, horizon, seed)
+        taken, take = [], world.arrivals.take
+
+        def recorded():
+            record = take()
+            taken.append((record, world.clock))
+            return record
+        world.arrivals.take = recorded
+        ticks = list(w.tick_times(dt, int(min(horizon, 450.0) / dt) + 1))
+        for now in ticks:
+            w.step(world, {}, dt)
+            pending = world.arrivals.next  # one per entry, none due
+            assert len({entry for _, entry, _ in pending}) == len(pending)
+            assert all(record[0] > now for record in pending)
+        due = [record for record in want if record[0] <= ticks[-1]]
+        assert taken == [(record, ticks[bisect.bisect_left(ticks, record[0])])
+                         for record in due]
+        assert world.entered + world.dropped == len(taken)
+
+    def test_an_entry_that_reaches_no_exit_is_refused_at_load(self):
+        # `in` feeds a loop that no exit leaves, and its first arrival falls
+        # in its second window, after one of rate 0.
+        net = w.StreetNetwork(
+            (w.RoadSegment("in", "a", "b", 10.0, 5.0, 5, entry=True, turns=("l1",)),
+             w.RoadSegment("l1", "b", "c", 10.0, 5.0, 5),
+             w.RoadSegment("l2", "c", "b", 10.0, 5.0, 5, turns=("l1",)),
+             w.RoadSegment("go", "d", "b", 10.0, 5.0, 5, entry=True, turns=("out",)),
+             w.RoadSegment("out", "b", "e", 10.0, 5.0, 5, exit=True)),
+            tuple(w.Intersection(n) for n in "abcde"))
+        demand = w.DemandProfile((
+            ("go", (w.DemandWindow(0.0, 50.0, 0.5),)),
+            ("in", (w.DemandWindow(0.0, 100.0, 0.0), w.DemandWindow(100.0, 200.0, 0.5)))))
+        with pytest.raises(w.TopologyError, match=r"\[segment in\] entry: no exit"):
+            w.make_world(net, demand, 300.0, 1)
+        taken = replay.drain(w.make_world(net, demand, 100.0, 1).arrivals)
+        assert taken and {entry for _, entry, _ in taken} == {"go"}
 
 
 @st.composite
@@ -843,10 +934,15 @@ def assert_same_world(got, want):
     for records in ("completed_at", "traversal_time"):
         assert ({s: a.tobytes() for s, a in getattr(got, records).items()}
                 == {s: a.tobytes() for s, a in getattr(want, records).items()})
-    assert ((got.dropped, got.entered, got.exited, got.next_vid, got.arrival_idx)
-            == (want.dropped, want.entered, want.exited, want.next_vid, want.arrival_idx))
+    assert ((got.dropped, got.entered, got.exited, got.next_vid)
+            == (want.dropped, want.entered, want.exited, want.next_vid))
     # lcg, inc and the buffered half
     assert replay.pcg_state(got.route_rng) == replay.pcg_state(want.route_rng)
+    assert got.arrivals.next == want.arrivals.next
+    for entry, stream in getattr(want.arrivals, "streams", {}).items():
+        mine = got.arrivals.streams[entry]
+        assert ((mine.window, mine.last, replay.pcg_state(mine.rng))
+                == (stream.window, stream.last, replay.pcg_state(stream.rng)))
 
 
 def run_side_by_side(world, dt, ticks, controls_at, copy_at=None):
@@ -1032,12 +1128,12 @@ def line_network():
 
 def line_world(arrivals=()):
     world = w.make_world(line_network(), None, 0, seed=0)
-    world.arrivals = [(at, "a", ("a", "b")) for at in arrivals]
+    world.arrivals = replay.ListArrivals([(at, "a", ("a", "b")) for at in arrivals])
     return world
 
 
 def crossings(world):
-    return [(ev[1], ev[0]) for ev in replay.exact_events(world)
+    return [(ev[1], ev[0]) for ev in replay.exact_events(world, world.arrivals.records)
             if ev[0] in ("move", "depart")]
 
 
@@ -1107,7 +1203,9 @@ class TestIdleStep:
 
 def dict_run_simulation(cfg, inputs):
     """`cli.run_simulation` with its tick loop as it was before `controls`
-    became one dict filled in place; its epochs and artifacts are the CLI's."""
+    became one dict filled in place; its epochs and artifacts are the CLI's.
+    It writes no epoch as it ends, so the whole log, every report and every
+    crossing stay in memory until the CLI's end-of-run write."""
     net, world, ctg, table, itus = inputs
     controllers = cli._build_controllers(net)
     cycle = max((c.fsm.cycle for c in controllers.values()), default=60.0)
@@ -1118,6 +1216,8 @@ def dict_run_simulation(cfg, inputs):
     ticks = int(round(cfg.horizon / cfg.dt))
     epoch_every = max(1, int(round(min(cycle / cfg.dt, ticks + 1))))
     early = [] if epochs else [n for n, c in controllers.items() if c.early_switch]
+    with cli._epoch_files(cfg):  # made, and left for the end to fill
+        pass
     for k, t in enumerate(w.tick_times(cfg.dt, ticks)):
         for node in early:
             controllers[node] = w.early_switch(world, controllers[node], t)

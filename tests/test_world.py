@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from civitas import world as w
 from civitas.fsm import SignalState
 from civitas.textfmt import ParseError
-from tests.replay import check_zone_balance, events, exact_events, seed_vehicles
+from tests.replay import (ListArrivals, check_zone_balance, drain, events, exact_events,
+                          seed_vehicles)
 
 RING = """
 [intersection n1]
@@ -167,9 +168,9 @@ class TestStep:
         seed_vehicles(world, [("x", 1)])
         for _ in range(200):
             w.step(world, {}, 0.1)
-        moves = [e for e in exact_events(world) if e[0] == "move"]
+        moves = [e for e in exact_events(world, ()) if e[0] == "move"]
         assert moves == [("move", 10.0, 0, "x", "y")]
-        departs = [e for e in exact_events(world) if e[0] == "depart"]
+        departs = [e for e in exact_events(world, ()) if e[0] == "depart"]
         assert departs[0][1] == 15.0  # 5 s on the 50 m segment
 
     def test_shared_segment_never_co_resident(self):
@@ -303,7 +304,7 @@ class TestObserveCycle:
         # independent recount directly over raw events
         entered = {}
         durations = []
-        for ev in exact_events(world):
+        for ev in exact_events(world, ()):
             if ev[0] == "move" and ev[4] == "r2":
                 entered[ev[2]] = ev[1]
             elif ev[0] == "move" and ev[3] == "r2":
@@ -319,6 +320,25 @@ class TestObserveCycle:
         world = w.make_world(net, None, 0, 1)
         with pytest.raises(KeyError):
             w.observe_cycle(world, "ghost", (0.0, 1.0))
+
+    def test_window_over_forgotten_crossings_refused(self):
+        world = run_ring(steps=3000, vehicles=[("r1", 6), ("r4", 4)])
+        kept = world.copy()
+        w.forget_crossings(world, 150.0)
+        for site, times in world.completed_at.items():
+            whole = kept.completed_at[site]
+            # the crossings after 150 s, or the last one when none is
+            assert list(times) == ([t for t in whole if t > 150.0] or list(whole[-1:]))
+            durations = kept.traversal_time[site][len(whole) - len(times):]
+            assert world.traversal_time[site] == durations
+            for window in ((150.0, 300.0), (200.0, 260.0)):
+                assert (w.observe_cycle(world, site, window)
+                        == w.observe_cycle(kept, site, window))
+            for start in (math.nextafter(150.0, 0.0), 60.0, -math.inf):
+                with pytest.raises(ValueError, match="starts before 150: crossings"):
+                    w.observe_cycle(world, site, (start, 300.0))
+        w.forget_crossings(world, 100.0)  # forgetting less changes nothing
+        assert world.crossings_after == 150.0
 
 
 class TestZoneBalance:
@@ -407,7 +427,7 @@ class TestDemand:
         from civitas import streams
         net = w.load_network(twin_network_text)
         demand = w.DemandProfile((("s1", (w.DemandWindow(0, 100, 0.1),)),))
-        assert w.make_world(net, demand, horizon=0.0, seed=1).arrivals == []
+        assert w.make_world(net, demand, horizon=0.0, seed=1).arrivals.next == []
 
         def no_draw(self, scale):
             raise AssertionError("drew an arrival")
@@ -420,8 +440,8 @@ class TestDemand:
         net = w.load_network(twin_network_text)
         demand = w.DemandProfile((("s1", (w.DemandWindow(0, 100, 0.1),
                                           w.DemandWindow(100, math.inf, 0.0))),))
-        assert (w.make_world(net, demand, horizon=math.inf, seed=21).arrivals
-                == w.make_world(net, demand, horizon=100.0, seed=21).arrivals)
+        assert (drain(w.make_world(net, demand, horizon=math.inf, seed=21).arrivals)
+                == drain(w.make_world(net, demand, horizon=100.0, seed=21).arrivals))
 
     def test_arrival_streams_independent_per_entry(self, twin_network_text):
         net = w.load_network(twin_network_text)
@@ -430,8 +450,8 @@ class TestDemand:
                               ("s3", (w.DemandWindow(0, 100, 0.2),))))
         w1 = w.make_world(net, d1, horizon=100.0, seed=21)
         w2 = w.make_world(net, d2, horizon=100.0, seed=21)
-        s1_times_1 = [t for t, seg, _ in w1.arrivals if seg == "s1"]
-        s1_times_2 = [t for t, seg, _ in w2.arrivals if seg == "s1"]
+        s1_times_1 = [t for t, seg, _ in drain(w1.arrivals) if seg == "s1"]
+        s1_times_2 = [t for t, seg, _ in drain(w2.arrivals) if seg == "s1"]
         assert s1_times_1 == s1_times_2  # split streams do not interfere
 
 
@@ -507,12 +527,12 @@ class TestEventLog:
         units = round(last * w.CLOCK_UNITS_PER_S)
         dt_units = min(units, 10**9)
         world.clock_units = units - dt_units
-        world.arrivals = [(at, a, (a, b)) for at in arrivals
-                          if at <= units / w.CLOCK_UNITS_PER_S]
+        world.arrivals = ListArrivals([(at, a, (a, b)) for at in arrivals
+                                       if at <= units / w.CLOCK_UNITS_PER_S])
         before = bytes(world.events)
         w.step(world, {}, dt_units / w.CLOCK_UNITS_PER_S)
         now, queued, vid, records = world.clock, 1, 2, []
-        for at, _, _ in world.arrivals:
+        for at, _, _ in world.arrivals.records:
             if queued < capacity:
                 records.append(("arrive", at, vid, a))
                 queued, vid = queued + 1, vid + 1
