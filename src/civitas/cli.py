@@ -62,10 +62,10 @@ def _load(path: str, what: str, parse):
         return parse(fh.read())
 
 
-def _write(path: str, content: str) -> None:
+def _write(path: str, chunks) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+        fh.writelines(chunks)
 
 
 @dataclass
@@ -351,9 +351,9 @@ def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
         from . import fgraph as fgmod
         engine = epochs.engine
         _write(os.path.join(cfg.out, "goal_allocation.csv"),
-               fgmod.allocation_to_csv(engine.allocation()))
+               (fgmod.allocation_to_csv(engine.allocation()),))
         _write(os.path.join(cfg.out, "function_graph.csv"),
-               fgmod.graph_to_csv(engine.top.fg))
+               (fgmod.graph_to_csv(engine.top.fg),))
 
     worldmod.write_event_log(world.events, os.path.join(cfg.out, "events.log"))
     summary = {
@@ -365,14 +365,14 @@ def _write_artifacts(cfg: RunConfig, world: worldmod.WorldState,
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(list(summary))
     w.writerow([summary[k] for k in summary])
-    _write(os.path.join(cfg.out, "summary.csv"), buf.getvalue())
+    _write(os.path.join(cfg.out, "summary.csv"), (buf.getvalue(),))
 
     if epochs is not None:
         with open(os.path.join(cfg.out, "reports.csv"), "ab") as fh:
             fh.write(_report_rows(epochs.reports))
         from .ctg import table_to_csv
         _write(os.path.join(cfg.out, "schedule_table.csv"),
-               table_to_csv(epochs.table))
+               (table_to_csv(epochs.table),))
     return summary
 
 
@@ -393,7 +393,7 @@ def cmd_schedule(args):
     table = _load_table(args.ctg, args.objective)
 
     def run():
-        _write(os.path.join(args.out, "schedule_table.csv"), table_to_csv(table))
+        _write(os.path.join(args.out, "schedule_table.csv"), (table_to_csv(table),))
         logger.info("schedule: %d columns", len(table.scenarios))
     return run
 
@@ -443,8 +443,8 @@ def cmd_ctmdp(args):
         if sol.status != "optimal":
             raise RuntimeError(f"CTMDP solve failed: {sol.status}")
         _write(os.path.join(args.out, "ctmdp_solution.csv"),
-               ctmdpmod.solution_to_csv(sol, model))
-        _write(os.path.join(args.out, "ctmdp_model.csv"), ctmdpmod.model_to_csv(model))
+               (ctmdpmod.solution_to_csv(sol, model),))
+        _write(os.path.join(args.out, "ctmdp_model.csv"), (ctmdpmod.model_to_csv(model),))
         logger.info("ctmdp objective %.9g", sol.objective)
     return run
 
@@ -468,10 +468,12 @@ def cmd_fuzzy_surface(args):
         # Python floats format faster than numpy scalars; an axis value once
         i_axis = ["%.9g," % x for x in np.linspace(0.0, params.i.MI, args.n).tolist()]
         d_axis = ["%.9g," % x for x in np.linspace(0.0, params.d.MI, args.n).tolist()]
-        lines = ["i,d,u"]
-        for i, row in zip(i_axis, grid):
-            lines.extend([i + d + "%.9g" % u for d, u in zip(d_axis, row.tolist())])
-        _write(os.path.join(args.out, "surface.csv"), "\n".join(lines) + "\n")
+
+        def rows():  # one grid row's lines at a time, not the whole file
+            yield "i,d,u\n"
+            for i, row in zip(i_axis, grid):
+                yield "".join([i + d + "%.9g\n" % u for d, u in zip(d_axis, row.tolist())])
+        _write(os.path.join(args.out, "surface.csv"), rows())
         logger.info("surface: %d rows", args.n * args.n)
     return run
 
@@ -480,7 +482,7 @@ def cmd_fuzzy_surface(args):
 _RULE_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 
-def _parse_rule(sec, attrs: dict):
+def _parse_rule(sec, attrs: set[str]):
     rule = sec.require("rule")
     for op, compare in _RULE_OPS.items():
         if op in rule:
@@ -491,6 +493,22 @@ def _parse_rule(sec, attrs: dict):
                 raise sec.error("rule", f"{attr!r} is not one of attrs")
             return lambda pt: compare(pt[attr], bound)
     raise sec.error("rule", f"bad predicate {rule!r}")
+
+
+def _data_rows(sec, base: str, *columns: str) -> list[tuple[float, ...]]:
+    """The `columns` of each row of `sec`'s CSV file, as finite numbers."""
+    path = os.path.join(base, sec.require("file"))
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="", skipinitialspace=True)
+        if not set(columns) <= set(reader.fieldnames or ()):
+            raise sec.error("file", f"{path} needs columns {', '.join(columns)}")
+        rows = []
+        for row in reader:
+            try:
+                rows.append(tuple(finite(row[column]) for column in columns))
+            except ValueError as exc:
+                raise sec.error("file", f"{path}, line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def _metric_row(sec, base: str) -> tuple[str, str, str]:
@@ -504,22 +522,13 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
         return ("scalability", "%.9g" % value,
                 f"name={sec.name};p1={sec.get('p1')};p2={sec.get('p2')}")
     if sec.kind == "efficiency":
-        path = os.path.join(base, sec.require("file"))
-        data = np.genfromtxt(path, delimiter=",", names=True, encoding="utf-8")
-        curves = metricsmod.CurvePair(np.atleast_1d(data["p"]),
-                                      np.atleast_1d(data["adaptive"]),
-                                      np.atleast_1d(data["single"]))
+        data = np.array(_data_rows(sec, base, "p", "adaptive", "single")).reshape(-1, 3)
+        curves = metricsmod.CurvePair(*data.T)
         return ("efficiency", "%.9g" % metricsmod.efficiency(curves),
                 f"name={sec.name};file={sec.require('file')}")
     if sec.kind == "predictability":
         limit = sec.number("limit", 0.0, low=0)
-        path = os.path.join(base, sec.require("file"))
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if not {"estimated", "actual"} <= set(reader.fieldnames or ()):
-                raise sec.error("file", f"{path} needs columns estimated and actual")
-            pairs = [(float(row["estimated"]), float(row["actual"])) for row in reader]
-        rep = metricsmod.predictability(pairs, limit)
+        rep = metricsmod.predictability(_data_rows(sec, base, "estimated", "actual"), limit)
         return ("predictability", "%.9g" % rep.max_abs_error,
                 f"name={sec.name};rmse={rep.rmse:.9g};"
                 f"within_limit={rep.within_limit}")
@@ -533,17 +542,20 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
         shape = tuple(sec.numbers("shape", integer)) or (1, 1, 1)
         if len(shape) != 3 or min(shape) < 1:
             raise sec.error("shape", f"expected 3 counts >= 1, got {sec.get('shape')!r}")
-        fieldv = metricsmod.EffortField.from_function(
-            lambda p, a, t: effort, ranges["perf"], ranges["area"],
-            ranges["time"], shape)
+        try:
+            fieldv = metricsmod.EffortField.from_function(
+                lambda p, a, t: effort, ranges["perf"], ranges["area"],
+                ranges["time"], shape)
+        except MemoryError as exc:
+            raise sec.error("shape", f"{' x '.join(map(str, shape))} cells do not fit"
+                                     f" in memory ({exc})") from exc
         return ("autonomy", "%.9g" % metricsmod.autonomy(fieldv),
                 f"name={sec.name};constant={effort}")
     if sec.kind == "flexibility":
-        box = {name: (low, high) for name, low, high in
-               sec.items("attrs", "name:low:high", str, finite, finite)}
-        pred = _parse_rule(sec, box)
-        with sec.context("attrs"):
-            spec = metricsmod.SpecBox.from_dict(box)
+        ranges = tuple(sec.items("attrs", "name:low:high", str, finite, finite))
+        pred = _parse_rule(sec, {name for name, _, _ in ranges})
+        with sec.context("attrs"):  # a repeated attribute too
+            spec = metricsmod.SpecBox(ranges)
         n, seed = sec.get_int("n", 10000), sec.get_int("seed", 0, low=0)
         value = metricsmod.flexibility(pred, spec, n, seed)
         return ("flexibility", "%.9g" % value, f"name={sec.name};n={n};seed={seed}")
@@ -565,7 +577,7 @@ def cmd_metrics(args):
     def run():
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
-        _write(os.path.join(args.out, "metrics.csv"), buf.getvalue())
+        _write(os.path.join(args.out, "metrics.csv"), (buf.getvalue(),))
     return run
 
 
@@ -575,7 +587,7 @@ def cmd_classify(args):
 
     def run():
         _write(os.path.join(args.out, "interactions.csv"),
-               classification_report(reg))
+               (classification_report(reg),))
         logger.info("classify: %d links", len(reg.links()))
     return run
 

@@ -628,6 +628,18 @@ class TestFuzzySurface:
         assert ("fuzzy-surface n: 100000 x 100000 points do not fit in memory"
                 " (Unable to allocate 74.5 GiB)" in capsys.readouterr().err)
 
+    def test_rows_are_written_in_bounded_memory(self, tmp_path):
+        tracemalloc.start()
+        try:
+            rc = cli.main(["fuzzy-surface", "0.5,1,1.2", "121", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        # Every line formatted, then joined into one 400 KB text, peaked at
+        # 1.63 MiB; one grid row at a time leaves the surface's own arrays.
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     # Recorded from the sampled centroid before the closed form replaced it:
     # the benchmark's row and three rows whose spikes sit where the two
     # differ in the last bits.
@@ -888,6 +900,23 @@ seed = 3
         assert ((tmp_path / "c" / "metrics.csv").read_bytes()
                 == (tmp_path / "here" / "metrics.csv").read_bytes())
 
+    def test_data_files_may_space_their_cells(self, tmp_path):
+        # numpy's reader took `p, adaptive, single`; the csv reader that
+        # replaced it skips the space after each comma in both files
+        rows = {}
+        for name, curves, pairs in (
+                ("tight", "p,adaptive,single\n0,0,0\n1,1,0\n", "estimated,actual\n10,12\n"),
+                ("spaced", "p, adaptive, single\n0, 0, 0\n1, 1, 0\n",
+                 "estimated, actual\n10, 12\n")):
+            (tmp_path / "curves.csv").write_text(curves)
+            (tmp_path / "pairs.csv").write_text(pairs)
+            job = tmp_path / "job.metrics"
+            job.write_text("[efficiency e]\nfile = curves.csv\n\n"
+                           "[predictability p]\nfile = pairs.csv\n")
+            assert cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / name)]) == 0
+            rows[name] = (tmp_path / name / "metrics.csv").read_text()
+        assert rows["spaced"] == rows["tight"]
+
     def test_flexibility_row_names_the_defaults_it_ran(self, tmp_path):
         job = tmp_path / "job.metrics"
         job.write_text("[flexibility f]\nattrs = a:0:1\nrule = a <= 0.5\n")
@@ -943,6 +972,9 @@ class TestMetricsJobErrors:
          "[flexibility f] attrs: attribute 'a': need low < high"),
         ("[flexibility f]\nattrs = a:0:1\nrule = a <= 1\nseed = -1\n",
          "[flexibility f] seed: must be >= 0, got -1"),
+        # exited 0 with the second range alone, flexibility 0.2524
+        ("[flexibility f]\nattrs = a:0:1, a:0:2\nrule = a <= 0.5\n",
+         "[flexibility f] attrs: attribute 'a' is given twice"),
     ])
     @pytest.mark.filterwarnings("error")  # numpy warned on an overflowing range
     def test_bad_value_is_exit_one(self, tmp_path, capsys, section, where):
@@ -952,19 +984,53 @@ class TestMetricsJobErrors:
         assert rc == 1
         assert f"civitas: error: metrics job {job}: {where}" in capsys.readouterr().err
 
+    # Each data file is read by one reader: a cell that is not a finite
+    # number names the file and its line.  The efficiency cases exited 0
+    # with `efficiency,nan`, and the predictability inf and nan cases with
+    # `inf` and `nan`.
     @pytest.mark.parametrize("data, where", [
         ("estimated,actual\n10,x\n",
-         "[predictability p]: could not convert string to float: 'x'"),
+         "[predictability p] file: {path}, line 2: bad number 'x'"),
         ("estimated,truth\n10,12\n",
-         "[predictability p] file: "),
+         "[predictability p] file: {path} needs columns estimated, actual"),
+        ("estimated,actual\n1,inf\n",
+         "[predictability p] file: {path}, line 2: must be a finite number, got 'inf'"),
+        ("estimated,actual\n1,2\n1,nan\n",
+         "[predictability p] file: {path}, line 3: must be a finite number, got 'nan'"),
+        ("estimated,actual\n10\n",
+         "[predictability p] file: {path}, line 2: bad number ''"),
+        ("p,adaptive,single\n0,0,0\n2,x,1\n",
+         "[efficiency e] file: {path}, line 3: bad number 'x'"),
+        ("p,adaptive,single\n0,0,0\n1,inf,1\n",
+         "[efficiency e] file: {path}, line 3: must be a finite number, got 'inf'"),
+        ("p,adaptive\n0,0\n1,1\n",
+         "[efficiency e] file: {path} needs columns p, adaptive, single"),
     ])
     def test_bad_data_file_is_exit_one(self, tmp_path, capsys, data, where):
-        (tmp_path / "pairs.csv").write_text(data)
+        path = tmp_path / "data.csv"
+        path.write_text(data)
         job = tmp_path / "job.metrics"
-        job.write_text("[predictability p]\nfile = pairs.csv\n")
+        job.write_text(f"{where.split(' file:')[0]}\nfile = data.csv\n")
         rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert where in capsys.readouterr().err
+        assert (f"civitas: error: metrics job {job}: {where.format(path=path)}\n"
+                == capsys.readouterr().err)
+
+    def test_unallocatable_shape_names_the_key(self, tmp_path, capsys):
+        # exited 1 naming no file, section or key; the stub raises what
+        # numpy raised, so nothing is allocated
+        from civitas import metrics as metricsmod
+        error = MemoryError("Unable to allocate 7.28 TiB")
+        job = tmp_path / "job.metrics"
+        job.write_text("[autonomy u]\nperf = 0, 1\narea = 0, 1\ntime = 0, 1\n"
+                       "constant = 1\nshape = 10000, 10000, 10000\n")
+        with mock.patch.object(metricsmod.EffortField, "from_function",
+                               side_effect=error) as build:
+            rc = cli.main(["metrics", "--job", str(job), "--out", str(tmp_path / "o")])
+        assert rc == 1 and build.call_args.args[-1] == (10000, 10000, 10000)
+        assert (f"civitas: error: metrics job {job}: [autonomy u] shape: 10000 x 10000"
+                " x 10000 cells do not fit in memory (Unable to allocate 7.28 TiB)"
+                in capsys.readouterr().err)
 
     def test_samples_are_drawn_in_bounded_memory(self, tmp_path):
         from civitas import metrics  # noqa: F401  imported before tracing starts
@@ -978,8 +1044,9 @@ class TestMetricsJobErrors:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        # One draw of all samples would hold 10**6 x 3 doubles, 24 MB.
-        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        # One draw of all samples would hold 10**6 x 3 doubles, 24 MB;
+        # blocks of 4 096 rows peaked at 1.6 MiB.
+        assert peak < 0.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("limit, where", [
         ("nan", "[predictability p] limit: must be a finite number, got 'nan'"),

@@ -41,6 +41,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -2370,6 +2371,19 @@ class TestSurfaceCsv:
         params = fuzzy.FuzzyParams.uniform(*map(float, row.split(",")))
         want = loop_surface_csv(params, n).encode()
         assert (tmp_path / "surface.csv").read_bytes() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=param_rows(), n=st.integers(2, 40))
+    def test_streamed_rows_match_joined_text(self, row, n):
+        # the command's rows, written as each is formatted, against the
+        # whole text joined from every line
+        with tempfile.TemporaryDirectory() as out:
+            assert cli.main(["fuzzy-surface", f"{row.m!r},{row.M!r},{row.MI!r}",
+                             str(n), "--out", out]) == 0
+            with open(os.path.join(out, "surface.csv"), "rb") as fh:
+                got = fh.read()
+        params = fuzzy.FuzzyParams.uniform(row.m, row.M, row.MI)
+        assert got == loop_surface_csv(params, n).encode()
 
 
 # ---------------------------------------------------------------- metrics

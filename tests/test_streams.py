@@ -104,6 +104,7 @@ def test_negative_seed_rejected():
 # ------------------------------------------------------------ block draws
 
 FLEX_BLOCK = FLEXIBILITY_BLOCK_ROWS * 3  # what `flexibility` draws for three attributes
+WIDE_BLOCK = 4096 * 3  # wider than `flexibility`'s, so the first block doubles further
 BLOCK_SEEDS = [0, 2**32, 2**64 + 1, 10**30, 2**128 + 12345]
 
 
@@ -123,14 +124,15 @@ def test_default_rng_matches_numpy(seed):
     assert pcg_state(streams.default_rng(seed)) == np.random.default_rng(seed).bit_generator.state
 
 
-@pytest.mark.parametrize("block", [1, 3, FLEX_BLOCK])
+@pytest.mark.parametrize("block", [1, 3, FLEX_BLOCK, WIDE_BLOCK])
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_doubles_match_numpy_around_a_block(seed, block):
     for n in sorted({1, block - 1, block, block + 1}):
         assert_doubles_match_numpy(seed, n, block)
 
 
-@pytest.mark.parametrize("seed, block", [(0, 3)] + [(s, FLEX_BLOCK) for s in BLOCK_SEEDS])
+@pytest.mark.parametrize("seed, block", [(0, 3)] + [(s, block) for block in (FLEX_BLOCK, WIDE_BLOCK)
+                                                    for s in BLOCK_SEEDS])
 def test_doubles_match_numpy_over_many_blocks(seed, block):
     assert_doubles_match_numpy(seed, 300_000, block)
 
