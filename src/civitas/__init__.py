@@ -27,7 +27,7 @@ _EXPORTS = {
     "fgraph": ("PerfDistribution", "FunctionGraph", "FgNode", "GoalAllocation",
                "attach", "evaluate", "distribute_goals"),
     "fuzzy": ("FuzzyParams", "ParamRow", "RuleBase", "DEFAULT_RULES",
-              "fuzzify", "control", "surface", "lcu_update"),
+              "fuzzify", "control", "surface"),
     "hierarchy": ("HierarchyEngine", "ConstraintMsg", "ViolationMsg",
                   "ReconcileReport"),
     "metrics": ("SpecBox", "EffortField", "CurvePair", "flexibility",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .textfmt import ParseError, finite, integer, parse_sections
+from .textfmt import ParseError, finite, parse_sections
 
 if TYPE_CHECKING:  # each command imports the modules it runs
     from . import ctg as ctgmod
@@ -218,7 +218,7 @@ class EpochLoop:
         from .fgraph import attach
         self.count += 1
         scenario = tuple(est.observe(worldmod.observe_cycle(
-            self.world, est.site.segment, (t - self.cycle, t)).n)
+            self.world, est.site.segment, (t - self.cycle, t)))
             for est in self.estimators)
         state = ctmdpmod.state_name(self.table.zone, scenario)
         if self.state is not None:
@@ -495,8 +495,8 @@ def _parse_rule(sec, attrs: set[str]):
     raise sec.error("rule", f"bad predicate {rule!r}")
 
 
-def _data_rows(sec, base: str, *columns: str) -> list[tuple[float, ...]]:
-    """The `columns` of each row of `sec`'s CSV file, as finite numbers."""
+def _from_data(sec, base: str, use, *columns: str):
+    """`use` of `sec`'s CSV rows, their `columns` as finite numbers; errors name the file."""
     path = os.path.join(base, sec.require("file"))
     with open(path, encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="", skipinitialspace=True)
@@ -508,7 +508,10 @@ def _data_rows(sec, base: str, *columns: str) -> list[tuple[float, ...]]:
                 rows.append(tuple(finite(row[column]) for column in columns))
             except ValueError as exc:
                 raise sec.error("file", f"{path}, line {reader.line_num}: {exc}") from None
-    return rows
+    try:
+        return use(rows)
+    except ValueError as exc:
+        raise sec.error("file", f"{path}: {exc}") from None
 
 
 def _metric_row(sec, base: str) -> tuple[str, str, str]:
@@ -522,13 +525,14 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
         return ("scalability", "%.9g" % value,
                 f"name={sec.name};p1={sec.get('p1')};p2={sec.get('p2')}")
     if sec.kind == "efficiency":
-        data = np.array(_data_rows(sec, base, "p", "adaptive", "single")).reshape(-1, 3)
-        curves = metricsmod.CurvePair(*data.T)
+        curves = _from_data(sec, base, lambda rows: metricsmod.CurvePair(
+            *np.array(rows).reshape(-1, 3).T), "p", "adaptive", "single")
         return ("efficiency", "%.9g" % metricsmod.efficiency(curves),
                 f"name={sec.name};file={sec.require('file')}")
     if sec.kind == "predictability":
         limit = sec.number("limit", 0.0, low=0)
-        rep = metricsmod.predictability(_data_rows(sec, base, "estimated", "actual"), limit)
+        rep = _from_data(sec, base, lambda rows: metricsmod.predictability(rows, limit),
+                         "estimated", "actual")
         return ("predictability", "%.9g" % rep.max_abs_error,
                 f"name={sec.name};rmse={rep.rmse:.9g};"
                 f"within_limit={rep.within_limit}")
@@ -539,16 +543,10 @@ def _metric_row(sec, base: str) -> tuple[str, str, str]:
             if len(ranges[axis]) != 2:
                 raise sec.error(axis, f"expected low, high, got {sec.get(axis)!r}")
         effort = sec.number("constant")
-        shape = tuple(sec.numbers("shape", integer)) or (1, 1, 1)
-        if len(shape) != 3 or min(shape) < 1:
-            raise sec.error("shape", f"expected 3 counts >= 1, got {sec.get('shape')!r}")
-        try:
-            fieldv = metricsmod.EffortField.from_function(
-                lambda p, a, t: effort, ranges["perf"], ranges["area"],
-                ranges["time"], shape)
-        except MemoryError as exc:
-            raise sec.error("shape", f"{' x '.join(map(str, shape))} cells do not fit"
-                                     f" in memory ({exc})") from exc
+        # The midpoint sum of a constant effort is exact on one cell.
+        fieldv = metricsmod.EffortField.from_function(
+            lambda p, a, t: effort, ranges["perf"], ranges["area"], ranges["time"],
+            (1, 1, 1))
         return ("autonomy", "%.9g" % metricsmod.autonomy(fieldv),
                 f"name={sec.name};constant={effort}")
     if sec.kind == "flexibility":

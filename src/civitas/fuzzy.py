@@ -3,14 +3,15 @@
 The zone-level controller is a Mamdani loop: fuzzify crisp illumination
 and traffic-density readings into small/medium/big degrees, run max-min
 inference over a 3x3 rule base, and defuzzify the aggregated output set
-with the centroid method.  The upper level adapts the membership
-parameters from closed-loop feedback by bounded exponential smoothing.
+with the centroid method.  The upper level, which adapts the membership
+parameters from closed-loop feedback, is a tested sketch, not a command:
+it lives with the tests (`tests/replay.py`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,44 +171,3 @@ def surface(params: FuzzyParams, rules: RuleBase = DEFAULT_RULES,
     deg_d = membership_grid(params.d, np.linspace(0.0, params.d.MI, n))
     return _commands({x: deg_i[x][:, None] for x in LABELS}, deg_d, rules,
                      params.u, resolution)
-
-
-@dataclass(frozen=True)
-class LampFeedback:
-    """Closed-loop report used by the upper-level parameter adaptation."""
-
-    target_illumination: float
-    achieved_illumination: float
-    over_energy_budget: bool = False
-
-
-# Per-update relative step bound for the smoothing law.
-LCU_MAX_STEP = 0.05
-LCU_GAIN = 0.5
-
-
-def lcu_update(params: FuzzyParams, feedback: LampFeedback) -> FuzzyParams:
-    """Adapt the command-row parameters toward zero illumination error.
-
-    The relative adjustment is an exponentially smoothed error signal
-    clamped to +/-5% per update; an update that would break the row
-    ordering invariant is clamped instead of applied.
-    """
-    if feedback.target_illumination <= 0:
-        raise ValueError("target illumination must be > 0")
-    err = (feedback.target_illumination - feedback.achieved_illumination)
-    rel = err / feedback.target_illumination
-    if feedback.over_energy_budget and rel > 0:
-        rel = 0.0  # never push brighter while over budget
-    step = max(-LCU_MAX_STEP, min(LCU_MAX_STEP, LCU_GAIN * rel))
-    if step == 0.0:
-        return params
-    u = params.u
-    new_m = u.m * (1.0 + step)
-    new_M = u.M * (1.0 + step)
-    # Clamp into the ordering invariant 0 < m < M <= MI.
-    new_M = min(new_M, u.MI)
-    new_m = min(new_m, new_M * (u.m / u.M))
-    if not 0 < new_m < new_M <= u.MI:
-        return params
-    return replace(params, u=ParamRow(new_m, new_M, u.MI))

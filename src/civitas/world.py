@@ -326,25 +326,8 @@ class Vehicle:
     vid: int
     route: tuple[str, ...]
     leg: int
-    entered_at: float
     ready_at: float
     pending_next: str | None = None
-
-
-@dataclass
-class Observation:
-    """Per-site cycle observation: completed traversals and their mean time."""
-
-    site: str
-    n: int
-    t_ex: float | None
-    window: tuple[float, float]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("N must be >= 0")
-        if self.n > 0 and (self.t_ex is None or self.t_ex <= 0):
-            raise ValueError("T_ex must be > 0 when N > 0")
 
 
 @dataclass
@@ -466,13 +449,11 @@ class WorldState:
     arrivals: Arrivals = field(default_factory=Arrivals)
     next_vid: int = 0
     route_rng: Pcg64 | None = None
-    # Completed traversals per segment in completion order: when each
-    # vehicle left the segment and how long it had been on it.  The last
-    # completion is the segment's last crossing, the headway's origin.
-    # `forget_crossings` drops those at or before `crossings_after`, but
-    # each segment's last.
+    # When each vehicle left each segment, in completion order: what
+    # `observe_cycle` counts.  The last is the segment's last crossing,
+    # the headway's origin.  `forget_crossings` drops those at or before
+    # `crossings_after`, but each segment's last.
     completed_at: dict[str, array] = field(default_factory=dict)
-    traversal_time: dict[str, array] = field(default_factory=dict)
     crossings_after: float = -math.inf
     # Built by the first `step`, which checks every head; None re-arms all.
     agenda: _Agenda | None = field(default=None, repr=False, compare=False)
@@ -621,8 +602,7 @@ def make_world(network: StreetNetwork, demand: DemandProfile | None = None,
     from .streams import spawn
 
     world = WorldState(network, queues={s.id: [] for s in network.segments},
-                       completed_at={s.id: array("d") for s in network.segments},
-                       traversal_time={s.id: array("d") for s in network.segments})
+                       completed_at={s.id: array("d") for s in network.segments})
     *entry_rngs, world.route_rng = spawn(seed, len(network.entries()) + 1)
     if demand is None or horizon == 0:
         return world
@@ -744,7 +724,7 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
             continue
         if not queue:
             armed.add(position[seg_id])
-        v = Vehicle(world.next_vid, route, 0, at, at + seg.travel_time)
+        v = Vehicle(world.next_vid, route, 0, at + seg.travel_time)
         world.next_vid += 1
         queue.append(v)
         world.entered += 1
@@ -802,14 +782,12 @@ def step(world: WorldState, controls: dict[str, SignalState], dt: float) -> Worl
                 continue
         queue.pop(0)
         crossed.append(now)
-        world.traversal_time[seg.id].append(now - v.entered_at)
         if nxt_id is None:
             world.exited += 1
             log(("depart\t%.9g\t%d\t%s\n" % (now, v.vid, seg.id)).encode())
         else:
             v.leg += 1
             v.pending_next = None
-            v.entered_at = now
             v.ready_at = now + nxt.travel_time
             queues[nxt_id].append(v)
             log(("move\t%.9g\t%d\t%s\t%s\n" % (now, v.vid, seg.id, nxt_id)).encode())
@@ -859,13 +837,12 @@ def early_switch(world: WorldState, ctrl: IntersectionController,
     return ctrl
 
 
-def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> Observation:
-    """Completed traversals of `site` within (t0, t1] and their mean time.
+def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> int:
+    """The number of traversals of `site` completed within (t0, t1].
 
-    Reads the per-segment completion records `step` keeps; their times
-    never decrease, so the window is two bisections.  Raises ValueError
-    for a window that starts before `world.crossings_after`, whose
-    crossings `forget_crossings` may have dropped.
+    Two bisections of the completion times `step` keeps, which never
+    decrease.  Raises ValueError for a window that starts before
+    `world.crossings_after`, whose crossings `forget_crossings` may have dropped.
     """
     t0, t1 = window
     world.network.segment(site)  # validate id
@@ -874,23 +851,17 @@ def observe_cycle(world: WorldState, site: str, window: tuple[float, float]) -> 
                          f" {world.crossings_after:g}: crossings up to then"
                          " are no longer kept")
     times = world.completed_at[site]
-    lo, hi = bisect_right(times, t0), bisect_right(times, t1)
-    durations = world.traversal_time[site][lo:hi]
-    n = len(durations)
-    t_ex = (sum(durations) / n) if n else None
-    return Observation(site, n, t_ex, window)
+    return max(0, bisect_right(times, t1) - bisect_right(times, t0))
 
 
 def forget_crossings(world: WorldState, upto: float) -> None:
-    """Drop each segment's completion records at or before `upto`, but its
+    """Drop each segment's completion times at or before `upto`, but its
     last, the headway's origin.  `observe_cycle` refuses a window that
     starts before `upto` from then on."""
-    traversal_time = world.traversal_time
-    for site, times in world.completed_at.items():
+    for times in world.completed_at.values():
         k = min(bisect_right(times, upto), len(times) - 1)
         if k > 0:
             del times[:k]
-            del traversal_time[site][:k]
     world.crossings_after = max(world.crossings_after, upto)
 
 

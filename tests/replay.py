@@ -19,7 +19,10 @@ once read them.
 The lighting controller's max-min inference and centroid are kept in
 their sampled form: the output set is built on the whole command grid
 and its centre of mass summed, which `fuzzy.control` and `fuzzy.surface`
-must match to the last bits.  A world's arrivals are kept as
+must match to the last bits.  The controller's upper level, which no
+command runs, is kept here as the sketch its tests exercise: bounded
+smoothing of the command row's parameters toward the target
+illumination.  A world's arrivals are kept as
 `make_world` drew them before it drew each when it came due: all of
 them up front, sorted by time and entry.  The event log's bytes are
 read back into records, with the exact times of `world.step`'s from
@@ -456,6 +459,48 @@ def defuzzify_centroid(out: FuzzyOutputSet) -> float:
     return float(np.sum(out.grid * out.values) / total)
 
 
+@dataclass(frozen=True)
+class LampFeedback:
+    """Closed-loop report used by the upper-level parameter adaptation."""
+
+    target_illumination: float
+    achieved_illumination: float
+    over_energy_budget: bool = False
+
+
+# Per-update relative step bound for the smoothing law.
+LCU_MAX_STEP = 0.05
+LCU_GAIN = 0.5
+
+
+def lcu_update(params: fuzzy.FuzzyParams,
+               feedback: LampFeedback) -> fuzzy.FuzzyParams:
+    """Adapt the command-row parameters toward zero illumination error.
+
+    The relative adjustment is an exponentially smoothed error signal
+    clamped to +/-5% per update; an update that would break the row
+    ordering invariant is clamped instead of applied.
+    """
+    if feedback.target_illumination <= 0:
+        raise ValueError("target illumination must be > 0")
+    err = (feedback.target_illumination - feedback.achieved_illumination)
+    rel = err / feedback.target_illumination
+    if feedback.over_energy_budget and rel > 0:
+        rel = 0.0  # never push brighter while over budget
+    step = max(-LCU_MAX_STEP, min(LCU_MAX_STEP, LCU_GAIN * rel))
+    if step == 0.0:
+        return params
+    u = params.u
+    new_m = u.m * (1.0 + step)
+    new_M = u.M * (1.0 + step)
+    # Clamp into the ordering invariant 0 < m < M <= MI.
+    new_M = min(new_M, u.MI)
+    new_m = min(new_m, new_M * (u.m / u.M))
+    if not 0 < new_m < new_M <= u.MI:
+        return params
+    return replace(params, u=fuzzy.ParamRow(new_m, new_M, u.MI))
+
+
 def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
     """Drop vehicles onto segments at time zero (closed-network studies)."""
     for seg_id, count in placements:
@@ -463,7 +508,7 @@ def seed_vehicles(world: WorldState, placements: list[tuple[str, int]]) -> None:
         for _ in range(count):
             if len(world.queues[seg_id]) >= seg.occupancy_limit:
                 raise ValueError(f"segment {seg_id} over occupancy limit")
-            v = Vehicle(world.next_vid, (), 0, 0.0, seg.travel_time)
+            v = Vehicle(world.next_vid, (), 0, seg.travel_time)
             world.next_vid += 1
             world.queues[seg_id].append(v)
             world.entered += 1

@@ -42,7 +42,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -87,31 +87,13 @@ def scan_state_at(fsm, t):
 
 
 def recount_observe(world, arrivals, site, window):
-    """(N, mean traversal time) of `site` in (t0, t1] from the event log of
-    `world`, whose arrivals are `arrivals` (see `replay.exact_events`)."""
+    """The traversals of `site` completed in (t0, t1], counted in the event
+    log of `world`, whose arrivals are `arrivals` (see
+    `replay.exact_events`): each `move` off `site` and each `depart` from
+    it."""
     t0, t1 = window
-    entered_at = {}
-    durations = []
-    for ev in replay.exact_events(world, arrivals):
-        kind, at = ev[0], ev[1]
-        if kind == "arrive" and ev[3] == site:
-            entered_at[ev[2]] = at
-        elif kind == "move":
-            _, _, vid, src, dst = ev
-            if src == site and t0 < at <= t1 and vid in entered_at:
-                durations.append(at - entered_at.pop(vid))
-            elif src == site:
-                entered_at.pop(vid, None)
-            if dst == site:
-                entered_at[vid] = at
-        elif kind == "depart" and ev[3] == site:
-            vid = ev[2]
-            if t0 < at <= t1 and vid in entered_at:
-                durations.append(at - entered_at.pop(vid))
-            else:
-                entered_at.pop(vid, None)
-    n = len(durations)
-    return n, (sum(durations) / n) if n else None
+    return sum(ev[0] in ("move", "depart") and ev[3] == site and t0 < ev[1] <= t1
+               for ev in replay.exact_events(world, arrivals))
 
 
 def scan_step(world, controls, dt):
@@ -131,7 +113,7 @@ def scan_step(world, controls, dt):
             world.dropped += 1
             world.log("drop", at, seg_id)
             continue
-        v = w.Vehicle(world.next_vid, route, 0, at, at + seg.travel_time)
+        v = w.Vehicle(world.next_vid, route, 0, at + seg.travel_time)
         world.next_vid += 1
         world.queues[seg_id].append(v)
         world.entered += 1
@@ -161,14 +143,12 @@ def scan_step(world, controls, dt):
                 continue
         queue.pop(0)
         crossed.append(now)
-        world.traversal_time[seg.id].append(now - v.entered_at)
         if nxt_id is None:
             world.exited += 1
             world.log("depart", now, v.vid, seg.id)
         else:
             v.leg += 1
             v.pending_next = None
-            v.entered_at = now
             v.ready_at = now + nxt.travel_time
             queues[nxt_id].append(v)
             world.log("move", now, v.vid, seg.id, nxt_id)
@@ -353,10 +333,10 @@ def _twin_hier_world(data_dir, tmp_dir):
     arrivals = replay.eager_arrivals(net, demand, 900.0, 17)
 
     def checked(world, site, window):
-        obs = observe(world, site, window)
-        assert (obs.n, obs.t_ex) == recount_observe(world, arrivals, site, window)
+        n = observe(world, site, window)
+        assert n == recount_observe(world, arrivals, site, window)
         seen.append(world)
-        return obs
+        return n
 
     cfg = cli.RunConfig(str(data_dir / "twin.network"),
                         str(data_dir / "twin.demand"), str(data_dir / "twin.ctg"),
@@ -392,8 +372,8 @@ class TestObserveCycle:
         for seg in world.network.segments:
             for k in range(int(world.clock // 60.0) + 1):
                 window = (k * 60.0, (k + 1) * 60.0)
-                obs = w.observe_cycle(world, seg.id, window)
-                assert (obs.n, obs.t_ex) == recount_observe(world, arrivals, seg.id, window)
+                assert (w.observe_cycle(world, seg.id, window)
+                        == recount_observe(world, arrivals, seg.id, window))
 
     @pytest.mark.parametrize("name", ["ring", "twin_fixed", "twin_hier"])
     @settings(max_examples=60)
@@ -401,8 +381,8 @@ class TestObserveCycle:
     def test_random_windows(self, stepped, name, data):
         world, arrivals = stepped[name]
         site, window = data.draw(windows(world))
-        obs = w.observe_cycle(world, site, window)
-        assert (obs.n, obs.t_ex) == recount_observe(world, arrivals, site, window)
+        assert (w.observe_cycle(world, site, window)
+                == recount_observe(world, arrivals, site, window))
 
     def test_records_survive_copy(self, stepped):
         world = stepped["ring"][0].copy()
@@ -410,8 +390,8 @@ class TestObserveCycle:
             w.step(world, {}, 0.1)
         window = (world.clock - 60.0, world.clock)
         for seg in world.network.segments:
-            obs = w.observe_cycle(world, seg.id, window)
-            assert (obs.n, obs.t_ex) == recount_observe(world, [], seg.id, window)
+            assert (w.observe_cycle(world, seg.id, window)
+                    == recount_observe(world, [], seg.id, window))
 
 
 # ------------------------------------------- connectivity, reachability, routes
@@ -800,7 +780,7 @@ PACKAGE_NAMES = {
     "fgraph": ("PerfDistribution", "FunctionGraph", "FgNode", "GoalAllocation",
                "attach", "evaluate", "distribute_goals"),
     "fuzzy": ("FuzzyParams", "ParamRow", "RuleBase", "DEFAULT_RULES", "fuzzify",
-              "control", "surface", "lcu_update"),
+              "control", "surface"),
     "hierarchy": ("HierarchyEngine", "ConstraintMsg", "ViolationMsg", "ReconcileReport"),
     "metrics": ("SpecBox", "EffortField", "CurvePair", "flexibility", "scalability",
                 "autonomy", "efficiency", "predictability"),
@@ -815,8 +795,9 @@ PACKAGE_NAMES = {
 # none may come back as a second implementation next to the shipped one.
 MOVED_NAMES = {
     "fuzzy": ("output_terms", "FuzzyOutputSet", "rule_activations", "infer",
-              "defuzzify_centroid"),
-    "world": ("seed_vehicles", "check_zone_balance"),
+              "defuzzify_centroid", "lcu_update", "LampFeedback", "LCU_MAX_STEP",
+              "LCU_GAIN"),
+    "world": ("seed_vehicles", "check_zone_balance", "Observation"),
     "world.StreetNetwork": ("zone",),
     "simplex.LinearProgram": ("build",),
     "streams.Pcg64": ("state",),
@@ -830,7 +811,7 @@ MOVED_NAMES = {
 class TestPackageApi:
     def test_all_lists_the_package_names(self):
         names = [n for names in PACKAGE_NAMES.values() for n in names]
-        assert len(names) == 68 and civitas.__all__ == names
+        assert len(names) == 67 and civitas.__all__ == names
         assert civitas.__version__ == "0.1.0"
 
     def test_each_name_is_its_module_attribute(self):
@@ -854,6 +835,11 @@ class TestPackageApi:
             for name in names:
                 assert not hasattr(owner, name), f"{home}.{name}"
                 assert name not in civitas.__all__, name
+
+    def test_crossings_keep_only_their_times(self):
+        # hasattr cannot tell: a field without a default is no class attribute
+        assert "traversal_time" not in {f.name for f in fields(w.WorldState)}
+        assert "entered_at" not in {f.name for f in fields(w.Vehicle)}
 
     def test_unknown_name_is_named(self):
         with pytest.raises(AttributeError, match="'civitas' has no attribute 'no_such'"):
@@ -932,9 +918,8 @@ def assert_same_world(got, want):
     assert got.clock == want.clock
     assert got.events == want.events
     assert got.queues == want.queues
-    for records in ("completed_at", "traversal_time"):
-        assert ({s: a.tobytes() for s, a in getattr(got, records).items()}
-                == {s: a.tobytes() for s, a in getattr(want, records).items()})
+    assert ({s: a.tobytes() for s, a in got.completed_at.items()}
+            == {s: a.tobytes() for s, a in want.completed_at.items()})
     assert ((got.dropped, got.entered, got.exited, got.next_vid)
             == (want.dropped, want.entered, want.exited, want.next_vid))
     # lcg, inc and the buffered half

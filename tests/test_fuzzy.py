@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from civitas import fuzzy
-from civitas.fuzzy import (DEFAULT_RULES, FuzzyParams, LampFeedback, ParamRow,
-                           control, fuzzify, lcu_update, membership_grid,
-                           surface)
-from tests.replay import (FuzzyOutputSet, defuzzify_centroid, infer,
-                          rule_activations)
+from civitas.fuzzy import (DEFAULT_RULES, FuzzyParams, ParamRow, control, fuzzify,
+                           membership_grid, surface)
+from tests.replay import (FuzzyOutputSet, LampFeedback, defuzzify_centroid, infer,
+                          lcu_update, rule_activations)
 
 ROW = ParamRow(0.5, 1.0, 1.2)
 PARAMS = FuzzyParams.uniform(0.5, 1.0, 1.2)

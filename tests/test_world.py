@@ -281,11 +281,10 @@ exit = true
 
 
 class TestObserveCycle:
-    def test_empty_window_has_no_mean(self):
+    def test_empty_window_counts_none(self):
         net = w.load_network(LINE)
         world = w.make_world(net, None, 0, 1)
-        obs = w.observe_cycle(world, "x", (0.0, 60.0))
-        assert obs.n == 0 and obs.t_ex is None
+        assert w.observe_cycle(world, "x", (0.0, 60.0)) == 0
 
     def test_single_free_flow_traversal(self):
         net = w.load_network(LINE)
@@ -293,27 +292,17 @@ class TestObserveCycle:
         seed_vehicles(world, [("x", 1)])
         for _ in range(200):
             w.step(world, {}, 0.1)
-        obs = w.observe_cycle(world, "x", (0.0, 20.0))
-        assert obs.n == 1
-        assert obs.t_ex == pytest.approx(10.0, abs=1e-9)
+        assert w.observe_cycle(world, "x", (0.0, 20.0)) == 1
+        assert list(world.completed_at["x"]) == [10.0]  # x's free-flow time
 
     def test_congested_window_matches_event_log_recount(self):
         world = run_ring(steps=3000, vehicles=[("r1", 6), ("r4", 4)])
         window = (50.0, 250.0)
-        obs = w.observe_cycle(world, "r2", window)
-        # independent recount directly over raw events
-        entered = {}
-        durations = []
-        for ev in exact_events(world, ()):
-            if ev[0] == "move" and ev[4] == "r2":
-                entered[ev[2]] = ev[1]
-            elif ev[0] == "move" and ev[3] == "r2":
-                if window[0] < ev[1] <= window[1] and ev[2] in entered:
-                    durations.append(ev[1] - entered.pop(ev[2]))
-                else:
-                    entered.pop(ev[2], None)
-        assert obs.n == len(durations)
-        assert obs.t_ex == pytest.approx(sum(durations) / len(durations), abs=1e-9)
+        n = w.observe_cycle(world, "r2", window)
+        # independent recount directly over raw events: each move off r2
+        moves = [ev for ev in exact_events(world, ())
+                 if ev[0] == "move" and ev[3] == "r2" and window[0] < ev[1] <= window[1]]
+        assert n == len(moves) > 0
 
     def test_unknown_site_rejected(self):
         net = w.load_network(LINE)
@@ -329,8 +318,6 @@ class TestObserveCycle:
             whole = kept.completed_at[site]
             # the crossings after 150 s, or the last one when none is
             assert list(times) == ([t for t in whole if t > 150.0] or list(whole[-1:]))
-            durations = kept.traversal_time[site][len(whole) - len(times):]
-            assert world.traversal_time[site] == durations
             for window in ((150.0, 300.0), (200.0, 260.0)):
                 assert (w.observe_cycle(world, site, window)
                         == w.observe_cycle(kept, site, window))
@@ -521,8 +508,8 @@ class TestEventLog:
              w.RoadSegment(b, "n1", "n2", 10.0, 10.0, 5, exit=True)),
             tuple(w.Intersection(f"n{i}") for i in range(3)))
         world = w.make_world(net, None, 0, 1)
-        world.queues[a].append(w.Vehicle(0, (a, b), 0, 0.0, 0.0))
-        world.queues[b].append(w.Vehicle(1, (b,), 0, 0.0, 0.0))
+        world.queues[a].append(w.Vehicle(0, (a, b), 0, 0.0))
+        world.queues[b].append(w.Vehicle(1, (b,), 0, 0.0))
         world.next_vid = world.entered = 2
         units = round(last * w.CLOCK_UNITS_PER_S)
         dt_units = min(units, 10**9)
